@@ -73,6 +73,22 @@ def test_hysteresis_free_atom_single_branch(tmp_path, capsys):
     assert all(b >= a - 1e-12 for a, b in zip(rho, rho[1:]))
 
 
+def test_range_above_window_labels_upper(tmp_path, capsys):
+    """hysteresis and peaks over 17:25 (above the window of delta=3,
+    zeta=50) report the upper branch on every row."""
+    medium = ["--delta", "3", "--zeta-l", "50", "--omega", "17:25:3"]
+    out = tmp_path / "hyst.csv"
+    assert main(["hysteresis", *medium, "--out", str(out)]) == 0
+    _, cols = read_csv(out)
+    assert cols["branch"] == ["upper"] * 3
+    out = tmp_path / "peaks.csv"
+    assert main(["peaks", *medium, "--zeta-m", "50", "--mechanism", "both",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    _, cols = read_csv(out)
+    assert cols["branch"] == ["upper"] * 6
+
+
 def test_malformed_grid_exits_2_without_file(tmp_path, capsys):
     out = tmp_path / "never.csv"
     code, _, err = run(capsys, "hysteresis", "--omega", "0::10", "--out", str(out))

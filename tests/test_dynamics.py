@@ -236,6 +236,7 @@ def test_partial_loop_area_positive_iff_bistable():
     up = sweep_adiabatic(LORENTZ_50, Mechanism.LORENTZ, lo, hi, 1e-3)
     down = sweep_adiabatic(LORENTZ_50, Mechanism.LORENTZ, hi, lo, 1e-3)
     assert len(up.jumps) == 1
+    assert type(up.jumps[0]) is float
     assert abs(up.jumps[0] - OMEGA_UP_EXACT) <= 0.02 * OMEGA_UP_EXACT
     assert down.jumps == []  # the upper branch persists over this range
 

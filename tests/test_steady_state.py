@@ -37,22 +37,39 @@ OMEGA_UP_EXACT = 15.674130803086713
 OMEGA_DOWN_EXACT = 1.393969707984965
 
 
-def fold_points() -> list[tuple[float, float]]:
-    """(omega, W) at each fold, ascending in omega: the physical roots W of
-    the resultant cubic, solved by companion matrix."""
+def fold_points(
+    gamma: float = 1.0, delta: float = 3.0, zeta: float = 50.0
+) -> list[tuple[float, float]]:
+    """(omega, W) at each fold, ascending in omega.
+
+    Eliminating 2 omega^2 between the inversion cubic and its W-derivative
+    leaves the resultant cubic
+    2 zeta^2 W^3 - zeta (zeta + 2 delta) W^2 + delta^2 + gamma^2/4 = 0
+    (5000 W^3 - 2800 W^2 + 9.25 for the benchmark medium), solved here by
+    companion matrix; the derivative then gives each fold drive.
+    """
     folds = []
-    for w in np.roots([5000.0, -2800.0, 0.0, 9.25]):
+    if zeta == 0.0:
+        return folds
+    c2 = zeta * (zeta + 2.0 * delta)
+    c1 = delta * (delta + 2.0 * zeta) + 0.25 * gamma * gamma
+    for w in np.roots([2.0 * zeta * zeta, -c2, 0.0, delta * delta + 0.25 * gamma * gamma]):
         if abs(w.imag) < 1e-12 and 0.0 < w.real <= 1.0:
             w = w.real
-            omega_sq = (5600.0 * w - 7500.0 * w * w - 309.25) / 2.0
+            omega_sq = (2.0 * c2 * w - 3.0 * zeta * zeta * w * w - c1) / 2.0
             if omega_sq > 0.0:
                 folds.append((np.sqrt(omega_sq), w))
     return sorted(folds)
 
 
-def fold_oracle() -> tuple[float, float]:
-    """Fold drives (omega_up, omega_down) from the resultant cubic."""
-    omegas = [omega for omega, _ in fold_points()]
+def fold_oracle(
+    gamma: float = 1.0, delta: float = 3.0, zeta: float = 50.0
+) -> tuple[float, float] | None:
+    """Fold drives (omega_up, omega_down) from the resultant cubic, or None
+    for a monostable medium."""
+    omegas = [omega for omega, _ in fold_points(gamma, delta, zeta)]
+    if len(omegas) < 2:
+        return None
     return max(omegas), min(omegas)
 
 
@@ -303,6 +320,23 @@ def test_thresholds_match_fold_oracle():
     assert omega_up == pytest.approx(up_ref, abs=2e-6)
     assert omega_down == pytest.approx(down_ref, abs=2e-6)
     assert omega_down < omega_up
+    assert type(omega_up) is float and type(omega_down) is float
+
+
+def test_thresholds_resolve_a_window_narrower_than_any_grid():
+    """Just above the cusp the bistable window of delta=3, zeta=4.0744 is
+    0.0036 gamma wide; the folds must still be found, and the lone root
+    beyond the upper fold continues the upper branch."""
+    medium = MediumParams(delta=3.0, zeta_lorentz=4.0744)
+    up_ref, down_ref = fold_oracle(1.0, 3.0, 4.0744)
+    assert up_ref == pytest.approx(0.2025676, abs=1e-7)
+    assert down_ref == pytest.approx(0.1989691, abs=1e-7)
+    result = find_thresholds(medium, Mechanism.LORENTZ)
+    assert result is not None
+    assert result[0] == pytest.approx(up_ref, abs=2e-6)
+    assert result[1] == pytest.approx(down_ref, abs=2e-6)
+    sol = branch_solution(medium, Mechanism.LORENTZ, Branch.UPPER, omega=0.2036)
+    assert sol.branch is Branch.UPPER
 
 
 def test_thresholds_range_warning():
@@ -354,6 +388,18 @@ def test_scan_single_root_continuity_above_window():
     for point in tail:
         (sol,) = point.solutions
         assert sol.branch is Branch.UPPER
+
+
+def test_scan_labels_follow_the_folds_whatever_the_range():
+    """A drive range that starts above the window holds only the upper
+    branch, as branch_solution at the same drives says."""
+    grid = np.linspace(17.0, 25.0, 3)
+    scan = scan_hysteresis(LORENTZ_50, Mechanism.LORENTZ, grid)
+    for point in scan.points:
+        (sol,) = point.solutions
+        assert sol.branch is Branch.UPPER
+        upper = branch_solution(LORENTZ_50, Mechanism.LORENTZ, Branch.UPPER, omega=point.omega)
+        assert sol.w == upper.w
 
 
 def test_scan_monotone_stable_branches():
