@@ -102,15 +102,19 @@ def _rhs(u, v, w, om, g, d, zl, zm) -> tuple[float, float, float]:
 
 
 def _jac(u, v, w, om, g, d, zl, zm) -> np.ndarray:
+    """Jacobian of :func:`_rhs`; for array arguments of one shape S, a stack
+    of shape S + (3, 3)."""
     db = d - zm * w
     zs = zl + zm
-    return np.array(
-        [
-            [-0.5 * g, -db + zl * w, zs * v],
-            [db - zl * w, -0.5 * g, -zs * u - 2.0 * om],
-            [0.0, 2.0 * om, -g],
-        ]
-    )
+    jac = np.zeros(np.broadcast(u, v, w, om).shape + (3, 3))
+    jac[..., 0, 0] = jac[..., 1, 1] = -0.5 * g
+    jac[..., 0, 1] = -db + zl * w
+    jac[..., 0, 2] = zs * v
+    jac[..., 1, 0] = db - zl * w
+    jac[..., 1, 2] = -zs * u - 2.0 * om
+    jac[..., 2, 1] = 2.0 * om
+    jac[..., 2, 2] = -g
+    return jac
 
 
 def bloch_rhs(
@@ -287,7 +291,7 @@ def sweep_adiabatic(
             while j + 1 < spikes.size and spikes[j + 1]:
                 j += 1
             k = i + int(np.argmax(dw[i : j + 1]))
-            jumps.append(0.5 * (traj.omegas[k] + traj.omegas[k + 1]))
+            jumps.append(float(0.5 * (traj.omegas[k] + traj.omegas[k + 1])))
             i = j + 1
         else:
             i += 1
@@ -300,22 +304,19 @@ def sweep_adiabatic(
 def _warn_if_nonadiabatic(
     traj: Trajectory, params: MediumParams, mech: Mechanism, jumps: list[float]
 ) -> None:
-    arr = traj.state_array()
-    worst = 0.0
-    for idx in range(0, len(traj.times), 4):
-        om = traj.omegas[idx]
-        if any(abs(om - jump) < 0.3 * params.gamma for jump in jumps):
-            continue
-        p = replace(params, omega=float(om))
-        dist = math.inf
-        for root in steady_state.solve_inversion(p, mech):
-            stable, _ = steady_state._stability(root, p, mech)
-            if not stable:
-                continue
-            fp = fixed_point_state(p, mech, root)
-            dist = min(dist, float(np.linalg.norm(arr[idx] - (fp.u, fp.v, fp.w))))
-        if math.isfinite(dist):
-            worst = max(worst, dist)
+    idx = np.arange(0, len(traj.times), 4)
+    omegas = traj.omegas[idx]
+    if jumps:
+        near = np.abs(omegas[:, None] - np.asarray(jumps)).min(axis=1) < 0.3 * params.gamma
+        idx, omegas = idx[~near], omegas[~near]
+    if idx.size == 0:
+        return
+    fps = steady_state.solution_arrays(params, mech, omegas)
+    fixed = np.stack([2.0 * fps.rho12.real, 2.0 * fps.rho12.imag, fps.w], axis=-1)
+    dist = np.linalg.norm(traj.state_array()[idx, None, :] - fixed, axis=-1)
+    nearest = np.where(fps.stable, dist, np.inf).min(axis=1)
+    nearest = nearest[np.isfinite(nearest)]
+    worst = float(nearest.max()) if nearest.size else 0.0
     if worst > ADIABATIC_DISTANCE:
         warnings.warn(
             f"sweep strayed {worst:.3g} from the stable manifold (limit {ADIABATIC_DISTANCE})",

@@ -10,6 +10,16 @@ which expands to the cubic  c3 W^3 + c2 W^2 + c1 W + c0 = 0  solved here.
 Up to three roots coexist in (0, 1]; the middle one (by excited population)
 is dynamically unstable and the root-count changes at two fold drives,
 the switching thresholds of the hysteresis loop.
+
+The folds are the extrema of the explicit inverse
+omega^2(W) = (1 - W)((delta - zeta W)^2 + gamma^2/4) / (2W), so they follow
+in closed form from the real roots in (0, 1) of one more cubic,
+
+    2 zeta W (1 - W)(zeta W - delta) = (delta - zeta W)^2 + gamma^2/4.
+
+Both cubics are solved by one closed-form kernel that works row-wise on
+numpy arrays, so a whole drive grid is solved, assembled and classified at
+once; the single-drive functions call the same kernel on one drive.
 """
 
 from __future__ import annotations
@@ -38,8 +48,6 @@ RESIDUAL_TOL = 1e-12
 ROOT_MERGE_TOL = 1e-8
 # Eigenvalue real parts smaller than this flag marginal stability.
 MARGINAL_STABILITY_TOL = 1e-9
-# Bisection accuracy of fold locations, in units of gamma.
-THRESHOLD_TOL = 1e-6
 
 
 class ThresholdRangeWarning(UserWarning):
@@ -99,6 +107,33 @@ class StationaryState:
     w: float
 
 
+class SolutionArrays(NamedTuple):
+    """Every steady state over a drive array, one row per drive.
+
+    Columns hold the roots in ascending rho22 (descending w), so column k of
+    a three-root row is branch k; rows with fewer roots are NaN-padded
+    (``stable``/``marginal``/``singular`` False there).
+
+    omega     : (M,) drives
+    count     : (M,) number of physical roots; 0 where none was found
+    w, rho12, omega_eff, delta_eff, residual, stable : (M, 3), as in
+                :class:`SteadyStateSolution`
+    marginal  : (M, 3) some eigenvalue has |Re| < MARGINAL_STABILITY_TOL
+    singular  : (M, 3) the local-field self-consistency was singular
+    """
+
+    omega: np.ndarray
+    count: np.ndarray
+    w: np.ndarray
+    rho12: np.ndarray
+    omega_eff: np.ndarray
+    delta_eff: np.ndarray
+    residual: np.ndarray
+    stable: np.ndarray
+    marginal: np.ndarray
+    singular: np.ndarray
+
+
 def cubic_coefficients(
     params: MediumParams, mech: Mechanism
 ) -> tuple[float, float, float, float]:
@@ -109,76 +144,219 @@ def cubic_coefficients(
     c1 = 2 omega^2 + delta (delta + 2 zeta) + gamma^2 / 4
     c0 = -(delta^2 + gamma^2 / 4)
     """
-    zeta = zeta_total(params, mech)
+    return _inversion_cubic(params, zeta_total(params, mech), params.omega)
+
+
+def _inversion_cubic(params: MediumParams, zeta: float, omega):
+    """Inversion-cubic coefficients at drive ``omega`` (a float or an array)."""
     g2_4 = 0.25 * params.gamma**2
     c3 = zeta * zeta
     c2 = -zeta * (zeta + 2.0 * params.delta)
-    c1 = 2.0 * params.omega**2 + params.delta * (params.delta + 2.0 * zeta) + g2_4
+    c1 = 2.0 * omega**2 + params.delta * (params.delta + 2.0 * zeta) + g2_4
     c0 = -(params.delta**2 + g2_4)
     return c3, c2, c1, c0
 
 
-def _polish(c3: float, c2: float, c1: float, c0: float, w: float) -> float:
-    """A few Newton steps on the (normalized) cubic; keeps the best iterate."""
-    best_w, best_r = w, abs(((c3 * w + c2) * w + c1) * w + c0)
-    for _ in range(3):
-        p = ((c3 * w + c2) * w + c1) * w + c0
-        dp = (3.0 * c3 * w + 2.0 * c2) * w + c1
-        if dp == 0.0:
-            break
-        w = w - p / dp
-        r = abs(((c3 * w + c2) * w + c1) * w + c0)
-        if r < best_r:
-            best_w, best_r = w, r
-        if r == 0.0:
-            break
+def _normalized(c3, c2, c1, c0):
+    """Coefficients divided by their largest magnitude (row-wise for arrays)."""
+    scale = np.maximum(np.maximum(np.abs(c3), np.abs(c2)), np.maximum(np.abs(c1), np.abs(c0)))
+    scale = np.where(scale == 0.0, 1.0, scale)
+    return c3 / scale, c2 / scale, c1 / scale, c0 / scale
+
+
+def _horner(c, w):
+    c3, c2, c1, c0 = c
+    return ((c3 * w + c2) * w + c1) * w + c0
+
+
+def _polish(c, w: np.ndarray) -> np.ndarray:
+    """Three Newton steps on the normalized cubic ``c``, elementwise; each
+    element keeps its best iterate.  Where the derivative or the residual
+    vanishes, later iterates turn NaN or stand still, so they never beat it."""
+    c3, c2, c1, _ = c
+    p = _horner(c, w)
+    best_w, best_r = w, np.abs(p)
+    with np.errstate(all="ignore"):
+        for _ in range(3):
+            w = w - p / ((3.0 * c3 * w + 2.0 * c2) * w + c1)
+            p = _horner(c, w)
+            r = np.abs(p)
+            better = r < best_r
+            best_w = np.where(better, w, best_w)
+            best_r = np.where(better, r, best_r)
     return best_w
 
 
-def _real_cubic_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]:
-    """All real roots of c3 x^3 + c2 x^2 + c1 x + c0, closed form plus polishing.
+# 2 pi k for the three branches of the trigonometric cubic formula
+_TURNS = 2.0 * np.pi * np.arange(3.0)
 
-    Coefficients are normalized by their largest magnitude first; degenerate
-    leading coefficients fall back to the quadratic/linear formulas.
-    """
-    scale = max(abs(c3), abs(c2), abs(c1), abs(c0))
-    if scale == 0.0:
-        return []
-    c3, c2, c1, c0 = c3 / scale, c2 / scale, c1 / scale, c0 / scale
 
-    if abs(c3) < 1e-14:
-        if abs(c2) < 1e-14:
-            return [] if abs(c1) < 1e-14 else [-c0 / c1]
-        disc = c1 * c1 - 4.0 * c2 * c0
-        if disc < 0.0:
-            return []
-        s = math.sqrt(disc)
-        # standard stable quadratic formula
-        qq = -0.5 * (c1 + math.copysign(s, c1))
-        roots = [qq / c2] if qq == 0.0 else [qq / c2, c0 / qq]
-        return sorted(_polish(c3, c2, c1, c0, r) for r in roots)
-
-    b, c, d = c2 / c3, c1 / c3, c0 / c3
+def _cubic_formula(c3, c2, c1, c0) -> np.ndarray:
+    """Closed-form real roots (M, 3) of cubics with nonzero c3, NaN-padded:
+    Cardano's formula where one root is real, the trigonometric form where
+    three are."""
+    b, cc, d = c2 / c3, c1 / c3, c0 / c3
     shift = b / 3.0
-    p = c - b * b / 3.0
-    q = (2.0 * b * b * b - 9.0 * b * c) / 27.0 + d
+    p = cc - b * b / 3.0
+    q = (2.0 * b * b * b - 9.0 * b * cc) / 27.0 + d
     disc = 0.25 * q * q + p * p * p / 27.0
 
-    if disc > 0.0:  # one real root
-        s = math.sqrt(disc)
-        u = math.copysign(abs(-0.5 * q + s) ** (1.0 / 3.0), -0.5 * q + s)
-        v = math.copysign(abs(-0.5 * q - s) ** (1.0 / 3.0), -0.5 * q - s)
-        ts = [u + v]
-    elif p == 0.0:  # triple root
-        ts = [math.copysign(abs(q) ** (1.0 / 3.0), -q)]
-    else:  # three real roots, trigonometric form
-        m = 2.0 * math.sqrt(-p / 3.0)
-        arg = 3.0 * q / (p * m)
-        arg = min(1.0, max(-1.0, arg))
-        phi = math.acos(arg)
-        ts = [m * math.cos((phi - 2.0 * math.pi * k) / 3.0) for k in range(3)]
+    s = np.sqrt(disc)
+    hi, lo = -0.5 * q + s, -0.5 * q - s
+    one = np.copysign(np.abs(hi) ** (1.0 / 3.0), hi) + np.copysign(np.abs(lo) ** (1.0 / 3.0), lo)
+    triple = np.copysign(np.abs(q) ** (1.0 / 3.0), -q)
+    m = 2.0 * np.sqrt(-p / 3.0)
+    phi = np.arccos(np.minimum(1.0, np.maximum(-1.0, 3.0 * q / (p * m))))
+    ts = m[:, None] * np.cos((phi[:, None] - _TURNS) / 3.0)
 
-    return sorted(_polish(c3, c2, c1, c0, t - shift) for t in ts)
+    single = (disc > 0.0) | (p == 0.0)
+    ts[:, 0] = np.where(single, np.where(disc > 0.0, one, triple), ts[:, 0])
+    ts[single, 1:] = np.nan
+    return ts - shift[:, None]
+
+
+def _low_degree_formula(c2, c1, c0) -> np.ndarray:
+    """Real roots (K, 3), NaN-padded, when the cubic term vanishes: the
+    stable quadratic formula, or the linear one when c2 vanishes too."""
+    roots = np.full(c2.shape + (3,), np.nan)
+    s = np.sqrt(c1 * c1 - 4.0 * c2 * c0)
+    qq = -0.5 * (c1 + np.copysign(s, c1))
+    linear = np.abs(c2) < 1e-14
+    roots[:, 0] = np.where(linear, np.where(np.abs(c1) < 1e-14, np.nan, -c0 / c1), qq / c2)
+    roots[:, 1] = np.where(linear | (qq == 0.0), np.nan, c0 / qq)
+    return roots
+
+
+def _real_cubic_roots(c3, c2, c1, c0):
+    """All real roots of c3 x^3 + c2 x^2 + c1 x + c0, closed form plus polishing.
+
+    Works row-wise: at least one coefficient is an array of shape (M,).
+    Coefficients are normalized by their largest magnitude first; degenerate
+    leading coefficients fall back to the quadratic/linear formulas (linear
+    roots are exact and not polished).  Returns the roots as an (M, 3)
+    array, ascending and NaN-padded, and the normalized coefficients.
+    """
+    c = _normalized(c3, c2, c1, c0)
+    c3, c2, c1, c0 = c
+    low = np.abs(c3) < 1e-14
+    with np.errstate(all="ignore"):
+        roots = _cubic_formula(c3, c2, c1, c0)
+        if low.any():
+            roots[low] = _low_degree_formula(c2[low], c1[low], c0[low])
+    polish = ~(low & (np.abs(c2) < 1e-14))
+    if polish.all():
+        roots = _polish(tuple(x[:, None] for x in c), roots)
+    elif polish.any():
+        roots[polish] = _polish(tuple(x[polish, None] for x in c), roots[polish])
+    return np.sort(roots, axis=1), c
+
+
+def _inversion_roots(params: MediumParams, zeta: float, omega: np.ndarray):
+    """Physical inversion roots W in (0, 1] at each drive.
+
+    Returns (roots, count, c): roots as an (M, 3) array ascending in W and
+    NaN-padded, polished and de-duplicated; count the roots per drive; c the
+    normalized cubic coefficients, each of shape (M,).
+    """
+    raw, c = _real_cubic_roots(*_inversion_cubic(params, zeta, omega))
+    w = np.where(raw > 1.0, np.where(raw > 1.0 + 1e-9, np.nan, 1.0), raw)
+    w = np.sort(np.where(w > 0.0, w, np.nan), axis=1)
+    count = np.count_nonzero(w == w, axis=1)
+
+    if (np.diff(w, axis=1) < ROOT_MERGE_TOL).any():
+        # collapse near-coincident roots into one (a fold tangency), left to right
+        rows = np.arange(w.shape[0])
+        merged = np.full_like(w, np.nan)
+        count = np.zeros(w.shape[0], dtype=int)
+        for x in w.T:
+            last = merged[rows, np.maximum(count - 1, 0)]
+            join = (count > 0) & (x - last < ROOT_MERGE_TOL)
+            if join.any():
+                mid = _polish(tuple(ci[join] for ci in c), 0.5 * (last[join] + x[join]))
+                merged[rows[join], count[join] - 1] = np.where(
+                    mid > 0.0, np.minimum(mid, 1.0), last[join])
+            add = (x == x) & ~join
+            merged[rows[add], count[add]] = x[add]
+            count += add
+        w = merged
+
+    rough = np.abs(_horner(tuple(ci[:, None] for ci in c), w)) > RESIDUAL_TOL
+    if rough.any():
+        sub = tuple(np.broadcast_to(ci[:, None], w.shape)[rough] for ci in c)
+        w[rough] = np.minimum(_polish(sub, w[rough]), 1.0)
+    return w, count, c
+
+
+def _complex(re, im):
+    """re + i im without the rounding or signed-zero changes of complex arithmetic."""
+    if np.ndim(re) == 0 and np.ndim(im) == 0:
+        return complex(re, im)
+    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _effective(params: MediumParams, omega: np.ndarray, w: np.ndarray):
+    """(omega_eff, delta_eff, singular) at drives omega and inversions w,
+    elementwise; see :func:`effective_params`.
+
+    Written in real arithmetic that rounds as CPython's complex operations
+    do (its division is Smith's algorithm), so that one drive and a drive
+    array give the same bits.
+    """
+    g = params.gamma
+    delta_eff = params.delta - params.zeta_detuning * w
+    zl = params.zeta_lorentz
+    if zl == 0.0:
+        return _complex(omega, np.zeros_like(w)), delta_eff, np.zeros(w.shape, dtype=bool)
+    # feedback = 1 - zl w (delta_eff - i gamma/2) / (delta_eff^2 + gamma^2/4)
+    dd = delta_eff * delta_eff + 0.25 * g * g
+    a = zl * w
+    f_re = 1.0 - a * delta_eff / dd
+    f_im = a * (0.5 * g) / dd
+    singular = np.hypot(f_re, f_im) < 1e-14
+    by_re = np.abs(f_re) >= np.abs(f_im)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(by_re, f_im / f_re, f_re / f_im)
+        denom = np.where(by_re, f_re + f_im * ratio, f_re * ratio + f_im)
+        re = np.where(by_re, omega + 0.0 * ratio, omega * ratio + 0.0) / denom
+        im = np.where(by_re, 0.0 - omega * ratio, 0.0 * ratio - omega) / denom
+    return _complex(re, im), delta_eff, singular
+
+
+def _stability(params: MediumParams, omega, w, rho12) -> tuple[np.ndarray, np.ndarray]:
+    """(stable, marginal) of the Bloch fixed points at flat arrays of drives,
+    inversions and coherences, from one eigvals call on the stacked Jacobians."""
+    from . import dynamics  # deferred: dynamics imports this module at load time
+
+    jac = dynamics._jac(2.0 * rho12.real, 2.0 * rho12.imag, w, omega, params.gamma,
+                        params.delta, params.zeta_lorentz, params.zeta_detuning)
+    re = np.linalg.eigvals(jac).real
+    return np.all(re < 0.0, axis=-1), np.any(np.abs(re) < MARGINAL_STABILITY_TOL, axis=-1)
+
+
+def solution_arrays(params: MediumParams, mech: Mechanism, omegas) -> SolutionArrays:
+    """Every steady state at each drive of ``omegas`` (1-d), as arrays.
+
+    One closed-form cubic solve over all drives, then effective parameters,
+    coherence, residual and linear stability for every root at once.
+    """
+    omega = np.atleast_1d(np.asarray(omegas, dtype=float))
+    roots, count, c = _inversion_roots(params, zeta_total(params, mech), omega)
+    # ascending rho22, i.e. descending w, with the padding kept last
+    w = -np.sort(-roots, axis=1)
+    residual = np.abs(_horner(tuple(ci[:, None] for ci in c), w))
+    omega_eff, delta_eff, singular = _effective(params, omega[:, None], w)
+    rho12 = coherence(w, omega_eff, delta_eff, params.gamma)
+
+    ok = (w == w) & ~singular
+    stable = np.zeros(w.shape, dtype=bool)
+    marginal = np.zeros(w.shape, dtype=bool)
+    stable[ok], marginal[ok] = _stability(
+        params, np.broadcast_to(omega[:, None], w.shape)[ok], w[ok], rho12[ok]
+    )
+    return SolutionArrays(omega, count, w, rho12, omega_eff, delta_eff, residual,
+                          stable, marginal, singular)
 
 
 def solve_inversion(params: MediumParams, mech: Mechanism) -> list[float]:
@@ -188,50 +366,19 @@ def solve_inversion(params: MediumParams, mech: Mechanism) -> list[float]:
     is strictly negative and at 1 equals 2 omega^2), so at least one
     physical root exists for any valid parameter set.
     """
-    coeffs = cubic_coefficients(params, mech)
-    roots = _real_cubic_roots(*coeffs)
-
-    kept: list[float] = []
-    for w in roots:
-        if w <= 0.0:
-            continue
-        if w > 1.0:
-            if w > 1.0 + 1e-9:
-                continue
-            w = 1.0
-        kept.append(w)
-    kept.sort()
-
-    normalized = _normalized(coeffs)
-    merged: list[float] = []
-    for w in kept:
-        if merged and w - merged[-1] < ROOT_MERGE_TOL:
-            mid = _polish(*normalized, 0.5 * (merged[-1] + w))
-            merged[-1] = min(mid, 1.0) if mid > 0.0 else merged[-1]
-        else:
-            merged.append(w)
-
-    c3n, c2n, c1n, c0n = normalized
-    for i, w in enumerate(merged):
-        if abs(((c3n * w + c2n) * w + c1n) * w + c0n) > RESIDUAL_TOL:
-            merged[i] = min(_polish(c3n, c2n, c1n, c0n, w), 1.0)
-
-    if not merged:
+    roots, count, _ = _inversion_roots(
+        params, zeta_total(params, mech), np.array([params.omega])
+    )
+    if count[0] == 0:
         raise NoPhysicalRootError(
-            f"no inversion root in (0, 1] for coefficients {coeffs}"
+            f"no inversion root in (0, 1] for coefficients {cubic_coefficients(params, mech)}"
         )
-    return merged
-
-
-def _normalized(coeffs: tuple[float, float, float, float]) -> tuple[float, float, float, float]:
-    scale = max(abs(x) for x in coeffs)
-    return tuple(x / scale for x in coeffs)  # type: ignore[return-value]
+    return roots[0, : count[0]].tolist()
 
 
 def cubic_residual(params: MediumParams, mech: Mechanism, w: float) -> float:
     """|c3 w^3 + c2 w^2 + c1 w + c0| with coefficients normalized by max |c_i|."""
-    c3, c2, c1, c0 = _normalized(cubic_coefficients(params, mech))
-    return abs(((c3 * w + c2) * w + c1) * w + c0)
+    return float(abs(_horner(_normalized(*cubic_coefficients(params, mech)), w)))
 
 
 def effective_params(
@@ -248,18 +395,10 @@ def effective_params(
                shifted detuning.
     """
     validate_mechanism(params, mech)
-    g = params.gamma
-    delta_eff = params.delta - params.zeta_detuning * w
-    zl = params.zeta_lorentz
-    if zl == 0.0:
-        return complex(params.omega), delta_eff
-    dd = delta_eff * delta_eff + 0.25 * g * g
-    feedback = 1.0 - zl * w * (delta_eff - 0.5j * g) / dd
-    if abs(feedback) < 1e-14:
-        raise SingularFeedbackError(
-            f"local-field self-consistency singular at w={w} (|denominator|={abs(feedback)})"
-        )
-    return params.omega / feedback, delta_eff
+    omega_eff, delta_eff, singular = _effective(params, params.omega, np.array([float(w)]))
+    if singular[0]:
+        raise SingularFeedbackError(f"local-field self-consistency singular at w={w}")
+    return complex(omega_eff[0]), float(delta_eff[0])
 
 
 def coherence(w: float, omega_eff: complex, delta_eff: float, gamma: float) -> complex:
@@ -269,9 +408,14 @@ def coherence(w: float, omega_eff: complex, delta_eff: float, gamma: float) -> c
     (i delta_eff - gamma/2) rho12 = i omega_eff w to zero gives
 
         rho12 = omega_eff * w * (delta_eff - i gamma/2) / (delta_eff^2 + gamma^2/4).
+
+    Works elementwise on numpy arrays as well; the real arithmetic below
+    rounds as CPython's complex product and quotient do.
     """
     dd = delta_eff * delta_eff + 0.25 * gamma * gamma
-    return omega_eff * w * (delta_eff - 0.5j * gamma) / dd
+    half = -0.5 * gamma
+    x, y = omega_eff.real * w, omega_eff.imag * w
+    return _complex((x * delta_eff - y * half) / dd, (x * half + y * delta_eff) / dd)
 
 
 def stationary_state(omega_eff: complex, delta_eff: float, gamma: float) -> StationaryState:
@@ -317,53 +461,56 @@ def classify_stability(w: float, params: MediumParams, mech: Mechanism) -> bool:
     Eigenvalues with |Re| below MARGINAL_STABILITY_TOL indicate a fold
     tangency and trigger a MarginalStabilityWarning.
     """
-    stable, marginal = _stability(w, params, mech)
-    if marginal:
+    omega_eff, delta_eff = effective_params(w, params, mech)
+    rho12 = coherence(w, omega_eff, delta_eff, params.gamma)
+    stable, marginal = _stability(params, np.array([params.omega]), np.array([w], dtype=float),
+                                  np.array([rho12]))
+    if marginal[0]:
         warnings.warn(
             f"fixed point at w={w} is marginally stable (fold tangency)",
             MarginalStabilityWarning,
             stacklevel=2,
         )
-    return stable
+    return bool(stable[0])
 
 
-def _stability(w: float, params: MediumParams, mech: Mechanism) -> tuple[bool, bool]:
-    from . import dynamics  # deferred: dynamics imports this module at load time
+def _fold_drives(params: MediumParams, mech: Mechanism) -> tuple[float, float] | None:
+    """Exact fold drives (omega_up, omega_down), or None for a monostable medium."""
+    zeta = zeta_total(params, mech)
+    delta, g2_4 = params.delta, 0.25 * params.gamma**2
+    roots, _ = _real_cubic_roots(2.0 * zeta * zeta, -zeta * (zeta + 2.0 * delta), np.zeros(1),
+                                 delta * delta + g2_4)
+    ws = [w for w in roots[0].tolist() if 0.0 < w < 1.0]
+    if len(ws) < 2:
+        return None
+    omegas = [math.sqrt((1.0 - w) * ((delta - zeta * w) ** 2 + g2_4) / (2.0 * w)) for w in ws]
+    return max(omegas), min(omegas)
 
-    state = dynamics.fixed_point_state(params, mech, w)
-    eigs = np.linalg.eigvals(dynamics.jacobian(state, params, mech, params.omega))
-    re = eigs.real
-    return bool(np.all(re < 0.0)), bool(np.any(np.abs(re) < MARGINAL_STABILITY_TOL))
 
-
-def _build_solution(
-    w: float, params: MediumParams, mech: Mechanism, branch: Branch
-) -> SteadyStateSolution:
-    omega_eff, delta_eff = effective_params(w, params, mech)
-    rho12 = coherence(w, omega_eff, delta_eff, params.gamma)
-    stable, marginal = _stability(w, params, mech)
-    if marginal:
+def _clip_to_range(
+    folds: tuple[float, float] | None, lo: float, hi: float
+) -> tuple[float, float] | None:
+    """The part of the bistable window inside [lo, hi], warning at a clipped end."""
+    if folds is None or folds[0] < lo or folds[1] > hi:
+        return None
+    omega_up, omega_down = folds
+    if omega_down < lo:
         warnings.warn(
-            f"solution at omega={params.omega}, w={w} is marginally stable",
-            MarginalStabilityWarning,
+            "bistable window touches the lower end of omega_range; "
+            "omega_down may lie outside the range",
+            ThresholdRangeWarning,
             stacklevel=3,
         )
-    return SteadyStateSolution(
-        w=w,
-        rho22=0.5 * (1.0 - w),
-        rho12=rho12,
-        omega_eff=omega_eff,
-        delta_eff=delta_eff,
-        branch=branch,
-        stable=stable,
-        residual=cubic_residual(params, mech, w),
-    )
-
-
-def _default_threshold_range(params: MediumParams, mech: Mechanism) -> tuple[float, float]:
-    # Any fold obeys 2 omega^2 <= 3 zeta^2 (pairwise root products in (0,1]),
-    # so omega <= sqrt(1.5) zeta; pad a little beyond that.
-    return 0.0, 1.25 * zeta_total(params, mech) + params.gamma
+        omega_down = lo
+    if omega_up > hi:
+        warnings.warn(
+            "bistable window touches the upper end of omega_range; "
+            "omega_up may lie outside the range",
+            ThresholdRangeWarning,
+            stacklevel=3,
+        )
+        omega_up = hi
+    return omega_up, omega_down
 
 
 def find_thresholds(
@@ -373,59 +520,67 @@ def find_thresholds(
 ) -> tuple[float, float] | None:
     """Fold drives (omega_up, omega_down) where the root count changes 1 <-> 3.
 
-    Located by bisection on the root count, robust to the zeta -> 0 limit
-    where the cubic degenerates.  Returns None when the medium is monostable
-    over the range.  A fold lying on a range endpoint raises a
-    ThresholdRangeWarning since the true fold may sit outside.
+    Computed in closed form from the real roots in (0, 1) of the fold cubic
+    2 zeta W (1 - W)(zeta W - delta) = (delta - zeta W)^2 + gamma^2/4, each
+    mapped to its drive through omega^2(W); exact however narrow the
+    window.  Returns None when the medium is monostable.  With an
+    ``omega_range``, returns None when the window lies outside it, and a
+    window crossing an end of the range is clipped to that end with a
+    ThresholdRangeWarning, since the true fold sits outside.
     """
-    validate_mechanism(params, mech)
+    folds = _fold_drives(params, mech)
     if omega_range is None:
-        omega_range = _default_threshold_range(params, mech)
+        return folds
     lo, hi = float(omega_range[0]), float(omega_range[1])
     if not (0.0 <= lo < hi):
         raise ValueError(f"invalid omega_range {omega_range}")
+    return _clip_to_range(folds, lo, hi)
 
-    def count(om: float) -> int:
-        return len(solve_inversion(replace(params, omega=om), mech))
 
-    grid = np.linspace(lo, hi, 512)
-    counts = [count(om) for om in grid]
-    idx3 = [i for i, c in enumerate(counts) if c == 3]
-    if not idx3:
-        return None
+_BRANCHES = {3: [Branch.LOWER, Branch.MIDDLE, Branch.UPPER], 2: [Branch.LOWER, Branch.UPPER]}
 
-    def bisect(a: float, b: float, three_at_a: bool) -> float:
-        # invariant: count==3 on the `three_at_a` side
-        while b - a > THRESHOLD_TOL * params.gamma:
-            mid = 0.5 * (a + b)
-            if (count(mid) == 3) == three_at_a:
-                a = mid
-            else:
-                b = mid
-        return 0.5 * (a + b)
 
-    first, last = idx3[0], idx3[-1]
-    if first == 0:
-        warnings.warn(
-            "bistable window touches the lower end of omega_range; "
-            "omega_down may lie outside the range",
-            ThresholdRangeWarning,
-            stacklevel=2,
-        )
-        omega_down = grid[0]
-    else:
-        omega_down = bisect(grid[first - 1], grid[first], False)
-    if last == len(grid) - 1:
-        warnings.warn(
-            "bistable window touches the upper end of omega_range; "
-            "omega_up may lie outside the range",
-            ThresholdRangeWarning,
-            stacklevel=2,
-        )
-        omega_up = grid[-1]
-    else:
-        omega_up = bisect(grid[last], grid[last + 1], True)
-    return omega_up, omega_down
+def _solution_sets(
+    params: MediumParams, mech: Mechanism, omegas, omega_up: float | None
+) -> list[list[SteadyStateSolution] | ArithmeticError]:
+    """Solution records at each drive, or the error that prevented them.
+
+    A single root continues the upper branch at drives at or above
+    ``omega_up`` and the lower branch otherwise.
+    """
+    arr = solution_arrays(params, mech, omegas)
+    cols = [a.tolist() for a in (arr.w, arr.rho12, arr.omega_eff, arr.delta_eff, arr.stable,
+                                 arr.residual, arr.marginal)]
+    failed = arr.singular.any(axis=1).tolist()
+    out: list[list[SteadyStateSolution] | ArithmeticError] = []
+    for om, n, bad, w, rho12, omega_eff, delta_eff, stable, residual, marginal in zip(
+        arr.omega.tolist(), arr.count.tolist(), failed, *cols
+    ):
+        if n == 0:
+            out.append(NoPhysicalRootError(
+                f"no inversion root in (0, 1] for coefficients "
+                f"{cubic_coefficients(replace(params, omega=om), mech)}"))
+            continue
+        if bad:
+            out.append(SingularFeedbackError(
+                f"local-field self-consistency singular at omega={om}"))
+            continue
+        if n == 1:
+            labels = [Branch.UPPER if omega_up is not None and om >= omega_up else Branch.LOWER]
+        else:
+            labels = _BRANCHES[n]
+        sols = []
+        for k, branch in enumerate(labels):
+            if marginal[k]:
+                warnings.warn(
+                    f"solution at omega={om}, w={w[k]} is marginally stable",
+                    MarginalStabilityWarning,
+                    stacklevel=3,
+                )
+            sols.append(SteadyStateSolution(w[k], 0.5 * (1.0 - w[k]), rho12[k], omega_eff[k],
+                                            delta_eff[k], branch, stable[k], residual[k]))
+        out.append(sols)
+    return out
 
 
 def solutions_at(
@@ -439,30 +594,17 @@ def solutions_at(
 
     Three coexisting roots are labeled lower/middle/upper by excited
     population.  A single root is labeled ``lower`` unless threshold context
-    (given or computed when ``resolve_single`` is set) shows the drive sits
-    above the upper fold, where the surviving root continues the upper
-    branch.
+    (given, or the exact folds when ``resolve_single`` is set) shows the
+    drive sits at or above the upper fold, where the surviving root
+    continues the upper branch.
     """
-    roots = solve_inversion(params, mech)
-    ws = sorted(roots, reverse=True)  # ascending rho22
-
-    if len(ws) == 3:
-        branches = [Branch.LOWER, Branch.MIDDLE, Branch.UPPER]
-    elif len(ws) == 2:
-        branches = [Branch.LOWER, Branch.UPPER]
-    else:
-        branch = Branch.LOWER
-        if thresholds is None and resolve_single:
-            lo, hi = _default_threshold_range(params, mech)
-            hi = max(hi, params.omega * (1.0 + 1e-9))
-            thresholds = find_thresholds(params, mech, (lo, hi))
-        if thresholds is not None:
-            omega_up, omega_down = thresholds
-            if params.omega >= omega_up:
-                branch = Branch.UPPER
-        branches = [branch]
-
-    return [_build_solution(w, params, mech, b) for w, b in zip(ws, branches)]
+    if thresholds is None and resolve_single:
+        thresholds = _fold_drives(params, mech)
+    omega_up = None if thresholds is None else thresholds[0]
+    (sols,) = _solution_sets(params, mech, [params.omega], omega_up)
+    if isinstance(sols, ArithmeticError):
+        raise sols
+    return sols
 
 
 def branch_solution(
@@ -488,11 +630,12 @@ def scan_hysteresis(
 ) -> HysteresisScan:
     """Full solution sets over a drive grid, with branch labels and thresholds.
 
-    Single-root points are labeled by continuity: through the attached
-    thresholds when the grid spans a bistable window, by nearest excited
-    population against the previous grid point otherwise, and ``lower`` when
-    neither context exists.  Solver failures at individual points are
-    recorded as empty solution sets rather than aborting the scan.
+    Single-root points are labeled by the exact folds, whatever the grid
+    covers: ``upper`` at or above the upper fold, ``lower`` otherwise.  The
+    reported thresholds are the part of the bistable window inside the grid
+    (see :func:`find_thresholds` with an ``omega_range``).  Solver failures
+    at individual points are recorded as empty solution sets rather than
+    aborting the scan.
     """
     grid = np.asarray(omega_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -500,27 +643,14 @@ def scan_hysteresis(
     if np.any(grid < 0.0) or np.any(np.diff(grid) <= 0.0):
         raise ValueError("omega_grid must be strictly increasing and nonnegative")
 
-    thresholds = find_thresholds(params, mech, (float(grid[0]), float(grid[-1])))
-
+    folds = _fold_drives(params, mech)
+    thresholds = _clip_to_range(folds, float(grid[0]), float(grid[-1]))
     points: list[ScanPoint] = []
-    prev: list[SteadyStateSolution] = []
-    for om in grid:
-        p = replace(params, omega=float(om))
-        try:
-            sols = solutions_at(p, mech, thresholds=thresholds)
-        except (NoPhysicalRootError, SingularFeedbackError) as exc:
-            warnings.warn(f"solver failed at omega={om}: {exc}", stacklevel=2)
-            points.append(ScanPoint(float(om), []))
-            continue
-        if len(sols) == 1 and thresholds is None and prev:
-            # continuity with the previous point (stable labels only)
-            candidates = [s for s in prev if s.branch is not Branch.MIDDLE]
-            if candidates:
-                nearest = min(candidates, key=lambda s: abs(s.rho22 - sols[0].rho22))
-                if nearest.branch is not sols[0].branch:
-                    sols = [replace(sols[0], branch=nearest.branch)]
-        points.append(ScanPoint(float(om), sols))
-        prev = sols
+    for om, sols in zip(grid.tolist(), _solution_sets(params, mech, grid, folds and folds[0])):
+        if isinstance(sols, ArithmeticError):
+            warnings.warn(f"solver failed at omega={om}: {sols}", stacklevel=2)
+            sols = []
+        points.append(ScanPoint(om, sols))
 
     omega_up, omega_down = thresholds if thresholds is not None else (None, None)
     return HysteresisScan(points=points, omega_up=omega_up, omega_down=omega_down)
