@@ -645,8 +645,9 @@ def scan_hysteresis(
 
     folds = _fold_drives(params, mech)
     thresholds = _clip_to_range(folds, float(grid[0]), float(grid[-1]))
+    omega_up = None if folds is None else folds[0]
     points: list[ScanPoint] = []
-    for om, sols in zip(grid.tolist(), _solution_sets(params, mech, grid, folds and folds[0])):
+    for om, sols in zip(grid.tolist(), _solution_sets(params, mech, grid, omega_up)):
         if isinstance(sols, ArithmeticError):
             warnings.warn(f"solver failed at omega={om}: {sols}", stacklevel=2)
             sols = []

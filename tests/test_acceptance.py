@@ -11,8 +11,8 @@ physical roots W = 0.0608813 and 0.5539717 are the folds
 
 * criterion 1: the switching thresholds are the fold drives
   omega_up = 15.6741308 and omega_down = 1.3939697 (``fold_oracle()``),
-  matched to the 2e-6 bisection tolerance.  The rounded upper target
-  15.6 +- 0.1 is kept as well.
+  matched to 2e-6.  The rounded upper target 15.6 +- 0.1 is kept as
+  well.
 * criterion 5: on the lower branch at the upper fold (W = 0.5539717) the
   closed-form side-peak offsets are nu_p(det) = 39.899669 and
   nu_p(lor) = 4.810947 (``upper_fold_splittings()``), a splitting ratio of

@@ -333,8 +333,8 @@ def test_thresholds_resolve_a_window_narrower_than_any_grid():
     assert down_ref == pytest.approx(0.1989691, abs=1e-7)
     result = find_thresholds(medium, Mechanism.LORENTZ)
     assert result is not None
-    assert result[0] == pytest.approx(up_ref, abs=2e-6)
-    assert result[1] == pytest.approx(down_ref, abs=2e-6)
+    assert result[0] == pytest.approx(up_ref, abs=1e-9)
+    assert result[1] == pytest.approx(down_ref, abs=1e-9)
     sol = branch_solution(medium, Mechanism.LORENTZ, Branch.UPPER, omega=0.2036)
     assert sol.branch is Branch.UPPER
 
@@ -422,6 +422,103 @@ def test_mechanism_equivalence_of_excitation():
         assert len(lor) == len(det)
         for a, b in zip(lor, det):
             assert abs(a - b) <= 1e-12
+
+
+def companion_roots(gamma: float, delta: float, zeta: float, omega: float) -> np.ndarray:
+    """Physical roots W in (0, 1] of the inversion cubic, descending (the
+    branch order), from the companion matrix of the expanded
+    (1 - W)((delta - zeta W)^2 + gamma^2/4) - 2 omega^2 W."""
+    g = 0.25 * gamma * gamma
+    if zeta == 0.0:
+        return np.array([(delta * delta + g) / (delta * delta + g + 2.0 * omega * omega)])
+    coeffs = [zeta * zeta, -zeta * (zeta + 2.0 * delta),
+              2.0 * omega * omega + delta * (delta + 2.0 * zeta) + g, -(delta * delta + g)]
+    roots = np.roots(coeffs)
+    real = roots.real[np.abs(roots.imag) <= 1e-7]
+    return np.sort(np.minimum(real[(real > 0.0) & (real <= 1.0 + 1e-9)], 1.0))[::-1]
+
+
+def window_width(gamma: float, delta: float, zeta: float) -> float:
+    folds = fold_oracle(gamma, delta, zeta)
+    return 0.0 if folds is None else folds[0] - folds[1]
+
+
+def zeta_for_width(gamma: float, delta: float, width: float) -> float:
+    """Coupling just above the cusp whose bistable window is ``width`` wide."""
+    lo, hi = 0.0, 4.0 * gamma + 8.0 * abs(delta) + 8.0
+    while window_width(gamma, delta, hi) < width:
+        hi *= 2.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if window_width(gamma, delta, mid) < width:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+@st.composite
+def extreme_media(draw):
+    """(params, mech, gamma, delta, zeta): any medium in gamma 0.2-3,
+    delta -20-20, zeta 0.1-1000, or one just above its cusp with a window
+    narrower than 0.005 gamma."""
+    gamma = draw(st.floats(0.2, 3.0))
+    delta = draw(st.floats(-20.0, 20.0))
+    if draw(st.booleans()):
+        zeta = draw(st.floats(0.1, 1000.0))
+    else:
+        zeta = zeta_for_width(gamma, delta, draw(st.floats(1e-5, 5e-3)) * gamma)
+    mech = draw(st.sampled_from(list(Mechanism)))
+    share = {Mechanism.LORENTZ: 1.0, Mechanism.DETUNING: 0.0,
+             Mechanism.JOINT: draw(st.floats(0.1, 0.9))}[mech]
+    params = MediumParams(gamma=gamma, delta=delta, zeta_lorentz=share * zeta,
+                          zeta_detuning=zeta - share * zeta)
+    return params, mech, gamma, delta, params.zeta_lorentz + params.zeta_detuning
+
+
+@settings(max_examples=150, deadline=None)
+@given(medium=extreme_media(), start=st.floats(1.05, 1.5))
+def test_scan_matches_exact_algebra_over_extreme_media(medium, start):
+    """Roots against the companion matrix, thresholds against the fold
+    cubic, labels against the exact folds, and, away from the folds, only
+    the middle branch unstable (a conjecture the eigenvalues must keep)."""
+    params, mech, gamma, delta, zeta = medium
+    exact = fold_oracle(gamma, delta, zeta)
+    found = find_thresholds(params, mech)
+    if exact is None:
+        assert found is None
+        top = 2.0 * (zeta + abs(delta) + gamma)
+        grid = np.linspace(0.0, top, 60)
+    else:
+        assert found is not None and all(type(x) is float for x in found)
+        assert found[0] == pytest.approx(exact[0], rel=1e-9, abs=1e-9)
+        assert found[1] == pytest.approx(exact[1], rel=1e-9, abs=1e-9)
+        up, down = exact
+        grid = np.unique(np.concatenate(
+            [np.linspace(0.0, 1.5 * up, 60), np.linspace(down, up, 9)]))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        scan = scan_hysteresis(params, mech, grid)
+        above = None
+        if exact is not None:
+            above = scan_hysteresis(params, mech, np.linspace(start * up, 2.0 * start * up, 20))
+            assert find_thresholds(params, mech, (start * up, 2.0 * start * up)) is None
+
+    for point in scan.points + ([] if above is None else above.points):
+        if exact is not None and min(abs(point.omega - up), abs(point.omega - down)) <= 1e-6 * gamma:
+            continue
+        ref = companion_roots(gamma, delta, zeta, point.omega)
+        ws = [s.w for s in point.solutions]
+        assert len(ws) == len(ref), point.omega
+        assert np.max(np.abs(np.array(ws) - ref)) <= 1e-7
+        labels = [s.branch for s in point.solutions]
+        if len(ws) == 3:
+            assert labels == [Branch.LOWER, Branch.MIDDLE, Branch.UPPER]
+        else:
+            upper = exact is not None and point.omega > up
+            assert labels == [Branch.UPPER if upper else Branch.LOWER]
+        assert [s.stable for s in point.solutions] == [b is not Branch.MIDDLE for b in labels]
 
 
 def test_scan_rejects_bad_grids():
