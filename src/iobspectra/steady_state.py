@@ -549,13 +549,16 @@ def _solution_sets(
     ``omega_up`` and the lower branch otherwise.
     """
     arr = solution_arrays(params, mech, omegas)
-    cols = [a.tolist() for a in (arr.w, arr.rho12, arr.omega_eff, arr.delta_eff, arr.stable,
-                                 arr.residual, arr.marginal)]
-    failed = arr.singular.any(axis=1).tolist()
+    # the found roots, flattened row by row: drive i owns the next count[i]
+    found = arr.w == arr.w
+    w, rho12, omega_eff, delta_eff, stable, residual, marginal = (
+        a[found].tolist() for a in (arr.w, arr.rho12, arr.omega_eff, arr.delta_eff,
+                                    arr.stable, arr.residual, arr.marginal))
     out: list[list[SteadyStateSolution] | ArithmeticError] = []
-    for om, n, bad, w, rho12, omega_eff, delta_eff, stable, residual, marginal in zip(
-        arr.omega.tolist(), arr.count.tolist(), failed, *cols
-    ):
+    end = 0
+    for om, n, bad in zip(arr.omega.tolist(), arr.count.tolist(),
+                          arr.singular.any(axis=1).tolist()):
+        start, end = end, end + n
         if n == 0:
             out.append(NoPhysicalRootError(
                 f"no inversion root in (0, 1] for coefficients "
@@ -570,7 +573,7 @@ def _solution_sets(
         else:
             labels = _BRANCHES[n]
         sols = []
-        for k, branch in enumerate(labels):
+        for k, branch in zip(range(start, end), labels):
             if marginal[k]:
                 warnings.warn(
                     f"solution at omega={om}, w={w[k]} is marginally stable",
