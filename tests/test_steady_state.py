@@ -429,8 +429,6 @@ def companion_roots(gamma: float, delta: float, zeta: float, omega: float) -> np
     branch order), from the companion matrix of the expanded
     (1 - W)((delta - zeta W)^2 + gamma^2/4) - 2 omega^2 W."""
     g = 0.25 * gamma * gamma
-    if zeta == 0.0:
-        return np.array([(delta * delta + g) / (delta * delta + g + 2.0 * omega * omega)])
     coeffs = [zeta * zeta, -zeta * (zeta + 2.0 * delta),
               2.0 * omega * omega + delta * (delta + 2.0 * zeta) + g, -(delta * delta + g)]
     roots = np.roots(coeffs)
