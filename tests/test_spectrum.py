@@ -225,6 +225,22 @@ def test_correlation_matrix_never_singular():
     assert np.all(np.isfinite(out))
 
 
+def test_oracle_is_scale_invariant():
+    """Rescaling every frequency by s leaves s * S(nu) unchanged; |det M|
+    scales as s^3 (min 4.5e2 at s = 1, 4.5e-16 at s = 1e-6)."""
+
+    def scaled_density(s):
+        medium = MediumParams(gamma=s, delta=3.0 * s, zeta_lorentz=50.0 * s)
+        sol = branch_solution(medium, Mechanism.LORENTZ, Branch.UPPER, omega=10.0 * s)
+        rho = stationary_state(sol.omega_eff, sol.delta_eff, s)
+        nu = np.linspace(-60.0 * s, 60.0 * s, 2001)
+        return s * oracle_spectrum(nu, sol.omega_eff, sol.delta_eff, s, rho)
+
+    reference = scaled_density(1.0)
+    for s in (1e-5, 1e-6):
+        assert float(rel_dev(scaled_density(s), reference).max()) <= 1e-12
+
+
 # ------------------------------------------------------------------------ peaks
 
 def test_peak_positions_strong_drive():
