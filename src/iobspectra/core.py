@@ -53,14 +53,6 @@ class NoPhysicalRootError(ArithmeticError):
     """No inversion root in (0, 1]; signals invalid physical inputs."""
 
 
-class SingularFeedbackError(ArithmeticError):
-    """Local-field self-consistency condition became singular."""
-
-
-class SingularMatrixError(ArithmeticError):
-    """Correlation-function linear system is singular (cannot occur for gamma > 0)."""
-
-
 class BranchNotPresentError(LookupError):
     """Requested steady-state branch does not exist at the given drive."""
 

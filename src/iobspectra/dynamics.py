@@ -34,7 +34,7 @@ RAMP_RATE_MAX_FACTOR = 1e-3  # max ramp rate in units of gamma^2
 JUMP_THRESHOLD = 0.1         # |delta w| per sample marking a branch jump
 ADIABATIC_DISTANCE = 0.05    # allowed distance from the instantaneous stable manifold
 
-_METHODS = ("DOP853", "RK45", "Radau")
+_METHODS = ("DOP853", "Radau")
 
 
 class NonAdiabaticWarning(UserWarning):
@@ -117,36 +117,29 @@ def _jac(u, v, w, om, g, d, zl, zm) -> np.ndarray:
     return jac
 
 
-def bloch_rhs(
-    state: BlochState, params: MediumParams, mech: Mechanism, omega_now: float
-) -> tuple[float, float, float]:
-    """Time derivatives (du/dt, dv/dt, dw/dt) at the given state and drive."""
-    zl, zm = _coupling(params, mech)
-    return _rhs(state.u, state.v, state.w, omega_now, params.gamma, params.delta, zl, zm)
+def _components(state):
+    if isinstance(state, BlochState):
+        return state.u, state.v, state.w
+    return state[0], state[1], state[2]
 
 
-def bloch_rhs_raw(y, params: MediumParams, mech: Mechanism, omega_now: float) -> np.ndarray:
-    """RHS on a raw (u, v, w) triple, without Bloch-ball validation.
+def bloch_rhs(state, params: MediumParams, mech: Mechanism, omega_now) -> np.ndarray:
+    """Time derivatives (du/dt, dv/dt, dw/dt) at the given state and drive.
 
-    Intended for root searches, whose iterates may leave the physical ball.
+    ``state`` is a :class:`BlochState` or a raw (u, v, w) triple.  A raw
+    triple is not checked against the Bloch ball, because root searches step
+    outside it; its components may also be arrays of one shape, giving a
+    (3, ...) result.
     """
     zl, zm = _coupling(params, mech)
-    return np.array(_rhs(y[0], y[1], y[2], omega_now, params.gamma, params.delta, zl, zm))
+    return np.array(_rhs(*_components(state), omega_now, params.gamma, params.delta, zl, zm))
 
 
-def jacobian(
-    state: BlochState, params: MediumParams, mech: Mechanism, omega_now: float
-) -> np.ndarray:
+def jacobian(state, params: MediumParams, mech: Mechanism, omega_now) -> np.ndarray:
     """Exact Jacobian of :func:`bloch_rhs`, including the d(omega_bar)/d(u,v)
-    and d(delta_bar)/dw self-consistency terms."""
+    and d(delta_bar)/dw self-consistency terms; ``state`` as there."""
     zl, zm = _coupling(params, mech)
-    return _jac(state.u, state.v, state.w, omega_now, params.gamma, params.delta, zl, zm)
-
-
-def jacobian_raw(y, params: MediumParams, mech: Mechanism, omega_now: float) -> np.ndarray:
-    """Jacobian on a raw (u, v, w) triple; companion to :func:`bloch_rhs_raw`."""
-    zl, zm = _coupling(params, mech)
-    return _jac(y[0], y[1], y[2], omega_now, params.gamma, params.delta, zl, zm)
+    return _jac(*_components(state), omega_now, params.gamma, params.delta, zl, zm)
 
 
 def fixed_point_state(params: MediumParams, mech: Mechanism, w: float) -> BlochState:
@@ -177,11 +170,10 @@ def integrate(
 ) -> Trajectory:
     """Integrate the Bloch equations with an adaptive one-step method.
 
-    ``drive`` is a constant Rabi frequency or a callable omega(t).  Any of
-    DOP853 (default), RK45, or Radau may be selected; all are adaptive
-    embedded one-step schemes of order >= 4, Radau being the stiff-friendly
-    choice for slow parameter ramps.  Sample times are taken from ``t_eval``
-    when given, otherwise the integrator's own steps are returned.
+    ``drive`` is a constant Rabi frequency or a callable omega(t).  The
+    method is DOP853 (default) or Radau, the stiff-friendly choice that slow
+    parameter ramps use.  Sample times are taken from ``t_eval`` when given,
+    otherwise the integrator's own steps are returned.
     """
     if t_end <= 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
@@ -235,10 +227,7 @@ def sweep_adiabatic(
     omega_end: float,
     ramp_rate: float,
     *,
-    rel_tol: float = 1e-8,
-    abs_tol: float = 1e-10,
     samples: int | None = None,
-    check_adiabatic: bool = True,
 ) -> SweepResult:
     """Linearly ramp the drive and detect hysteresis jumps.
 
@@ -265,7 +254,7 @@ def sweep_adiabatic(
         return omega_start + direction * ramp_rate * min(t, t_end)
 
     start_params = replace(params, omega=float(omega_start))
-    sols = steady_state.solutions_at(start_params, mech, resolve_single=True)
+    sols = steady_state.solutions_at(start_params, mech)
     preferred = Branch.LOWER if direction > 0 else Branch.UPPER
     by_branch = {s.branch: s for s in sols}
     start = by_branch.get(preferred, sols[0])
@@ -277,7 +266,7 @@ def sweep_adiabatic(
 
     traj = integrate(
         y0, params, mech, drive, t_end,
-        rel_tol=rel_tol, abs_tol=abs_tol, t_eval=t_eval, method="Radau",
+        rel_tol=1e-8, abs_tol=1e-10, t_eval=t_eval, method="Radau",
     )
 
     w = np.array([s.w for s in traj.states])
@@ -296,8 +285,7 @@ def sweep_adiabatic(
         else:
             i += 1
 
-    if check_adiabatic:
-        _warn_if_nonadiabatic(traj, params, mech, jumps)
+    _warn_if_nonadiabatic(traj, params, mech, jumps)
     return SweepResult(trajectory=traj, jumps=jumps)
 
 

@@ -9,9 +9,10 @@ the offset nu from the laser frequency, has the closed rational form
 with all coefficients evaluated at the effective drive strength and
 detuning of the chosen mechanism.  The sextic denominator factorizes as
 
-    nu^2 (nu^2 - nu_p^2)^2 + 8 gamma^2 |omega_eff|^2 nu^2 + gamma6,
+    nu^2 (nu^2 - nu_p^2)^2 + 8 gamma^2 |omega_eff|^2 nu^2 + b0,
 
-which pins the side peaks to nu = +-nu_p exactly and proves positivity.
+with b0 = gamma^2 a^2 > 0, which pins the side peaks to nu = +-nu_p exactly
+and proves positivity.
 An independent route to the same density solves a complex 3x3 linear
 system for the atom-field correlation function; both are implemented and
 cross-checked against each other.
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .core import Branch, MediumParams, Mechanism, SingularMatrixError
+from .core import Branch, MediumParams, Mechanism
 from . import steady_state
 from .steady_state import StationaryState
 
@@ -39,11 +40,10 @@ class SpectrumCoefficients:
     """Numerator/denominator polynomial coefficients of the incoherent density.
 
     a, a0    : numerator scale and offset
-    b4,b2,b0 : even-power denominator coefficients
+    b4,b2,b0 : even-power denominator coefficients; b0 = gamma^2 a^2 is the
+               denominator floor
     nu_p_sq  : 4 |omega_eff|^2 + delta_eff^2 - (3/4) gamma^2; side peaks exist
                at +-sqrt(nu_p_sq) when positive
-    gamma6   : gamma^2 (2 |omega_eff|^2 + delta_eff^2 + gamma^2/4)^2, the
-               denominator floor (equals b0)
     """
 
     a: float
@@ -52,7 +52,6 @@ class SpectrumCoefficients:
     b2: float
     b0: float
     nu_p_sq: float
-    gamma6: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,11 +93,9 @@ def spectrum_coefficients(
     a0 = 2.0 * o2 + g2
     b4 = -8.0 * o2 - 2.0 * d2 + 1.5 * g2
     b2 = 16.0 * o2 * o2 + 2.0 * o2 * (4.0 * d2 + g2) + d2 * d2 - 1.5 * g2 * d2 + 0.5625 * g2 * g2
-    b0 = g2 * a * a
     return SpectrumCoefficients(
-        a=a, a0=a0, b4=b4, b2=b2, b0=b0,
+        a=a, a0=a0, b4=b4, b2=b2, b0=g2 * a * a,
         nu_p_sq=4.0 * o2 + d2 - 0.75 * g2,
-        gamma6=b0,
     )
 
 
@@ -106,7 +103,7 @@ def incoherent_spectrum(nu, coeffs: SpectrumCoefficients, rho22: float, gamma: f
     """Incoherent emission density S(nu); accepts a scalar or an array of nu.
 
     The denominator is strictly positive for all real nu (sum of
-    nonnegative terms plus gamma6 > 0), so the density is finite and
+    nonnegative terms plus b0 > 0), so the density is finite and
     nonnegative everywhere.
     """
     if not 0.0 <= rho22 < 0.5:
@@ -118,19 +115,26 @@ def incoherent_spectrum(nu, coeffs: SpectrumCoefficients, rho22: float, gamma: f
     return float(out) if np.isscalar(nu) or nu_arr.ndim == 0 else out
 
 
-def correlation_matrix(nu: float, omega_eff: complex, delta_eff: float, gamma: float) -> np.ndarray:
+def correlation_matrix(nu, omega_eff: complex, delta_eff: float, gamma: float) -> np.ndarray:
     """The 3x3 system matrix for the stationary atom-field correlation components
     (g11, g12, g21); the fourth component is eliminated by the traceless property
-    g22 = -g11."""
+    g22 = -g11.  For an array ``nu``, a stack of shape nu.shape + (3, 3).
+
+    M is never singular for gamma > 0: |det M|^2 equals the sextic
+    denominator of :func:`incoherent_spectrum`, which is at least
+    b0 = gamma^2 a^2 > 0.
+    """
+    nu = np.asarray(nu, dtype=float)
     ob = complex(omega_eff)
-    return np.array(
-        [
-            [1j * nu + gamma, 1j * ob.conjugate(), -1j * ob],
-            [2j * ob, 1j * (nu - delta_eff) + 0.5 * gamma, 0.0],
-            [-2j * ob.conjugate(), 0.0, 1j * (nu + delta_eff) + 0.5 * gamma],
-        ],
-        dtype=complex,
-    )
+    m = np.zeros(nu.shape + (3, 3), dtype=complex)
+    m[..., 0, 0] = 1j * nu + gamma
+    m[..., 0, 1] = 1j * ob.conjugate()
+    m[..., 0, 2] = -1j * ob
+    m[..., 1, 0] = 2j * ob
+    m[..., 1, 1] = 1j * (nu - delta_eff) + 0.5 * gamma
+    m[..., 2, 0] = -2j * ob.conjugate()
+    m[..., 2, 2] = 1j * (nu + delta_eff) + 0.5 * gamma
+    return m
 
 
 def oracle_spectrum(nu, omega_eff: complex, delta_eff: float, gamma: float, rho: StationaryState):
@@ -143,22 +147,8 @@ def oracle_spectrum(nu, omega_eff: complex, delta_eff: float, gamma: float, rho:
     :func:`incoherent_spectrum`.
     """
     nus = np.atleast_1d(np.asarray(nu, dtype=float))
-    ob = complex(omega_eff)
     n = nus.size
-    m = np.zeros((n, 3, 3), dtype=complex)
-    m[:, 0, 0] = 1j * nus + gamma
-    m[:, 0, 1] = 1j * ob.conjugate()
-    m[:, 0, 2] = -1j * ob
-    m[:, 1, 0] = 2j * ob
-    m[:, 1, 1] = 1j * (nus - delta_eff) + 0.5 * gamma
-    m[:, 2, 0] = -2j * ob.conjugate()
-    m[:, 2, 2] = 1j * (nus + delta_eff) + 0.5 * gamma
-
-    dets = np.linalg.det(m)
-    if np.any(np.abs(dets) < 1e-14):
-        raise SingularMatrixError(
-            f"correlation matrix singular (min |det| = {np.abs(dets).min():.3e})"
-        )
+    m = correlation_matrix(nus, omega_eff, delta_eff, gamma)
     q = np.array(
         [
             rho.rho21 * rho.rho22,

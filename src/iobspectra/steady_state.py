@@ -37,7 +37,6 @@ from .core import (
     MediumParams,
     Mechanism,
     NoPhysicalRootError,
-    SingularFeedbackError,
     validate_mechanism,
     zeta_total,
 )
@@ -112,14 +111,13 @@ class SolutionArrays(NamedTuple):
 
     Columns hold the roots in ascending rho22 (descending w), so column k of
     a three-root row is branch k; rows with fewer roots are NaN-padded
-    (``stable``/``marginal``/``singular`` False there).
+    (``stable``/``marginal`` False there).
 
     omega     : (M,) drives
     count     : (M,) number of physical roots; 0 where none was found
     w, rho12, omega_eff, delta_eff, residual, stable : (M, 3), as in
                 :class:`SteadyStateSolution`
     marginal  : (M, 3) some eigenvalue has |Re| < MARGINAL_STABILITY_TOL
-    singular  : (M, 3) the local-field self-consistency was singular
     """
 
     omega: np.ndarray
@@ -131,7 +129,6 @@ class SolutionArrays(NamedTuple):
     residual: np.ndarray
     stable: np.ndarray
     marginal: np.ndarray
-    singular: np.ndarray
 
 
 def cubic_coefficients(
@@ -297,8 +294,13 @@ def _complex(re, im):
 
 
 def _effective(params: MediumParams, omega: np.ndarray, w: np.ndarray):
-    """(omega_eff, delta_eff, singular) at drives omega and inversions w,
+    """(omega_eff, delta_eff) at drives omega and inversions w,
     elementwise; see :func:`effective_params`.
+
+    omega_eff = omega / f with the feedback factor
+    f = 1 - zl w (delta_eff - i gamma/2) / dd, dd = delta_eff^2 + gamma^2/4.
+    f never vanishes: for gamma > 0 and zl > 0, Im f = zl w gamma / (2 dd)
+    is zero only at w = 0 or where dd overflows, and there Re f = 1.
 
     Written in real arithmetic that rounds as CPython's complex operations
     do (its division is Smith's algorithm), so that one drive and a drive
@@ -308,20 +310,18 @@ def _effective(params: MediumParams, omega: np.ndarray, w: np.ndarray):
     delta_eff = params.delta - params.zeta_detuning * w
     zl = params.zeta_lorentz
     if zl == 0.0:
-        return _complex(omega, np.zeros_like(w)), delta_eff, np.zeros(w.shape, dtype=bool)
-    # feedback = 1 - zl w (delta_eff - i gamma/2) / (delta_eff^2 + gamma^2/4)
+        return _complex(omega, np.zeros_like(w)), delta_eff
     dd = delta_eff * delta_eff + 0.25 * g * g
     a = zl * w
     f_re = 1.0 - a * delta_eff / dd
     f_im = a * (0.5 * g) / dd
-    singular = np.hypot(f_re, f_im) < 1e-14
     by_re = np.abs(f_re) >= np.abs(f_im)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(by_re, f_im / f_re, f_re / f_im)
         denom = np.where(by_re, f_re + f_im * ratio, f_re * ratio + f_im)
         re = np.where(by_re, omega + 0.0 * ratio, omega * ratio + 0.0) / denom
         im = np.where(by_re, 0.0 - omega * ratio, 0.0 * ratio - omega) / denom
-    return _complex(re, im), delta_eff, singular
+    return _complex(re, im), delta_eff
 
 
 def _stability(params: MediumParams, omega, w, rho12) -> tuple[np.ndarray, np.ndarray]:
@@ -346,17 +346,17 @@ def solution_arrays(params: MediumParams, mech: Mechanism, omegas) -> SolutionAr
     # ascending rho22, i.e. descending w, with the padding kept last
     w = -np.sort(-roots, axis=1)
     residual = np.abs(_horner(tuple(ci[:, None] for ci in c), w))
-    omega_eff, delta_eff, singular = _effective(params, omega[:, None], w)
+    omega_eff, delta_eff = _effective(params, omega[:, None], w)
     rho12 = coherence(w, omega_eff, delta_eff, params.gamma)
 
-    ok = (w == w) & ~singular
+    ok = w == w
     stable = np.zeros(w.shape, dtype=bool)
     marginal = np.zeros(w.shape, dtype=bool)
     stable[ok], marginal[ok] = _stability(
         params, np.broadcast_to(omega[:, None], w.shape)[ok], w[ok], rho12[ok]
     )
     return SolutionArrays(omega, count, w, rho12, omega_eff, delta_eff, residual,
-                          stable, marginal, singular)
+                          stable, marginal)
 
 
 def solve_inversion(params: MediumParams, mech: Mechanism) -> list[float]:
@@ -395,9 +395,7 @@ def effective_params(
                shifted detuning.
     """
     validate_mechanism(params, mech)
-    omega_eff, delta_eff, singular = _effective(params, params.omega, np.array([float(w)]))
-    if singular[0]:
-        raise SingularFeedbackError(f"local-field self-consistency singular at w={w}")
+    omega_eff, delta_eff = _effective(params, params.omega, np.array([float(w)]))
     return complex(omega_eff[0]), float(delta_eff[0])
 
 
@@ -542,7 +540,7 @@ _BRANCHES = {3: [Branch.LOWER, Branch.MIDDLE, Branch.UPPER], 2: [Branch.LOWER, B
 
 def _solution_sets(
     params: MediumParams, mech: Mechanism, omegas, omega_up: float | None
-) -> list[list[SteadyStateSolution] | ArithmeticError]:
+) -> list[list[SteadyStateSolution] | NoPhysicalRootError]:
     """Solution records at each drive, or the error that prevented them.
 
     A single root continues the upper branch at drives at or above
@@ -554,19 +552,14 @@ def _solution_sets(
     w, rho12, omega_eff, delta_eff, stable, residual, marginal = (
         a[found].tolist() for a in (arr.w, arr.rho12, arr.omega_eff, arr.delta_eff,
                                     arr.stable, arr.residual, arr.marginal))
-    out: list[list[SteadyStateSolution] | ArithmeticError] = []
+    out: list[list[SteadyStateSolution] | NoPhysicalRootError] = []
     end = 0
-    for om, n, bad in zip(arr.omega.tolist(), arr.count.tolist(),
-                          arr.singular.any(axis=1).tolist()):
+    for om, n in zip(arr.omega.tolist(), arr.count.tolist()):
         start, end = end, end + n
         if n == 0:
             out.append(NoPhysicalRootError(
                 f"no inversion root in (0, 1] for coefficients "
                 f"{cubic_coefficients(replace(params, omega=om), mech)}"))
-            continue
-        if bad:
-            out.append(SingularFeedbackError(
-                f"local-field self-consistency singular at omega={om}"))
             continue
         if n == 1:
             labels = [Branch.UPPER if omega_up is not None and om >= omega_up else Branch.LOWER]
@@ -586,26 +579,17 @@ def _solution_sets(
     return out
 
 
-def solutions_at(
-    params: MediumParams,
-    mech: Mechanism,
-    *,
-    thresholds: tuple[float, float] | None = None,
-    resolve_single: bool = False,
-) -> list[SteadyStateSolution]:
+def solutions_at(params: MediumParams, mech: Mechanism) -> list[SteadyStateSolution]:
     """All steady-state solutions at ``params.omega``, ordered by ascending rho22.
 
     Three coexisting roots are labeled lower/middle/upper by excited
-    population.  A single root is labeled ``lower`` unless threshold context
-    (given, or the exact folds when ``resolve_single`` is set) shows the
-    drive sits at or above the upper fold, where the surviving root
-    continues the upper branch.
+    population.  A single root is labeled by the exact folds, as in
+    :func:`scan_hysteresis`: ``upper`` at or above the upper fold, where the
+    surviving root continues the upper branch, ``lower`` otherwise.
     """
-    if thresholds is None and resolve_single:
-        thresholds = _fold_drives(params, mech)
-    omega_up = None if thresholds is None else thresholds[0]
-    (sols,) = _solution_sets(params, mech, [params.omega], omega_up)
-    if isinstance(sols, ArithmeticError):
+    folds = _fold_drives(params, mech)
+    (sols,) = _solution_sets(params, mech, [params.omega], None if folds is None else folds[0])
+    if isinstance(sols, NoPhysicalRootError):
         raise sols
     return sols
 
@@ -620,7 +604,7 @@ def branch_solution(
     branch = Branch(branch)
     if omega is not None:
         params = replace(params, omega=float(omega))
-    for sol in solutions_at(params, mech, resolve_single=True):
+    for sol in solutions_at(params, mech):
         if sol.branch is branch:
             return sol
     raise BranchNotPresentError(
@@ -651,7 +635,7 @@ def scan_hysteresis(
     omega_up = None if folds is None else folds[0]
     points: list[ScanPoint] = []
     for om, sols in zip(grid.tolist(), _solution_sets(params, mech, grid, omega_up)):
-        if isinstance(sols, ArithmeticError):
+        if isinstance(sols, NoPhysicalRootError):
             warnings.warn(f"solver failed at omega={om}: {sols}", stacklevel=2)
             sols = []
         points.append(ScanPoint(om, sols))

@@ -478,8 +478,10 @@ def extreme_media(draw):
 @given(medium=extreme_media(), start=st.floats(1.05, 1.5))
 def test_scan_matches_exact_algebra_over_extreme_media(medium, start):
     """Roots against the companion matrix, thresholds against the fold
-    cubic, labels against the exact folds, and, away from the folds, only
-    the middle branch unstable (a conjecture the eigenvalues must keep)."""
+    cubic, labels against the exact folds, every effective drive finite and
+    on the closed Rabi relation (the local-field feedback never vanishes),
+    and, away from the folds, only the middle branch unstable (a conjecture
+    the eigenvalues must keep)."""
     params, mech, gamma, delta, zeta = medium
     exact = fold_oracle(gamma, delta, zeta)
     found = find_thresholds(params, mech)
@@ -504,6 +506,11 @@ def test_scan_matches_exact_algebra_over_extreme_media(medium, start):
             assert find_thresholds(params, mech, (start * up, 2.0 * start * up)) is None
 
     for point in scan.points + ([] if above is None else above.points):
+        at = replace(params, omega=point.omega)
+        for s in point.solutions:
+            assert np.isfinite(s.omega_eff)
+            expected = rabi_relation_sq(s.w, at, mech)
+            assert abs(abs(s.omega_eff) ** 2 - expected) <= 1e-12 * expected
         if exact is not None and min(abs(point.omega - up), abs(point.omega - down)) <= 1e-6 * gamma:
             continue
         ref = companion_roots(gamma, delta, zeta, point.omega)
@@ -552,7 +559,7 @@ def test_branch_existence_windows():
 
 def test_solution_record_invariants():
     for om in (0.5, 8.0, 20.0):
-        for sol in solutions_at(replace(LORENTZ_50, omega=om), Mechanism.LORENTZ, resolve_single=True):
+        for sol in solutions_at(replace(LORENTZ_50, omega=om), Mechanism.LORENTZ):
             assert 0.0 < sol.w <= 1.0
             assert sol.rho22 == 0.5 * (1.0 - sol.w)
             assert 0.0 <= sol.rho22 < 0.5
