@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import iobspectra
 from iobspectra.cli import main, parse_grid, run_verification
 
 
@@ -120,6 +125,23 @@ def test_byte_identical_reruns(tmp_path, capsys):
     assert main(args + ["--out", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_sweep_output_independent_of_blas_threads():
+    """A sweep prints the same bytes whatever the BLAS thread count; the
+    LAPACK path behind a stiff integrator's LU steps must not leak into it."""
+    args = [sys.executable, "-m", "iobspectra", "dynamics", "--mode", "sweep-up",
+            "--delta", "3", "--zeta-l", "50", "--omega", "15.2:16.2:201",
+            "--ramp-rate", "1e-3", "--format", "json"]
+    src = str(Path(iobspectra.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run(args, env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_csv_json_numeric_equivalence(tmp_path, capsys):
