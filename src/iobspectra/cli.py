@@ -9,12 +9,10 @@ Subcommands
                 (the suite lives in :mod:`iobspectra.verify`)
 
 All numeric output is written with shortest round-trip float formatting, so
-identical configurations produce byte-identical files on one machine with a
-fixed CPU and thread setup.  Radau sweeps (``dynamics --mode sweep-*``) are
-the exception across setups: their LU steps go through LAPACK, whose
-results can change in the last digits with the number of visible CPUs.
-Diagnostics go to stderr; data streams stay clean.  Exit codes: 0 ok,
-1 verify failure, 2 configuration error, 3 numerical failure, 4 branch absent.
+identical configurations produce byte-identical files on one machine,
+whatever the CPU affinity or BLAS thread count.  Diagnostics go to stderr;
+data streams stay clean.  Exit codes: 0 ok, 1 verify failure,
+2 configuration error, 3 numerical failure, 4 branch absent.
 """
 
 from __future__ import annotations

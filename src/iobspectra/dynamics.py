@@ -34,7 +34,7 @@ RAMP_RATE_MAX_FACTOR = 1e-3  # max ramp rate in units of gamma^2
 JUMP_THRESHOLD = 0.1         # |delta w| per sample marking a branch jump
 ADIABATIC_DISTANCE = 0.05    # allowed distance from the instantaneous stable manifold
 
-_METHODS = ("DOP853", "Radau")
+_METHODS = ("DOP853", "LSODA")
 
 
 class NonAdiabaticWarning(UserWarning):
@@ -168,11 +168,13 @@ def integrate(
     t_eval=None,
     method: str = "DOP853",
 ) -> Trajectory:
-    """Integrate the Bloch equations with an adaptive one-step method.
+    """Integrate the Bloch equations with an adaptive method.
 
     ``drive`` is a constant Rabi frequency or a callable omega(t).  The
-    method is DOP853 (default) or Radau, the stiff-friendly choice that slow
-    parameter ramps use.  Sample times are taken from ``t_eval`` when given,
+    method is DOP853 (default), an explicit one-step Runge-Kutta scheme, or
+    LSODA, the multistep scheme that switches between stiff and non-stiff
+    formulas on its own and is given the analytic Jacobian; slow parameter
+    ramps use it.  Sample times are taken from ``t_eval`` when given,
     otherwise the integrator's own steps are returned.
     """
     if t_end <= 0.0:
@@ -191,7 +193,7 @@ def integrate(
         return _rhs(y[0], y[1], y[2], omega_of_t(t), g, d, zl, zm)
 
     kwargs = {}
-    if method == "Radau":
+    if method == "LSODA":
         def jac(t, y):
             return _jac(y[0], y[1], y[2], omega_of_t(t), g, d, zl, zm)
 
@@ -232,9 +234,11 @@ def sweep_adiabatic(
     """Linearly ramp the drive and detect hysteresis jumps.
 
     The sweep starts on the stable branch appropriate to its direction
-    (lower going up, upper going down) and integrates with the stiff Radau
-    scheme so that long slow ramps stay cheap.  Branch jumps show up as
-    |dw| spikes between samples; their drive locations are returned.
+    (lower going up, upper going down) and integrates with LSODA, whose
+    Fortran steps and linear algebra keep long slow ramps cheap and whose
+    output does not depend on the BLAS thread setup.  Branch jumps show up
+    as runs of |dw| spikes between samples; the drive midway across the
+    largest spike of each run is returned.
     A NonAdiabaticWarning is raised if, away from detected jumps, the state
     strays more than ADIABATIC_DISTANCE from every instantaneous stable
     fixed point.
@@ -266,27 +270,21 @@ def sweep_adiabatic(
 
     traj = integrate(
         y0, params, mech, drive, t_end,
-        rel_tol=1e-8, abs_tol=1e-10, t_eval=t_eval, method="Radau",
+        rel_tol=1e-8, abs_tol=1e-10, t_eval=t_eval, method="LSODA",
     )
 
     w = np.array([s.w for s in traj.states])
-    dw = np.abs(np.diff(w))
-    spikes = dw > JUMP_THRESHOLD
-    jumps: list[float] = []
-    i = 0
-    while i < spikes.size:
-        if spikes[i]:
-            j = i
-            while j + 1 < spikes.size and spikes[j + 1]:
-                j += 1
-            k = i + int(np.argmax(dw[i : j + 1]))
-            jumps.append(float(0.5 * (traj.omegas[k] + traj.omegas[k + 1])))
-            i = j + 1
-        else:
-            i += 1
-
+    jumps = [float(0.5 * (traj.omegas[k] + traj.omegas[k + 1])) for k in _jump_samples(w)]
     _warn_if_nonadiabatic(traj, params, mech, jumps)
     return SweepResult(trajectory=traj, jumps=jumps)
+
+
+def _jump_samples(w: np.ndarray) -> list[int]:
+    """For each run of consecutive |dw| > JUMP_THRESHOLD between samples of
+    ``w``, the index k of its largest step (from sample k to k + 1)."""
+    dw = np.abs(np.diff(w))
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], dw > JUMP_THRESHOLD, [0]))))
+    return [int(a + np.argmax(dw[a:b])) for a, b in zip(edges[::2], edges[1::2])]
 
 
 def _warn_if_nonadiabatic(

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from iobspectra import (
     BlochState,
@@ -12,12 +13,14 @@ from iobspectra import (
     bloch_rhs,
     branch_solution,
     classify_stability,
+    find_thresholds,
     fixed_point_state,
     integrate,
     jacobian,
     solve_inversion,
     sweep_adiabatic,
 )
+from iobspectra.dynamics import JUMP_THRESHOLD, _jump_samples
 from test_steady_state import LORENTZ_50, DETUNING_50, OMEGA_UP_EXACT, OMEGA_DOWN_EXACT
 
 FREE = MediumParams(delta=3.0)
@@ -255,3 +258,85 @@ def test_partial_loop_area_positive_iff_bistable():
                         [s.w for s in down_free.trajectory.states][::-1])
     area_free = abs(np.trapezoid(wf_up - wf_down, np.linspace(lo, hi, 200)))
     assert area_free < 1e-4
+
+
+def loop_jump_samples(w):
+    """Reference: walk the spike mask run by run, keeping each run's largest step."""
+    dw = np.abs(np.diff(w))
+    spikes = dw > JUMP_THRESHOLD
+    out, i = [], 0
+    while i < spikes.size:
+        if spikes[i]:
+            j = i
+            while j + 1 < spikes.size and spikes[j + 1]:
+                j += 1
+            out.append(i + int(np.argmax(dw[i : j + 1])))
+            i = j + 1
+        else:
+            i += 1
+    return out
+
+
+@pytest.mark.parametrize("w, expected", [
+    ([0.9, 0.91, 0.92, 0.93], []),                          # no spike
+    ([0.9, 0.91, 0.3, 0.31, 0.32], [1]),                    # one isolated spike
+    ([0.9, 0.8, 0.5, 0.35, 0.34, 0.1, 0.09], [1, 4]),       # a run of three, then one
+    ([0.2, 0.21, 0.22, 0.4, 0.9], [3]),                     # a run ending at the last sample
+])
+def test_jump_samples_runs(w, expected):
+    w = np.array(w)
+    assert _jump_samples(w) == expected
+    assert _jump_samples(w) == loop_jump_samples(w)
+
+
+def test_jump_samples_match_loop_on_random_walks():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        w = np.cumsum(rng.normal(0.0, 0.1, rng.integers(2, 40)))
+        assert _jump_samples(w) == loop_jump_samples(w)
+
+
+def bloch_rhs_oracle(t, y, omega_of_t, gamma, delta, zeta_l, zeta_m):
+    """The module docstring's equations of motion, written out afresh."""
+    u, v, w = y
+    om = omega_of_t(t)
+    re_bar, im_bar = om + zeta_l * u / 2.0, zeta_l * v / 2.0
+    delta_bar = delta - zeta_m * w
+    return [
+        -delta_bar * v - (gamma / 2.0) * u + 2.0 * im_bar * w,
+        delta_bar * u - (gamma / 2.0) * v - 2.0 * re_bar * w,
+        gamma * (1.0 - w) + 2.0 * (re_bar * v - im_bar * u),
+    ]
+
+
+@pytest.mark.parametrize("params, mech, direction", [
+    (MediumParams(delta=2.5, zeta_lorentz=12.0), Mechanism.LORENTZ, "up"),
+    (MediumParams(delta=2.45, zeta_detuning=12.2), Mechanism.DETUNING, "down"),
+    (MediumParams(delta=2.55, zeta_lorentz=7.0, zeta_detuning=4.8), Mechanism.JOINT, "up"),
+])
+def test_sweep_matches_radau_oracle(params, mech, direction):
+    """A sweep across one fold agrees with an independent Radau integration
+    of the Bloch equations at the same tolerances: same jump sample, and
+    u, v, w within 1e-6 away from the jump."""
+    up, down = find_thresholds(params, mech)
+    fold, sign = (up, 1.0) if direction == "up" else (down, -1.0)
+    start, end, rate = fold - 0.15 * sign, fold + 0.15 * sign, 1e-3
+    result = sweep_adiabatic(params, mech, start, end, rate)
+    traj = result.trajectory
+    got = traj.state_array()
+
+    args = (lambda t: start + sign * rate * t, params.gamma, params.delta,
+            params.zeta_lorentz, params.zeta_detuning)
+    # the sweep starts on a fixed point of the oracle's flow
+    assert np.max(np.abs(bloch_rhs_oracle(0.0, got[0], *args))) <= 1e-10
+    ref = solve_ivp(bloch_rhs_oracle, (0.0, traj.times[-1]), got[0], method="Radau",
+                    t_eval=traj.times, rtol=1e-8, atol=1e-10, args=args)
+    assert ref.success
+    expected = ref.y.T
+    dw = np.abs(np.diff(expected[:, 2]))
+    spikes = np.flatnonzero(dw > JUMP_THRESHOLD)
+    assert spikes.size and np.all(np.diff(spikes) == 1)  # one run of spikes
+    k = int(np.argmax(dw))
+    assert result.jumps == [0.5 * (traj.omegas[k] + traj.omegas[k + 1])]
+    far = np.abs(traj.omegas - result.jumps[0]) >= 0.1 * params.gamma
+    assert np.max(np.abs(got[far] - expected[far])) <= 1e-6
