@@ -348,6 +348,8 @@ def test_verify_seed_changes_draws_reproducibly(capsys):
 def test_run_verification_api():
     results = run_verification(seed=0)
     assert all(r.passed for r in results)
+    # plain Python scalars, not numpy ones leaking out of the checks
+    assert all(type(r.passed) is bool and type(r.max_dev) is float for r in results)
     names = [r.name for r in results]
     assert "spectrum_oracle_equivalence" in names
     assert "sum_rule_constancy" in names
