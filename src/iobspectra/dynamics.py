@@ -12,8 +12,8 @@ with the instantaneous renormalizations
 omega_bar(t) = omega(t) + zeta_lorentz (u + i v)/2 and
 delta_bar(t) = delta - zeta_detuning w(t).  Zeros of the right-hand side
 coincide with the algebraic steady states, which is the dynamic validation
-route for the cubic solver, and the Jacobian eigenvalues supply the
-stability classification of each branch.
+route for the cubic solver; the Routh-Hurwitz test on this Jacobian's
+characteristic cubic classifies the stability of each branch.
 """
 
 from __future__ import annotations
@@ -102,19 +102,12 @@ def _rhs(u, v, w, om, g, d, zl, zm) -> tuple[float, float, float]:
 
 
 def _jac(u, v, w, om, g, d, zl, zm) -> np.ndarray:
-    """Jacobian of :func:`_rhs`; for array arguments of one shape S, a stack
-    of shape S + (3, 3)."""
+    """Jacobian of :func:`_rhs` at one state, a 3x3 matrix."""
     db = d - zm * w
     zs = zl + zm
-    jac = np.zeros(np.broadcast(u, v, w, om).shape + (3, 3))
-    jac[..., 0, 0] = jac[..., 1, 1] = -0.5 * g
-    jac[..., 0, 1] = -db + zl * w
-    jac[..., 0, 2] = zs * v
-    jac[..., 1, 0] = db - zl * w
-    jac[..., 1, 2] = -zs * u - 2.0 * om
-    jac[..., 2, 1] = 2.0 * om
-    jac[..., 2, 2] = -g
-    return jac
+    return np.array([[-0.5 * g, -db + zl * w, zs * v],
+                     [db - zl * w, -0.5 * g, -zs * u - 2.0 * om],
+                     [0.0, 2.0 * om, -g]])
 
 
 def _components(state):
@@ -137,7 +130,7 @@ def bloch_rhs(state, params: MediumParams, mech: Mechanism, omega_now) -> np.nda
 
 def jacobian(state, params: MediumParams, mech: Mechanism, omega_now) -> np.ndarray:
     """Exact Jacobian of :func:`bloch_rhs`, including the d(omega_bar)/d(u,v)
-    and d(delta_bar)/dw self-consistency terms; ``state`` as there."""
+    and d(delta_bar)/dw self-consistency terms, at one state as there."""
     zl, zm = _coupling(params, mech)
     return _jac(*_components(state), omega_now, params.gamma, params.delta, zl, zm)
 

@@ -226,8 +226,8 @@ def sum_rule_ratio(result: SpectrumResult, rho22: float, rho12: complex) -> floa
 
     Returns  integral S(nu) d nu / (rho22 - |rho12|^2), evaluated by adaptive
     quadrature with the tails (falling as nu^-4) integrated to infinity.
-    For any consistent steady state the ratio is the same constant, making
-    it a sharp cross-parameter consistency probe.
+    For any consistent steady state the ratio is exactly pi, making it a
+    sharp cross-parameter consistency probe.
     """
     denom = rho22 - abs(rho12) ** 2
     if denom <= 0.0:

@@ -45,7 +45,7 @@ from .core import (
 RESIDUAL_TOL = 1e-12
 # Roots closer than this collapse to a single (tangency) root.
 ROOT_MERGE_TOL = 1e-8
-# Eigenvalue real parts smaller than this flag marginal stability.
+# Eigenvalue |Re| below this, as estimated in _stability, flags marginal stability.
 MARGINAL_STABILITY_TOL = 1e-9
 
 
@@ -117,7 +117,7 @@ class SolutionArrays(NamedTuple):
     count     : (M,) number of physical roots; 0 where none was found
     w, rho12, omega_eff, delta_eff, residual, stable : (M, 3), as in
                 :class:`SteadyStateSolution`
-    marginal  : (M, 3) some eigenvalue has |Re| < MARGINAL_STABILITY_TOL
+    marginal  : (M, 3) at a fold or Hopf point, as :func:`_stability` says
     """
 
     omega: np.ndarray
@@ -324,15 +324,30 @@ def _effective(params: MediumParams, omega: np.ndarray, w: np.ndarray):
     return _complex(re, im), delta_eff
 
 
-def _stability(params: MediumParams, omega, w, rho12) -> tuple[np.ndarray, np.ndarray]:
-    """(stable, marginal) of the Bloch fixed points at flat arrays of drives,
-    inversions and coherences, from one eigvals call on the stacked Jacobians."""
-    from . import dynamics  # deferred: dynamics imports this module at load time
+def _hurwitz(params: MediumParams, omega, w, rho12):
+    """(c1, c0) of the characteristic cubic l^3 + 2g l^2 + c1 l + c0 of the
+    Bloch Jacobian [[-g/2, a, zs v], [-a, -g/2, -k], [0, 2 omega, -g]] at
+    fixed points given as scalars or arrays of one shape."""
+    g, zl, zm = params.gamma, params.zeta_lorentz, params.zeta_detuning
+    zs = zl + zm
+    u, v = 2.0 * rho12.real, 2.0 * rho12.imag
+    a = zl * w - (params.delta - zm * w)
+    k = zs * u + 2.0 * omega
+    e = 0.25 * g * g + a * a
+    return e + g * g + 2.0 * omega * k, g * e + 2.0 * omega * (0.5 * g * k + a * zs * v)
 
-    jac = dynamics._jac(2.0 * rho12.real, 2.0 * rho12.imag, w, omega, params.gamma,
-                        params.delta, params.zeta_lorentz, params.zeta_detuning)
-    re = np.linalg.eigvals(jac).real
-    return np.all(re < 0.0, axis=-1), np.any(np.abs(re) < MARGINAL_STABILITY_TOL, axis=-1)
+
+def _stability(params: MediumParams, omega, w, rho12):
+    """(stable, marginal) by Routh-Hurwitz: stable iff c0 > 0 and 2g c1 > c0
+    (NaN gives False).  Marginal: the real eigenvalue at a fold, about -c0/c1,
+    or the Hopf pair's real part, about (c0 - 2g c1)/(2 (c1 + 4g^2)), is
+    within MARGINAL_STABILITY_TOL of zero."""
+    g = params.gamma
+    c1, c0 = _hurwitz(params, omega, w, rho12)
+    hopf = 2.0 * g * c1 - c0
+    marginal = (abs(c0) < MARGINAL_STABILITY_TOL * abs(c1)) | (
+        abs(hopf) < 2.0 * MARGINAL_STABILITY_TOL * (abs(c1) + 4.0 * g * g))
+    return (c0 > 0.0) & (hopf > 0.0), marginal
 
 
 def solution_arrays(params: MediumParams, mech: Mechanism, omegas) -> SolutionArrays:
@@ -348,13 +363,7 @@ def solution_arrays(params: MediumParams, mech: Mechanism, omegas) -> SolutionAr
     residual = np.abs(_horner(tuple(ci[:, None] for ci in c), w))
     omega_eff, delta_eff = _effective(params, omega[:, None], w)
     rho12 = coherence(w, omega_eff, delta_eff, params.gamma)
-
-    ok = w == w
-    stable = np.zeros(w.shape, dtype=bool)
-    marginal = np.zeros(w.shape, dtype=bool)
-    stable[ok], marginal[ok] = _stability(
-        params, np.broadcast_to(omega[:, None], w.shape)[ok], w[ok], rho12[ok]
-    )
+    stable, marginal = _stability(params, omega[:, None], w, rho12)
     return SolutionArrays(omega, count, w, rho12, omega_eff, delta_eff, residual,
                           stable, marginal)
 
@@ -454,22 +463,21 @@ def rabi_relation_sq(w: float, params: MediumParams, mech: Mechanism) -> float:
 def classify_stability(w: float, params: MediumParams, mech: Mechanism) -> bool:
     """True iff the Bloch fixed point at root w is linearly stable.
 
-    Stability means every eigenvalue of the dynamics Jacobian (including the
-    self-consistent renormalization terms) has strictly negative real part.
-    Eigenvalues with |Re| below MARGINAL_STABILITY_TOL indicate a fold
-    tangency and trigger a MarginalStabilityWarning.
+    Stability means every eigenvalue of the Bloch Jacobian (with the
+    self-consistent renormalization terms) has negative real part, decided
+    by the Routh-Hurwitz test of :func:`_stability`; a root marginal there
+    (at a fold or Hopf point) triggers a MarginalStabilityWarning.
     """
     omega_eff, delta_eff = effective_params(w, params, mech)
     rho12 = coherence(w, omega_eff, delta_eff, params.gamma)
-    stable, marginal = _stability(params, np.array([params.omega]), np.array([w], dtype=float),
-                                  np.array([rho12]))
-    if marginal[0]:
+    stable, marginal = _stability(params, params.omega, w, rho12)
+    if marginal:
         warnings.warn(
             f"fixed point at w={w} is marginally stable (fold tangency)",
             MarginalStabilityWarning,
             stacklevel=2,
         )
-    return bool(stable[0])
+    return bool(stable)
 
 
 def _fold_drives(params: MediumParams, mech: Mechanism) -> tuple[float, float] | None:

@@ -18,14 +18,22 @@ from iobspectra import (
     cubic_coefficients,
     effective_params,
     find_thresholds,
+    fixed_point_state,
+    jacobian,
     rabi_relation_sq,
     scan_hysteresis,
     solutions_at,
     solve_inversion,
+    spectrum_coefficients,
     stationary_state,
     zeta_total,
 )
-from iobspectra.steady_state import ThresholdRangeWarning, cubic_residual
+from iobspectra.steady_state import (
+    MarginalStabilityWarning,
+    ThresholdRangeWarning,
+    _hurwitz,
+    cubic_residual,
+)
 
 LORENTZ_50 = MediumParams(delta=3.0, zeta_lorentz=50.0)
 DETUNING_50 = MediumParams(delta=3.0, zeta_detuning=50.0)
@@ -304,6 +312,56 @@ def test_three_root_stability_pattern():
     assert classify_stability(lo, p, Mechanism.LORENTZ)   # upper branch
 
 
+@pytest.mark.parametrize("params, mech", [(LORENTZ_50, Mechanism.LORENTZ),
+                                          (DETUNING_50, Mechanism.DETUNING)])
+def test_marginal_stability_warning_at_exact_folds(params, mech):
+    """At each exact fold root the Jacobian is singular, so classification
+    warns; 1e-3 off the fold root the smallest eigenvalue is far from zero."""
+    for omega, w in fold_points():
+        at = replace(params, omega=float(omega))
+        with pytest.warns(MarginalStabilityWarning):
+            classify_stability(float(w), at, mech)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", MarginalStabilityWarning)
+            classify_stability(float(w) + 1e-3, at, mech)
+
+
+def test_hurwitz_coefficients_without_eigenvalues():
+    """The Routh-Hurwitz coefficients (c1, c0) checked by two routes that
+    need no eigenvalues.  With zero coupling the fixed point's characteristic
+    cubic l^3 + 2 gamma l^2 + c1 l + c0 is the Hurwitz polynomial h whose
+    |h(i nu)|^2 is the spectral denominator, so b4 = 4 gamma^2 - 2 c1,
+    b2 = c1^2 - 4 gamma c0 and b0 = c0^2.  With coupling, c1 is the sum of
+    the Jacobian's principal 2x2 minors and c0 = -det J; each is compared on
+    the scale M^2 resp. M^3 of the largest Jacobian entry M."""
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        gamma, delta, omega = rng.uniform(0.2, 3.0), rng.uniform(-20.0, 20.0), rng.uniform(0, 30)
+        p = MediumParams(gamma=gamma, delta=delta, omega=omega)
+        (w,) = solve_inversion(p, Mechanism.LORENTZ)
+        c1, c0 = _hurwitz(p, omega, w, coherence(w, complex(omega), delta, gamma))
+        c = spectrum_coefficients(omega * omega, delta, gamma)
+        assert abs(c.b4 - (4.0 * gamma * gamma - 2.0 * c1)) <= 1e-14 * c1
+        assert abs(c.b2 - (c1 * c1 - 4.0 * gamma * c0)) <= 1e-14 * c1 * c1
+        assert abs(c.b0 - c0 * c0) <= 1e-14 * c0 * c0
+
+    for mech in Mechanism:
+        share = {Mechanism.LORENTZ: 1.0, Mechanism.DETUNING: 0.0, Mechanism.JOINT: 0.4}[mech]
+        for _ in range(100):
+            gamma, delta = rng.uniform(0.2, 3.0), rng.uniform(-20.0, 20.0)
+            zeta = rng.uniform(0.1, 1000.0)
+            p = MediumParams(gamma=gamma, delta=delta, omega=rng.uniform(0.0, 2.0 * zeta),
+                             zeta_lorentz=share * zeta, zeta_detuning=(1.0 - share) * zeta)
+            for w in solve_inversion(p, mech):
+                omega_eff, delta_eff = effective_params(w, p, mech)
+                c1, c0 = _hurwitz(p, p.omega, w, coherence(w, omega_eff, delta_eff, gamma))
+                j = jacobian(fixed_point_state(p, mech, w), p, mech, p.omega)
+                scale = np.abs(j).max()
+                minors = sum(np.linalg.det(j[np.ix_(k, k)]) for k in ([0, 1], [0, 2], [1, 2]))
+                assert abs(c1 - minors) <= 1e-13 * scale**2
+                assert abs(c0 + np.linalg.det(j)) <= 1e-13 * scale**3
+
+
 # ------------------------------------------------------------------- thresholds
 
 def test_free_atom_has_no_thresholds():
@@ -480,8 +538,14 @@ def test_scan_matches_exact_algebra_over_extreme_media(medium, start):
     """Roots against the companion matrix, thresholds against the fold
     cubic, labels against the exact folds, every effective drive finite and
     on the closed Rabi relation (the local-field feedback never vanishes),
-    and, away from the folds, only the middle branch unstable (a conjecture
-    the eigenvalues must keep)."""
+    every stability flag equal to the sign test on the Jacobian's
+    eigenvalues, and, away from the folds, only the middle branch unstable
+    (a conjecture the eigenvalues must keep).  Roots whose smallest
+    |Re lambda| is below 1e-7 gamma are left out of the eigenvalue check:
+    that eigenvalue vanishes at a fold, and next to one the rounding of the
+    root (a near-double root, so its error grows like the square root of
+    machine precision) and of the eigenvalues decides its sign, so neither
+    side is an oracle there."""
     params, mech, gamma, delta, zeta = medium
     exact = fold_oracle(gamma, delta, zeta)
     found = find_thresholds(params, mech)
@@ -511,6 +575,10 @@ def test_scan_matches_exact_algebra_over_extreme_media(medium, start):
             assert np.isfinite(s.omega_eff)
             expected = rabi_relation_sq(s.w, at, mech)
             assert abs(abs(s.omega_eff) ** 2 - expected) <= 1e-12 * expected
+            re = np.linalg.eigvals(jacobian(fixed_point_state(at, mech, s.w), at, mech,
+                                            point.omega)).real
+            if np.abs(re).min() >= 1e-7 * gamma:
+                assert s.stable == bool(np.all(re < 0.0)), (point.omega, s.w)
         if exact is not None and min(abs(point.omega - up), abs(point.omega - down)) <= 1e-6 * gamma:
             continue
         ref = companion_roots(gamma, delta, zeta, point.omega)
