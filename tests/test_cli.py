@@ -144,6 +144,40 @@ def test_sweep_output_independent_of_blas_threads():
     assert outputs[0] == outputs[1]
 
 
+SCIPY_PROBE = """
+import json, sys
+from iobspectra.cli import main
+codes = [main(args) for args in json.loads(sys.argv[1])]
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"codes": codes, "scipy": scipy}))
+"""
+
+
+def test_closed_form_commands_leave_scipy_unloaded(tmp_path):
+    """--help, hysteresis, spectrum and peaks compute in closed form, so a
+    process running them never imports scipy, whose import is most of such
+    a process's wall time."""
+    medium = ["--delta", "3", "--zeta-l", "50"]
+    runs = [
+        ["--help"],
+        ["hysteresis", *medium, "--omega", "0:25:101", "--out", str(tmp_path / "h.csv")],
+        ["spectrum", *medium, "--omega", "15.6", "--normalize", "free-atom-max",
+         "--out", str(tmp_path / "s.csv")],
+        ["peaks", *medium, "--zeta-m", "50", "--mechanism", "both",
+         "--free-atom-reference", "--omega", "0.05:25:101", "--out", str(tmp_path / "p.csv")],
+    ]
+    src = str(Path(iobspectra.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(runs)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["codes"] == [0, 0, 0, 0]
+    assert report["scipy"] == []
+    assert all((tmp_path / f).stat().st_size > 0 for f in ("h.csv", "s.csv", "p.csv"))
+
+
 def test_csv_json_numeric_equivalence(tmp_path, capsys):
     base = ["spectrum", "--delta", "3", "--zeta-l", "50", "--omega", "8",
             "--branch", "lower", "--nu-grid=-30:30:61"]
@@ -289,11 +323,12 @@ def test_dynamics_sweep_cli(tmp_path, capsys):
 
 
 def test_dynamics_bad_ramp_rate(capsys):
-    code, _, _ = run(
+    code, _, err = run(
         capsys, "dynamics", "--mode", "sweep-up", "--omega", "1:2:11",
         "--ramp-rate", "0.5",
     )
     assert code == 2
+    assert "configuration error" in err
 
 
 def test_dynamics_unphysical_perturbation_exits_2(capsys):
