@@ -43,17 +43,18 @@ from .spectrum import (
     spectrum_for_solution,
     sum_rule_ratio,
 )
-from .dynamics import (
-    BlochState,
-    NonAdiabaticWarning,
-    SweepResult,
-    Trajectory,
-    bloch_rhs,
-    fixed_point_state,
-    integrate,
-    jacobian,
-    sweep_adiabatic,
-)
+
+
+# dynamics imports scipy.integrate, most of start-up time: load it on first use
+def __getattr__(name):
+    if name == "dynamics" or name in __all__:  # the __all__ names not bound above
+        from importlib import import_module
+
+        # not "from . import dynamics", which would re-enter this hook
+        dynamics = import_module(".dynamics", __name__)
+        return dynamics if name == "dynamics" else getattr(dynamics, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core import Branch, MediumParams, Mechanism
 from . import steady_state
@@ -229,6 +228,8 @@ def sum_rule_ratio(result: SpectrumResult, rho22: float, rho12: complex) -> floa
     For any consistent steady state the ratio is exactly pi, making it a
     sharp cross-parameter consistency probe.
     """
+    from scipy.integrate import quad
+
     denom = rho22 - abs(rho12) ** 2
     if denom <= 0.0:
         raise ValueError(

@@ -17,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.optimize
 
-from . import dynamics, spectrum, steady_state
+from . import spectrum, steady_state
 from .core import Branch, MediumParams, Mechanism
 
 
@@ -107,6 +106,10 @@ def _found_roots(params: MediumParams, mech: Mechanism, omegas: np.ndarray):
 
 def check_fixed_points(seed: int) -> CheckResult:
     """Algebraic roots versus damped root search on the Bloch flow."""
+    import scipy.optimize
+
+    from . import dynamics
+
     rng = np.random.default_rng(seed + 2)
     cases = [
         (MediumParams(delta=3.0, zeta_lorentz=50.0), Mechanism.LORENTZ),

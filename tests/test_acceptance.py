@@ -413,10 +413,12 @@ def test_criterion_10_sum_rule_constancy():
         ratios.append(sum_rule_ratio(result, sol.rho22, sol.rho12))
     ref = ratios[0]
     worst = max(abs(r - ref) / abs(ref) for r in ratios)
+    off_pi = max(abs(r - math.pi) / math.pi for r in ratios)
     elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-6 and elapsed < 2.0
+    ok = worst <= 1e-6 and off_pi <= 1e-10 and elapsed < 2.0
     report(10, "sum-rule constancy", ok,
-           f"ratio={ref:.12f}, max rel spread={worst:.2e} over {len(ratios)} sets, "
-           f"{elapsed:.2f}s")
+           f"ratio={ref:.12f}, max rel spread={worst:.2e}, max rel offset from pi="
+           f"{off_pi:.2e} over {len(ratios)} sets, {elapsed:.2f}s")
     assert worst <= 1e-6
+    assert off_pi <= 1e-10
     assert elapsed < 2.0

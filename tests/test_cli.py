@@ -342,12 +342,11 @@ def test_dynamics_unphysical_perturbation_exits_2(capsys):
 
 def test_numerical_failure_maps_to_exit_3(capsys, monkeypatch):
     from iobspectra import IntegrationError
-    from iobspectra import cli as cli_mod
 
     def boom(*args, **kwargs):
         raise IntegrationError("step size underflow at t=1.5", time=1.5)
 
-    monkeypatch.setattr(cli_mod.dynamics, "integrate", boom)
+    monkeypatch.setattr(iobspectra.dynamics, "integrate", boom)
     code, _, err = run(
         capsys, "dynamics", "--mode", "relax", "--omega", "1", "--t-end", "10"
     )

@@ -355,6 +355,8 @@ def test_sum_rule_constant_and_value():
     for r in ratios[1:]:
         assert r == pytest.approx(ratios[0], rel=1e-6)
     assert ratios[0] == pytest.approx(math.pi, abs=1e-8)
+    for r in ratios:
+        assert abs(r - math.pi) / math.pi <= 1e-10
 
 
 def test_sum_rule_holds_for_joint_mechanism():
