@@ -56,6 +56,10 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | {"dynamics"})
+
+
 __version__ = "0.1.0"
 
 __all__ = [
