@@ -241,19 +241,7 @@ def _config_from(ns: argparse.Namespace) -> RunConfig:
 # output writing
 # --------------------------------------------------------------------------
 
-def _scalarize(value):
-    """Convert numpy scalars to plain Python types for stable serialization."""
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    return value
-
-
 def _fmt_cell(value) -> str:
-    value = _scalarize(value)
     if value is None:
         return "none"
     if isinstance(value, bool):
@@ -264,20 +252,11 @@ def _fmt_cell(value) -> str:
 
 
 def _meta_value(value) -> str:
-    value = _scalarize(value)
     if isinstance(value, (dict, list, tuple)) or value is None or isinstance(value, bool):
         return json.dumps(value, allow_nan=False)
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def _clean(obj):
-    if isinstance(obj, dict):
-        return {k: _clean(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_clean(v) for v in obj]
-    return _scalarize(obj)
 
 
 def write_csv(stream, meta: dict, columns: dict) -> None:
@@ -290,7 +269,7 @@ def write_csv(stream, meta: dict, columns: dict) -> None:
 
 
 def write_json(stream, meta: dict, columns: dict) -> None:
-    payload = {"meta": _clean(meta), "data": _clean(columns)}
+    payload = {"meta": meta, "data": columns}
     json.dump(payload, stream, allow_nan=False, separators=(",", ": "), indent=1)
     stream.write("\n")
 
@@ -322,7 +301,7 @@ def _base_meta(cfg: RunConfig, **extra) -> dict:
         meta["mechanism"] = cfg.mechanism.value
     meta.update(extra)
     digest = hashlib.sha256(
-        json.dumps(_clean(meta), sort_keys=True, allow_nan=False).encode()
+        json.dumps(meta, sort_keys=True, allow_nan=False).encode()
     ).hexdigest()
     meta["build"] = digest[:12]
     return meta
@@ -337,23 +316,29 @@ def _diag(cfg: RunConfig, message: str) -> None:
 # subcommands
 # --------------------------------------------------------------------------
 
+def _root_columns(scan: steady_state.HysteresisScan) -> dict:
+    """One row per root of an array-backed scan, drive by drive, as Python scalars."""
+    arr, branches = scan.points.arrays, scan.points.branches
+    found = branches != ""
+    w = arr.w[found]
+    return {
+        "omega": np.repeat(arr.omega, arr.count).tolist(),
+        "branch": branches[found].tolist(),
+        "w": w.tolist(),
+        "rho22": (0.5 * (1.0 - w)).tolist(),
+        "stable": arr.stable[found].tolist(),
+        # Python's abs, as in the solution records: np.abs rounds some |z| differently
+        "omega_eff_abs": [abs(z) for z in arr.omega_eff[found].tolist()],
+        "delta_eff": arr.delta_eff[found].tolist(),
+    }
+
+
 def _cmd_hysteresis(cfg: RunConfig) -> int:
     scan = steady_state.scan_hysteresis(cfg.params, cfg.mechanism, cfg.omega_grid)
     _diag(cfg, f"scanned {len(scan.points)} drives, "
                f"thresholds={scan.omega_up}, {scan.omega_down}")
-    cols = {k: [] for k in ("omega", "branch", "w", "rho22", "stable",
-                            "omega_eff_abs", "delta_eff")}
-    for point in scan.points:
-        for sol in point.solutions:
-            cols["omega"].append(point.omega)
-            cols["branch"].append(sol.branch.value)
-            cols["w"].append(sol.w)
-            cols["rho22"].append(sol.rho22)
-            cols["stable"].append(sol.stable)
-            cols["omega_eff_abs"].append(abs(sol.omega_eff))
-            cols["delta_eff"].append(sol.delta_eff)
     meta = _base_meta(cfg, omega_up=scan.omega_up, omega_down=scan.omega_down)
-    _emit(cfg, meta, cols)
+    _emit(cfg, meta, _root_columns(scan))
     return EXIT_OK
 
 
@@ -389,7 +374,7 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
         normalize=cfg.normalize,
         normalize_reference=reference,
     )
-    cols = {"nu": list(result.nu_grid), "density": list(density)}
+    cols = {"nu": result.nu_grid.tolist(), "density": density.tolist()}
     _emit(cfg, meta, cols)
     return EXIT_OK
 
@@ -403,17 +388,16 @@ def _cmd_peaks(cfg: RunConfig) -> int:
         thresholds_meta[tag] = (
             None if scan.omega_up is None else [scan.omega_up, scan.omega_down]
         )
-        for point in scan.points:
-            for sol in point.solutions:
-                c = spectrum.spectrum_coefficients(
-                    abs(sol.omega_eff) ** 2, sol.delta_eff, params.gamma
-                )
-                cols["omega"].append(point.omega)
-                cols["mechanism"].append(tag)
-                cols["branch"].append(sol.branch.value)
-                cols["nu_p"].append(
-                    math.sqrt(c.nu_p_sq) if c.nu_p_sq > 0.0 else None
-                )
+        roots = _root_columns(scan)
+        # nu_p_sq of spectrum_coefficients for every root, with its |omega_eff| ** 2
+        # in Python: numpy's square rounds some values differently
+        o2 = np.array([x ** 2 for x in roots["omega_eff_abs"]])
+        d = np.array(roots["delta_eff"])
+        nu_p_sq = 4.0 * o2 + d * d - 0.75 * (params.gamma * params.gamma)
+        cols["omega"] += roots["omega"]
+        cols["mechanism"] += [tag] * len(nu_p_sq)
+        cols["branch"] += roots["branch"]
+        cols["nu_p"] += [math.sqrt(x) if x > 0.0 else None for x in nu_p_sq.tolist()]
 
     # each mechanism uses its own coupling; the other one is switched off
     for mech in cfg.mechanisms:
@@ -461,13 +445,8 @@ def _cmd_dynamics(cfg: RunConfig) -> int:
         )
         meta = _base_meta(cfg, mode=cfg.mode, branch=cfg.relax_start,
                           perturb=cfg.perturb, t_end=cfg.t_end, jumps=[])
-    cols = {
-        "t": list(traj.times),
-        "omega": list(traj.omegas),
-        "u": [s.u for s in traj.states],
-        "v": [s.v for s in traj.states],
-        "w": [s.w for s in traj.states],
-    }
+    u, v, w = traj.uvw.T.tolist()
+    cols = {"t": traj.times.tolist(), "omega": traj.omegas.tolist(), "u": u, "v": v, "w": w}
     _emit(cfg, meta, cols)
     return EXIT_OK
 

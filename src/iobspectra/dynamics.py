@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .core import Branch, IntegrationError, MediumParams, Mechanism, validate_mechanism
+from .core import Branch, IntegrationError, MediumParams, Mechanism, RowView, validate_mechanism
 from . import steady_state
 
 BLOCH_BALL_SLACK = 1e-9
@@ -59,24 +59,31 @@ class BlochState:
             raise ValueError(
                 f"state ({self.u}, {self.v}, {self.w}) lies outside the Bloch ball"
             )
-        if abs(self.w) > 1.0 + BLOCH_BALL_SLACK:
-            raise ValueError(f"population difference w={self.w} out of range")
 
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Sampled evolution: times (1/gamma units), states, and drive values."""
+    """Sampled evolution: times (1/gamma units), (N, 3) states (u, v, w), drives."""
 
     times: np.ndarray
-    states: list[BlochState]
+    uvw: np.ndarray
     omegas: np.ndarray
 
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0.0):
             raise ValueError("trajectory times must be strictly increasing")
+        uvw = self.uvw
+        bad = ~np.isfinite(uvw).all(axis=1) | ((uvw * uvw).sum(axis=1) > 1.0 + BLOCH_BALL_SLACK)
+        if bad.any():
+            BlochState(*uvw[np.argmax(bad)].tolist())  # raises BlochState's error
+
+    @property
+    def states(self) -> RowView:
+        """The rows of ``uvw`` as BlochStates, each built when read."""
+        return RowView(len(self.uvw), lambda i: BlochState(*self.uvw[i].tolist()))
 
     def state_array(self) -> np.ndarray:
-        return np.array([(s.u, s.v, s.w) for s in self.states])
+        return self.uvw
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,12 +214,11 @@ def integrate(
         raise IntegrationError(
             f"integration failed at t={t_fail}: {sol.message}", time=t_fail
         )
-    try:
-        states = [BlochState(*y) for y in sol.y.T]
-    except ValueError as exc:
-        raise IntegrationError(f"integrator left the Bloch ball: {exc}") from exc
     omegas = np.array([omega_of_t(t) for t in sol.t])
-    return Trajectory(times=sol.t.copy(), states=states, omegas=omegas)
+    try:
+        return Trajectory(times=sol.t.copy(), uvw=sol.y.T, omegas=omegas)
+    except ValueError as exc:  # solve_ivp's times always increase: a state left the ball
+        raise IntegrationError(f"integrator left the Bloch ball: {exc}") from exc
 
 
 def sweep_adiabatic(
@@ -266,7 +272,7 @@ def sweep_adiabatic(
         rel_tol=1e-8, abs_tol=1e-10, t_eval=t_eval, method="LSODA",
     )
 
-    w = np.array([s.w for s in traj.states])
+    w = traj.uvw[:, 2]
     jumps = [float(0.5 * (traj.omegas[k] + traj.omegas[k + 1])) for k in _jump_samples(w)]
     _warn_if_nonadiabatic(traj, params, mech, jumps)
     return SweepResult(trajectory=traj, jumps=jumps)
@@ -292,7 +298,7 @@ def _warn_if_nonadiabatic(
         return
     fps = steady_state.solution_arrays(params, mech, omegas)
     fixed = np.stack([2.0 * fps.rho12.real, 2.0 * fps.rho12.imag, fps.w], axis=-1)
-    dist = np.linalg.norm(traj.state_array()[idx, None, :] - fixed, axis=-1)
+    dist = np.linalg.norm(traj.uvw[idx, None, :] - fixed, axis=-1)
     nearest = np.where(fps.stable, dist, np.inf).min(axis=1)
     nearest = nearest[np.isfinite(nearest)]
     worst = float(nearest.max()) if nearest.size else 0.0

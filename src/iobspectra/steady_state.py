@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -37,6 +38,7 @@ from .core import (
     MediumParams,
     Mechanism,
     NoPhysicalRootError,
+    RowView,
     validate_mechanism,
     zeta_total,
 )
@@ -88,9 +90,10 @@ class ScanPoint(NamedTuple):
 
 @dataclass(frozen=True)
 class HysteresisScan:
-    """Full solution sets over a drive grid, with switching thresholds."""
+    """Full solution sets over a drive grid, with switching thresholds
+    (``points`` is a :class:`ScanPoints` view from :func:`scan_hysteresis`)."""
 
-    points: list[ScanPoint]
+    points: Sequence[ScanPoint]
     omega_up: float | None
     omega_down: float | None
 
@@ -379,9 +382,7 @@ def solve_inversion(params: MediumParams, mech: Mechanism) -> list[float]:
         params, zeta_total(params, mech), np.array([params.omega])
     )
     if count[0] == 0:
-        raise NoPhysicalRootError(
-            f"no inversion root in (0, 1] for coefficients {cubic_coefficients(params, mech)}"
-        )
+        raise _no_root_error(params, mech)
     return roots[0, : count[0]].tolist()
 
 
@@ -543,48 +544,48 @@ def find_thresholds(
     return _clip_to_range(folds, lo, hi)
 
 
-_BRANCHES = {3: [Branch.LOWER, Branch.MIDDLE, Branch.UPPER], 2: [Branch.LOWER, Branch.UPPER]}
+# branch names by root count, "" past the last root
+_BRANCH_NAMES = np.array([["", "", ""], ["lower", "", ""], ["lower", "upper", ""],
+                          ["lower", "middle", "upper"]])
 
 
-def _solution_sets(
-    params: MediumParams, mech: Mechanism, omegas, omega_up: float | None
-) -> list[list[SteadyStateSolution] | NoPhysicalRootError]:
-    """Solution records at each drive, or the error that prevented them.
+class ScanPoints(RowView):
+    """Read-only view of ``arrays``, one ScanPoint per drive, built when read;
+    ``branches`` holds the (M, 3) branch names of the roots, "" past the last."""
 
-    A single root continues the upper branch at drives at or above
-    ``omega_up`` and the lower branch otherwise.
-    """
-    arr = solution_arrays(params, mech, omegas)
-    # the found roots, flattened row by row: drive i owns the next count[i]
-    found = arr.w == arr.w
-    w, rho12, omega_eff, delta_eff, stable, residual, marginal = (
-        a[found].tolist() for a in (arr.w, arr.rho12, arr.omega_eff, arr.delta_eff,
-                                    arr.stable, arr.residual, arr.marginal))
-    out: list[list[SteadyStateSolution] | NoPhysicalRootError] = []
-    end = 0
-    for om, n in zip(arr.omega.tolist(), arr.count.tolist()):
-        start, end = end, end + n
-        if n == 0:
-            out.append(NoPhysicalRootError(
-                f"no inversion root in (0, 1] for coefficients "
-                f"{cubic_coefficients(replace(params, omega=om), mech)}"))
-            continue
-        if n == 1:
-            labels = [Branch.UPPER if omega_up is not None and om >= omega_up else Branch.LOWER]
-        else:
-            labels = _BRANCHES[n]
-        sols = []
-        for k, branch in zip(range(start, end), labels):
-            if marginal[k]:
-                warnings.warn(
-                    f"solution at omega={om}, w={w[k]} is marginally stable",
-                    MarginalStabilityWarning,
-                    stacklevel=3,
-                )
-            sols.append(SteadyStateSolution(w[k], 0.5 * (1.0 - w[k]), rho12[k], omega_eff[k],
-                                            delta_eff[k], branch, stable[k], residual[k]))
-        out.append(sols)
-    return out
+    def __init__(self, arrays: SolutionArrays, branches: np.ndarray):
+        def point(i: int) -> ScanPoint:  # a closure, so that no cycle holds the arrays
+            a = arrays
+            cols = (x[i, :a.count[i]].tolist() for x in (a.w, a.rho12, a.omega_eff, a.delta_eff,
+                                                          branches, a.stable, a.residual))
+            return ScanPoint(a.omega[i].item(), [
+                SteadyStateSolution(w, 0.5 * (1.0 - w), rho12, omega_eff, delta_eff,
+                                    Branch(name), stable, residual)
+                for w, rho12, omega_eff, delta_eff, name, stable, residual in zip(*cols)])
+
+        super().__init__(len(arrays.omega), point)
+        self.arrays, self.branches = arrays, branches
+
+
+def _labeled(arr: SolutionArrays, omega_up: float | None) -> ScanPoints:
+    """The roots of ``arr`` with branch labels, warning once per marginal root
+    (attributed to the caller's caller).  Three roots are lower/middle/upper
+    and a merged pair lower/upper; a single root continues the upper branch
+    at drives at or above ``omega_up`` and the lower one otherwise."""
+    names = _BRANCH_NAMES[arr.count]
+    if omega_up is not None:
+        names[:, 0] = np.where((arr.count == 1) & (arr.omega >= omega_up), "upper", names[:, 0])
+    for i, k in zip(*np.nonzero(arr.marginal)):
+        om, w = arr.omega[i].item(), arr.w[i, k].item()
+        warnings.warn(f"solution at omega={om}, w={w} is marginally stable",
+                      MarginalStabilityWarning, stacklevel=3)
+    return ScanPoints(arr, names)
+
+
+def _no_root_error(params: MediumParams, mech: Mechanism) -> NoPhysicalRootError:
+    return NoPhysicalRootError(
+        f"no inversion root in (0, 1] for coefficients {cubic_coefficients(params, mech)}"
+    )
 
 
 def solutions_at(params: MediumParams, mech: Mechanism) -> list[SteadyStateSolution]:
@@ -595,11 +596,11 @@ def solutions_at(params: MediumParams, mech: Mechanism) -> list[SteadyStateSolut
     :func:`scan_hysteresis`: ``upper`` at or above the upper fold, where the
     surviving root continues the upper branch, ``lower`` otherwise.
     """
-    folds = _fold_drives(params, mech)
-    (sols,) = _solution_sets(params, mech, [params.omega], None if folds is None else folds[0])
-    if isinstance(sols, NoPhysicalRootError):
-        raise sols
-    return sols
+    arr = solution_arrays(params, mech, [params.omega])
+    if arr.count[0] == 0:
+        raise _no_root_error(params, mech)
+    folds = _fold_drives(params, mech) if arr.count[0] == 1 else None
+    return _labeled(arr, None if folds is None else folds[0])[0].solutions
 
 
 def branch_solution(
@@ -640,13 +641,11 @@ def scan_hysteresis(
 
     folds = _fold_drives(params, mech)
     thresholds = _clip_to_range(folds, float(grid[0]), float(grid[-1]))
-    omega_up = None if folds is None else folds[0]
-    points: list[ScanPoint] = []
-    for om, sols in zip(grid.tolist(), _solution_sets(params, mech, grid, omega_up)):
-        if isinstance(sols, NoPhysicalRootError):
-            warnings.warn(f"solver failed at omega={om}: {sols}", stacklevel=2)
-            sols = []
-        points.append(ScanPoint(om, sols))
+    arr = solution_arrays(params, mech, grid)
+    points = _labeled(arr, None if folds is None else folds[0])
+    for om in arr.omega[arr.count == 0].tolist():
+        error = _no_root_error(replace(params, omega=om), mech)
+        warnings.warn(f"solver failed at omega={om}: {error}", stacklevel=2)
 
     omega_up, omega_down = thresholds if thresholds is not None else (None, None)
     return HysteresisScan(points=points, omega_up=omega_up, omega_down=omega_down)

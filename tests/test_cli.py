@@ -239,6 +239,68 @@ def test_spectrum_unstable_branch_flagged(tmp_path, capsys):
     assert json.loads(out.read_text())["meta"]["unstable"] is True
 
 
+def _cells(values):
+    """CSV cells back as the Python values they were written from."""
+    words = {"true": True, "false": False, "none": None}
+    out = []
+    for v in values:
+        try:
+            out.append(words[v] if v in words else float(v))
+        except ValueError:
+            out.append(v)
+    return out
+
+
+def test_hysteresis_and_peaks_columns_equal_the_object_walk(tmp_path, capsys):
+    """The README hysteresis and peaks files, cell for cell, against the
+    per-point walk over ``scan.points`` with one spectrum_coefficients call
+    per root."""
+    from dataclasses import replace
+
+    from iobspectra import MediumParams, Mechanism, scan_hysteresis, spectrum_coefficients
+
+    hyst, peaks = tmp_path / "hysteresis.csv", tmp_path / "peaks.csv"
+    assert main(["hysteresis", "--delta", "3", "--zeta-l", "50", "--mechanism", "lorentz",
+                 "--omega", "0:25:500", "--out", str(hyst)]) == 0
+    assert main(["peaks", "--delta", "3", "--zeta-l", "50", "--zeta-m", "50",
+                 "--mechanism", "both", "--free-atom-reference",
+                 "--omega", "0.05:25:500", "--out", str(peaks)]) == 0
+    capsys.readouterr()
+
+    medium = MediumParams(delta=3.0, zeta_lorentz=50.0)
+    expected = {k: [] for k in ("omega", "branch", "w", "rho22", "stable",
+                                "omega_eff_abs", "delta_eff")}
+    for point in scan_hysteresis(medium, Mechanism.LORENTZ, np.linspace(0.0, 25.0, 500)).points:
+        for sol in point.solutions:
+            for key, value in (("omega", point.omega), ("branch", sol.branch.value),
+                               ("w", sol.w), ("rho22", sol.rho22), ("stable", sol.stable),
+                               ("omega_eff_abs", abs(sol.omega_eff)),
+                               ("delta_eff", sol.delta_eff)):
+                expected[key].append(value)
+    _, cols = read_csv(hyst)
+    assert list(cols) == list(expected)
+    for key, values in expected.items():
+        assert _cells(cols[key]) == values, key
+
+    expected = {k: [] for k in ("omega", "mechanism", "branch", "nu_p")}
+    families = [("lorentz", replace(medium, zeta_lorentz=50.0), Mechanism.LORENTZ),
+                ("detuning", replace(medium, zeta_lorentz=0.0, zeta_detuning=50.0),
+                 Mechanism.DETUNING),
+                ("free", replace(medium, zeta_lorentz=0.0), Mechanism.LORENTZ)]
+    for tag, params, mech in families:
+        for point in scan_hysteresis(params, mech, np.linspace(0.05, 25.0, 500)).points:
+            for sol in point.solutions:
+                c = spectrum_coefficients(abs(sol.omega_eff) ** 2, sol.delta_eff, params.gamma)
+                expected["omega"].append(point.omega)
+                expected["mechanism"].append(tag)
+                expected["branch"].append(sol.branch.value)
+                expected["nu_p"].append(math.sqrt(c.nu_p_sq) if c.nu_p_sq > 0.0 else None)
+    _, cols = read_csv(peaks)
+    assert list(cols) == list(expected)
+    for key, values in expected.items():
+        assert _cells(cols[key]) == values, key
+
+
 # ----------------------------------------------------------------------- peaks
 
 def test_peaks_families_and_none_entries(tmp_path, capsys):

@@ -19,6 +19,7 @@ from iobspectra import (
     jacobian,
     solve_inversion,
     sweep_adiabatic,
+    Trajectory,
 )
 from iobspectra.dynamics import JUMP_THRESHOLD, _jump_samples
 from test_steady_state import LORENTZ_50, DETUNING_50, OMEGA_UP_EXACT, OMEGA_DOWN_EXACT
@@ -38,6 +39,33 @@ def test_bloch_state_validation():
         BlochState(1.0, 1.0, 1.0)  # outside the ball
     with pytest.raises(ValueError):
         BlochState(math.nan, 0.0, 0.0)
+
+
+def test_trajectory_holds_one_state_array():
+    """A trajectory keeps its states as one (N, 3) array, checked against the
+    Bloch ball with BlochState's own error for the first bad row; ``states``
+    builds BlochStates from the rows when read."""
+    times, drives = np.arange(4.0), np.zeros(4)
+    rows = np.array([[0.6, 0.0, 0.8], [0.0, 0.0, 1.0], [0.1, -0.2, 0.3], [0.0, 0.0, -1.0]])
+    traj = Trajectory(times=times, uvw=rows, omegas=drives)
+    assert traj.state_array() is traj.uvw
+    assert len(traj.states) == 4
+    assert list(traj.states) == [BlochState(*r) for r in rows.tolist()]
+    assert traj.states[-1] == BlochState(0.0, 0.0, -1.0)
+    with pytest.raises(IndexError):
+        traj.states[4]
+    cases = [([1.0, 1.0, 1.0], [math.nan, 0.0, 0.0]),
+             ([math.nan, 0.0, 0.0], [1.0, 1.0, 1.0]),
+             ([0.0, math.inf, 0.0], [0.0, 0.0, 2.0]),
+             ([0.0, 0.0, 1.0 + 2e-9], [1.0, 1.0, 1.0])]
+    for bad, later in cases:
+        uvw = rows.copy()
+        uvw[1], uvw[2] = bad, later
+        with pytest.raises(ValueError) as got:
+            Trajectory(times=times, uvw=uvw, omegas=drives)
+        with pytest.raises(ValueError) as want:
+            BlochState(*bad)
+        assert str(got.value) == str(want.value)
 
 
 # ------------------------------------------------------------------ right side

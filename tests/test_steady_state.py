@@ -1,4 +1,6 @@
+import gc
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -22,12 +24,15 @@ from iobspectra import (
     jacobian,
     rabi_relation_sq,
     scan_hysteresis,
+    solution_arrays,
     solutions_at,
     solve_inversion,
     spectrum_coefficients,
     stationary_state,
     zeta_total,
 )
+from iobspectra import steady_state
+from iobspectra.core import NoPhysicalRootError
 from iobspectra.steady_state import (
     MarginalStabilityWarning,
     ThresholdRangeWarning,
@@ -472,6 +477,103 @@ def test_scan_monotone_stable_branches():
                 last[sol.branch] = sol.rho22
 
 
+def test_scan_points_are_a_view_of_the_solution_arrays():
+    """``points`` builds row i of the scan's arrays when read: the sequence
+    protocol holds, each record equals the array values exactly, the view is
+    read-only, and a scan stays replaceable by a plain list of points."""
+    grid = np.linspace(0.0, 25.0, 201)
+    scan = scan_hysteresis(LORENTZ_50, Mechanism.LORENTZ, grid)
+    arr = solution_arrays(LORENTZ_50, Mechanism.LORENTZ, grid)
+    view = scan.points
+    assert len(view) == grid.size
+    assert view[-1] == view[grid.size - 1] and view[-grid.size] == view[0]
+    for bad in (grid.size, -grid.size - 1):
+        with pytest.raises(IndexError):
+            view[bad]
+    with pytest.raises(TypeError):
+        view[0] = view[1]
+    points = list(view)
+    assert [pt for pt in view] == points
+    assert [pt.omega for pt in points] == grid.tolist()
+    labels = {3: ["lower", "middle", "upper"], 2: ["lower", "upper"]}
+    for i, point in enumerate(points):
+        n = arr.count[i]
+        sols = point.solutions
+        assert len(sols) == n
+        for k, s in enumerate(sols):
+            assert s.w == arr.w[i, k] and s.rho22 == 0.5 * (1.0 - arr.w[i, k])
+            assert s.rho12 == arr.rho12[i, k] and s.omega_eff == arr.omega_eff[i, k]
+            assert s.delta_eff == arr.delta_eff[i, k] and s.residual == arr.residual[i, k]
+            assert s.stable == arr.stable[i, k]
+            assert all(type(x) is t for x, t in ((s.w, float), (s.rho12, complex),
+                                                 (s.stable, bool), (s.residual, float)))
+        single = ["upper" if point.omega >= OMEGA_UP_EXACT else "lower"]
+        assert [s.branch.value for s in sols] == labels.get(n, single)
+    k = 100
+    points[k] = points[k]._replace(solutions=[replace(s, w=s.w + 1e-5) for s in points[k].solutions])
+    replaced = replace(scan, points=points)
+    assert replaced.points is points and replaced.omega_up == scan.omega_up
+    assert replaced.points[k] != scan.points[k] and replaced.points[0] == scan.points[0]
+
+
+def test_scan_arrays_are_freed_without_the_cycle_collector():
+    """No reference cycle keeps a dropped scan's arrays alive until the cycle
+    collector runs: a view holding a method of itself would."""
+    gc.disable()
+    try:
+        scan = scan_hysteresis(LORENTZ_50, Mechanism.LORENTZ, np.linspace(0.0, 25.0, 50))
+        list(scan.points)
+        arrays = weakref.ref(scan.points.arrays.w)
+        del scan
+        assert arrays() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("params, mech", [(LORENTZ_50, Mechanism.LORENTZ),
+                                          (DETUNING_50, Mechanism.DETUNING)])
+def test_scan_warns_at_a_fold_during_the_call(params, mech):
+    """The marginal root at an exact fold drive warns inside scan_hysteresis,
+    attributed to its caller; reading ``points`` later warns no more."""
+    grid = [float(omega) for omega, _ in fold_points()]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        scan = scan_hysteresis(params, mech, grid)
+    marginal = [w for w in caught if w.category is MarginalStabilityWarning]
+    assert marginal
+    assert all(w.filename == __file__ for w in marginal)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        points = list(scan.points)
+    assert len(points) == 2
+
+
+def test_scan_keeps_going_where_no_root_is_found(monkeypatch):
+    """Drives without a physical root warn "solver failed" once each, in
+    drive order and attributed to the caller, and keep an empty solution
+    set; solutions_at raises there instead."""
+    solve = steady_state._inversion_roots
+
+    def lose_every_other_drive(params, zeta, omega):
+        w, count, c = solve(params, zeta, omega)
+        w[::2], count[::2] = np.nan, 0
+        return w, count, c
+
+    monkeypatch.setattr(steady_state, "_inversion_roots", lose_every_other_drive)
+    grid = [0.5, 8.0, 12.0, 20.0, 22.0]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        scan = scan_hysteresis(LORENTZ_50, Mechanism.LORENTZ, grid)
+    failed = [str(w.message) for w in caught]
+    assert [m.split(":")[0] for m in failed] == [f"solver failed at omega={om}" for om in grid[::2]]
+    assert all(w.category is UserWarning and w.filename == __file__ for w in caught)
+    coefficients = cubic_coefficients(replace(LORENTZ_50, omega=0.5), Mechanism.LORENTZ)
+    assert failed[0].endswith(f"no inversion root in (0, 1] for coefficients {coefficients}")
+    assert [len(pt.solutions) for pt in scan.points] == [0, 3, 0, 1, 0]
+    with pytest.raises(NoPhysicalRootError):
+        solutions_at(replace(LORENTZ_50, omega=0.5), Mechanism.LORENTZ)
+
+
 def test_mechanism_equivalence_of_excitation():
     """Equal couplings give identical root sets for either single mechanism."""
     grid = np.linspace(0.0, 25.0, 100)
@@ -578,7 +680,7 @@ def test_scan_matches_exact_algebra_over_extreme_media(medium, start):
             above = scan_hysteresis(params, mech, np.linspace(start * up, 2.0 * start * up, 20))
             assert find_thresholds(params, mech, (start * up, 2.0 * start * up)) is None
 
-    for point in scan.points + ([] if above is None else above.points):
+    for point in [*scan.points, *([] if above is None else above.points)]:
         at = replace(params, omega=point.omega)
         for s in point.solutions:
             assert np.isfinite(s.omega_eff)
