@@ -499,7 +499,7 @@ def main(argv=None) -> int:
     except BranchNotPresentError as exc:
         print(f"iobspectra: {exc}", file=sys.stderr)
         return EXIT_BRANCH_ABSENT
-    except (NoPhysicalRootError, IntegrationError, np.linalg.LinAlgError) as exc:
+    except (NoPhysicalRootError, IntegrationError) as exc:
         print(f"iobspectra: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

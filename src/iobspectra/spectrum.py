@@ -14,8 +14,9 @@ detuning of the chosen mechanism.  The sextic denominator factorizes as
 with b0 = gamma^2 a^2 > 0, which pins the side peaks to nu = +-nu_p exactly
 and proves positivity.
 An independent route to the same density solves a complex 3x3 linear
-system for the atom-field correlation function; both are implemented and
-cross-checked against each other.
+system for the atom-field correlation function, by block elimination over
+the matrix's two structural zeros; both are implemented and cross-checked
+against each other.
 
 Spectra are reported in a common arbitrary unit (coupling and photon-energy
 prefactors dropped), so shapes and ratios are meaningful but absolute
@@ -114,6 +115,23 @@ def incoherent_spectrum(nu, coeffs: SpectrumCoefficients, rho22: float, gamma: f
     return float(out) if np.isscalar(nu) or nu_arr.ndim == 0 else out
 
 
+def _correlation_entries(nu, omega_eff: complex, delta_eff: float, gamma: float):
+    """The seven nonzero entries (m00, m01, m02, m10, m11, m20, m22) of the
+    3x3 correlation matrix; m12 = m21 = 0 by structure.  The diagonal
+    entries follow the shape of ``nu``, the off-diagonal ones are scalars.
+    """
+    ob = complex(omega_eff)
+    return (
+        1j * nu + gamma,
+        1j * ob.conjugate(),
+        -1j * ob,
+        2j * ob,
+        1j * (nu - delta_eff) + 0.5 * gamma,
+        -2j * ob.conjugate(),
+        1j * (nu + delta_eff) + 0.5 * gamma,
+    )
+
+
 def correlation_matrix(nu, omega_eff: complex, delta_eff: float, gamma: float) -> np.ndarray:
     """The 3x3 system matrix for the stationary atom-field correlation components
     (g11, g12, g21); the fourth component is eliminated by the traceless property
@@ -124,41 +142,45 @@ def correlation_matrix(nu, omega_eff: complex, delta_eff: float, gamma: float) -
     b0 = gamma^2 a^2 > 0.
     """
     nu = np.asarray(nu, dtype=float)
-    ob = complex(omega_eff)
+    m00, m01, m02, m10, m11, m20, m22 = _correlation_entries(nu, omega_eff, delta_eff, gamma)
     m = np.zeros(nu.shape + (3, 3), dtype=complex)
-    m[..., 0, 0] = 1j * nu + gamma
-    m[..., 0, 1] = 1j * ob.conjugate()
-    m[..., 0, 2] = -1j * ob
-    m[..., 1, 0] = 2j * ob
-    m[..., 1, 1] = 1j * (nu - delta_eff) + 0.5 * gamma
-    m[..., 2, 0] = -2j * ob.conjugate()
-    m[..., 2, 2] = 1j * (nu + delta_eff) + 0.5 * gamma
+    m[..., 0, 0] = m00
+    m[..., 0, 1] = m01
+    m[..., 0, 2] = m02
+    m[..., 1, 0] = m10
+    m[..., 1, 1] = m11
+    m[..., 2, 0] = m20
+    m[..., 2, 2] = m22
     return m
 
 
 def oracle_spectrum(nu, omega_eff: complex, delta_eff: float, gamma: float, rho: StationaryState):
-    """Incoherent density via the independent complex 3x3 linear solve.
+    """Incoherent density via the independent complex 3x3 linear system.
 
-    Builds M(nu) from :func:`correlation_matrix` and the source vector
-    q = s - rho21 * rho_A with s = (rho21, rho22, 0) and
+    With the entries of :func:`correlation_matrix` and the source vector
+    q = s - rho21 * rho_A, s = (rho21, rho22, 0) and
     rho_A = (rho11, rho12, rho21) (unit atom-field coupling), solves
-    M g = q, and returns Re g12, which is normalized identically to
+    M g = q and returns Re g12, which is normalized identically to
     :func:`incoherent_spectrum`.
+
+    M is solved by block elimination over its structural zeros m12 = m21 = 0.
+    Rows 1 and 2 give g12 = (q1 - m10 g11) / m11 and
+    g21 = (q2 - m20 g11) / m22; row 0 then leaves
+    schur g11 = q0 - m01 q1 / m11 - m02 q2 / m22 with the Schur complement
+    schur = m00 - m01 m10 / m11 - m02 m20 / m22.  Every divisor is nonzero
+    for gamma > 0: |m11| and |m22| are at least gamma / 2 (real part), and
+    det M = schur m11 m22, where |det M|^2 equals the sextic denominator of
+    :func:`incoherent_spectrum`, at least b0 = gamma^2 a^2 > 0.
     """
-    nus = np.atleast_1d(np.asarray(nu, dtype=float))
-    n = nus.size
-    m = correlation_matrix(nus, omega_eff, delta_eff, gamma)
-    q = np.array(
-        [
-            rho.rho21 * rho.rho22,
-            rho.rho22 - rho.rho12 * rho.rho21,
-            -(rho.rho21 * rho.rho21),
-        ],
-        dtype=complex,
-    )
-    sol = np.linalg.solve(m, np.broadcast_to(q, (n, 3))[..., np.newaxis])
-    out = sol[:, 1, 0].real
-    return float(out[0]) if np.isscalar(nu) or np.asarray(nu).ndim == 0 else out
+    nus = np.asarray(nu, dtype=float)
+    m00, m01, m02, m10, m11, m20, m22 = _correlation_entries(nus, omega_eff, delta_eff, gamma)
+    q0 = rho.rho21 * rho.rho22
+    q1 = rho.rho22 - rho.rho12 * rho.rho21
+    q2 = -(rho.rho21 * rho.rho21)
+    schur = m00 - (m01 * m10) / m11 - (m02 * m20) / m22
+    g11 = (q0 - (m01 * q1) / m11 - (m02 * q2) / m22) / schur
+    out = ((q1 - m10 * g11) / m11).real
+    return float(out) if np.isscalar(nu) or nus.ndim == 0 else out
 
 
 def peak_positions(coeffs: SpectrumCoefficients) -> list[float]:
