@@ -163,23 +163,37 @@ def oracle_spectrum(nu, omega_eff: complex, delta_eff: float, gamma: float, rho:
     M g = q and returns Re g12, which is normalized identically to
     :func:`incoherent_spectrum`.
 
-    M is solved by block elimination over its structural zeros m12 = m21 = 0.
-    Rows 1 and 2 give g12 = (q1 - m10 g11) / m11 and
-    g21 = (q2 - m20 g11) / m22; row 0 then leaves
-    schur g11 = q0 - m01 q1 / m11 - m02 q2 / m22 with the Schur complement
-    schur = m00 - m01 m10 / m11 - m02 m20 / m22.  Every divisor is nonzero
-    for gamma > 0: |m11| and |m22| are at least gamma / 2 (real part), and
-    det M = schur m11 m22, where |det M|^2 equals the sextic denominator of
-    :func:`incoherent_spectrum`, at least b0 = gamma^2 a^2 > 0.
+    M is solved over its structural zeros m12 = m21 = 0 by Cramer's rule
+    with the denominators m11, m22 cleared:
+
+        det M = m00 m11 m22 - m01 m10 m22 - m02 m20 m11,
+        g11   = (q0 m11 m22 - m01 q1 m22 - m02 q2 m11) / det M,
+        g12   = (q1 - m10 g11) / m11,
+
+    two complex divisions per nu.  Both divisors are nonzero for gamma > 0:
+    |det M|^2 equals the sextic denominator of :func:`incoherent_spectrum`,
+    which is at least b0 = gamma^2 a^2 > 0, and |m11| is at least gamma / 2
+    (its real part).
     """
     nus = np.asarray(nu, dtype=float)
-    m00, m01, m02, m10, m11, m20, m22 = _correlation_entries(nus, omega_eff, delta_eff, gamma)
+    m00, m01, m02, m10, m11, m20, m22 = _correlation_entries(
+        np.atleast_1d(nus), omega_eff, delta_eff, gamma)
     q0 = rho.rho21 * rho.rho22
     q1 = rho.rho22 - rho.rho12 * rho.rho21
     q2 = -(rho.rho21 * rho.rho21)
-    schur = m00 - (m01 * m10) / m11 - (m02 * m20) / m22
-    g11 = (q0 - (m01 * q1) / m11 - (m02 * q2) / m22) / schur
-    out = ((q1 - m10 * g11) / m11).real
+    # A complex temporary of a long grid is freshly page-faulted on every
+    # call, so the products are written into the buffers of m00 and m22 once
+    # those entries are no longer needed.
+    m11_m22 = m11 * m22
+    num = q0 * m11_m22
+    det = np.multiply(m00, m11_m22, out=m00)
+    det -= (m01 * m10) * m22
+    num -= np.multiply(m01 * q1, m22, out=m22)
+    det -= (m02 * m20) * m11
+    num -= (m02 * q2) * m11
+    g11 = np.divide(num, det, out=num)
+    g12 = np.subtract(q1, np.multiply(m10, g11, out=g11), out=g11)
+    out = np.divide(g12, m11, out=g12).real.reshape(nus.shape)
     return float(out) if np.isscalar(nu) or nus.ndim == 0 else out
 
 
@@ -246,9 +260,13 @@ def sum_rule_ratio(result: SpectrumResult, rho22: float, rho12: complex) -> floa
     """Integral of the incoherent density over the inelastic share of emission.
 
     Returns  integral S(nu) d nu / (rho22 - |rho12|^2), evaluated by adaptive
-    quadrature with the tails (falling as nu^-4) integrated to infinity.
-    For any consistent steady state the ratio is exactly pi, making it a
-    sharp cross-parameter consistency probe.
+    quadrature of the density built from ``result.coefficients``, with the
+    tails (falling as nu^-4) integrated to infinity.  The density depends on
+    nu only through nu^2, so S(nu) = S(-nu) for any coefficients and the
+    integral is twice the one over the half line: [0, cut] with a break at
+    the side peak nu_p, then [cut, inf).  For any consistent steady state
+    the ratio is exactly pi, making it a sharp cross-parameter consistency
+    probe.
     """
     from scipy.integrate import quad
 
@@ -258,20 +276,18 @@ def sum_rule_ratio(result: SpectrumResult, rho22: float, rho12: complex) -> floa
             f"rho22 - |rho12|^2 = {denom} is not positive; inconsistent steady state"
         )
     c = result.coefficients
-    gamma = math.sqrt(c.b0) / c.a  # b0 = gamma^2 a^2
+    a0, b4, b2, b0 = c.a0, c.b4, c.b2, c.b0
+    gamma = math.sqrt(b0) / c.a  # b0 = gamma^2 a^2
+    scale = 2.0 * rho22 * rho22 * gamma * c.a
 
     def density(nu: float) -> float:
         nu2 = nu * nu
-        den = ((nu2 + c.b4) * nu2 + c.b2) * nu2 + c.b0
-        return 2.0 * rho22 * rho22 * gamma * c.a * (nu2 + c.a0) / den
+        return scale * (nu2 + a0) / (((nu2 + b4) * nu2 + b2) * nu2 + b0)
 
     nu_p = math.sqrt(c.nu_p_sq) if c.nu_p_sq > 0.0 else 0.0
     cut = 2.0 * nu_p + 20.0 * gamma
-    interior_points = [-nu_p, 0.0, nu_p] if nu_p > 0.0 else [0.0]
-    total, _ = quad(
-        density, -cut, cut, points=interior_points, limit=500, epsabs=1e-13, epsrel=1e-12
-    )
-    for piece in (quad(density, cut, np.inf, limit=200, epsabs=1e-14),
-                  quad(density, -np.inf, -cut, limit=200, epsabs=1e-14)):
-        total += piece[0]
-    return total / denom
+    # half the absolute tolerances of a full-line integral, since the sum is doubled
+    inner, _ = quad(density, 0.0, cut, points=[nu_p] if nu_p > 0.0 else None,
+                    limit=500, epsabs=5e-14, epsrel=1e-12)
+    tail, _ = quad(density, cut, np.inf, limit=200, epsabs=5e-15)
+    return 2.0 * (inner + tail) / denom

@@ -403,6 +403,97 @@ def test_sum_rule_holds_for_joint_mechanism():
     assert sum_rule_ratio(res, sol.rho22, sol.rho12) == pytest.approx(math.pi, abs=1e-8)
 
 
+def full_line_ratio(c, rho22, rho12):
+    """The sum-rule ratio by quad over the whole line, as it was computed
+    before the half-line form: [-cut, cut] with breaks at -nu_p, 0, nu_p,
+    then both tails.  Returns the ratio and the tail integral T."""
+    from scipy.integrate import quad
+
+    gamma = math.sqrt(c.b0) / c.a
+    nu_p = math.sqrt(c.nu_p_sq) if c.nu_p_sq > 0.0 else 0.0
+    cut = 2.0 * nu_p + 20.0 * gamma
+
+    def density(nu):
+        nu2 = nu * nu
+        den = ((nu2 + c.b4) * nu2 + c.b2) * nu2 + c.b0
+        return 2.0 * rho22 * rho22 * gamma * c.a * (nu2 + c.a0) / den
+
+    mid, _ = quad(density, -cut, cut, points=[-nu_p, 0.0, nu_p] if nu_p > 0.0 else [0.0],
+                  limit=500, epsabs=1e-13, epsrel=1e-12)
+    tail, _ = quad(density, cut, np.inf, limit=200, epsabs=1e-14)
+    left, _ = quad(density, -np.inf, -cut, limit=200, epsabs=1e-14)
+    return (mid + tail + left) / (rho22 - abs(rho12) ** 2), mid, tail
+
+
+def test_sum_rule_half_line_matches_full_line_quadrature():
+    """sum_rule_ratio, twice the integral over the half line, against a
+    test-side quad of the same density over the whole line, on 200 media
+    with gamma in 1e-2..1e2 and |omega_eff|/gamma, |delta_eff|/gamma each
+    in 1e-2..1e2.
+
+    Bound: quad returns once its error estimate on a piece is below
+    max(epsabs, epsrel |piece|), and for integrands this smooth the
+    Gauss-Kronrod estimate bounds the true error.  With I the integral over
+    [-cut, cut] and T one tail (epsrel of a tail is quad's default 1.49e-8),
+    the doubled half-line result is within
+    2 (5e-14 + 1e-12 I/2) + 2 (5e-15 + 1.49e-8 T) of the exact integral and
+    the full-line one within 1e-13 + 1e-12 I + 2 (1e-14 + 1.49e-8 T), so
+    the two differ by at most 2.3e-13 + 2e-12 I + 6e-8 T.  Both ratios
+    divide by the same rho22 - |rho12|^2, which adds a rounding of
+    eps |ratio| to each.
+    """
+    rng = np.random.default_rng(77)
+    eps = float(np.finfo(float).eps)
+    for _ in range(200):
+        g = 10.0 ** rng.uniform(-2.0, 2.0)
+        ob = g * 10.0 ** rng.uniform(-2.0, 2.0) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        d = g * 10.0 ** rng.uniform(-2.0, 2.0) * rng.choice([-1.0, 1.0])
+        rho = stationary_state(ob, d, g)
+        c = spectrum_coefficients(abs(ob) ** 2, d, g)
+        ratio = sum_rule_ratio(_spectrum_stub(c), rho.rho22, rho.rho12)
+        full, mid, tail = full_line_ratio(c, rho.rho22, rho.rho12)
+        denom = rho.rho22 - abs(rho.rho12) ** 2
+        bound = (2.3e-13 + 2e-12 * mid + 6e-8 * tail) / denom + 2.0 * eps * abs(full)
+        assert abs(ratio - full) <= bound
+
+
+def _spectrum_stub(c):
+    from iobspectra import SpectrumResult
+
+    return SpectrumResult(nu_grid=np.zeros(1), incoherent=np.zeros(1), elastic_weight=0.0,
+                          peaks=peak_positions(c), coefficients=c)
+
+
+def test_sum_rule_sees_the_b2_typo():
+    """The quadrature integrates the coefficients it is given: built from
+    verify's b2-typo coefficients (16 |omega|^2 in place of 16 |omega|^4),
+    the ratio at |omega_eff| = gamma/2 on resonance leaves pi by about 30 %
+    (the corrupted denominator stays positive there, since |omega|^2 < 1
+    makes b2 larger)."""
+    from iobspectra.verify import _coefficients_maybe_injected
+
+    ob, d, g = 0.5 + 0.0j, 0.0, 1.0
+    rho = stationary_state(ob, d, g)
+    good = _spectrum_stub(_coefficients_maybe_injected(abs(ob) ** 2, d, g, False))
+    bad = _spectrum_stub(_coefficients_maybe_injected(abs(ob) ** 2, d, g, True))
+    assert abs(sum_rule_ratio(good, rho.rho22, rho.rho12) - math.pi) / math.pi <= 1e-10
+    assert abs(sum_rule_ratio(bad, rho.rho22, rho.rho12) - math.pi) / math.pi > 0.1
+
+
+def test_verify_sum_rule_cases_raise_no_integration_warning():
+    """The ten verify sum-rule cases integrate cleanly: no IntegrationWarning
+    (roundoff, subdivision limit, divergence) when warnings are errors."""
+    import warnings
+
+    from scipy.integrate import IntegrationWarning
+
+    from iobspectra.verify import check_sum_rule
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        assert check_sum_rule(0).passed
+
+
 def test_sum_rule_rejects_inconsistent_state():
     res = spectrum_for_branch(MediumParams(omega=1.0), Mechanism.LORENTZ, Branch.LOWER, 1.0)
     with pytest.raises(ValueError):
