@@ -548,6 +548,27 @@ def test_scan_warns_at_a_fold_during_the_call(params, mech):
     assert len(points) == 2
 
 
+@pytest.mark.parametrize("params, mech", [(LORENTZ_50, Mechanism.LORENTZ),
+                                          (DETUNING_50, Mechanism.DETUNING)])
+def test_exact_folds_give_one_marginal_double_root(params, mech):
+    """At both exact fold drives the coalescing pair is one double root:
+    two roots, exactly one of them marginal, and one MarginalStabilityWarning
+    per fold.  The double root is the fold W of the resultant cubic, a simple
+    root of the cubic's derivative, so rounding moves it by a few eps over
+    the curvature (about 1 for the normalized cubic); 1e-12 leaves room for
+    the companion-matrix fold drives."""
+    folds = fold_points()
+    arr = solution_arrays(params, mech, [float(omega) for omega, _ in folds])
+    assert arr.count.tolist() == [2, 2]
+    assert arr.marginal.sum(axis=1).tolist() == [1, 1]
+    assert np.all(np.abs(arr.w[arr.marginal] - [w for _, w in folds]) <= 1e-12)
+    for omega, _ in folds:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            solutions_at(replace(params, omega=float(omega)), mech)
+        assert [w.category for w in caught] == [MarginalStabilityWarning]
+
+
 def test_scan_keeps_going_where_no_root_is_found(monkeypatch):
     """Drives without a physical root warn "solver failed" once each, in
     drive order and attributed to the caller, and keep an empty solution
