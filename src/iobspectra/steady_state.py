@@ -45,10 +45,22 @@ from .core import (
 
 # Normalized residual demanded after root polishing (coefficients scaled by max |c_i|).
 RESIDUAL_TOL = 1e-12
-# Roots closer than this collapse to a single (tangency) root.
+# Roots closer than this collapse to a single (tangency) root; so do roots that
+# rounding cannot tell from a double root (see _coincide).
 ROOT_MERGE_TOL = 1e-8
 # Eigenvalue |Re| below this, as estimated in _stability, flags marginal stability.
 MARGINAL_STABILITY_TOL = 1e-9
+
+_EPS = float(np.finfo(float).eps)
+# Widest gap that rounding can open in a double or triple root of the
+# normalized inversion cubic, with a margin of 18.  With
+# p = c3 (w - x1)(w - x2)(w - x3), adjacent roots x1 < x2 = x1 + d bulge by
+# |c3| (d/2)^2 |mid - x3| at their midpoint, and they merge only when that is
+# at most 32 eps (see _coincide).  Roots of modulus at most 1 give
+# |c2|, |c1|, |c0| <= 3 |c3|, so |c3| >= 1/3 after normalization, and the
+# third root lies outside the pair, |mid - x3| >= d/2.  Hence
+# d^3 <= 24 * 32 eps, d <= 5.5e-5; a distant third root gives far less.
+_SPLIT_MAX = 1e-3
 
 
 class ThresholdRangeWarning(UserWarning):
@@ -251,6 +263,49 @@ def _real_cubic_roots(c3, c2, c1, c0):
     return np.sort(roots, axis=1), c
 
 
+def _coincide(c, lo, hi):
+    """Whether adjacent roots lo < hi in (0, 1] of the normalized cubic ``c``
+    are one double root: closer than ROOT_MERGE_TOL, or with the cubic at
+    their midpoint indistinguishable from zero (NaN gives False).
+
+    Horner's rule at w in (0, 1] errs by at most about 6 eps sum |c_i| w^i
+    (three multiply-adds), and the normalized coefficients carry about two
+    roundings more: e(w) = 8 eps sum |c_i| w^i <= 32 eps.  Between two real
+    roots the cubic bulges by |p''| (hi - lo)^2 / 8 at the midpoint, so a
+    pair whose bulge is below e(mid) is, to working precision, a double root
+    that rounding split.  That split, 2 sqrt(2 e / |p''|), is of order
+    sqrt(eps) (3e-8 at the upper fold of delta = 3, zeta = 50), above
+    ROOT_MERGE_TOL.
+    """
+    mid = 0.5 * (lo + hi)
+    rounding = 8.0 * _EPS * _horner(tuple(np.abs(ci) for ci in c), mid)
+    return (hi - lo < ROOT_MERGE_TOL) | (np.abs(_horner(c, mid)) <= rounding)
+
+
+def _merge_coincident(c, w: np.ndarray):
+    """Rows of roots ``w`` with coincident neighbours (see :func:`_coincide`)
+    collapsed left to right, each merged pair into the double root between
+    them; returns the merged rows, NaN-padded, and their root counts."""
+    rows = np.arange(w.shape[0])
+    merged = np.full_like(w, np.nan)
+    count = np.zeros(w.shape[0], dtype=int)
+    for x in w.T:
+        last = merged[rows, np.maximum(count - 1, 0)]
+        join = (count > 0) & _coincide(c, last, x)
+        if join.any():
+            # A double root is a simple root of the derivative, so Newton runs
+            # on p' = 3 c3 w^2 + 2 c2 w + c1; on p itself it converges only
+            # linearly there and stops about sqrt(eps) short.
+            c3, c2, c1, _ = (ci[join] for ci in c)
+            mid = _polish((0.0, 3.0 * c3, 2.0 * c2, c1), 0.5 * (last[join] + x[join]))
+            merged[rows[join], count[join] - 1] = np.where(
+                mid > 0.0, np.minimum(mid, 1.0), last[join])
+        add = (x == x) & ~join
+        merged[rows[add], count[add]] = x[add]
+        count += add
+    return merged, count
+
+
 def _inversion_roots(params: MediumParams, zeta: float, omega: np.ndarray):
     """Physical inversion roots W in (0, 1] at each drive.
 
@@ -263,22 +318,11 @@ def _inversion_roots(params: MediumParams, zeta: float, omega: np.ndarray):
     w = np.sort(np.where(w > 0.0, w, np.nan), axis=1)
     count = np.count_nonzero(w == w, axis=1)
 
-    if (np.diff(w, axis=1) < ROOT_MERGE_TOL).any():
-        # collapse near-coincident roots into one (a fold tangency), left to right
-        rows = np.arange(w.shape[0])
-        merged = np.full_like(w, np.nan)
-        count = np.zeros(w.shape[0], dtype=int)
-        for x in w.T:
-            last = merged[rows, np.maximum(count - 1, 0)]
-            join = (count > 0) & (x - last < ROOT_MERGE_TOL)
-            if join.any():
-                mid = _polish(tuple(ci[join] for ci in c), 0.5 * (last[join] + x[join]))
-                merged[rows[join], count[join] - 1] = np.where(
-                    mid > 0.0, np.minimum(mid, 1.0), last[join])
-            add = (x == x) & ~join
-            merged[rows[add], count[add]] = x[add]
-            count += add
-        w = merged
+    # Only rows with two roots closer than _SPLIT_MAX can hold a split double
+    # root; the rest skip the merge.
+    near = np.flatnonzero((np.diff(w, axis=1) < _SPLIT_MAX).any(axis=1))
+    if near.size:
+        w[near], count[near] = _merge_coincident(tuple(ci[near] for ci in c), w[near])
 
     rough = np.abs(_horner(tuple(ci[:, None] for ci in c), w)) > RESIDUAL_TOL
     if rough.any():
