@@ -288,6 +288,16 @@ def test_partial_loop_area_positive_iff_bistable():
     assert area_free < 1e-4
 
 
+def test_one_jump_per_branch_switch_in_a_finely_sampled_sweep():
+    """Sampled every 0.1 time units, the up-jump of the benchmark medium rings
+    at about 35 rad per unit time around the upper branch, so |dw| between
+    samples exceeds JUMP_THRESHOLD in three separate runs (starting 1.1 and
+    2.7 time units after the first).  They are one branch switch, reported
+    at the largest step of the first run."""
+    result = sweep_adiabatic(LORENTZ_50, Mechanism.LORENTZ, 15.5, 16.2, 1e-3, samples=7001)
+    assert result.jumps == [pytest.approx(15.70985, abs=1e-9)]
+
+
 def loop_jump_samples(w):
     """Reference: walk the spike mask run by run, keeping each run's largest step."""
     dw = np.abs(np.diff(w))
