@@ -32,6 +32,9 @@ from . import steady_state
 BLOCH_BALL_SLACK = 1e-9
 RAMP_RATE_MAX_FACTOR = 1e-3  # max ramp rate in units of gamma^2
 JUMP_THRESHOLD = 0.1         # |delta w| per sample marking a branch jump
+# How long (in 1/gamma) the ringing after a jump can keep |dw| above
+# JUMP_THRESHOLD; see _jump_samples.
+RING_TIME = 2.0 * math.log(4.0 / JUMP_THRESHOLD)
 ADIABATIC_DISTANCE = 0.05    # allowed distance from the instantaneous stable manifold
 
 _METHODS = ("DOP853", "LSODA")
@@ -273,17 +276,38 @@ def sweep_adiabatic(
     )
 
     w = traj.uvw[:, 2]
-    jumps = [float(0.5 * (traj.omegas[k] + traj.omegas[k + 1])) for k in _jump_samples(w)]
+    ring = RING_TIME / params.gamma / (t_end / (samples - 1))
+    jumps = [float(0.5 * (traj.omegas[k] + traj.omegas[k + 1])) for k in _jump_samples(w, ring)]
     _warn_if_nonadiabatic(traj, params, mech, jumps)
     return SweepResult(trajectory=traj, jumps=jumps)
 
 
-def _jump_samples(w: np.ndarray) -> list[int]:
-    """For each run of consecutive |dw| > JUMP_THRESHOLD between samples of
-    ``w``, the index k of its largest step (from sample k to k + 1)."""
+def _jump_samples(w: np.ndarray, ring: float) -> list[int]:
+    """For each branch switch in ``w``, the index k of its largest step
+    (from sample k to k + 1).  A switch is a run of consecutive
+    |dw| > JUMP_THRESHOLD between samples, together with the later runs
+    that start fewer than ``ring`` samples after it began.
+
+    Those later runs are the ringing of the state about the new stable
+    branch, a Rabi oscillation whose |dw| between samples can exceed the
+    threshold on and off.  Its amplitude in w is at most 2 (|w| <= 1), so a
+    step is at most 4 exp(-k t) for a decay rate k.  At zero coupling the
+    Bloch Jacobian's eigenvalues have real parts in [-gamma, -gamma/2]
+    (coherence decay gamma/2, population decay gamma), and the branches
+    reached by the jumps of the benchmark medium decay at 0.50 to 0.70
+    gamma.  With k = gamma/2 the steps stay below JUMP_THRESHOLD after
+    RING_TIME = (2/gamma) ln(4/JUMP_THRESHOLD), about 7.4/gamma, which
+    ``ring`` expresses in samples.
+    """
     dw = np.abs(np.diff(w))
-    edges = np.flatnonzero(np.diff(np.concatenate(([0], dw > JUMP_THRESHOLD, [0]))))
-    return [int(a + np.argmax(dw[a:b])) for a, b in zip(edges[::2], edges[1::2])]
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], dw > JUMP_THRESHOLD, [0])))).tolist()
+    switches: list[list[int]] = []
+    for a, b in zip(edges[::2], edges[1::2]):
+        if switches and a - switches[-1][0] < ring:
+            switches[-1][1] = b
+        else:
+            switches.append([a, b])
+    return [a + int(np.argmax(dw[a:b])) for a, b in switches]
 
 
 def _warn_if_nonadiabatic(

@@ -323,15 +323,23 @@ def loop_jump_samples(w):
 ])
 def test_jump_samples_runs(w, expected):
     w = np.array(w)
-    assert _jump_samples(w) == expected
-    assert _jump_samples(w) == loop_jump_samples(w)
+    assert _jump_samples(w, 0.0) == expected
+    assert _jump_samples(w, 0.0) == loop_jump_samples(w)
 
 
 def test_jump_samples_match_loop_on_random_walks():
     rng = np.random.default_rng(11)
     for _ in range(200):
         w = np.cumsum(rng.normal(0.0, 0.1, rng.integers(2, 40)))
-        assert _jump_samples(w) == loop_jump_samples(w)
+        assert _jump_samples(w, 0.0) == loop_jump_samples(w)
+
+
+@pytest.mark.parametrize("ring, expected", [(0.0, [0, 3]), (3.0, [0, 3]), (3.5, [3])])
+def test_jump_samples_merge_runs_within_the_ringing(ring, expected):
+    """A run starting fewer than ``ring`` samples after the start of the
+    previous switch joins it, and the switch keeps its largest step."""
+    w = np.array([0.9, 0.7, 0.7, 0.7, 0.2, 0.2])  # steps 0.2 at 0, 0.5 at 3
+    assert _jump_samples(w, ring) == expected
 
 
 def bloch_rhs_oracle(t, y, omega_of_t, gamma, delta, zeta_l, zeta_m):
