@@ -22,7 +22,7 @@ from iobspectra import (
     Trajectory,
 )
 from iobspectra.dynamics import JUMP_THRESHOLD, _jump_samples
-from test_steady_state import LORENTZ_50, DETUNING_50, OMEGA_UP_EXACT, OMEGA_DOWN_EXACT
+from test_steady_state import LORENTZ_50, DETUNING_50, OMEGA_UP_EXACT, OMEGA_DOWN_EXACT, fold_points
 
 FREE = MediumParams(delta=3.0)
 
@@ -296,6 +296,56 @@ def test_one_jump_per_branch_switch_in_a_finely_sampled_sweep():
     at the largest step of the first run."""
     result = sweep_adiabatic(LORENTZ_50, Mechanism.LORENTZ, 15.5, 16.2, 1e-3, samples=7001)
     assert result.jumps == [pytest.approx(15.70985, abs=1e-9)]
+
+
+def test_slow_passage_delay_scales_as_rate_to_two_thirds():
+    """Slow passage through the upper fold (Haberman, SIAM J. Appl. Math. 37,
+    1979): ramped at rate r, the lower branch jumps past the fold omega_up by
+    Delta(r) = c r^(2/3) (1 + k r^(1/3) + ...).  The Airy prefactor
+    c = a1 (A B)^(-1/3) comes from the normal form y' = A (omega - omega_up)
+    + B y^2 along the fold's null direction, with a1 = 2.33811 the first
+    zero of Ai(-x), A = l.df/domega and B = l.D2f(r, r)/2 for null vectors
+    l, r of the Jacobian with l.r = 1; f is affine in omega and quadratic in
+    the state, so both are exact differences.
+
+    The finite-rate correction k r^(1/3) comes from the normal form's
+    higher terms, which are not computed here; |k| <= K = 1.5 is assumed
+    and checked: each delay lies within K r^(1/3) + h/Delta of c r^(2/3)
+    relative, where h = 1e-4, one sample of 7001 over 0.7, bounds where the
+    largest step puts a jump.  The exponent fitted between the end rates
+    r1 = 1e-3 and r3 = r1/4 is then 2/3 + ln((1 + k r1^(1/3)) /
+    (1 + k r3^(1/3))) / ln 4, off by at most 0.046 for |k| <= 1.5, plus
+    (h/Delta1 + h/Delta3) / ln 4 from the sampling.
+    """
+    omega_up, w_up = fold_points()[-1]
+    fold = fixed_point_state(replace(LORENTZ_50, omega=omega_up), Mechanism.LORENTZ, w_up)
+    fold_state = np.array([fold.u, fold.v, fold.w])
+    rates = [1e-3, 5e-4, 2.5e-4]
+    h, big_k, a1 = 0.7 / 7000, 1.5, 2.338107410459767
+    delays = []
+    for rate in rates:
+        result = sweep_adiabatic(LORENTZ_50, Mechanism.LORENTZ, 15.5, 16.2, rate, samples=7001)
+        assert len(result.jumps) == 1
+        delays.append(result.jumps[0] - omega_up)
+
+    jac = jacobian(fold_state, LORENTZ_50, Mechanism.LORENTZ, omega_up)
+    left, _, right = np.linalg.svd(jac)
+    l, r = left[:, -1], right[-1]
+    l = l / (l @ r)
+    f_omega = (bloch_rhs(fold_state, LORENTZ_50, Mechanism.LORENTZ, 1.0)
+               - bloch_rhs(fold_state, LORENTZ_50, Mechanism.LORENTZ, 0.0))
+    d2f = (jacobian(fold_state + r, LORENTZ_50, Mechanism.LORENTZ, omega_up) - jac) @ r
+    a, b = l @ f_omega, 0.5 * (l @ d2f)
+    c = a1 * (a * b) ** (-1.0 / 3.0)
+    for rate, delay in zip(rates, delays):
+        assert abs(delay / (c * rate ** (2.0 / 3.0)) - 1.0) <= big_k * rate ** (1.0 / 3.0) + h / delay
+
+    r1, r3 = rates[0], rates[-1]
+    exponent = math.log(delays[0] / delays[-1]) / math.log(r1 / r3)
+    bias = max(abs(math.log((1.0 + k * r1 ** (1.0 / 3.0)) / (1.0 + k * r3 ** (1.0 / 3.0))))
+               for k in (-big_k, big_k)) / math.log(r1 / r3)
+    sampling = (h / delays[0] + h / delays[-1]) / math.log(r1 / r3)
+    assert abs(exponent - 2.0 / 3.0) <= bias + sampling
 
 
 def loop_jump_samples(w):
