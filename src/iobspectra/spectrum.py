@@ -14,9 +14,11 @@ detuning of the chosen mechanism.  The sextic denominator factorizes as
 with b0 = gamma^2 a^2 > 0, which pins the side peaks to nu = +-nu_p exactly
 and proves positivity.
 An independent route to the same density solves a complex 3x3 linear
-system for the atom-field correlation function, by block elimination over
-the matrix's two structural zeros; both are implemented and cross-checked
-against each other.
+system for the atom-field correlation function, over the matrix's two
+structural zeros with one determinant; both are implemented and
+cross-checked against each other.  A second check integrates the density
+of given coefficients by adaptive quadrature over the half line (the
+density is even in nu): the integral over rho22 - |rho12|^2 is exactly pi.
 
 Spectra are reported in a common arbitrary unit (coupling and photon-energy
 prefactors dropped), so shapes and ratios are meaningful but absolute
