@@ -183,9 +183,9 @@ def oracle_spectrum(nu, omega_eff: complex, delta_eff: float, gamma: float, rho:
     q0 = rho.rho21 * rho.rho22
     q1 = rho.rho22 - rho.rho12 * rho.rho21
     q2 = -(rho.rho21 * rho.rho21)
-    # A complex temporary of a long grid is freshly page-faulted on every
-    # call, so the products are written into the buffers of m00 and m22 once
-    # those entries are no longer needed.
+    # Each complex temporary of a long grid can be page-faulted afresh on
+    # every call, so the products reuse the buffers of m00, m22 and num once
+    # those values are no longer needed.
     m11_m22 = m11 * m22
     num = q0 * m11_m22
     det = np.multiply(m00, m11_m22, out=m00)
@@ -195,7 +195,7 @@ def oracle_spectrum(nu, omega_eff: complex, delta_eff: float, gamma: float, rho:
     num -= (m02 * q2) * m11
     g11 = np.divide(num, det, out=num)
     g12 = np.subtract(q1, np.multiply(m10, g11, out=g11), out=g11)
-    out = np.divide(g12, m11, out=g12).real.reshape(nus.shape)
+    out = (g12 / m11).real.reshape(nus.shape)
     return float(out) if np.isscalar(nu) or nus.ndim == 0 else out
 
 
