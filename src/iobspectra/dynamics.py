@@ -291,13 +291,13 @@ def _jump_samples(w: np.ndarray, ring: float) -> list[int]:
     Those later runs are the ringing of the state about the new stable
     branch, a Rabi oscillation whose |dw| between samples can exceed the
     threshold on and off.  Its amplitude in w is at most 2 (|w| <= 1), so a
-    step is at most 4 exp(-k t) for a decay rate k.  At zero coupling the
-    Bloch Jacobian's eigenvalues have real parts in [-gamma, -gamma/2]
-    (coherence decay gamma/2, population decay gamma), and the branches
-    reached by the jumps of the benchmark medium decay at 0.50 to 0.70
-    gamma.  With k = gamma/2 the steps stay below JUMP_THRESHOLD after
-    RING_TIME = (2/gamma) ln(4/JUMP_THRESHOLD), about 7.4/gamma, which
-    ``ring`` expresses in samples.
+    step is at most 4 exp(-kappa t) for a decay rate kappa.  At zero
+    coupling the Bloch Jacobian's eigenvalues have real parts in
+    [-gamma, -gamma/2] (coherence decay gamma/2, population decay gamma),
+    and the branches reached by the jumps of the benchmark medium decay at
+    0.50 to 0.70 gamma.  With kappa = gamma/2 the steps stay below
+    JUMP_THRESHOLD after RING_TIME = (2/gamma) ln(4/JUMP_THRESHOLD), about
+    7.4/gamma, which ``ring`` expresses in samples.
     """
     dw = np.abs(np.diff(w))
     edges = np.flatnonzero(np.diff(np.concatenate(([0], dw > JUMP_THRESHOLD, [0])))).tolist()
