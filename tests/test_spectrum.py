@@ -406,7 +406,8 @@ def test_sum_rule_holds_for_joint_mechanism():
 def full_line_ratio(c, rho22, rho12):
     """The sum-rule ratio by quad over the whole line, as it was computed
     before the half-line form: [-cut, cut] with breaks at -nu_p, 0, nu_p,
-    then both tails.  Returns the ratio and the tail integral T."""
+    then both tails.  Returns the ratio, the integral I over [-cut, cut]
+    and the integral T over one tail."""
     from scipy.integrate import quad
 
     gamma = math.sqrt(c.b0) / c.a
