@@ -223,8 +223,8 @@ def _config_from(ns: argparse.Namespace) -> RunConfig:
             cfg.relax_start = ns.branch
             if ns.branch != "ground":
                 cfg.branch = Branch(ns.branch)
-            if not ns.t_end > 0.0:
-                raise ValueError("t-end must be positive")
+            if not 0.0 < ns.t_end < math.inf:
+                raise ValueError("t-end must be positive and finite")
         else:
             cfg.omega_grid = parse_grid(ns.omega)
             if cfg.omega_grid[0] < 0.0:

@@ -152,6 +152,61 @@ def fixed_point_state(params: MediumParams, mech: Mechanism, w: float) -> BlochS
     return BlochState(2.0 * r12.real, 2.0 * r12.imag, w)
 
 
+def _slow_start(fp: BlochState, params: MediumParams, omega_dot: float) -> BlochState:
+    """The state on the slow manifold of a drive ramp at rate ``omega_dot``
+    next to the fixed point ``fp`` of ``params`` (mechanism already checked).
+
+    While the drive moves, the slow solution lags the fixed point y*.  With
+    y = y* + eta and b = -omega_dot dF/domega = -omega_dot (0, -2w, 2v), to
+    first order J eta = dy*/dt = J^-1 b, so eta = J^-2 b.  A start on y*
+    itself excites the Jacobian's oscillatory pair, whose ringing a stiff
+    integrator resolves in short steps for hundreds of time units.  So the
+    shift is taken along that pair only, eta = Re sum_pair v_k beta_k /
+    lambda_k^2 for b = sum_k beta_k v_k over the eigenvectors: the real mode
+    gets none, since its eigenvalue vanishes at a fold.  Without a complex
+    pair (three real roots below) nothing rings and there is no shift.
+
+    The same vector follows without eigenvectors.  J's characteristic cubic
+    s^3 + 2g s^2 + c1 s + c0 (Routh-Hurwitz coefficients) factors as
+    (s - lr)(s^2 + p s + c) with the real eigenvalue lr, p = 2g + lr and
+    c = c1 + lr p = |lambda_pair|^2.  q(J) = J^2 + p J + c vanishes on the
+    pair and scales the real mode by q(lr), so b - q(J) b / q(lr) is b's pair
+    part, on which J^-2 = (p J + p^2 - c) / c^2.
+
+    The Bloch ball is invariant: R = |y|^2 obeys
+    dR/dt = gamma ((1 - R) - (1 - w)^2), so slow solutions lie on the
+    sphere only at the pole w = 1 (no drive, no coherence), and there to
+    O((1 - w)^2).  At the pole eta is tangent to the sphere and would leave
+    the ball by |eta|^2; a shifted state outside the ball is scaled back
+    onto the sphere, which is the slow solution's second-order shift
+    -|eta|^2 / 2 in w at the pole.
+    """
+    u, v, w = fp.u, fp.v, fp.w
+    g = params.gamma
+    c1, c0 = steady_state._hurwitz(params, params.omega, w, complex(u, v) / 2.0)
+    roots = steady_state._real_cubic_roots(np.ones(1), np.full(1, 2.0 * g),
+                                           np.full(1, c1), np.full(1, c0))[0][0]
+    y = np.array([u, v, w])
+    if np.isfinite(roots).sum() == 1:
+        lr = float(roots[0])
+        p = 2.0 * g + lr
+        c = c1 + lr * p
+        jac = _jac(u, v, w, params.omega, g, params.delta,
+                   params.zeta_lorentz, params.zeta_detuning)
+
+        def times_jac(x):  # J x elementwise: a 3-vector needs no BLAS call
+            return (jac * x).sum(axis=1)
+
+        b = np.array([0.0, 2.0 * omega_dot * w, -2.0 * omega_dot * v])
+        jb = times_jac(b)
+        pair = b - (times_jac(jb) + p * jb + c * b) / ((lr + p) * lr + c)
+        y += (p * times_jac(pair) + (p * p - c) * pair) / (c * c)
+    norm_sq = float((y * y).sum())
+    if norm_sq > 1.0:
+        y /= math.sqrt(norm_sq)
+    return BlochState(*y.tolist())
+
+
 def _drive_function(drive) -> Callable[[float], float]:
     if callable(drive):
         return drive
@@ -178,10 +233,11 @@ def integrate(
     LSODA, the multistep scheme that switches between stiff and non-stiff
     formulas on its own and is given the analytic Jacobian; slow parameter
     ramps use it.  Sample times are taken from ``t_eval`` when given,
-    otherwise the integrator's own steps are returned.
+    otherwise the integrator's own steps are returned.  ``t_end`` must be
+    positive and finite: an integration to nan or inf would never return.
     """
-    if t_end <= 0.0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
+    if not 0.0 < t_end < math.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
     if not 0.0 < rel_tol <= 1e-3 or not 0.0 < abs_tol <= 1e-3:
         raise ValueError("tolerances must lie in (0, 1e-3]")
     if method not in _METHODS:
@@ -192,13 +248,17 @@ def integrate(
     d = params.delta
     omega_of_t = _drive_function(drive)
 
+    # Python floats, not numpy scalars: the same results at less than half
+    # the cost.
     def rhs(t, y):
-        return _rhs(y[0], y[1], y[2], omega_of_t(t), g, d, zl, zm)
+        u, v, w = y.tolist()
+        return _rhs(u, v, w, omega_of_t(t), g, d, zl, zm)
 
     kwargs = {}
     if method == "LSODA":
         def jac(t, y):
-            return _jac(y[0], y[1], y[2], omega_of_t(t), g, d, zl, zm)
+            u, v, w = y.tolist()
+            return _jac(u, v, w, omega_of_t(t), g, d, zl, zm)
 
         kwargs["jac"] = jac
 
@@ -235,16 +295,22 @@ def sweep_adiabatic(
 ) -> SweepResult:
     """Linearly ramp the drive and detect hysteresis jumps.
 
-    The sweep starts on the stable branch appropriate to its direction
-    (lower going up, upper going down) and integrates with LSODA, whose
-    Fortran steps and linear algebra keep long slow ramps cheap and whose
-    output does not depend on the BLAS thread setup.  Branch jumps show up
-    as runs of |dw| spikes between samples; the drive midway across the
-    largest spike of each run is returned.
+    Both endpoints must be finite.  The sweep starts next to the stable
+    fixed point appropriate to its direction (lower branch going up, upper
+    going down), on the ramp's slow manifold: shifted by the first-order lag
+    of the moving fixed point along the Jacobian's oscillatory pair (see
+    _slow_start), so that the start excites no ringing.  It integrates
+    with LSODA, whose Fortran steps and linear algebra keep long slow ramps
+    cheap and whose output does not depend on the BLAS thread setup.
+    Branch jumps show up as runs of |dw| spikes between samples; the drive
+    midway across the largest spike of each run is returned.
     A NonAdiabaticWarning is raised if, away from detected jumps, the state
     strays more than ADIABATIC_DISTANCE from every instantaneous stable
     fixed point.
     """
+    for name, value in (("omega_start", omega_start), ("omega_end", omega_end)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if omega_start < 0.0 or omega_end < 0.0 or omega_start == omega_end:
         raise ValueError("sweep endpoints must be nonnegative and distinct")
     if not 0.0 < ramp_rate <= RAMP_RATE_MAX_FACTOR * params.gamma**2:
@@ -264,7 +330,8 @@ def sweep_adiabatic(
     preferred = Branch.LOWER if direction > 0 else Branch.UPPER
     by_branch = {s.branch: s for s in sols}
     start = by_branch.get(preferred, sols[0])
-    y0 = fixed_point_state(start_params, mech, start.w)
+    y0 = _slow_start(fixed_point_state(start_params, mech, start.w), start_params,
+                     direction * ramp_rate)
 
     if samples is None:
         samples = min(20001, max(101, int(span / (0.01 * params.gamma)) + 1))

@@ -402,6 +402,20 @@ def test_dynamics_unphysical_perturbation_exits_2(capsys):
     assert "configuration error" in err
 
 
+@pytest.mark.parametrize("t_end", ["inf", "nan"])
+def test_dynamics_nonfinite_t_end_exits_2(t_end):
+    """A relaxation to an infinite time would never finish, so it runs in a
+    child process under a timeout."""
+    src = str(Path(iobspectra.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    args = [sys.executable, "-m", "iobspectra", "dynamics", "--mode", "relax", "--omega", "8",
+            "--delta", "3", "--zeta-l", "50", "--t-end", t_end]
+    proc = subprocess.run(args, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "configuration error: t-end must be positive and finite" in proc.stderr
+
+
 def test_numerical_failure_maps_to_exit_3(capsys, monkeypatch):
     from iobspectra import IntegrationError
 

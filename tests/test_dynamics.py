@@ -1,10 +1,17 @@
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import iobspectra
+from iobspectra import dynamics
 from iobspectra import (
     BlochState,
     Branch,
@@ -25,6 +32,7 @@ from iobspectra.dynamics import JUMP_THRESHOLD, _jump_samples
 from test_steady_state import LORENTZ_50, DETUNING_50, OMEGA_UP_EXACT, OMEGA_DOWN_EXACT, fold_points
 
 FREE = MediumParams(delta=3.0)
+OMEGA_UP, OMEGA_DOWN = find_thresholds(LORENTZ_50, Mechanism.LORENTZ)
 
 
 def fp_distance(traj_state, fp):
@@ -251,6 +259,103 @@ def test_sweep_rate_validation():
         sweep_adiabatic(LORENTZ_50, Mechanism.LORENTZ, 1.0, 1.0, 1e-3)
 
 
+@pytest.mark.parametrize("name, args", [
+    ("omega_end", (1.0, math.nan)),
+    ("omega_end", (1.0, math.inf)),
+    ("omega_start", (math.nan, 2.0)),
+    ("omega_start", (math.inf, 2.0)),
+])
+def test_sweep_rejects_nonfinite_endpoints(name, args):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        sweep_adiabatic(LORENTZ_50, Mechanism.LORENTZ, *args, 1e-3)
+
+
+NONFINITE_T_END = """
+import json, math
+from iobspectra import BlochState, MediumParams, Mechanism, integrate
+errors = []
+for t_end in (math.nan, math.inf):
+    for method in ("DOP853", "LSODA"):
+        try:
+            integrate(BlochState(0.0, 0.0, 1.0), MediumParams(delta=3.0), Mechanism.LORENTZ,
+                      1.0, t_end, method=method)
+        except ValueError as exc:
+            errors.append(str(exc))
+print(json.dumps(errors))
+"""
+
+
+def test_integrate_rejects_nonfinite_t_end():
+    """An integration to t_end = nan or inf would never return, so it runs in
+    a child process under a timeout."""
+    src = str(Path(iobspectra.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", NONFINITE_T_END], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    errors = json.loads(proc.stdout)
+    assert len(errors) == 4
+    assert all(e.startswith("t_end must be positive and finite") for e in errors)
+
+
+@pytest.mark.filterwarnings("ignore::iobspectra.steady_state.MarginalStabilityWarning")
+@pytest.mark.parametrize("start, end, jump", [
+    (OMEGA_UP, OMEGA_UP + 0.3, 15.705630803086725),
+    (OMEGA_DOWN, OMEGA_DOWN - 0.3, 1.3864697079849306),
+    (OMEGA_UP * (1.0 - 1e-9), OMEGA_UP + 0.3, 15.702630788901638),
+])
+def test_sweeps_from_the_folds_start_in_the_ball(start, end, jump):
+    """At a fold the Jacobian's real eigenvalue vanishes; the slow-manifold
+    shift leaves that mode alone, so the start stays finite and inside the
+    Bloch ball, and the jump is the one a start on the fixed point gives."""
+    result = sweep_adiabatic(LORENTZ_50, Mechanism.LORENTZ, start, end, 1e-3)
+    y0 = result.trajectory.uvw[0]
+    assert y0 @ y0 <= 1.0
+    assert result.jumps == [jump]
+
+
+def test_sweep_from_the_pole_starts_on_the_sphere():
+    """At zero drive and detuning the fixed point is the pole (0, 0, 1) and
+    the first-order shift eta is tangent to the sphere, so the shifted state
+    would leave the ball by |eta|^2.  It is scaled back onto the sphere,
+    which moves w by -|eta|^2 / 2: the slow solution's own second-order
+    shift, as the state reached by ramping from omega = -0.2 (the same flow
+    with u, v reversed) shows to a tenth of |eta|^2."""
+    params, rate = MediumParams(delta=0.0, zeta_lorentz=5.0), 1e-3
+    result = sweep_adiabatic(params, Mechanism.LORENTZ, 0.0, 1.0, rate)
+    assert result.jumps == []
+    y0 = result.trajectory.uvw[0]
+    assert y0 @ y0 <= 1.0 + 4.0 * float(np.finfo(float).eps)
+
+    past = 0.2
+    p_past = replace(params, omega=past)
+    fp = fixed_point_state(p_past, Mechanism.LORENTZ, solve_inversion(p_past, Mechanism.LORENTZ)[0])
+    slow = integrate(BlochState(-fp.u, -fp.v, fp.w), params, Mechanism.LORENTZ,
+                     lambda t: rate * t - past, past / rate, rel_tol=1e-12, abs_tol=1e-14,
+                     t_eval=[0.0, past / rate]).uvw[-1]
+    eta_sq = y0[0] ** 2 + y0[1] ** 2
+    assert eta_sq > 1e-9
+    assert np.max(np.abs(y0 - slow)) <= 0.1 * eta_sq
+
+
+def test_readme_sweep_rhs_budget(monkeypatch):
+    """The README sweep 13 -> 16.6 starts on the slow manifold, so LSODA does
+    not spend its first thousand time units resolving a start-up ringing:
+    at most 30 000 right-hand-side calls, with the jump unchanged."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        sol = solve_ivp(*args, **kwargs)
+        calls.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(dynamics, "solve_ivp", counted)
+    result = sweep_adiabatic(LORENTZ_50, Mechanism.LORENTZ, 13.0, 16.6, 1e-3, samples=721)
+    assert len(calls) == 1 and calls[0] <= 30_000
+    assert result.jumps == [15.707500000000001]
+
+
 def test_free_atom_sweep_has_no_jump():
     result = sweep_adiabatic(FREE, Mechanism.LORENTZ, 0.5, 1.5, 1e-3)
     assert result.jumps == []
@@ -413,7 +518,18 @@ def bloch_rhs_oracle(t, y, omega_of_t, gamma, delta, zeta_l, zeta_m):
 def test_sweep_matches_radau_oracle(params, mech, direction):
     """A sweep across one fold agrees with an independent Radau integration
     of the Bloch equations at the same tolerances: same jump sample, and
-    u, v, w within 1e-6 away from the jump."""
+    u, v, w within 1e-6 away from the jump.
+
+    It starts on the ramp's slow manifold: shifted from the fixed point y*
+    by eta along the Jacobian's complex pair only, so that the flow there
+    moves as the fixed point does, F(y* + eta) = dy*/dt, on that pair.
+    dy*/dt is taken by central differences of y*(omega), whose error the
+    difference from the estimate at twice the step bounds (three times
+    over).  F is quadratic in the state, so F(y* + eta) = F(y*) + J eta +
+    zs (eta_v eta_w, -eta_u eta_w, 0) exactly, and J eta has the pair
+    components of dy*/dt; the rest bounds the mismatch, each component
+    taken through the rows of V^-1, plus rounding at 64 eps of the largest
+    term of F.  On the real mode, eta is zero up to rounding."""
     up, down = find_thresholds(params, mech)
     fold, sign = (up, 1.0) if direction == "up" else (down, -1.0)
     start, end, rate = fold - 0.15 * sign, fold + 0.15 * sign, 1e-3
@@ -423,8 +539,33 @@ def test_sweep_matches_radau_oracle(params, mech, direction):
 
     args = (lambda t: start + sign * rate * t, params.gamma, params.delta,
             params.zeta_lorentz, params.zeta_detuning)
-    # the sweep starts on a fixed point of the oracle's flow
-    assert np.max(np.abs(bloch_rhs_oracle(0.0, got[0], *args))) <= 1e-10
+    branch = Branch.LOWER if sign > 0.0 else Branch.UPPER
+
+    def y_star(omega):
+        p = replace(params, omega=omega)
+        s = fixed_point_state(p, mech, branch_solution(p, mech, branch).w)
+        return np.array([s.u, s.v, s.w])
+
+    def y_star_dot(h):
+        return sign * rate * (y_star(start + h) - y_star(start - h)) / (2.0 * h)
+
+    fixed = y_star(start)
+    eta = got[0] - fixed
+    lam, vec = np.linalg.eig(jacobian(fixed, replace(params, omega=start), mech, start))
+    inv = np.linalg.inv(vec)
+    pair = lam.imag != 0.0
+    assert np.count_nonzero(pair) == 2
+    eps = float(np.finfo(float).eps)
+    zs = params.zeta_lorentz + params.zeta_detuning
+    h = 1e-4
+    remainder = (np.max(np.abs(bloch_rhs_oracle(0.0, fixed, *args)))
+                 + zs * abs(eta[2]) * max(abs(eta[0]), abs(eta[1]))
+                 + np.max(np.abs(y_star_dot(h) - y_star_dot(2.0 * h)))
+                 + 64.0 * eps * (params.gamma + abs(params.delta) + 2.0 * start + zs))
+    mismatch = inv @ (np.array(bloch_rhs_oracle(0.0, got[0], *args)) - y_star_dot(h))
+    assert np.all(np.abs(mismatch[pair]) <= np.abs(inv[pair]).sum(axis=1) * remainder)
+    cond = np.abs(inv).sum(axis=1).max() * np.abs(vec).sum(axis=1).max()
+    assert np.all(np.abs((inv @ eta)[~pair]) <= 8.0 * eps * cond * np.max(np.abs(fixed)))
     ref = solve_ivp(bloch_rhs_oracle, (0.0, traj.times[-1]), got[0], method="Radau",
                     t_eval=traj.times, rtol=1e-8, atol=1e-10, args=args)
     assert ref.success
