@@ -184,11 +184,12 @@ def _slow_start(fp: BlochState, params: MediumParams, omega_dot: float) -> Bloch
     u, v, w = fp.u, fp.v, fp.w
     g = params.gamma
     c1, c0 = steady_state._hurwitz(params, params.omega, w, complex(u, v) / 2.0)
-    roots = steady_state._real_cubic_roots(np.ones(1), np.full(1, 2.0 * g),
-                                           np.full(1, c1), np.full(1, c0))[0][0]
+    roots, _ = steady_state._real_cubic_roots(np.ones(1), np.full(1, 2.0 * g),
+                                              np.full(1, c1), np.full(1, c0))
+    real = roots[0][np.isfinite(roots[0])]
     y = np.array([u, v, w])
-    if np.isfinite(roots).sum() == 1:
-        lr = float(roots[0])
+    if real.size == 1:
+        lr = float(real[0])
         p = 2.0 * g + lr
         c = c1 + lr * p
         jac = _jac(u, v, w, params.omega, g, params.delta,
