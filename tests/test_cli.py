@@ -110,6 +110,34 @@ def test_inconsistent_mechanism_exits_2(capsys):
     assert "lorentz" in err
 
 
+@pytest.mark.parametrize("args, line", [
+    (["hysteresis", "--omega=-1:5:3"], "configuration error: omega grid must be nonnegative"),
+    (["spectrum", "--omega=-1"], "configuration error: omega must be nonnegative"),
+    (["dynamics", "--mode", "relax", "--omega=-1"],
+     "configuration error: omega must be nonnegative"),
+    (["dynamics", "--mode", "relax", "--omega", "0:5:3"],
+     "configuration error: relax mode needs a scalar --omega"),
+    (["dynamics", "--omega", "8", "--samples", "1"],
+     "configuration error: samples must lie in [2, 1e6]"),
+    (["verify", "--mechanism", "detuning", "--zeta-l", "3"],
+     "configuration error: mechanism 'detuning' requires zeta_lorentz == 0, got 3.0"),
+    (["hysteresis", "--omega", "0:5:3", "--gamma", "0"],
+     "configuration error: gamma must be positive, got 0.0"),
+    (["peaks", "--omega", "0:5:1000001"],
+     "configuration error: grid count 1000001 exceeds cap 1000000"),
+    (["spectrum", "--omega", "8", "--nu-grid", "1:0:3"],
+     "configuration error: grid spec '1:0:3' must have finite end > start"),
+    (["hysteresis", "--omega", "0:5:3", "--out", "{missing}"],
+     "cannot write output: [Errno 2] No such file or directory: '{missing}'"),
+])
+def test_configuration_errors_exit_2_with_one_line(tmp_path, capsys, args, line):
+    """Each bad configuration exits 2 with exactly one stderr line and no stdout."""
+    missing = str(tmp_path / "no-such-dir" / "out.csv")
+    code, out, err = run(capsys, *(a.format(missing=missing) for a in args))
+    assert (code, out) == (2, "")
+    assert err == "iobspectra: " + line.format(missing=missing) + "\n"
+
+
 def test_unknown_flag_rejected(capsys):
     code, _, _ = run(capsys, "hysteresis", "--omega", "0:10:11", "--frobnicate")
     assert code == 2
