@@ -234,6 +234,16 @@ def test_spectrum_branch_absent_exit4(tmp_path, capsys):
     assert "upper" in err
 
 
+def test_spectrum_json_on_an_overflowing_grid(capsys):
+    """A grid whose nu^2 overflows gives zero density at its ends and a
+    complete JSON document, not NaN."""
+    code, out, err = run(capsys, "spectrum", "--omega", "8", "--nu-grid=-1e200:1e200:3",
+                         "--format", "json")
+    assert (code, err) == (0, "")
+    density = json.loads(out)["data"]["density"]
+    assert density[0] == density[2] == 0.0 < density[1]
+
+
 def test_spectrum_metadata_and_normalization(tmp_path, capsys):
     out = tmp_path / "mollow.json"
     code, _, _ = run(

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -120,6 +121,19 @@ def test_density_even_and_positive():
     minus = incoherent_spectrum(-nu, c, 0.4, 1.0)
     assert np.all(plus > 0.0)
     assert np.max(np.abs(plus - minus)) <= 1e-12 * np.max(plus)
+
+
+def test_density_vanishes_where_the_denominator_overflows():
+    """Past |nu| ~ 1e51 the sextic denominator overflows to inf and the
+    density is 0, also where nu^2 overflows too (|nu| > 1.3e154) and the
+    numerator with it; no overflow warning escapes."""
+    c = spectrum_coefficients(25.0, 1.0, 1.0)
+    nu = np.array([-1e200, -1e100, 0.0, 1e60, 1e200])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert incoherent_spectrum(1e200, c, 0.3, 1.0) == 0.0
+        out = incoherent_spectrum(nu, c, 0.3, 1.0)
+    assert out.tolist() == [0.0, 0.0, incoherent_spectrum(0.0, c, 0.3, 1.0), 0.0, 0.0]
 
 
 def test_rho22_validation():
