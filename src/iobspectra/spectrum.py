@@ -106,14 +106,18 @@ def incoherent_spectrum(nu, coeffs: SpectrumCoefficients, rho22: float, gamma: f
 
     The denominator is strictly positive for all real nu (sum of
     nonnegative terms plus b0 > 0), so the density is finite and
-    nonnegative everywhere.
+    nonnegative everywhere.  Where the denominator overflows (|nu| beyond
+    about 1e51 gamma) the density is 0, as its nu^-4 tail gives.
     """
     if not 0.0 <= rho22 < 0.5:
         raise ValueError(f"rho22 must lie in [0, 1/2), got {rho22}")
     nu_arr = np.asarray(nu, dtype=float)
-    nu2 = nu_arr * nu_arr
-    den = ((nu2 + coeffs.b4) * nu2 + coeffs.b2) * nu2 + coeffs.b0
-    out = 2.0 * rho22 * rho22 * gamma * coeffs.a * (nu2 + coeffs.a0) / den
+    with np.errstate(over="ignore", invalid="ignore"):
+        nu2 = nu_arr * nu_arr
+        den = ((nu2 + coeffs.b4) * nu2 + coeffs.b2) * nu2 + coeffs.b0
+        out = 2.0 * rho22 * rho22 * gamma * coeffs.a * (nu2 + coeffs.a0) / den
+    # once nu^2 overflows too, the numerator is inf and inf / inf is NaN
+    out = np.where(np.isinf(den), 0.0, out)
     return float(out) if np.isscalar(nu) or nu_arr.ndim == 0 else out
 
 
