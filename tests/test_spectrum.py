@@ -99,6 +99,23 @@ def test_coefficient_validation():
         spectrum_coefficients(1.0, 0.0, 0.0)
 
 
+def test_coefficients_elementwise_on_arrays():
+    """Array arguments give, field by field, the scalar call's bits; the
+    draws include negative nu_p_sq (weak drive, small detuning)."""
+    rng = np.random.default_rng(12)
+    o2 = rng.uniform(0.0, 50.0, 200) ** 2 * rng.uniform(0.0, 1.0, 200) ** 8
+    d = rng.uniform(-20.0, 20.0, 200) * rng.uniform(0.0, 1.0, 200) ** 4
+    g = 1.7
+    arrays = spectrum_coefficients(o2, d, g)
+    assert (arrays.nu_p_sq < 0.0).any() and (arrays.nu_p_sq > 0.0).any()
+    for i in range(len(o2)):
+        scalar = spectrum_coefficients(float(o2[i]), float(d[i]), g)
+        for name in ("a", "a0", "b4", "b2", "b0", "nu_p_sq"):
+            assert getattr(arrays, name)[i] == getattr(scalar, name)
+    with pytest.raises(ValueError, match="nonnegative"):
+        spectrum_coefficients(np.array([1.0, -1e-300, 4.0]), np.zeros(3), g)
+
+
 # ---------------------------------------------------------------------- density
 
 def test_center_height_closed_form():
