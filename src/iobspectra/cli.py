@@ -13,6 +13,9 @@ identical configurations produce byte-identical files on one machine,
 whatever the CPU affinity or BLAS thread count.  Diagnostics go to stderr;
 data streams stay clean.  Exit codes: 0 ok, 1 verify failure,
 2 configuration error, 3 numerical failure, 4 branch absent.
+
+Each subcommand handler reads the parsed arguments and checks them before it
+computes or writes anything; a failed check is a configuration error.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -31,7 +34,6 @@ from .core import (
     Branch,
     BranchNotPresentError,
     IntegrationError,
-    MechanismError,
     MediumParams,
     Mechanism,
     NoPhysicalRootError,
@@ -50,7 +52,7 @@ EXIT_BRANCH_ABSENT = 4
 
 
 # --------------------------------------------------------------------------
-# configuration
+# argument checks
 # --------------------------------------------------------------------------
 
 def parse_grid(spec: str) -> np.ndarray:
@@ -70,34 +72,6 @@ def parse_grid(spec: str) -> np.ndarray:
     if not (math.isfinite(start) and math.isfinite(end)) or end <= start:
         raise ValueError(f"grid spec {spec!r} must have finite end > start")
     return np.linspace(start, end, count)
-
-
-@dataclass
-class RunConfig:
-    """Validated run configuration; every field is in gamma units."""
-
-    command: str
-    params: MediumParams
-    mechanism: Mechanism = Mechanism.LORENTZ
-    mechanisms: list[Mechanism] = field(default_factory=list)  # peaks only
-    omega_spec: str = ""
-    omega_scalar: float | None = None
-    omega_grid: np.ndarray | None = None
-    branch: Branch = Branch.LOWER
-    nu_grid: np.ndarray | None = None
-    fmt: str = "csv"
-    out: str | None = None
-    normalize: str | None = None
-    seed: int = 0
-    verbosity: int = 0
-    mode: str = "relax"
-    relax_start: str = "ground"
-    ramp_rate: float = 1e-3
-    t_end: float = 50.0
-    perturb: float = 0.0
-    samples: int = 1001
-    free_atom_reference: bool = False
-    inject_b2_typo: bool = False
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -155,7 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
                        default="ground", help="relax initial condition")
     p_dyn.add_argument("--perturb", type=float, default=0.0,
                        help="inversion offset added to the relax start state")
-    p_dyn.add_argument("--samples", type=int, default=1001)
+    p_dyn.add_argument("--samples", type=int, default=1001,
+                       help="relax output times; checked in every mode, but sweeps "
+                       "sample at the --omega grid points")
 
     p_ver = sub.add_parser("verify", help="run the oracle cross-check suite")
     common(p_ver)
@@ -167,74 +143,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(ns: argparse.Namespace) -> RunConfig:
-    params = MediumParams(
-        gamma=ns.gamma,
-        delta=ns.delta,
-        omega=0.0,
-        zeta_lorentz=ns.zeta_l,
-        zeta_detuning=ns.zeta_m,
-    )
-    cfg = RunConfig(
-        command=ns.command,
-        params=params,
-        fmt=ns.fmt,
-        out=ns.out,
-        seed=ns.seed,
-        verbosity=ns.verbose,
-    )
+def _medium(ns: argparse.Namespace) -> MediumParams:
+    """The checked medium of the command line; the drive is set per point."""
+    return MediumParams(gamma=ns.gamma, delta=ns.delta,
+                        zeta_lorentz=ns.zeta_l, zeta_detuning=ns.zeta_m)
 
-    if ns.command == "peaks":
-        tags = ["lorentz", "detuning"] if ns.mechanism == "both" else [ns.mechanism]
-        cfg.mechanisms = [Mechanism(t) for t in tags]
-        cfg.free_atom_reference = ns.free_atom_reference
-    else:
-        cfg.mechanism = Mechanism(ns.mechanism)
-        validate_mechanism(params, cfg.mechanism)
 
-    if ns.command in ("hysteresis", "peaks"):
-        cfg.omega_spec = ns.omega
-        cfg.omega_grid = parse_grid(ns.omega)
-        if cfg.omega_grid[0] < 0.0:
-            raise ValueError("omega grid must be nonnegative")
-    elif ns.command == "spectrum":
-        cfg.omega_spec = repr(float(ns.omega))
-        cfg.omega_scalar = float(ns.omega)
-        if cfg.omega_scalar < 0.0:
-            raise ValueError("omega must be nonnegative")
-        cfg.branch = Branch(ns.branch)
-        cfg.normalize = ns.normalize
-        if ns.nu_grid is not None:
-            cfg.nu_grid = parse_grid(ns.nu_grid)
-    elif ns.command == "dynamics":
-        cfg.mode = ns.mode
-        cfg.ramp_rate = ns.ramp_rate
-        cfg.t_end = ns.t_end
-        cfg.perturb = ns.perturb
-        cfg.samples = ns.samples
-        cfg.omega_spec = ns.omega
-        if ns.mode == "relax":
-            try:
-                cfg.omega_scalar = float(ns.omega)
-            except ValueError as exc:
-                raise ValueError("relax mode needs a scalar --omega") from exc
-            if cfg.omega_scalar < 0.0:
-                raise ValueError("omega must be nonnegative")
-            cfg.relax_start = ns.branch
-            if ns.branch != "ground":
-                cfg.branch = Branch(ns.branch)
-            if not 0.0 < ns.t_end < math.inf:
-                raise ValueError("t-end must be positive and finite")
-        else:
-            cfg.omega_grid = parse_grid(ns.omega)
-            if cfg.omega_grid[0] < 0.0:
-                raise ValueError("omega grid must be nonnegative")
-        if ns.samples < 2 or ns.samples > GRID_POINT_CAP:
-            raise ValueError("samples must lie in [2, 1e6]")
-    elif ns.command == "verify":
-        cfg.inject_b2_typo = ns.inject_b2_typo
+def _medium_and_mechanism(ns: argparse.Namespace) -> tuple[MediumParams, Mechanism]:
+    """The checked medium and the mechanism tag, checked against its couplings."""
+    params, mech = _medium(ns), Mechanism(ns.mechanism)
+    validate_mechanism(params, mech)
+    return params, mech
 
-    return cfg
+
+def _drive_grid(spec: str) -> np.ndarray:
+    grid = parse_grid(spec)
+    if grid[0] < 0.0:
+        raise ValueError("omega grid must be nonnegative")
+    return grid
+
+
+def _check_drive(omega: float) -> None:
+    if omega < 0.0:
+        raise ValueError("omega must be nonnegative")
 
 
 # --------------------------------------------------------------------------
@@ -274,31 +205,29 @@ def write_json(stream, meta: dict, columns: dict) -> None:
     stream.write("\n")
 
 
-def _emit(cfg: RunConfig, meta: dict, columns: dict) -> None:
-    writer = write_csv if cfg.fmt == "csv" else write_json
-    if cfg.out is None:
+def _emit(ns: argparse.Namespace, meta: dict, columns: dict) -> None:
+    writer = write_csv if ns.fmt == "csv" else write_json
+    if ns.out is None:
         writer(sys.stdout, meta, columns)
         return
-    with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+    with open(ns.out, "w", encoding="utf-8", newline="") as fh:
         writer(fh, meta, columns)
 
 
-def _base_meta(cfg: RunConfig, **extra) -> dict:
+def _base_meta(ns: argparse.Namespace, **extra) -> dict:
     meta = {
         "format_version": FORMAT_VERSION,
-        "command": cfg.command,
-        "gamma": cfg.params.gamma,
-        "delta": cfg.params.delta,
-        "zeta_l": cfg.params.zeta_lorentz,
-        "zeta_m": cfg.params.zeta_detuning,
-        "omega": cfg.omega_spec,
-        "seed": cfg.seed,
+        "command": ns.command,
+        "gamma": ns.gamma,
+        "delta": ns.delta,
+        "zeta_l": ns.zeta_l,
+        "zeta_m": ns.zeta_m,
+        # the --omega text; spectrum parses it to a float, whose str is its repr
+        "omega": str(ns.omega),
+        "seed": ns.seed,
+        "mechanism": ns.mechanism,
     }
-    if cfg.command == "peaks":
-        meta["mechanism"] = ",".join(m.value for m in cfg.mechanisms)
-        meta["free_atom_reference"] = cfg.free_atom_reference
-    else:
-        meta["mechanism"] = cfg.mechanism.value
+    # an extra "mechanism" (peaks' list of families) keeps its place in the order
     meta.update(extra)
     digest = hashlib.sha256(
         json.dumps(meta, sort_keys=True, allow_nan=False).encode()
@@ -307,8 +236,8 @@ def _base_meta(cfg: RunConfig, **extra) -> dict:
     return meta
 
 
-def _diag(cfg: RunConfig, message: str) -> None:
-    if cfg.verbosity:
+def _diag(ns: argparse.Namespace, message: str) -> None:
+    if ns.verbose:
         print(message, file=sys.stderr)
 
 
@@ -333,31 +262,34 @@ def _root_columns(scan: steady_state.HysteresisScan) -> dict:
     }
 
 
-def _cmd_hysteresis(cfg: RunConfig) -> int:
-    scan = steady_state.scan_hysteresis(cfg.params, cfg.mechanism, cfg.omega_grid)
-    _diag(cfg, f"scanned {len(scan.points)} drives, "
-               f"thresholds={scan.omega_up}, {scan.omega_down}")
-    meta = _base_meta(cfg, omega_up=scan.omega_up, omega_down=scan.omega_down)
-    _emit(cfg, meta, _root_columns(scan))
+def _cmd_hysteresis(ns: argparse.Namespace) -> int:
+    params, mech = _medium_and_mechanism(ns)
+    grid = _drive_grid(ns.omega)
+    scan = steady_state.scan_hysteresis(params, mech, grid)
+    _diag(ns, f"scanned {len(scan.points)} drives, "
+              f"thresholds={scan.omega_up}, {scan.omega_down}")
+    meta = _base_meta(ns, omega_up=scan.omega_up, omega_down=scan.omega_down)
+    _emit(ns, meta, _root_columns(scan))
     return EXIT_OK
 
 
-def _cmd_spectrum(cfg: RunConfig) -> int:
-    sol = steady_state.branch_solution(
-        cfg.params, cfg.mechanism, cfg.branch, omega=cfg.omega_scalar
-    )
-    _diag(cfg, f"{cfg.branch.value} branch at omega={cfg.omega_scalar}: "
-               f"w={sol.w:.6g}, |omega_eff|={abs(sol.omega_eff):.6g}")
-    result = spectrum.spectrum_for_solution(sol, cfg.params.gamma, cfg.nu_grid)
+def _cmd_spectrum(ns: argparse.Namespace) -> int:
+    params, mech = _medium_and_mechanism(ns)
+    _check_drive(ns.omega)
+    nu_grid = None if ns.nu_grid is None else parse_grid(ns.nu_grid)
+    sol = steady_state.branch_solution(params, mech, Branch(ns.branch), omega=ns.omega)
+    _diag(ns, f"{ns.branch} branch at omega={ns.omega}: "
+              f"w={sol.w:.6g}, |omega_eff|={abs(sol.omega_eff):.6g}")
+    result = spectrum.spectrum_for_solution(sol, params.gamma, nu_grid)
     density = result.incoherent
     reference = None
-    if cfg.normalize == "free-atom-max":
-        reference = spectrum.free_atom_saturation_max(cfg.params.gamma)
+    if ns.normalize == "free-atom-max":
+        reference = spectrum.free_atom_saturation_max(params.gamma)
         density = density / reference
     c = result.coefficients
     meta = _base_meta(
-        cfg,
-        branch=cfg.branch.value,
+        ns,
+        branch=ns.branch,
         w=sol.w,
         rho22=sol.rho22,
         omega_eff_abs=abs(sol.omega_eff),
@@ -371,89 +303,102 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
             # readers of existing files and for unchanged build ids
             "nu_p_sq": c.nu_p_sq, "gamma6": c.b0,
         },
-        normalize=cfg.normalize,
+        normalize=ns.normalize,
         normalize_reference=reference,
     )
     cols = {"nu": result.nu_grid.tolist(), "density": density.tolist()}
-    _emit(cfg, meta, cols)
+    _emit(ns, meta, cols)
     return EXIT_OK
 
 
-def _cmd_peaks(cfg: RunConfig) -> int:
+def _cmd_peaks(ns: argparse.Namespace) -> int:
+    params = _medium(ns)
+    grid = _drive_grid(ns.omega)
+    tags = ["lorentz", "detuning"] if ns.mechanism == "both" else [ns.mechanism]
     cols = {k: [] for k in ("omega", "mechanism", "branch", "nu_p")}
     thresholds_meta: dict[str, object] = {}
 
     def add_family(tag: str, params: MediumParams, mech: Mechanism) -> None:
-        scan = steady_state.scan_hysteresis(params, mech, cfg.omega_grid)
+        scan = steady_state.scan_hysteresis(params, mech, grid)
         thresholds_meta[tag] = (
             None if scan.omega_up is None else [scan.omega_up, scan.omega_down]
         )
         roots = _root_columns(scan)
-        # nu_p_sq of spectrum_coefficients for every root, with its |omega_eff| ** 2
-        # in Python: numpy's square rounds some values differently
+        # |omega_eff| ** 2 in Python: numpy's square rounds some values differently
         o2 = np.array([x ** 2 for x in roots["omega_eff_abs"]])
         d = np.array(roots["delta_eff"])
-        nu_p_sq = 4.0 * o2 + d * d - 0.75 * (params.gamma * params.gamma)
+        nu_p_sq = spectrum.spectrum_coefficients(o2, d, params.gamma).nu_p_sq
         cols["omega"] += roots["omega"]
         cols["mechanism"] += [tag] * len(nu_p_sq)
         cols["branch"] += roots["branch"]
         cols["nu_p"] += [math.sqrt(x) if x > 0.0 else None for x in nu_p_sq.tolist()]
 
     # each mechanism uses its own coupling; the other one is switched off
-    for mech in cfg.mechanisms:
+    for tag in tags:
+        mech = Mechanism(tag)
         if mech is Mechanism.LORENTZ:
-            p = replace(cfg.params, zeta_detuning=0.0)
+            p = replace(params, zeta_detuning=0.0)
         elif mech is Mechanism.DETUNING:
-            p = replace(cfg.params, zeta_lorentz=0.0)
+            p = replace(params, zeta_lorentz=0.0)
         else:
-            p = cfg.params
-        add_family(mech.value, p, mech)
-    if cfg.free_atom_reference:
-        free = replace(cfg.params, zeta_lorentz=0.0, zeta_detuning=0.0)
+            p = params
+        add_family(tag, p, mech)
+    if ns.free_atom_reference:
+        free = replace(params, zeta_lorentz=0.0, zeta_detuning=0.0)
         add_family("free", free, Mechanism.LORENTZ)
 
-    meta = _base_meta(cfg, thresholds=thresholds_meta)
-    _emit(cfg, meta, cols)
+    meta = _base_meta(ns, mechanism=",".join(tags),
+                      free_atom_reference=ns.free_atom_reference, thresholds=thresholds_meta)
+    _emit(ns, meta, cols)
     return EXIT_OK
 
 
-def _cmd_dynamics(cfg: RunConfig) -> int:
+def _cmd_dynamics(ns: argparse.Namespace) -> int:
+    params, mech = _medium_and_mechanism(ns)
+    if ns.mode == "relax":
+        try:
+            omega = float(ns.omega)
+        except ValueError as exc:
+            raise ValueError("relax mode needs a scalar --omega") from exc
+        _check_drive(omega)
+        if not 0.0 < ns.t_end < math.inf:
+            raise ValueError("t-end must be positive and finite")
+    else:
+        grid = _drive_grid(ns.omega)
+    if ns.samples < 2 or ns.samples > GRID_POINT_CAP:
+        raise ValueError("samples must lie in [2, 1e6]")
+
     from . import dynamics
 
-    if cfg.mode in ("sweep-up", "sweep-down"):
-        grid = cfg.omega_grid
-        start, end = (grid[0], grid[-1]) if cfg.mode == "sweep-up" else (grid[-1], grid[0])
-        result = dynamics.sweep_adiabatic(
-            cfg.params, cfg.mechanism, float(start), float(end), cfg.ramp_rate,
-            samples=len(grid),
-        )
-        traj, jumps = result.trajectory, result.jumps
-        meta = _base_meta(cfg, mode=cfg.mode, ramp_rate=cfg.ramp_rate,
-                          jumps=list(jumps))
-    else:
-        params = replace(cfg.params, omega=cfg.omega_scalar)
-        if cfg.relax_start == "ground":
+    if ns.mode == "relax":
+        params = replace(params, omega=omega)
+        if ns.branch == "ground":
             state0 = dynamics.BlochState(0.0, 0.0, 1.0)
         else:
-            sol = steady_state.branch_solution(params, cfg.mechanism, cfg.branch)
-            state0 = dynamics.fixed_point_state(params, cfg.mechanism, sol.w)
-        if cfg.perturb:
-            state0 = dynamics.BlochState(state0.u, state0.v, state0.w + cfg.perturb)
-        t_eval = np.linspace(0.0, cfg.t_end, cfg.samples)
-        traj = dynamics.integrate(
-            state0, params, cfg.mechanism, cfg.omega_scalar, cfg.t_end, t_eval=t_eval
+            sol = steady_state.branch_solution(params, mech, Branch(ns.branch))
+            state0 = dynamics.fixed_point_state(params, mech, sol.w)
+        if ns.perturb:
+            state0 = dynamics.BlochState(state0.u, state0.v, state0.w + ns.perturb)
+        t_eval = np.linspace(0.0, ns.t_end, ns.samples)
+        traj = dynamics.integrate(state0, params, mech, omega, ns.t_end, t_eval=t_eval)
+        meta = _base_meta(ns, mode=ns.mode, branch=ns.branch,
+                          perturb=ns.perturb, t_end=ns.t_end, jumps=[])
+    else:
+        start, end = (grid[0], grid[-1]) if ns.mode == "sweep-up" else (grid[-1], grid[0])
+        result = dynamics.sweep_adiabatic(
+            params, mech, float(start), float(end), ns.ramp_rate, samples=len(grid),
         )
-        meta = _base_meta(cfg, mode=cfg.mode, branch=cfg.relax_start,
-                          perturb=cfg.perturb, t_end=cfg.t_end, jumps=[])
+        traj = result.trajectory
+        meta = _base_meta(ns, mode=ns.mode, ramp_rate=ns.ramp_rate, jumps=list(result.jumps))
     u, v, w = traj.uvw.T.tolist()
     cols = {"t": traj.times.tolist(), "omega": traj.omegas.tolist(), "u": u, "v": v, "w": w}
-    _emit(cfg, meta, cols)
+    _emit(ns, meta, cols)
     return EXIT_OK
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    results = run_verification(cfg.seed, cfg.inject_b2_typo)
-    stream = sys.stdout
+def _cmd_verify(ns: argparse.Namespace) -> int:
+    _medium_and_mechanism(ns)  # the suite draws its own media, but the flags must agree
+    results = run_verification(ns.seed, ns.inject_b2_typo)
     lines = []
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -461,9 +406,9 @@ def _cmd_verify(cfg: RunConfig) -> int:
     overall = all(r.passed for r in results)
     lines.append(f"overall: {'PASS' if overall else 'FAIL'}")
     text = "\n".join(lines) + "\n"
-    stream.write(text)
-    if cfg.out is not None:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+    sys.stdout.write(text)
+    if ns.out is not None:
+        with open(ns.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     return EXIT_OK if overall else EXIT_VERIFY_FAILED
 
@@ -489,13 +434,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
-        cfg = _config_from(ns)
-    except (ValueError, MechanismError) as exc:
-        print(f"iobspectra: configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        return _DISPATCH[cfg.command](cfg)
+        return _DISPATCH[ns.command](ns)
     except BranchNotPresentError as exc:
         print(f"iobspectra: {exc}", file=sys.stderr)
         return EXIT_BRANCH_ABSENT
@@ -503,8 +442,8 @@ def main(argv=None) -> int:
         print(f"iobspectra: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:
-        # precondition violations surfacing past config parsing (bad start
-        # states, tolerance ranges, ...) are configuration problems
+        # failed argument checks, and preconditions checked past them (bad start
+        # states, ramp rates, ...), are configuration problems
         print(f"iobspectra: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
