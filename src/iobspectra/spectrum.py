@@ -110,7 +110,7 @@ def incoherent_spectrum(nu, coeffs: SpectrumCoefficients, rho22: float, gamma: f
     The denominator is strictly positive for all real nu (sum of
     nonnegative terms plus b0 > 0), so the density is finite and
     nonnegative everywhere.  Where the denominator overflows (|nu| beyond
-    about 1e51 gamma) the density is 0, as its nu^-4 tail gives.
+    about 1e51) the density is 0, as its nu^-4 tail gives.
     """
     if not 0.0 <= rho22 < 0.5:
         raise ValueError(f"rho22 must lie in [0, 1/2), got {rho22}")

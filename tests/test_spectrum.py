@@ -97,6 +97,8 @@ def test_coefficient_validation():
         spectrum_coefficients(-1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         spectrum_coefficients(1.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        spectrum_coefficients(np.array([1.0, -1e-300, 4.0]), np.zeros(3), 1.0)
 
 
 def test_coefficients_elementwise_on_arrays():
@@ -112,8 +114,6 @@ def test_coefficients_elementwise_on_arrays():
         scalar = spectrum_coefficients(float(o2[i]), float(d[i]), g)
         for name in ("a", "a0", "b4", "b2", "b0", "nu_p_sq"):
             assert getattr(arrays, name)[i] == getattr(scalar, name)
-    with pytest.raises(ValueError, match="nonnegative"):
-        spectrum_coefficients(np.array([1.0, -1e-300, 4.0]), np.zeros(3), g)
 
 
 # ---------------------------------------------------------------------- density
