@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import ODEintWarning, odeint, solve_ivp
 
 from .core import Branch, IntegrationError, MediumParams, Mechanism, RowView, validate_mechanism
 from . import steady_state
@@ -38,6 +38,10 @@ RING_TIME = 2.0 * math.log(4.0 / JUMP_THRESHOLD)
 ADIABATIC_DISTANCE = 0.05    # allowed distance from the instantaneous stable manifold
 
 _METHODS = ("DOP853", "LSODA")
+# LSODA's step cap per output interval (odeint's mxstep, 500 by default).
+# solve_ivp has none; a sweep's post-jump ringing takes about 1 500 steps in
+# some 0.01-gamma sample intervals of the down-sweep 2.6 -> 0.7.
+LSODA_MAX_STEPS = 1_000_000
 
 
 class NonAdiabaticWarning(UserWarning):
@@ -64,6 +68,11 @@ class BlochState:
             )
 
 
+def _outside_ball(uvw: np.ndarray) -> np.ndarray:
+    """Which rows of an (N, 3) state array are non-finite or outside the ball."""
+    return ~np.isfinite(uvw).all(axis=1) | ((uvw * uvw).sum(axis=1) > 1.0 + BLOCH_BALL_SLACK)
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Sampled evolution: times (1/gamma units), (N, 3) states (u, v, w), drives."""
@@ -75,10 +84,9 @@ class Trajectory:
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0.0):
             raise ValueError("trajectory times must be strictly increasing")
-        uvw = self.uvw
-        bad = ~np.isfinite(uvw).all(axis=1) | ((uvw * uvw).sum(axis=1) > 1.0 + BLOCH_BALL_SLACK)
+        bad = _outside_ball(self.uvw)
         if bad.any():
-            BlochState(*uvw[np.argmax(bad)].tolist())  # raises BlochState's error
+            BlochState(*self.uvw[np.argmax(bad)].tolist())  # raises BlochState's error
 
     @property
     def states(self) -> RowView:
@@ -227,15 +235,21 @@ def integrate(
     t_eval=None,
     method: str = "DOP853",
 ) -> Trajectory:
-    """Integrate the Bloch equations with an adaptive method.
+    """Integrate the Bloch equations from t = 0 with an adaptive method.
 
     ``drive`` is a constant Rabi frequency or a callable omega(t).  The
     method is DOP853 (default), an explicit one-step Runge-Kutta scheme, or
     LSODA, the multistep scheme that switches between stiff and non-stiff
     formulas on its own and is given the analytic Jacobian; slow parameter
-    ramps use it.  Sample times are taken from ``t_eval`` when given,
-    otherwise the integrator's own steps are returned.  ``t_end`` must be
-    positive and finite: an integration to nan or inf would never return.
+    ramps use it.  LSODA runs as one ODEPACK call (``odeint``), which
+    returns to Python only for the right-hand side and the Jacobian, with
+    ``t_end`` as its critical time, so that it never steps past the end of
+    a ramp.  Sample times are taken from ``t_eval``.  DOP853 returns its
+    own steps without it; LSODA needs it (ValueError otherwise), strictly
+    increasing within [0, t_end].  ``t_end`` must be positive and finite: an
+    integration to nan or inf would never return.  A failed integration, or
+    one that leaves the Bloch ball, raises IntegrationError with the time it
+    reached.
     """
     if not 0.0 < t_end < math.inf:
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
@@ -243,11 +257,19 @@ def integrate(
         raise ValueError("tolerances must lie in (0, 1e-3]")
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
+    if method == "LSODA":
+        if t_eval is None:
+            raise ValueError("LSODA needs t_eval: it returns states at given times only")
+        t_eval = np.asarray(t_eval, dtype=float)
+        if (t_eval.ndim != 1 or t_eval.size == 0 or not 0.0 <= t_eval[0]
+                or not t_eval[-1] <= t_end or np.any(np.diff(t_eval) <= 0.0)):
+            raise ValueError("t_eval must increase strictly within [0, t_end]")
 
     zl, zm = _coupling(params, mech)
     g = params.gamma
     d = params.delta
     omega_of_t = _drive_function(drive)
+    y0 = (state0.u, state0.v, state0.w)
 
     # Python floats, not numpy scalars: the same results at less than half
     # the cost.
@@ -255,34 +277,53 @@ def integrate(
         u, v, w = y.tolist()
         return _rhs(u, v, w, omega_of_t(t), g, d, zl, zm)
 
-    kwargs = {}
     if method == "LSODA":
-        def jac(t, y):
-            u, v, w = y.tolist()
-            return _jac(u, v, w, omega_of_t(t), g, d, zl, zm)
-
-        kwargs["jac"] = jac
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, float(t_end)),
-        (state0.u, state0.v, state0.w),
-        method=method,
-        rtol=rel_tol,
-        atol=abs_tol,
-        t_eval=t_eval,
-        **kwargs,
-    )
-    if not sol.success:
-        t_fail = float(sol.t[-1]) if sol.t.size else 0.0
-        raise IntegrationError(
-            f"integration failed at t={t_fail}: {sol.message}", time=t_fail
-        )
-    omegas = np.array([omega_of_t(t) for t in sol.t])
+        times, uvw = _lsoda(rhs, y0, t_eval, float(t_end), rel_tol, abs_tol,
+                            lambda t, y: _jac(*y.tolist(), omega_of_t(t), g, d, zl, zm))
+    else:
+        sol = solve_ivp(rhs, (0.0, float(t_end)), y0, method=method,
+                        rtol=rel_tol, atol=abs_tol, t_eval=t_eval)
+        if not sol.success:
+            t_fail = float(sol.t[-1]) if sol.t.size else 0.0
+            raise IntegrationError(
+                f"integration failed at t={t_fail}: {sol.message}", time=t_fail
+            )
+        times, uvw = sol.t.copy(), sol.y.T
+    omegas = np.array([omega_of_t(t) for t in times])
     try:
-        return Trajectory(times=sol.t.copy(), uvw=sol.y.T, omegas=omegas)
-    except ValueError as exc:  # solve_ivp's times always increase: a state left the ball
-        raise IntegrationError(f"integrator left the Bloch ball: {exc}") from exc
+        return Trajectory(times=times, uvw=uvw, omegas=omegas)
+    except ValueError as exc:  # the times always increase: a state left the ball
+        t_fail = float(times[np.argmax(_outside_ball(uvw))])
+        raise IntegrationError(f"integrator left the Bloch ball: {exc}", time=t_fail) from exc
+
+
+def _lsoda(rhs, y0, t_eval, t_end, rel_tol, abs_tol, jac):
+    """(times, (N, 3) states) of one odeint call, or IntegrationError.
+
+    odeint integrates from its first time, so 0 is prepended when t_eval
+    starts later.  On failure it leaves the rows and counters after the
+    failing output unset; the last one it set is the first whose RHS count
+    is the total, and its ``tcur`` is the time reached.  odeint's own
+    ODEintWarning is replaced by that error.
+    """
+    calls = 0
+
+    def counted(t, y):
+        nonlocal calls
+        calls += 1
+        return rhs(t, y)
+
+    times = t_eval if t_eval[0] == 0.0 else np.concatenate(([0.0], t_eval))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ODEintWarning)
+        uvw, info = odeint(counted, y0, times, Dfun=jac, full_output=True, rtol=rel_tol,
+                           atol=abs_tol, tcrit=[t_end], mxstep=LSODA_MAX_STEPS, tfirst=True)
+    # A lone time 0 is not integrated ("Nothing was done"): y0 is the answer.
+    if times.size > 1 and info["message"] != "Integration successful.":
+        t_fail = float(info["tcur"][np.argmax(info["nfe"] == calls)])
+        raise IntegrationError(f"integration failed at t={t_fail}: {info['message']}",
+                               time=t_fail)
+    return t_eval, uvw[times.size - t_eval.size:]
 
 
 def sweep_adiabatic(
@@ -301,8 +342,10 @@ def sweep_adiabatic(
     going down), on the ramp's slow manifold: shifted by the first-order lag
     of the moving fixed point along the Jacobian's oscillatory pair (see
     _slow_start), so that the start excites no ringing.  It integrates
-    with LSODA, whose Fortran steps and linear algebra keep long slow ramps
-    cheap and whose output does not depend on the BLAS thread setup.
+    with LSODA in one ODEPACK call, with the ramp's end as the critical
+    time, at the ``samples`` times: compiled steps and linear algebra keep
+    long slow ramps cheap, and the output does not depend on the BLAS
+    thread setup.
     Branch jumps show up as runs of |dw| spikes between samples; the drive
     midway across the largest spike of each run is returned.
     A NonAdiabaticWarning is raised if, away from detected jumps, the state

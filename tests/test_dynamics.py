@@ -299,6 +299,76 @@ def test_integrate_rejects_nonfinite_t_end():
     assert all(e.startswith("t_end must be positive and finite") for e in errors)
 
 
+BROKEN_RHS = """
+import json, sys, warnings
+import numpy as np
+from iobspectra import BlochState, IntegrationError, MediumParams, Mechanism, dynamics
+bad, out = float(sys.argv[1]), sys.argv[2]
+rhs = dynamics._rhs
+
+def broken(u, v, w, om, *rest):  # the drive is omega = t, so this breaks past t = 3
+    return (bad, 0.0, 0.0) if om > 3.0 else rhs(u, v, w, om, *rest)
+
+dynamics._rhs = broken
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    try:
+        dynamics.integrate(BlochState(0.0, 0.0, 1.0), MediumParams(delta=3.0), Mechanism.LORENTZ,
+                           lambda t: t, 10.0, t_eval=np.linspace(0.0, 10.0, 11), method="LSODA")
+        result = {"error": None}
+    except IntegrationError as exc:
+        result = {"error": str(exc), "time": exc.time}
+result["warnings"] = [w.category.__name__ for w in caught]
+with open(out, "w") as f:
+    json.dump(result, f)
+"""
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("inf", "integration failed at t="),           # LSODA itself stops
+    ("nan", "integrator left the Bloch ball: "),   # LSODA accepts NaN steps
+])
+def test_lsoda_failure_is_an_integration_error(tmp_path, bad, message):
+    """A right-hand side that breaks at t = 3 ends the one ODEPACK call.  The
+    caller gets IntegrationError with the time reached, near t = 3, and no
+    rows: odeint's ODEintWarning is not emitted, and nothing reaches stdout
+    or stderr.  It runs in a child process under a timeout, in case the
+    solver does not stop."""
+    src = str(Path(iobspectra.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    out = tmp_path / "result.json"
+    proc = subprocess.run([sys.executable, "-c", BROKEN_RHS, bad, str(out)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "" and proc.stderr == ""
+    result = json.loads(out.read_text())
+    assert result["error"].startswith(message)
+    assert math.isfinite(result["time"]) and 2.0 <= result["time"] <= 4.0
+    assert result["warnings"] == []
+
+
+@pytest.mark.parametrize("t_eval", [None, [], [0.0, 2.0], [-1.0, 0.5], [0.0, 0.5, 0.5],
+                                    [0.5, 0.2], [[0.0, 0.5]]])
+def test_lsoda_needs_increasing_t_eval_within_t_span(t_eval):
+    """LSODA returns states at given times only, so it needs t_eval, strictly
+    increasing within [0, t_end]."""
+    with pytest.raises(ValueError, match="t_eval"):
+        integrate(BlochState(0.0, 0.0, 1.0), FREE, Mechanism.LORENTZ, 1.0, 1.0,
+                  t_eval=t_eval, method="LSODA")
+
+
+def test_lsoda_samples_after_the_start():
+    """A t_eval that starts after t = 0 is integrated from 0 all the same:
+    the states match those of a t_eval from 0, to the tolerance."""
+    state0, t_eval = BlochState(0.0, 0.0, 1.0), np.linspace(0.0, 5.0, 11)
+    full = integrate(state0, FREE, Mechanism.LORENTZ, 1.0, 5.0, t_eval=t_eval, method="LSODA")
+    late = integrate(state0, FREE, Mechanism.LORENTZ, 1.0, 5.0, t_eval=t_eval[3:],
+                     method="LSODA")
+    np.testing.assert_array_equal(late.times, t_eval[3:])
+    np.testing.assert_allclose(late.uvw, full.uvw[3:], rtol=0.0, atol=1e-7)
+
+
 @pytest.mark.filterwarnings("ignore::iobspectra.steady_state.MarginalStabilityWarning")
 @pytest.mark.parametrize("start, end, jump", [
     (OMEGA_UP, OMEGA_UP + 0.3, 15.705630803086725),

@@ -50,3 +50,11 @@ def test_dynamics_solve_ivp_is_scipys():
     import scipy.integrate
 
     assert iobspectra.dynamics.solve_ivp is scipy.integrate.solve_ivp
+
+
+def test_dynamics_odeint_is_scipys():
+    """LSODA runs through ``dynamics.odeint``, which tracers wrap by attribute
+    as they wrap ``solve_ivp``."""
+    import scipy.integrate
+
+    assert iobspectra.dynamics.odeint is scipy.integrate.odeint
