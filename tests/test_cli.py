@@ -127,6 +127,16 @@ def test_inconsistent_mechanism_exits_2(capsys):
      "configuration error: grid count 1000001 exceeds cap 1000000"),
     (["spectrum", "--omega", "8", "--nu-grid", "1:0:3"],
      "configuration error: grid spec '1:0:3' must have finite end > start"),
+    (["spectrum", "--omega", "1e200"],
+     "configuration error: omega must be at most 3.352e+153, got 1e+200"),
+    (["hysteresis", "--omega", "0:1e200:3"],
+     "configuration error: omega must be at most 3.352e+153, got 1e+200"),
+    (["peaks", "--omega", "0:1e160:3"],
+     "configuration error: omega must be at most 3.352e+153, got 1e+160"),
+    (["dynamics", "--mode", "relax", "--omega", "1e200"],
+     "configuration error: omega must be at most 3.352e+153, got 1e+200"),
+    (["dynamics", "--mode", "sweep-up", "--omega", "1:1e200:3"],
+     "configuration error: omega_end must be at most 3.352e+153, got 1e+200"),
     (["hysteresis", "--omega", "0:5:3", "--out", "{missing}"],
      "cannot write output: [Errno 2] No such file or directory: '{missing}'"),
 ])

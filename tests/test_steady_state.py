@@ -738,6 +738,38 @@ def test_scan_rejects_bad_grids():
         scan_hysteresis(LORENTZ_50, Mechanism.LORENTZ, [])
 
 
+
+@pytest.mark.parametrize("omega", [1e160, 1e200])
+def test_drives_whose_square_overflows_are_rejected(omega):
+    """omega**2 overflows past about 1.3e154 (OverflowError on a Python
+    float, inf coefficients on an array).  Every entry that takes a drive
+    rejects such a drive with a ValueError that names omega."""
+    with pytest.raises(ValueError, match="omega must be at most"):
+        MediumParams(delta=3.0, zeta_lorentz=50.0, omega=omega)
+    with pytest.raises(ValueError, match="omega must be at most"):
+        branch_solution(LORENTZ_50, Mechanism.LORENTZ, Branch.UPPER, omega=omega)
+    with pytest.raises(ValueError, match="omega must be at most"):
+        solution_arrays(LORENTZ_50, Mechanism.LORENTZ, [1.0, omega])
+    with pytest.raises(ValueError, match="omega must be at most"):
+        scan_hysteresis(LORENTZ_50, Mechanism.LORENTZ, [0.0, omega])
+
+
+def test_largest_drive_solves_without_overflow():
+    """At the largest accepted drive the scan finds the lone saturated upper
+    root, with no overflow on the way: the Routh-Hurwitz test scales omega^2
+    by 8, and the cap leaves a factor 2 to spare."""
+    from iobspectra.core import OMEGA_MAX
+
+    params = replace(LORENTZ_50, omega=OMEGA_MAX)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        scan = scan_hysteresis(LORENTZ_50, Mechanism.LORENTZ, [0.0, OMEGA_MAX])
+        (sol,) = solutions_at(params, Mechanism.LORENTZ)
+    (top,) = scan.points[-1].solutions
+    assert top.branch is Branch.UPPER and top.stable
+    assert 0.0 < sol.w == top.w < 1e-300
+
+
 # -------------------------------------------------------------- branch selection
 
 def test_branch_existence_windows():
