@@ -26,9 +26,15 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+
+# The largest drive.  The steady-state solver scales omega^2 by up to 8 (the
+# Routh-Hurwitz test of the Bloch Jacobian), so larger drives would overflow;
+# omega^2 <= float max / 16 leaves a factor 2 to spare.
+OMEGA_MAX = 0.25 * math.sqrt(sys.float_info.max)
 
 
 class Mechanism(str, Enum):
@@ -59,6 +65,12 @@ class BranchNotPresentError(LookupError):
     """Requested steady-state branch does not exist at the given drive."""
 
 
+def check_drive(omega: float, name: str = "omega") -> None:
+    """ValueError naming ``name`` for a drive above OMEGA_MAX."""
+    if omega > OMEGA_MAX:
+        raise ValueError(f"{name} must be at most {OMEGA_MAX:.4g}, got {omega}")
+
+
 class IntegrationError(RuntimeError):
     """Time integration failed; ``time`` holds the point of failure."""
 
@@ -73,8 +85,9 @@ class MediumParams:
 
     gamma         : spontaneous decay rate, the unit scale (> 0)
     delta         : bare detuning, transition minus laser frequency
-    omega         : bare Rabi frequency of the applied field (>= 0; the
-                    drive phase is unobservable and fixed to zero)
+    omega         : bare Rabi frequency of the applied field (>= 0 and at
+                    most OMEGA_MAX; the drive phase is unobservable and
+                    fixed to zero)
     zeta_lorentz  : local-field (near dipole-dipole) coupling strength (>= 0)
     zeta_detuning : excitation-dependent frequency shift strength (>= 0)
     """
@@ -95,6 +108,7 @@ class MediumParams:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
         if self.omega < 0.0:
             raise ValueError(f"omega must be nonnegative, got {self.omega}")
+        check_drive(self.omega)
         if self.zeta_lorentz < 0.0 or self.zeta_detuning < 0.0:
             raise ValueError("coupling strengths zeta_lorentz/zeta_detuning must be nonnegative")
 

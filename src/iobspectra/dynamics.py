@@ -26,7 +26,9 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import ODEintWarning, odeint, solve_ivp
 
-from .core import Branch, IntegrationError, MediumParams, Mechanism, RowView, validate_mechanism
+from .core import (
+    Branch, IntegrationError, MediumParams, Mechanism, RowView, check_drive, validate_mechanism,
+)
 from . import steady_state
 
 BLOCH_BALL_SLACK = 1e-9
@@ -284,7 +286,7 @@ def integrate(
         sol = solve_ivp(rhs, (0.0, float(t_end)), y0, method=method,
                         rtol=rel_tol, atol=abs_tol, t_eval=t_eval)
         if not sol.success:
-            t_fail = float(sol.t[-1]) if sol.t.size else 0.0
+            t_fail = float(sol.t[-1]) if len(sol.t) else 0.0  # a list when empty
             raise IntegrationError(
                 f"integration failed at t={t_fail}: {sol.message}", time=t_fail
             )
@@ -337,11 +339,12 @@ def sweep_adiabatic(
 ) -> SweepResult:
     """Linearly ramp the drive and detect hysteresis jumps.
 
-    Both endpoints must be finite.  The sweep starts next to the stable
-    fixed point appropriate to its direction (lower branch going up, upper
-    going down), on the ramp's slow manifold: shifted by the first-order lag
-    of the moving fixed point along the Jacobian's oscillatory pair (see
-    _slow_start), so that the start excites no ringing.  It integrates
+    Both endpoints must be finite and at most OMEGA_MAX.  The sweep starts
+    next to the stable fixed point appropriate to its direction (lower
+    branch going up, upper going down), on the ramp's slow manifold: shifted
+    by the first-order lag of the moving fixed point along the Jacobian's
+    oscillatory pair (see _slow_start), so that the start excites no
+    ringing.  It integrates
     with LSODA in one ODEPACK call, with the ramp's end as the critical
     time, at the ``samples`` times: compiled steps and linear algebra keep
     long slow ramps cheap, and the output does not depend on the BLAS
@@ -355,6 +358,7 @@ def sweep_adiabatic(
     for name, value in (("omega_start", omega_start), ("omega_end", omega_end)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
+        check_drive(value, name)
     if omega_start < 0.0 or omega_end < 0.0 or omega_start == omega_end:
         raise ValueError("sweep endpoints must be nonnegative and distinct")
     if not 0.0 < ramp_rate <= RAMP_RATE_MAX_FACTOR * params.gamma**2:

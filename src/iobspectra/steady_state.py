@@ -39,6 +39,7 @@ from .core import (
     Mechanism,
     NoPhysicalRootError,
     RowView,
+    check_drive,
     validate_mechanism,
     zeta_total,
 )
@@ -402,8 +403,11 @@ def solution_arrays(params: MediumParams, mech: Mechanism, omegas) -> SolutionAr
 
     One closed-form cubic solve over all drives, then effective parameters,
     coherence, residual and linear stability for every root at once.
+    Drives above ``OMEGA_MAX`` are rejected (ValueError).
     """
     omega = np.atleast_1d(np.asarray(omegas, dtype=float))
+    if omega.size:
+        check_drive(float(omega.max()))
     roots, count, c = _inversion_roots(params, zeta_total(params, mech), omega)
     # ascending rho22, i.e. descending w, with the padding kept last
     w = -np.sort(-roots, axis=1)

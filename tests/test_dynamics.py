@@ -15,6 +15,7 @@ from iobspectra import dynamics
 from iobspectra import (
     BlochState,
     Branch,
+    IntegrationError,
     MediumParams,
     Mechanism,
     bloch_rhs,
@@ -346,6 +347,16 @@ def test_lsoda_failure_is_an_integration_error(tmp_path, bad, message):
     assert result["error"].startswith(message)
     assert math.isfinite(result["time"]) and 2.0 <= result["time"] <= 4.0
     assert result["warnings"] == []
+
+
+def test_dop853_failure_at_the_first_step(monkeypatch):
+    """A DOP853 run that fails before its first sample reports t = 0; solve_ivp
+    then returns its times as an empty list, not an array."""
+    monkeypatch.setattr(dynamics, "_rhs", lambda *args: (math.inf, 0.0, 0.0))
+    with np.errstate(all="ignore"), pytest.raises(IntegrationError) as info:
+        integrate(BlochState(0.0, 0.0, 1.0), FREE, Mechanism.LORENTZ, 1.0, 1.0,
+                  t_eval=[0.0, 1.0])
+    assert info.value.time == 0.0
 
 
 @pytest.mark.parametrize("t_eval", [None, [], [0.0, 2.0], [-1.0, 0.5], [0.0, 0.5, 0.5],
