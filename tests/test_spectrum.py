@@ -281,6 +281,27 @@ def test_oracle_tail_decay():
     assert s1 / s2 == pytest.approx(16.0, rel=0.05)  # 1/nu^4 falloff
 
 
+
+def test_oracle_vanishes_where_the_determinant_overflows():
+    """det M grows as nu^3 and overflows past |nu| ~ 5.6e102; the oracle is 0
+    there, with no overflow or invalid-value warning, as the closed form is
+    0 once its sextic overflows.  Over the whole far tail the two routes
+    agree to 1e-12 of the peak (the oracle still resolves 3e-217 at 1e100,
+    where the closed form's denominator has already overflowed)."""
+    ob, d, g = 5.0 + 0.0j, 1.0, 1.0
+    rho = stationary_state(ob, d, g)
+    c = spectrum_coefficients(abs(ob) ** 2, d, g)
+    nu = np.array([1e100, 1e103, 1e110, 1e140, 1e160, 1e200, -1e200, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert oracle_spectrum(1e200, ob, d, g, rho) == 0.0
+        got = oracle_spectrum(nu, ob, d, g, rho)
+        closed = incoherent_spectrum(nu, c, rho.rho22, g)
+    assert 0.0 < got[0] < 1e-200
+    assert got[1:].tolist() == [0.0] * (nu.size - 1)
+    peak = incoherent_spectrum(0.0, c, rho.rho22, g)
+    assert np.abs(got - closed).max() <= 1e-12 * peak
+
 def test_correlation_matrix_never_singular():
     ob, d, g = 2.0 + 1.0j, -3.0, 1.0
     rho = stationary_state(ob, d, g)
