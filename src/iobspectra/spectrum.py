@@ -183,6 +183,9 @@ def oracle_spectrum(nu, omega_eff: complex, delta_eff: float, gamma: float, rho:
     |det M|^2 equals the sextic denominator of :func:`incoherent_spectrum`,
     which is at least b0 = gamma^2 a^2 > 0, and |m11| is at least gamma / 2
     (its real part).
+
+    det M grows as nu^3 and overflows past |nu| ~ 5.6e102; the density is 0
+    there, as its nu^-4 tail gives, and no warning is raised.
     """
     nus = np.asarray(nu, dtype=float)
     m00, m01, m02, m10, m11, m20, m22 = _correlation_entries(
@@ -193,16 +196,21 @@ def oracle_spectrum(nu, omega_eff: complex, delta_eff: float, gamma: float, rho:
     # Each complex temporary of a long grid can be page-faulted afresh on
     # every call, so the products reuse the buffers of m00, m22 and num once
     # those values are no longer needed.
-    m11_m22 = m11 * m22
-    num = q0 * m11_m22
-    det = np.multiply(m00, m11_m22, out=m00)
-    det -= (m01 * m10) * m22
-    num -= np.multiply(m01 * q1, m22, out=m22)
-    det -= (m02 * m20) * m11
-    num -= (m02 * q2) * m11
-    g11 = np.divide(num, det, out=num)
-    g12 = np.subtract(q1, np.multiply(m10, g11, out=g11), out=g11)
-    out = (g12 / m11).real.reshape(nus.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m11_m22 = m11 * m22
+        num = q0 * m11_m22
+        det = np.multiply(m00, m11_m22, out=m00)
+        det -= (m01 * m10) * m22
+        num -= np.multiply(m01 * q1, m22, out=m22)
+        det -= (m02 * m20) * m11
+        num -= (m02 * q2) * m11
+        g11 = np.divide(num, det, out=num)
+        g12 = np.subtract(q1, np.multiply(m10, g11, out=g11), out=g11)
+        out = (g12 / m11).real
+        # one sum flags an overflow anywhere; the mask is built only then
+        if not np.isfinite(det.sum()):
+            out = np.where(np.isfinite(det), out, 0.0)
+    out = out.reshape(nus.shape)
     return float(out) if np.isscalar(nu) or nus.ndim == 0 else out
 
 
