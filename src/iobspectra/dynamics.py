@@ -274,14 +274,34 @@ def integrate(
     y0 = (state0.u, state0.v, state0.w)
 
     # Python floats, not numpy scalars: the same results at less than half
-    # the cost.
+    # the cost.  The call count locates a failed odeint call's last output.
+    calls = 0
+
     def rhs(t, y):
+        nonlocal calls
+        calls += 1
         u, v, w = y.tolist()
         return _rhs(u, v, w, omega_of_t(t), g, d, zl, zm)
 
     if method == "LSODA":
-        times, uvw = _lsoda(rhs, y0, t_eval, float(t_end), rel_tol, abs_tol,
-                            lambda t, y: _jac(*y.tolist(), omega_of_t(t), g, d, zl, zm))
+        def jac(t, y):
+            u, v, w = y.tolist()
+            return _jac(u, v, w, omega_of_t(t), g, d, zl, zm)
+
+        # odeint starts at its first time, so 0 leads a t_eval that starts later
+        times = t_eval if t_eval[0] == 0.0 else np.concatenate(([0.0], t_eval))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ODEintWarning)  # the error below replaces it
+            uvw, info = odeint(rhs, y0, times, Dfun=jac, full_output=True, rtol=rel_tol,
+                               atol=abs_tol, tcrit=[t_end], mxstep=LSODA_MAX_STEPS, tfirst=True)
+        # A lone time 0 is not integrated ("Nothing was done"): y0 is the answer.
+        if times.size > 1 and info["message"] != "Integration successful.":
+            # odeint leaves the rows and counters after the failing output
+            # unset; the last one it set is the first whose RHS count is the total
+            t_fail = float(info["tcur"][np.argmax(info["nfe"] == calls)])
+            raise IntegrationError(f"integration failed at t={t_fail}: {info['message']}",
+                                   time=t_fail)
+        times, uvw = t_eval, uvw[times.size - t_eval.size:]
     else:
         sol = solve_ivp(rhs, (0.0, float(t_end)), y0, method=method,
                         rtol=rel_tol, atol=abs_tol, t_eval=t_eval)
@@ -297,35 +317,6 @@ def integrate(
     except ValueError as exc:  # the times always increase: a state left the ball
         t_fail = float(times[np.argmax(_outside_ball(uvw))])
         raise IntegrationError(f"integrator left the Bloch ball: {exc}", time=t_fail) from exc
-
-
-def _lsoda(rhs, y0, t_eval, t_end, rel_tol, abs_tol, jac):
-    """(times, (N, 3) states) of one odeint call, or IntegrationError.
-
-    odeint integrates from its first time, so 0 is prepended when t_eval
-    starts later.  On failure it leaves the rows and counters after the
-    failing output unset; the last one it set is the first whose RHS count
-    is the total, and its ``tcur`` is the time reached.  odeint's own
-    ODEintWarning is replaced by that error.
-    """
-    calls = 0
-
-    def counted(t, y):
-        nonlocal calls
-        calls += 1
-        return rhs(t, y)
-
-    times = t_eval if t_eval[0] == 0.0 else np.concatenate(([0.0], t_eval))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ODEintWarning)
-        uvw, info = odeint(counted, y0, times, Dfun=jac, full_output=True, rtol=rel_tol,
-                           atol=abs_tol, tcrit=[t_end], mxstep=LSODA_MAX_STEPS, tfirst=True)
-    # A lone time 0 is not integrated ("Nothing was done"): y0 is the answer.
-    if times.size > 1 and info["message"] != "Integration successful.":
-        t_fail = float(info["tcur"][np.argmax(info["nfe"] == calls)])
-        raise IntegrationError(f"integration failed at t={t_fail}: {info['message']}",
-                               time=t_fail)
-    return t_eval, uvw[times.size - t_eval.size:]
 
 
 def sweep_adiabatic(
