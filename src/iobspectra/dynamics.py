@@ -335,11 +335,10 @@ def sweep_adiabatic(
     branch going up, upper going down), on the ramp's slow manifold: shifted
     by the first-order lag of the moving fixed point along the Jacobian's
     oscillatory pair (see _slow_start), so that the start excites no
-    ringing.  It integrates
-    with LSODA in one ODEPACK call, with the ramp's end as the critical
-    time, at the ``samples`` times: compiled steps and linear algebra keep
-    long slow ramps cheap, and the output does not depend on the BLAS
-    thread setup.
+    ringing.  It integrates with LSODA in one ODEPACK call, with the ramp's
+    end as the critical time, at the ``samples`` times: compiled steps and
+    linear algebra keep long slow ramps cheap, and the output does not
+    depend on the BLAS thread setup.
     Branch jumps show up as runs of |dw| spikes between samples; the drive
     midway across the largest spike of each run is returned.
     A NonAdiabaticWarning is raised if, away from detected jumps, the state

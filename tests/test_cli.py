@@ -127,6 +127,8 @@ def test_inconsistent_mechanism_exits_2(capsys):
      "configuration error: grid count 1000001 exceeds cap 1000000"),
     (["spectrum", "--omega", "8", "--nu-grid", "1:0:3"],
      "configuration error: grid spec '1:0:3' must have finite end > start"),
+    (["hysteresis", "--omega", "0:5:3", "--out", "{missing}"],
+     "cannot write output: [Errno 2] No such file or directory: '{missing}'"),
     (["spectrum", "--omega", "1e200"],
      "configuration error: omega must be at most 3.352e+153, got 1e+200"),
     (["hysteresis", "--omega", "0:1e200:3"],
@@ -137,8 +139,6 @@ def test_inconsistent_mechanism_exits_2(capsys):
      "configuration error: omega must be at most 3.352e+153, got 1e+200"),
     (["dynamics", "--mode", "sweep-up", "--omega", "1:1e200:3"],
      "configuration error: omega_end must be at most 3.352e+153, got 1e+200"),
-    (["hysteresis", "--omega", "0:5:3", "--out", "{missing}"],
-     "cannot write output: [Errno 2] No such file or directory: '{missing}'"),
 ])
 def test_configuration_errors_exit_2_with_one_line(tmp_path, capsys, args, line):
     """Each bad configuration exits 2 with exactly one stderr line and no stdout."""
