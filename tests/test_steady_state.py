@@ -32,7 +32,7 @@ from iobspectra import (
     zeta_total,
 )
 from iobspectra import steady_state
-from iobspectra.core import NoPhysicalRootError
+from iobspectra.core import OMEGA_MAX, NoPhysicalRootError
 from iobspectra.steady_state import (
     MarginalStabilityWarning,
     ThresholdRangeWarning,
@@ -758,8 +758,6 @@ def test_largest_drive_solves_without_overflow():
     """At the largest accepted drive the scan finds the lone saturated upper
     root, with no overflow on the way: the Routh-Hurwitz test scales omega^2
     by 8, and the cap leaves a factor 2 to spare."""
-    from iobspectra.core import OMEGA_MAX
-
     params = replace(LORENTZ_50, omega=OMEGA_MAX)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
