@@ -244,6 +244,23 @@ def test_spectrum_branch_absent_exit4(tmp_path, capsys):
     assert "upper" in err
 
 
+def test_weak_coupling_has_no_upper_branch(tmp_path, capsys):
+    """delta = 10, zeta_l = 1e-6 is monostable: one hysteresis row per
+    drive, and the spectrum of an upper branch is absent (exit 4)."""
+    medium = ("--delta", "10", "--zeta-l", "1e-6")
+    out = tmp_path / "h.csv"
+    code, _, _ = run(capsys, "hysteresis", *medium, "--omega", "7:7.1:3", "--out", str(out))
+    assert code == 0
+    _, cols = read_csv(out)
+    assert cols["branch"] == ["lower"] * 3
+    out = tmp_path / "no.csv"
+    code, _, err = run(capsys, "spectrum", *medium, "--omega", "7.05", "--branch", "upper",
+                       "--out", str(out))
+    assert code == 4
+    assert not out.exists()
+    assert "upper" in err
+
+
 def test_spectrum_json_on_an_overflowing_grid(capsys):
     """A grid whose nu^2 overflows gives zero density at its ends and a
     complete JSON document, not NaN."""

@@ -227,6 +227,51 @@ def test_near_fold_roots_stay_distinct_or_merge():
     assert len(outside) == 1
 
 
+def test_weak_coupling_gives_one_root_per_drive():
+    """At delta = 10, zeta = 1e-6 the normalized cubic term is below 1e-14,
+    so the roots come from the quadratic formula.  The medium is monostable:
+    one root per drive and no upper branch, not a second copy of the root."""
+    p = MediumParams(delta=10.0, zeta_lorentz=1e-6)
+    assert find_thresholds(p, Mechanism.LORENTZ) is None
+    arr = solution_arrays(p, Mechanism.LORENTZ, np.linspace(7.0, 7.1, 3))
+    assert arr.count.tolist() == [1, 1, 1]
+    with pytest.raises(BranchNotPresentError):
+        branch_solution(p, Mechanism.LORENTZ, Branch.UPPER, omega=7.05)
+
+
+@pytest.mark.parametrize("mech", [Mechanism.LORENTZ, Mechanism.DETUNING])
+def test_weak_coupling_media_have_one_root_per_drive(mech):
+    """Seeded media with zeta/gamma in [1e-12, 1] (log-uniform) and
+    |delta|/gamma up to 1e3, many of them solved by the quadratic fallback:
+    a monostable medium has exactly one root at every drive, and its
+    residual on the normalized cubic is at most 1e-12.  The drives include
+    a band around W = 1/2, omega^2 = (delta^2 + gamma^2/4)/2, where a far
+    quadratic root polished on the cubic once walked onto the true one."""
+    rng = np.random.default_rng(14)
+    fallback = 0
+    for _ in range(150):
+        gamma = rng.uniform(0.2, 3.0)
+        zeta = gamma * 10.0 ** rng.uniform(-12.0, 0.0)
+        delta = gamma * rng.uniform(-1e3, 1e3)
+        p = MediumParams(gamma=gamma, delta=delta,
+                         zeta_lorentz=zeta if mech is Mechanism.LORENTZ else 0.0,
+                         zeta_detuning=zeta if mech is Mechanism.DETUNING else 0.0)
+        if find_thresholds(p, mech) is not None:
+            continue
+        top = 2.0 * (abs(delta) + gamma)
+        half = np.sqrt(0.5 * (delta * delta + 0.25 * gamma * gamma))
+        omegas = np.concatenate([np.linspace(0.0, top, 40), top * np.logspace(-6.0, 3.0, 10),
+                                 half * np.linspace(0.95, 1.05, 41)])
+        arr = solution_arrays(p, mech, omegas)
+        assert arr.count.tolist() == [1] * omegas.size, (p, mech)
+        for om, w in zip(omegas.tolist(), arr.w[:, 0].tolist()):
+            c = np.array(cubic_coefficients(replace(p, omega=om), mech))
+            c /= np.abs(c).max()
+            fallback += abs(c[0]) < 1e-14
+            assert abs(((c[0] * w + c[1]) * w + c[2]) * w + c[3]) <= 1e-12, (p, om, w)
+    assert fallback >= 1000
+
+
 # --------------------------------------------------------- effective parameters
 
 def test_effective_params_no_coupling():
