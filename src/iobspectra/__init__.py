@@ -18,7 +18,6 @@ from .steady_state import (
     StationaryState,
     SteadyStateSolution,
     branch_solution,
-    classify_stability,
     coherence,
     cubic_coefficients,
     effective_params,
@@ -83,7 +82,6 @@ __all__ = [
     "Trajectory",
     "bloch_rhs",
     "branch_solution",
-    "classify_stability",
     "coherence",
     "cubic_coefficients",
     "default_nu_grid",

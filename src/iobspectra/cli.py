@@ -376,7 +376,7 @@ def _cmd_dynamics(ns: argparse.Namespace) -> int:
             state0 = dynamics.BlochState(0.0, 0.0, 1.0)
         else:
             sol = steady_state.branch_solution(params, mech, Branch(ns.branch))
-            state0 = dynamics.fixed_point_state(params, mech, sol.w)
+            state0 = dynamics.BlochState(2.0 * sol.rho12.real, 2.0 * sol.rho12.imag, sol.w)
         if ns.perturb:
             state0 = dynamics.BlochState(state0.u, state0.v, state0.w + ns.perturb)
         t_eval = np.linspace(0.0, ns.t_end, ns.samples)

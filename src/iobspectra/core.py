@@ -147,13 +147,9 @@ def zeta_total(params: MediumParams, mech: Mechanism) -> float:
     """Total coupling strength entering the steady-state cubic.
 
     Both mechanisms feed the same inversion equation, so the cubic only sees
-    one number: the corresponding zeta for a single mechanism, or the sum of
-    both for ``joint`` (linear-in-W frequency shifts add).
+    one number: the sum of both couplings (linear-in-W frequency shifts
+    add).  A validated single mechanism has the other coupling 0, so the
+    sum is its own zeta.
     """
     validate_mechanism(params, mech)
-    mech = Mechanism(mech)
-    if mech is Mechanism.LORENTZ:
-        return params.zeta_lorentz
-    if mech is Mechanism.DETUNING:
-        return params.zeta_detuning
     return params.zeta_lorentz + params.zeta_detuning

@@ -368,8 +368,8 @@ def sweep_adiabatic(
     preferred = Branch.LOWER if direction > 0 else Branch.UPPER
     by_branch = {s.branch: s for s in sols}
     start = by_branch.get(preferred, sols[0])
-    y0 = _slow_start(fixed_point_state(start_params, mech, start.w), start_params,
-                     direction * ramp_rate)
+    fp = BlochState(2.0 * start.rho12.real, 2.0 * start.rho12.imag, start.w)
+    y0 = _slow_start(fp, start_params, direction * ramp_rate)
 
     if samples is None:
         samples = min(20001, max(101, int(span / (0.01 * params.gamma)) + 1))

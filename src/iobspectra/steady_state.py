@@ -44,8 +44,6 @@ from .core import (
     zeta_total,
 )
 
-# Normalized residual demanded after root polishing (coefficients scaled by max |c_i|).
-RESIDUAL_TOL = 1e-12
 # Roots closer than this collapse to a single (tangency) root; so do roots that
 # rounding cannot tell from a double root (see _coincide).
 ROOT_MERGE_TOL = 1e-8
@@ -245,9 +243,13 @@ def _real_cubic_roots(c3, c2, c1, c0):
 
     Works row-wise: at least one coefficient is an array of shape (M,).
     Coefficients are normalized by their largest magnitude first; degenerate
-    leading coefficients fall back to the quadratic/linear formulas (linear
-    roots are exact and not polished).  Returns the roots as an (M, 3)
-    array, ascending and NaN-padded, and the normalized coefficients.
+    leading coefficients fall back to the quadratic/linear formulas.  Roots
+    of the cubic formula are polished once, by Newton on the cubic; fallback
+    roots are not polished: Newton on the cubic can walk a far quadratic
+    root onto the near one (a phantom second root), and the dropped term
+    adds at most |c3| < 1e-14 to the residual of a root in (0, 1].
+    Returns the roots as an (M, 3) array, ascending and NaN-padded, and the
+    normalized coefficients.
     """
     c = _normalized(c3, c2, c1, c0)
     c3, c2, c1, c0 = c
@@ -256,7 +258,7 @@ def _real_cubic_roots(c3, c2, c1, c0):
         roots = _cubic_formula(c3, c2, c1, c0)
         if low.any():
             roots[low] = _low_degree_formula(c2[low], c1[low], c0[low])
-    polish = ~(low & (np.abs(c2) < 1e-14))
+    polish = ~low
     if polish.all():
         roots = _polish(tuple(x[:, None] for x in c), roots)
     elif polish.any():
@@ -311,7 +313,7 @@ def _inversion_roots(params: MediumParams, zeta: float, omega: np.ndarray):
     """Physical inversion roots W in (0, 1] at each drive.
 
     Returns (roots, count, c): roots as an (M, 3) array ascending in W and
-    NaN-padded, polished and de-duplicated; count the roots per drive; c the
+    NaN-padded and de-duplicated; count the roots per drive; c the
     normalized cubic coefficients, each of shape (M,).
     """
     raw, c = _real_cubic_roots(*_inversion_cubic(params, zeta, omega))
@@ -324,11 +326,6 @@ def _inversion_roots(params: MediumParams, zeta: float, omega: np.ndarray):
     near = np.flatnonzero((np.diff(w, axis=1) < _SPLIT_MAX).any(axis=1))
     if near.size:
         w[near], count[near] = _merge_coincident(tuple(ci[near] for ci in c), w[near])
-
-    rough = np.abs(_horner(tuple(ci[:, None] for ci in c), w)) > RESIDUAL_TOL
-    if rough.any():
-        sub = tuple(np.broadcast_to(ci[:, None], w.shape)[rough] for ci in c)
-        w[rough] = np.minimum(_polish(sub, w[rough]), 1.0)
     return w, count, c
 
 
@@ -420,7 +417,7 @@ def solution_arrays(params: MediumParams, mech: Mechanism, omegas) -> SolutionAr
 
 
 def solve_inversion(params: MediumParams, mech: Mechanism) -> list[float]:
-    """All inversion roots W in (0, 1], ascending, polished and de-duplicated.
+    """All inversion roots W in (0, 1], ascending and de-duplicated.
 
     With gamma > 0 the cubic always changes sign on [0, 1] (its value at 0
     is strictly negative and at 1 equals 2 omega^2), so at least one
@@ -432,11 +429,6 @@ def solve_inversion(params: MediumParams, mech: Mechanism) -> list[float]:
     if count[0] == 0:
         raise _no_root_error(params, mech)
     return roots[0, : count[0]].tolist()
-
-
-def cubic_residual(params: MediumParams, mech: Mechanism, w: float) -> float:
-    """|c3 w^3 + c2 w^2 + c1 w + c0| with coefficients normalized by max |c_i|."""
-    return float(abs(_horner(_normalized(*cubic_coefficients(params, mech)), w)))
 
 
 def effective_params(
@@ -509,26 +501,6 @@ def rabi_relation_sq(w: float, params: MediumParams, mech: Mechanism) -> float:
     return params.omega**2 * (delta_eff**2 + g2_4) / (shifted**2 + g2_4)
 
 
-def classify_stability(w: float, params: MediumParams, mech: Mechanism) -> bool:
-    """True iff the Bloch fixed point at root w is linearly stable.
-
-    Stability means every eigenvalue of the Bloch Jacobian (with the
-    self-consistent renormalization terms) has negative real part, decided
-    by the Routh-Hurwitz test of :func:`_stability`; a root marginal there
-    (at a fold or Hopf point) triggers a MarginalStabilityWarning.
-    """
-    omega_eff, delta_eff = effective_params(w, params, mech)
-    rho12 = coherence(w, omega_eff, delta_eff, params.gamma)
-    stable, marginal = _stability(params, params.omega, w, rho12)
-    if marginal:
-        warnings.warn(
-            f"fixed point at w={w} is marginally stable (fold tangency)",
-            MarginalStabilityWarning,
-            stacklevel=2,
-        )
-    return bool(stable)
-
-
 def _fold_drives(params: MediumParams, mech: Mechanism) -> tuple[float, float] | None:
     """Exact fold drives (omega_up, omega_down), or None for a monostable medium."""
     zeta = zeta_total(params, mech)
@@ -542,54 +514,15 @@ def _fold_drives(params: MediumParams, mech: Mechanism) -> tuple[float, float] |
     return max(omegas), min(omegas)
 
 
-def _clip_to_range(
-    folds: tuple[float, float] | None, lo: float, hi: float
-) -> tuple[float, float] | None:
-    """The part of the bistable window inside [lo, hi], warning at a clipped end."""
-    if folds is None or folds[0] < lo or folds[1] > hi:
-        return None
-    omega_up, omega_down = folds
-    if omega_down < lo:
-        warnings.warn(
-            "bistable window touches the lower end of omega_range; "
-            "omega_down may lie outside the range",
-            ThresholdRangeWarning,
-            stacklevel=3,
-        )
-        omega_down = lo
-    if omega_up > hi:
-        warnings.warn(
-            "bistable window touches the upper end of omega_range; "
-            "omega_up may lie outside the range",
-            ThresholdRangeWarning,
-            stacklevel=3,
-        )
-        omega_up = hi
-    return omega_up, omega_down
-
-
-def find_thresholds(
-    params: MediumParams,
-    mech: Mechanism,
-    omega_range: tuple[float, float] | None = None,
-) -> tuple[float, float] | None:
+def find_thresholds(params: MediumParams, mech: Mechanism) -> tuple[float, float] | None:
     """Fold drives (omega_up, omega_down) where the root count changes 1 <-> 3.
 
     Computed in closed form from the real roots in (0, 1) of the fold cubic
     2 zeta W (1 - W)(zeta W - delta) = (delta - zeta W)^2 + gamma^2/4, each
     mapped to its drive through omega^2(W); exact however narrow the
-    window.  Returns None when the medium is monostable.  With an
-    ``omega_range``, returns None when the window lies outside it, and a
-    window crossing an end of the range is clipped to that end with a
-    ThresholdRangeWarning, since the true fold sits outside.
+    window.  Returns None when the medium is monostable.
     """
-    folds = _fold_drives(params, mech)
-    if omega_range is None:
-        return folds
-    lo, hi = float(omega_range[0]), float(omega_range[1])
-    if not (0.0 <= lo < hi):
-        raise ValueError(f"invalid omega_range {omega_range}")
-    return _clip_to_range(folds, lo, hi)
+    return _fold_drives(params, mech)
 
 
 # branch names by root count, "" past the last root
@@ -676,10 +609,11 @@ def scan_hysteresis(
 
     Single-root points are labeled by the exact folds, whatever the grid
     covers: ``upper`` at or above the upper fold, ``lower`` otherwise.  The
-    reported thresholds are the part of the bistable window inside the grid
-    (see :func:`find_thresholds` with an ``omega_range``).  Solver failures
-    at individual points are recorded as empty solution sets rather than
-    aborting the scan.
+    reported thresholds are the part of the bistable window inside the grid:
+    None when the window lies outside it, and a fold beyond an end of the
+    grid is clipped to that end with a ThresholdRangeWarning.  Solver
+    failures at individual points are recorded as empty solution sets rather
+    than aborting the scan.
     """
     grid = np.asarray(omega_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -688,12 +622,18 @@ def scan_hysteresis(
         raise ValueError("omega_grid must be strictly increasing and nonnegative")
 
     folds = _fold_drives(params, mech)
-    thresholds = _clip_to_range(folds, float(grid[0]), float(grid[-1]))
+    lo, hi = float(grid[0]), float(grid[-1])
+    omega_up = omega_down = None
+    if folds is not None and folds[0] >= lo and folds[1] <= hi:
+        omega_up, omega_down = min(folds[0], hi), max(folds[1], lo)
+        for clipped, end, name in ((folds[1] < lo, "lower", "omega_down"),
+                                   (folds[0] > hi, "upper", "omega_up")):
+            if clipped:
+                warnings.warn(f"bistable window touches the {end} end of the drive grid; "
+                              f"{name} may lie outside it", ThresholdRangeWarning, stacklevel=2)
     arr = solution_arrays(params, mech, grid)
     points = _labeled(arr, None if folds is None else folds[0])
     for om in arr.omega[arr.count == 0].tolist():
         error = _no_root_error(replace(params, omega=om), mech)
         warnings.warn(f"solver failed at omega={om}: {error}", stacklevel=2)
-
-    omega_up, omega_down = thresholds if thresholds is not None else (None, None)
     return HysteresisScan(points=points, omega_up=omega_up, omega_down=omega_down)

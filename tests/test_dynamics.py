@@ -20,12 +20,12 @@ from iobspectra import (
     Mechanism,
     bloch_rhs,
     branch_solution,
-    classify_stability,
     find_thresholds,
     fixed_point_state,
     integrate,
     jacobian,
     solve_inversion,
+    solution_arrays,
     sweep_adiabatic,
     Trajectory,
 )
@@ -169,10 +169,13 @@ def test_middle_branch_has_unstable_eigenvalue():
 def test_stability_agreement_with_classifier():
     for om in np.linspace(0.3, 20.0, 30):
         p = replace(LORENTZ_50, omega=float(om))
-        for w in solve_inversion(p, Mechanism.LORENTZ):
+        arr = solution_arrays(p, Mechanism.LORENTZ, [p.omega])
+        roots = solve_inversion(p, Mechanism.LORENTZ)
+        assert arr.w[0, :arr.count[0]].tolist() == roots[::-1]
+        for w, stable in zip(roots[::-1], arr.stable[0].tolist()):
             state = fixed_point_state(p, Mechanism.LORENTZ, w)
             eigs = np.linalg.eigvals(jacobian(state, p, Mechanism.LORENTZ, p.omega))
-            assert classify_stability(w, p, Mechanism.LORENTZ) == bool(np.all(eigs.real < 0.0))
+            assert stable == bool(np.all(eigs.real < 0.0))
 
 
 # ----------------------------------------------------------------- integration

@@ -15,7 +15,6 @@ from iobspectra import (
     MediumParams,
     Mechanism,
     branch_solution,
-    classify_stability,
     coherence,
     cubic_coefficients,
     effective_params,
@@ -37,7 +36,7 @@ from iobspectra.steady_state import (
     MarginalStabilityWarning,
     ThresholdRangeWarning,
     _hurwitz,
-    cubic_residual,
+    _stability,
 )
 
 LORENTZ_50 = MediumParams(delta=3.0, zeta_lorentz=50.0)
@@ -101,6 +100,13 @@ def upper_fold_splittings() -> tuple[float, float]:
     nu_det = np.sqrt(4.0 * omega_up**2 + (3.0 - 50.0 * w) ** 2 - 0.75)
     nu_lor = np.sqrt(2.0 * (1.0 - w) * 9.25 / w + 9.0 - 0.75)
     return nu_det, nu_lor
+
+
+def normalized_residual(params: MediumParams, mech: Mechanism, w: float) -> float:
+    """|c3 w^3 + c2 w^2 + c1 w + c0| with the coefficients divided by max |c_i|."""
+    c = np.array(cubic_coefficients(params, mech))
+    c3, c2, c1, c0 = c / np.abs(c).max()
+    return abs(((c3 * w + c2) * w + c1) * w + c0)
 
 
 def liouvillian(omega_eff: complex, delta_eff: float, gamma: float) -> np.ndarray:
@@ -208,7 +214,7 @@ def test_root_invariants(gamma, delta, omega, zeta):
     assert roots == sorted(roots)
     for w in roots:
         assert 0.0 < w <= 1.0
-        assert cubic_residual(p, Mechanism.LORENTZ, w) <= 1e-12
+        assert normalized_residual(p, Mechanism.LORENTZ, w) <= 1e-12
 
 
 def test_near_fold_roots_stay_distinct_or_merge():
@@ -265,10 +271,10 @@ def test_weak_coupling_media_have_one_root_per_drive(mech):
         arr = solution_arrays(p, mech, omegas)
         assert arr.count.tolist() == [1] * omegas.size, (p, mech)
         for om, w in zip(omegas.tolist(), arr.w[:, 0].tolist()):
-            c = np.array(cubic_coefficients(replace(p, omega=om), mech))
-            c /= np.abs(c).max()
-            fallback += abs(c[0]) < 1e-14
-            assert abs(((c[0] * w + c[1]) * w + c[2]) * w + c[3]) <= 1e-12, (p, om, w)
+            at = replace(p, omega=om)
+            c = np.array(cubic_coefficients(at, mech))
+            fallback += abs(c[0]) < 1e-14 * np.abs(c).max()
+            assert normalized_residual(at, mech, w) <= 1e-12, (p, om, w)
     assert fallback >= 1000
 
 
@@ -352,29 +358,35 @@ def test_saturation_destroys_coherence():
 def test_free_atom_stable():
     p = MediumParams(delta=2.0, omega=1.0)
     (w,) = solve_inversion(p, Mechanism.LORENTZ)
-    assert classify_stability(w, p, Mechanism.LORENTZ)
+    arr = solution_arrays(p, Mechanism.LORENTZ, [p.omega])
+    assert arr.w[0, 0] == w
+    assert arr.stable[0, 0] and not arr.marginal[0, 0]
 
 
 def test_three_root_stability_pattern():
     p = replace(LORENTZ_50, omega=8.0)
     lo, mid, hi = solve_inversion(p, Mechanism.LORENTZ)  # ascending w
-    assert classify_stability(hi, p, Mechanism.LORENTZ)   # lower branch
-    assert not classify_stability(mid, p, Mechanism.LORENTZ)
-    assert classify_stability(lo, p, Mechanism.LORENTZ)   # upper branch
+    arr = solution_arrays(p, Mechanism.LORENTZ, [p.omega])
+    assert arr.w[0].tolist() == [hi, mid, lo]               # lower, middle, upper branch
+    assert arr.stable[0].tolist() == [True, False, True]
+    assert not arr.marginal[0].any()
 
 
 @pytest.mark.parametrize("params, mech", [(LORENTZ_50, Mechanism.LORENTZ),
                                           (DETUNING_50, Mechanism.DETUNING)])
 def test_marginal_stability_warning_at_exact_folds(params, mech):
-    """At each exact fold root the Jacobian is singular, so classification
-    warns; 1e-3 off the fold root the smallest eigenvalue is far from zero."""
+    """At each exact fold root the Jacobian is singular, so the solutions at
+    the fold drive warn and the Routh-Hurwitz test calls the oracle's fold
+    root marginal; 1e-3 off the fold root the smallest eigenvalue is far
+    from zero."""
     for omega, w in fold_points():
         at = replace(params, omega=float(omega))
         with pytest.warns(MarginalStabilityWarning):
-            classify_stability(float(w), at, mech)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", MarginalStabilityWarning)
-            classify_stability(float(w) + 1e-3, at, mech)
+            solutions_at(at, mech)
+        for shift, marginal in ((0.0, True), (1e-3, False)):
+            root = float(w) + shift
+            rho12 = coherence(root, *effective_params(root, at, mech), at.gamma)
+            assert _stability(at, at.omega, root, rho12)[1] == marginal
 
 
 def test_hurwitz_coefficients_without_eigenvalues():
@@ -450,7 +462,8 @@ def test_thresholds_resolve_a_window_narrower_than_any_grid():
 
 def test_thresholds_range_warning():
     with pytest.warns(ThresholdRangeWarning):
-        find_thresholds(LORENTZ_50, Mechanism.LORENTZ, (2.0, 10.0))
+        scan = scan_hysteresis(LORENTZ_50, Mechanism.LORENTZ, np.linspace(2.0, 10.0, 5))
+    assert (scan.omega_up, scan.omega_down) == (10.0, 2.0)
 
 
 # ------------------------------------------------------------------------ scans
@@ -744,7 +757,7 @@ def test_scan_matches_exact_algebra_over_extreme_media(medium, start):
         above = None
         if exact is not None:
             above = scan_hysteresis(params, mech, np.linspace(start * up, 2.0 * start * up, 20))
-            assert find_thresholds(params, mech, (start * up, 2.0 * start * up)) is None
+            assert above.omega_up is None and above.omega_down is None
 
     for point in [*scan.points, *([] if above is None else above.points)]:
         at = replace(params, omega=point.omega)
