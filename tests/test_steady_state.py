@@ -848,6 +848,22 @@ def test_branch_existence_windows():
         assert branch_solution(LORENTZ_50, Mechanism.LORENTZ, branch, omega=8.0).branch is branch
 
 
+@pytest.mark.parametrize("params, mech", [(LORENTZ_50, Mechanism.LORENTZ),
+                                          (DETUNING_50, Mechanism.DETUNING)])
+def test_branch_solution_warns_at_its_caller(params, mech):
+    """At the lower fold the merged middle/upper root is marginal, so asking
+    for the lower branch there warns, attributed to the caller of
+    branch_solution, as solutions_at and scan_hysteresis attribute theirs."""
+    omega_down = find_thresholds(params, mech)[1]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sol = branch_solution(params, mech, Branch.LOWER, omega=omega_down)
+    assert sol.branch is Branch.LOWER
+    marginal = [w for w in caught if w.category is MarginalStabilityWarning]
+    assert marginal
+    assert [w.filename for w in marginal] == [__file__] * len(marginal)
+
+
 def test_solution_record_invariants():
     for om in (0.5, 8.0, 20.0):
         for sol in solutions_at(replace(LORENTZ_50, omega=om), Mechanism.LORENTZ):
