@@ -168,11 +168,11 @@ def _inversion_cubic(params: MediumParams, zeta: float, omega):
     return c3, c2, c1, c0
 
 
-def _normalized(c3, c2, c1, c0):
-    """Coefficients divided by their largest magnitude (row-wise for arrays)."""
-    scale = np.maximum(np.maximum(np.abs(c3), np.abs(c2)), np.maximum(np.abs(c1), np.abs(c0)))
-    scale = np.where(scale == 0.0, 1.0, scale)
-    return c3 / scale, c2 / scale, c1 / scale, c0 / scale
+def _normalized(coeffs: np.ndarray) -> np.ndarray:
+    """Coefficient rows (4, K) divided column-wise by their largest magnitude."""
+    scale = np.abs(coeffs).max(axis=0)
+    scale[scale == 0.0] = 1.0
+    return coeffs / scale
 
 
 def _horner(c, w):
@@ -185,44 +185,55 @@ def _polish(c, w: np.ndarray) -> np.ndarray:
     element keeps its best iterate.  Where the derivative or the residual
     vanishes, later iterates turn NaN or stand still, so they never beat it."""
     c3, c2, c1, _ = c
+    d3, d2 = 3.0 * c3, 2.0 * c2
     p = _horner(c, w)
-    best_w, best_r = w, np.abs(p)
+    best_w, best_r = w.copy(), np.abs(p)
     with np.errstate(all="ignore"):
         for _ in range(3):
-            w = w - p / ((3.0 * c3 * w + 2.0 * c2) * w + c1)
+            w = w - p / ((d3 * w + d2) * w + c1)
             p = _horner(c, w)
             r = np.abs(p)
             better = r < best_r
-            best_w = np.where(better, w, best_w)
-            best_r = np.where(better, r, best_r)
+            np.copyto(best_w, w, where=better)
+            np.copyto(best_r, r, where=better)
     return best_w
 
 
 # 2 pi k for the three branches of the trigonometric cubic formula
 _TURNS = 2.0 * np.pi * np.arange(3.0)
+# signs of the two Cardano terms -q/2 + sqrt(disc) and -q/2 - sqrt(disc)
+_SIGNS = np.array([[1.0], [-1.0]])
 
 
-def _cubic_formula(c3, c2, c1, c0) -> np.ndarray:
-    """Closed-form real roots (M, 3) of cubics with nonzero c3, NaN-padded:
-    Cardano's formula where one root is real, the trigonometric form where
-    three are."""
-    b, cc, d = c2 / c3, c1 / c3, c0 / c3
+def _cubic_formula(c: np.ndarray) -> np.ndarray:
+    """Closed-form real roots (K, 3) of the cubics with coefficient rows
+    ``c`` (4, K) and nonzero c3, NaN-padded: Cardano's formula where one
+    root is real, the trigonometric form where three are.  A form that no
+    row needs is not evaluated, so a single cubic pays for one form only."""
+    b, cc, d = c[1:] / c[0]
     shift = b / 3.0
     p = cc - b * b / 3.0
     q = (2.0 * b * b * b - 9.0 * b * cc) / 27.0 + d
     disc = 0.25 * q * q + p * p * p / 27.0
 
-    s = np.sqrt(disc)
-    hi, lo = -0.5 * q + s, -0.5 * q - s
-    one = np.copysign(np.abs(hi) ** (1.0 / 3.0), hi) + np.copysign(np.abs(lo) ** (1.0 / 3.0), lo)
-    triple = np.copysign(np.abs(q) ** (1.0 / 3.0), -q)
-    m = 2.0 * np.sqrt(-p / 3.0)
-    phi = np.arccos(np.minimum(1.0, np.maximum(-1.0, 3.0 * q / (p * m))))
-    ts = m[:, None] * np.cos((phi[:, None] - _TURNS) / 3.0)
-
     single = (disc > 0.0) | (p == 0.0)
-    ts[:, 0] = np.where(single, np.where(disc > 0.0, one, triple), ts[:, 0])
-    ts[single, 1:] = np.nan
+    every = single.all()
+    if every:
+        ts = np.full(q.shape + (3,), np.nan)
+    else:
+        m = 2.0 * np.sqrt(-p / 3.0)
+        phi = np.arccos(np.minimum(1.0, np.maximum(-1.0, 3.0 * q / (p * m))))
+        ts = m[:, None] * np.cos((phi[:, None] - _TURNS) / 3.0)
+    if every or single.any():
+        hi_lo = -0.5 * q + np.sqrt(disc) * _SIGNS
+        cbrt = np.copysign(np.abs(hi_lo) ** (1.0 / 3.0), hi_lo)
+        triple = np.copysign(np.abs(q) ** (1.0 / 3.0), -q)
+        one = np.where(disc > 0.0, cbrt[0] + cbrt[1], triple)
+        if every:
+            ts[:, 0] = one
+        else:
+            ts[:, 0] = np.where(single, one, ts[:, 0])
+            ts[single, 1:] = np.nan
     return ts - shift[:, None]
 
 
@@ -238,32 +249,37 @@ def _low_degree_formula(c2, c1, c0) -> np.ndarray:
     return roots
 
 
-def _real_cubic_roots(c3, c2, c1, c0):
-    """All real roots of c3 x^3 + c2 x^2 + c1 x + c0, closed form plus polishing.
+def _real_cubic_roots(coeffs: np.ndarray):
+    """All real roots of the cubics c3 x^3 + c2 x^2 + c1 x + c0, closed form
+    plus polishing, one cubic per column of the coefficient rows ``coeffs``
+    (4, K).
 
-    Works row-wise: at least one coefficient is an array of shape (M,).
     Coefficients are normalized by their largest magnitude first; degenerate
     leading coefficients fall back to the quadratic/linear formulas.  Roots
     of the cubic formula are polished once, by Newton on the cubic; fallback
     roots are not polished: Newton on the cubic can walk a far quadratic
     root onto the near one (a phantom second root), and the dropped term
     adds at most |c3| < 1e-14 to the residual of a root in (0, 1].
-    Returns the roots as an (M, 3) array, ascending and NaN-padded, and the
-    normalized coefficients.
+    Returns the roots as a (K, 3) array, ascending and NaN-padded, and the
+    normalized coefficient rows (4, K).
     """
-    c = _normalized(c3, c2, c1, c0)
-    c3, c2, c1, c0 = c
-    low = np.abs(c3) < 1e-14
+    c = _normalized(coeffs)
+    low = np.abs(c[0]) < 1e-14
     with np.errstate(all="ignore"):
-        roots = _cubic_formula(c3, c2, c1, c0)
-        if low.any():
-            roots[low] = _low_degree_formula(c2[low], c1[low], c0[low])
+        roots = _cubic_formula(c)
+        if not low.any():
+            return np.sort(_polish(_per_root(c), roots), axis=1), c
+        roots[low] = _low_degree_formula(*c[1:, low])
     polish = ~low
-    if polish.all():
-        roots = _polish(tuple(x[:, None] for x in c), roots)
-    elif polish.any():
-        roots[polish] = _polish(tuple(x[polish, None] for x in c), roots[polish])
+    roots[polish] = _polish(_per_root(c[:, polish]), roots[polish])
     return np.sort(roots, axis=1), c
+
+
+def _per_root(c: np.ndarray) -> np.ndarray:
+    """Rows (..., K) repeated into (..., K, 3), one column per root.  Numpy
+    runs an operation on equal shapes much faster than a broadcast one on
+    small arrays, and the polish and the residual do several per root."""
+    return c[..., None].repeat(3, axis=-1)
 
 
 def _coincide(c, lo, hi):
@@ -309,24 +325,53 @@ def _merge_coincident(c, w: np.ndarray):
     return merged, count
 
 
-def _inversion_roots(params: MediumParams, zeta: float, omega: np.ndarray):
-    """Physical inversion roots W in (0, 1] at each drive.
+def _fold_cubic(params: MediumParams, zeta: float):
+    """Coefficients of the fold cubic
+    2 zeta^2 W^3 - zeta (zeta + 2 delta) W^2 + delta^2 + gamma^2/4."""
+    delta = params.delta
+    return (2.0 * zeta * zeta, -zeta * (zeta + 2.0 * delta), 0.0,
+            delta * delta + 0.25 * params.gamma**2)
 
-    Returns (roots, count, c): roots as an (M, 3) array ascending in W and
-    NaN-padded and de-duplicated; count the roots per drive; c the
-    normalized cubic coefficients, each of shape (M,).
+
+def _fold_pair(params: MediumParams, zeta: float, roots: np.ndarray) -> tuple[float, float] | None:
+    """Fold drives (omega_up, omega_down) from the fold cubic's ``roots``
+    (one row of :func:`_real_cubic_roots`), or None for a monostable medium."""
+    delta, g2_4 = params.delta, 0.25 * params.gamma**2
+    ws = [w for w in roots.tolist() if 0.0 < w < 1.0]
+    if len(ws) < 2:
+        return None
+    omegas = [math.sqrt((1.0 - w) * ((delta - zeta * w) ** 2 + g2_4) / (2.0 * w)) for w in ws]
+    return max(omegas), min(omegas)
+
+
+def _inversion_roots(params: MediumParams, zeta: float, omega: np.ndarray):
+    """Physical inversion roots W in (0, 1] at each drive, and the exact folds.
+
+    One kernel call solves the inversion cubic at every drive and, as one
+    more row, the fold cubic.  Returns (roots, count, c, folds): roots as an
+    (M, 3) array ascending in W and NaN-padded and de-duplicated; count the
+    roots per drive; c the normalized cubic coefficient rows (4, M); folds
+    as from :func:`_fold_pair`.
     """
-    raw, c = _real_cubic_roots(*_inversion_cubic(params, zeta, omega))
-    w = np.where(raw > 1.0, np.where(raw > 1.0 + 1e-9, np.nan, 1.0), raw)
-    w = np.sort(np.where(w > 0.0, w, np.nan), axis=1)
-    count = np.count_nonzero(w == w, axis=1)
+    coeffs = np.empty((4, omega.size + 1))
+    coeffs[:, -1] = _fold_cubic(params, zeta)
+    coeffs[0, :-1], coeffs[1, :-1], coeffs[2, :-1], coeffs[3, :-1] = _inversion_cubic(
+        params, zeta, omega)
+    raw, c = _real_cubic_roots(coeffs)
+    folds = _fold_pair(params, zeta, raw[-1])
+    raw, c = raw[:-1], c[:, :-1]
+    w = np.minimum(raw, 1.0)
+    w[(raw <= 0.0) | (raw > 1.0 + 1e-9)] = np.nan
+    w.sort(axis=1)
+    count = (w == w).sum(axis=1)
 
     # Only rows with two roots closer than _SPLIT_MAX can hold a split double
     # root; the rest skip the merge.
-    near = np.flatnonzero((np.diff(w, axis=1) < _SPLIT_MAX).any(axis=1))
-    if near.size:
-        w[near], count[near] = _merge_coincident(tuple(ci[near] for ci in c), w[near])
-    return w, count, c
+    close = (w[:, 1:] - w[:, :-1] < _SPLIT_MAX).any(axis=1)
+    if close.any():
+        near = np.flatnonzero(close)
+        w[near], count[near] = _merge_coincident(c[:, near], w[near])
+    return w, count, c, folds
 
 
 def _complex(re, im):
@@ -360,12 +405,19 @@ def _effective(params: MediumParams, omega: np.ndarray, w: np.ndarray):
     a = zl * w
     f_re = 1.0 - a * delta_eff / dd
     f_im = a * (0.5 * g) / dd
-    by_re = np.abs(f_re) >= np.abs(f_im)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(by_re, f_im / f_re, f_re / f_im)
-        denom = np.where(by_re, f_re + f_im * ratio, f_re * ratio + f_im)
-        re = np.where(by_re, omega + 0.0 * ratio, omega * ratio + 0.0) / denom
-        im = np.where(by_re, 0.0 - omega * ratio, 0.0 * ratio - omega) / denom
+        # Smith's step by the larger part of f: the real part almost
+        # everywhere, since |Re f| < |Im f| only in a narrow band around Re f = 0
+        ratio = f_im / f_re
+        denom = f_re + f_im * ratio
+        re = (omega + 0.0 * ratio) / denom
+        im = (0.0 - omega * ratio) / denom
+        by_im = np.abs(f_re) < np.abs(f_im)
+        if by_im.any():
+            ratio = f_re / f_im
+            denom = f_re * ratio + f_im
+            np.copyto(re, (omega * ratio + 0.0) / denom, where=by_im)
+            np.copyto(im, (0.0 * ratio - omega) / denom, where=by_im)
     return _complex(re, im), delta_eff
 
 
@@ -377,9 +429,10 @@ def _hurwitz(params: MediumParams, omega, w, rho12):
     zs = zl + zm
     u, v = 2.0 * rho12.real, 2.0 * rho12.imag
     a = zl * w - (params.delta - zm * w)
-    k = zs * u + 2.0 * omega
+    drive2 = 2.0 * omega
+    k = zs * u + drive2
     e = 0.25 * g * g + a * a
-    return e + g * g + 2.0 * omega * k, g * e + 2.0 * omega * (0.5 * g * k + a * zs * v)
+    return e + g * g + drive2 * k, g * e + drive2 * (0.5 * g * k + a * zs * v)
 
 
 def _stability(params: MediumParams, omega, w, rho12):
@@ -390,8 +443,9 @@ def _stability(params: MediumParams, omega, w, rho12):
     g = params.gamma
     c1, c0 = _hurwitz(params, omega, w, rho12)
     hopf = 2.0 * g * c1 - c0
-    marginal = (abs(c0) < MARGINAL_STABILITY_TOL * abs(c1)) | (
-        abs(hopf) < 2.0 * MARGINAL_STABILITY_TOL * (abs(c1) + 4.0 * g * g))
+    abs_c1 = abs(c1)
+    marginal = (abs(c0) < MARGINAL_STABILITY_TOL * abs_c1) | (
+        abs(hopf) < 2.0 * MARGINAL_STABILITY_TOL * (abs_c1 + 4.0 * g * g))
     return (c0 > 0.0) & (hopf > 0.0), marginal
 
 
@@ -405,15 +459,22 @@ def solution_arrays(params: MediumParams, mech: Mechanism, omegas) -> SolutionAr
     omega = np.atleast_1d(np.asarray(omegas, dtype=float))
     if omega.size:
         check_drive(float(omega.max()))
-    roots, count, c = _inversion_roots(params, zeta_total(params, mech), omega)
+    return _solve(params, mech, omega)[0]
+
+
+def _solve(params: MediumParams, mech: Mechanism, omega: np.ndarray):
+    """(SolutionArrays, folds) at the checked 1-d drives ``omega``, with the
+    exact folds of :func:`_fold_pair` from the same kernel call."""
+    roots, count, c, folds = _inversion_roots(params, zeta_total(params, mech), omega)
     # ascending rho22, i.e. descending w, with the padding kept last
     w = -np.sort(-roots, axis=1)
-    residual = np.abs(_horner(tuple(ci[:, None] for ci in c), w))
-    omega_eff, delta_eff = _effective(params, omega[:, None], w)
+    residual = np.abs(_horner(_per_root(c), w))
+    drive = _per_root(omega)
+    omega_eff, delta_eff = _effective(params, drive, w)
     rho12 = coherence(w, omega_eff, delta_eff, params.gamma)
-    stable, marginal = _stability(params, omega[:, None], w, rho12)
+    stable, marginal = _stability(params, drive, w, rho12)
     return SolutionArrays(omega, count, w, rho12, omega_eff, delta_eff, residual,
-                          stable, marginal)
+                          stable, marginal), folds
 
 
 def solve_inversion(params: MediumParams, mech: Mechanism) -> list[float]:
@@ -423,7 +484,7 @@ def solve_inversion(params: MediumParams, mech: Mechanism) -> list[float]:
     is strictly negative and at 1 equals 2 omega^2), so at least one
     physical root exists for any valid parameter set.
     """
-    roots, count, _ = _inversion_roots(
+    roots, count, _, _ = _inversion_roots(
         params, zeta_total(params, mech), np.array([params.omega])
     )
     if count[0] == 0:
@@ -501,19 +562,6 @@ def rabi_relation_sq(w: float, params: MediumParams, mech: Mechanism) -> float:
     return params.omega**2 * (delta_eff**2 + g2_4) / (shifted**2 + g2_4)
 
 
-def _fold_drives(params: MediumParams, mech: Mechanism) -> tuple[float, float] | None:
-    """Exact fold drives (omega_up, omega_down), or None for a monostable medium."""
-    zeta = zeta_total(params, mech)
-    delta, g2_4 = params.delta, 0.25 * params.gamma**2
-    roots, _ = _real_cubic_roots(2.0 * zeta * zeta, -zeta * (zeta + 2.0 * delta), np.zeros(1),
-                                 delta * delta + g2_4)
-    ws = [w for w in roots[0].tolist() if 0.0 < w < 1.0]
-    if len(ws) < 2:
-        return None
-    omegas = [math.sqrt((1.0 - w) * ((delta - zeta * w) ** 2 + g2_4) / (2.0 * w)) for w in ws]
-    return max(omegas), min(omegas)
-
-
 def find_thresholds(params: MediumParams, mech: Mechanism) -> tuple[float, float] | None:
     """Fold drives (omega_up, omega_down) where the root count changes 1 <-> 3.
 
@@ -522,7 +570,9 @@ def find_thresholds(params: MediumParams, mech: Mechanism) -> tuple[float, float
     mapped to its drive through omega^2(W); exact however narrow the
     window.  Returns None when the medium is monostable.
     """
-    return _fold_drives(params, mech)
+    zeta = zeta_total(params, mech)
+    roots, _ = _real_cubic_roots(np.array(_fold_cubic(params, zeta))[:, None])
+    return _fold_pair(params, zeta, roots[0])
 
 
 # branch names by root count, "" past the last root
@@ -536,31 +586,35 @@ class ScanPoints(RowView):
 
     def __init__(self, arrays: SolutionArrays, branches: np.ndarray):
         def point(i: int) -> ScanPoint:  # a closure, so that no cycle holds the arrays
-            a = arrays
-            cols = (x[i, :a.count[i]].tolist() for x in (a.w, a.rho12, a.omega_eff, a.delta_eff,
-                                                          branches, a.stable, a.residual))
-            return ScanPoint(a.omega[i].item(), [
-                SteadyStateSolution(w, 0.5 * (1.0 - w), rho12, omega_eff, delta_eff,
-                                    Branch(name), stable, residual)
-                for w, rho12, omega_eff, delta_eff, name, stable, residual in zip(*cols)])
+            return ScanPoint(arrays.omega[i].item(), [_solution(arrays, branches, i, k)
+                                                      for k in range(arrays.count[i])])
 
         super().__init__(len(arrays.omega), point)
         self.arrays, self.branches = arrays, branches
 
 
-def _labeled(arr: SolutionArrays, omega_up: float | None) -> ScanPoints:
-    """The roots of ``arr`` with branch labels, warning once per marginal root
-    (attributed to the caller's caller).  Three roots are lower/middle/upper
-    and a merged pair lower/upper; a single root continues the upper branch
-    at drives at or above ``omega_up`` and the lower one otherwise."""
+def _solution(a: SolutionArrays, branches: np.ndarray, i: int, k: int) -> SteadyStateSolution:
+    """Root k at drive i of ``a`` as a record, in Python scalars."""
+    w = a.w[i, k].item()
+    return SteadyStateSolution(w, 0.5 * (1.0 - w), a.rho12[i, k].item(), a.omega_eff[i, k].item(),
+                               a.delta_eff[i, k].item(), Branch(branches[i, k].item()),
+                               a.stable[i, k].item(), a.residual[i, k].item())
+
+
+def _labeled(arr: SolutionArrays, omega_up: float | None, stacklevel: int = 3) -> np.ndarray:
+    """Branch names (M, 3) of the roots of ``arr``, "" past the last, warning
+    once per marginal root (attributed ``stacklevel`` frames up: by default
+    the caller's caller).  Three roots are lower/middle/upper and a merged
+    pair lower/upper; a single root continues the upper branch at drives at
+    or above ``omega_up`` and the lower one otherwise."""
     names = _BRANCH_NAMES[arr.count]
     if omega_up is not None:
-        names[:, 0] = np.where((arr.count == 1) & (arr.omega >= omega_up), "upper", names[:, 0])
+        names[(arr.count == 1) & (arr.omega >= omega_up), 0] = "upper"
     for i, k in zip(*np.nonzero(arr.marginal)):
         om, w = arr.omega[i].item(), arr.w[i, k].item()
         warnings.warn(f"solution at omega={om}, w={w} is marginally stable",
-                      MarginalStabilityWarning, stacklevel=3)
-    return ScanPoints(arr, names)
+                      MarginalStabilityWarning, stacklevel=stacklevel)
+    return names
 
 
 def _no_root_error(params: MediumParams, mech: Mechanism) -> NoPhysicalRootError:
@@ -577,11 +631,18 @@ def solutions_at(params: MediumParams, mech: Mechanism) -> list[SteadyStateSolut
     :func:`scan_hysteresis`: ``upper`` at or above the upper fold, where the
     surviving root continues the upper branch, ``lower`` otherwise.
     """
-    arr = solution_arrays(params, mech, [params.omega])
+    arr, names = _at_drive(params, mech)
+    return ScanPoints(arr, names)[0].solutions
+
+
+def _at_drive(params: MediumParams, mech: Mechanism) -> tuple[SolutionArrays, np.ndarray]:
+    """The roots at ``params.omega`` and their branch names, for
+    :func:`solutions_at` and :func:`branch_solution`; marginal roots warn at
+    the caller of those."""
+    arr, folds = _solve(params, mech, np.array([params.omega]))
     if arr.count[0] == 0:
         raise _no_root_error(params, mech)
-    folds = _fold_drives(params, mech) if arr.count[0] == 1 else None
-    return _labeled(arr, None if folds is None else folds[0])[0].solutions
+    return arr, _labeled(arr, None if folds is None else folds[0], stacklevel=4)
 
 
 def branch_solution(
@@ -594,12 +655,13 @@ def branch_solution(
     branch = Branch(branch)
     if omega is not None:
         params = replace(params, omega=float(omega))
-    for sol in solutions_at(params, mech):
-        if sol.branch is branch:
-            return sol
-    raise BranchNotPresentError(
-        f"branch '{branch.value}' does not exist at omega={params.omega}"
-    )
+    arr, names = _at_drive(params, mech)
+    row = names[0].tolist()
+    if branch.value not in row:
+        raise BranchNotPresentError(
+            f"branch '{branch.value}' does not exist at omega={params.omega}"
+        )
+    return _solution(arr, names, 0, row.index(branch.value))
 
 
 def scan_hysteresis(
@@ -620,8 +682,9 @@ def scan_hysteresis(
         raise ValueError("omega_grid must be a nonempty 1-d array")
     if np.any(grid < 0.0) or np.any(np.diff(grid) <= 0.0):
         raise ValueError("omega_grid must be strictly increasing and nonnegative")
+    check_drive(float(grid[-1]))
 
-    folds = _fold_drives(params, mech)
+    arr, folds = _solve(params, mech, grid)
     lo, hi = float(grid[0]), float(grid[-1])
     omega_up = omega_down = None
     if folds is not None and folds[0] >= lo and folds[1] <= hi:
@@ -631,8 +694,7 @@ def scan_hysteresis(
             if clipped:
                 warnings.warn(f"bistable window touches the {end} end of the drive grid; "
                               f"{name} may lie outside it", ThresholdRangeWarning, stacklevel=2)
-    arr = solution_arrays(params, mech, grid)
-    points = _labeled(arr, None if folds is None else folds[0])
+    points = ScanPoints(arr, _labeled(arr, None if folds is None else folds[0]))
     for om in arr.omega[arr.count == 0].tolist():
         error = _no_root_error(replace(params, omega=om), mech)
         warnings.warn(f"solver failed at omega={om}: {error}", stacklevel=2)

@@ -634,9 +634,9 @@ def test_scan_keeps_going_where_no_root_is_found(monkeypatch):
     solve = steady_state._inversion_roots
 
     def lose_every_other_drive(params, zeta, omega):
-        w, count, c = solve(params, zeta, omega)
+        w, count, c, folds = solve(params, zeta, omega)
         w[::2], count[::2] = np.nan, 0
-        return w, count, c
+        return w, count, c, folds
 
     monkeypatch.setattr(steady_state, "_inversion_roots", lose_every_other_drive)
     grid = [0.5, 8.0, 12.0, 20.0, 22.0]
