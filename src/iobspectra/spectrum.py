@@ -115,30 +115,40 @@ def incoherent_spectrum(nu, coeffs: SpectrumCoefficients, rho22: float, gamma: f
     if not 0.0 <= rho22 < 0.5:
         raise ValueError(f"rho22 must lie in [0, 1/2), got {rho22}")
     nu_arr = np.asarray(nu, dtype=float)
+    # in place: a temporary of a long grid can be page-faulted afresh on every call
     with np.errstate(over="ignore", invalid="ignore"):
-        nu2 = nu_arr * nu_arr
-        den = ((nu2 + coeffs.b4) * nu2 + coeffs.b2) * nu2 + coeffs.b0
-        out = 2.0 * rho22 * rho22 * gamma * coeffs.a * (nu2 + coeffs.a0) / den
-    # once nu^2 overflows too, the numerator is inf and inf / inf is NaN
-    out = np.where(np.isinf(den), 0.0, out)
+        nu2 = np.multiply(nu_arr, nu_arr, out=np.empty_like(nu_arr))
+        den = nu2 + coeffs.b4
+        den *= nu2
+        den += coeffs.b2
+        den *= nu2
+        den += coeffs.b0
+        out = np.add(nu2, coeffs.a0, out=nu2)
+        np.multiply(2.0 * rho22 * rho22 * gamma * coeffs.a, out, out=out)
+        out /= den
+        # once nu^2 overflows too, the numerator is inf and inf / inf is NaN;
+        # one sum flags an overflow anywhere, and the mask is built only then
+        if not np.isfinite(den.sum()):
+            out[np.isinf(den)] = 0.0
     return float(out) if np.isscalar(nu) or nu_arr.ndim == 0 else out
 
 
-def _correlation_entries(nu, omega_eff: complex, delta_eff: float, gamma: float):
+def _correlation_entries(nu: np.ndarray, omega_eff: complex, delta_eff: float, gamma: float):
     """The seven nonzero entries (m00, m01, m02, m10, m11, m20, m22) of the
     3x3 correlation matrix; m12 = m21 = 0 by structure.  The diagonal
-    entries follow the shape of ``nu``, the off-diagonal ones are scalars.
+    entries i nu + gamma, i (nu - delta_eff) + gamma/2 and
+    i (nu + delta_eff) + gamma/2 are new arrays of the shape of ``nu``,
+    written part by part with no complex temporaries; the off-diagonal ones
+    are scalars.
     """
     ob = complex(omega_eff)
-    return (
-        1j * nu + gamma,
-        1j * ob.conjugate(),
-        -1j * ob,
-        2j * ob,
-        1j * (nu - delta_eff) + 0.5 * gamma,
-        -2j * ob.conjugate(),
-        1j * (nu + delta_eff) + 0.5 * gamma,
-    )
+    m00, m11, m22 = (np.empty(nu.shape, dtype=complex) for _ in range(3))
+    m00.real, m11.real, m22.real = gamma, 0.5 * gamma, 0.5 * gamma
+    # adding 0.0 turns -0.0 into 0.0, as the complex product i * nu does
+    nu_im = np.add(nu, 0.0, out=m00.imag)
+    np.subtract(nu_im, delta_eff, out=m11.imag)
+    np.add(nu_im, delta_eff, out=m22.imag)
+    return m00, 1j * ob.conjugate(), -1j * ob, 2j * ob, m11, -2j * ob.conjugate(), m22
 
 
 def correlation_matrix(nu, omega_eff: complex, delta_eff: float, gamma: float) -> np.ndarray:
@@ -188,30 +198,47 @@ def oracle_spectrum(nu, omega_eff: complex, delta_eff: float, gamma: float, rho:
     there, as its nu^-4 tail gives, and no warning is raised.
     """
     nus = np.asarray(nu, dtype=float)
-    m00, m01, m02, m10, m11, m20, m22 = _correlation_entries(
-        np.atleast_1d(nus), omega_eff, delta_eff, gamma)
+    flat = nus.reshape(-1)
+    out = np.empty(flat.shape)
+    for start in range(0, flat.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        out[block] = _oracle_block(flat[block], omega_eff, delta_eff, gamma, rho)
+    out = out.reshape(nus.shape)
+    return float(out) if np.isscalar(nu) or nus.ndim == 0 else out
+
+
+# Grid points per block of the oracle: its five complex buffers of 64 kB stay
+# in the heap and in cache, where whole-grid buffers are page-faulted afresh
+# on every call.
+_BLOCK = 4096
+
+
+def _oracle_block(nu: np.ndarray, omega_eff: complex, delta_eff: float, gamma: float,
+                  rho: StationaryState) -> np.ndarray:
+    """:func:`oracle_spectrum` on a 1-d block of drives."""
+    m00, m01, m02, m10, m11, m20, m22 = _correlation_entries(nu, omega_eff, delta_eff, gamma)
     q0 = rho.rho21 * rho.rho22
     q1 = rho.rho22 - rho.rho12 * rho.rho21
     q2 = -(rho.rho21 * rho.rho21)
-    # Each complex temporary of a long grid can be page-faulted afresh on
-    # every call, so the products reuse the buffers of m00, m22 and num once
-    # those values are no longer needed.
+    # Numpy may round a complex product written over one of its own operands
+    # differently (another inner loop), so each product writes where it
+    # always has: over an operand only as below, else into a buffer it does
+    # not read.
     with np.errstate(over="ignore", invalid="ignore"):
-        m11_m22 = m11 * m22
-        num = q0 * m11_m22
-        det = np.multiply(m00, m11_m22, out=m00)
-        det -= (m01 * m10) * m22
+        prod = m11 * m22
+        num = q0 * prod
+        det = np.multiply(m00, prod, out=m00)
+        det -= np.multiply(m01 * m10, m22, out=prod)
         num -= np.multiply(m01 * q1, m22, out=m22)
-        det -= (m02 * m20) * m11
-        num -= (m02 * q2) * m11
+        det -= np.multiply(m02 * m20, m11, out=prod)
+        num -= np.multiply(m02 * q2, m11, out=prod)
         g11 = np.divide(num, det, out=num)
         g12 = np.subtract(q1, np.multiply(m10, g11, out=g11), out=g11)
-        out = (g12 / m11).real
+        out = np.divide(g12, m11, out=prod).real
         # one sum flags an overflow anywhere; the mask is built only then
         if not np.isfinite(det.sum()):
             out = np.where(np.isfinite(det), out, 0.0)
-    out = out.reshape(nus.shape)
-    return float(out) if np.isscalar(nu) or nus.ndim == 0 else out
+    return out
 
 
 def peak_positions(coeffs: SpectrumCoefficients) -> list[float]:
