@@ -20,8 +20,10 @@ from iobspectra import (
     incoherent_spectrum,
     oracle_spectrum,
     peak_positions,
+    solution_arrays,
     spectrum_coefficients,
     spectrum_for_branch,
+    spectrum_for_solution,
     stationary_state,
     sum_rule_ratio,
 )
@@ -310,6 +312,41 @@ def test_correlation_matrix_never_singular():
     assert np.all(np.isfinite(out))
 
 
+def test_determinant_is_the_bloch_characteristic_cubic():
+    """det M = h(i nu) for Torrey's cubic h(s) = s^3 + 2 g s^2
+    + (4 |W|^2 + d^2 + 5 g^2/4) s + g a, a = 2 |W|^2 + d^2 + g^2/4, the
+    characteristic polynomial of the frozen Bloch matrix: the oracle's
+    non-singularity (|det M|^2 is the closed-form denominator) rests on it.
+
+    Bound: np.linalg.det multiplies the pivots of a partial-pivoting LU,
+    whose backward error for n = 3 is at most about 3 * 4 * 2 sqrt(2) u |M|
+    per entry (three multiply-adds, growth factor <= 2^(n-1) = 4, complex
+    rounding, u = eps/2), about 17 eps |M|.  Over the structural zeros every
+    cofactor product is one of the three expansion terms, so det moves by
+    at most 3 * 17 eps S, S = |m00 m11 m22| + |m01 m10 m22| + |m02 m20 m11|;
+    Horner's rule for h(i nu) errs by at most about 6 eps T, T the sum of
+    the magnitudes of h's terms.  64 eps (S + T) bounds both (the largest
+    deviation seen is about 6 eps (S + T)).
+    """
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(20)
+    for _ in range(300):
+        g = 10.0 ** rng.uniform(-1.0, 1.0)
+        ob = g * 10.0 ** rng.uniform(-1.0, 1.0) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        d = g * 10.0 ** rng.uniform(-1.0, 1.0) * rng.choice([-1.0, 1.0])
+        o2, d2 = abs(ob) ** 2, d * d
+        c = spectrum_coefficients(o2, d, g)
+        nu = default_nu_grid(c.nu_p_sq, g, points=201)
+        m = correlation_matrix(nu, ob, d, g)
+        s = 1j * nu
+        a, k = 2.0 * o2 + d2 + 0.25 * g * g, 4.0 * o2 + d2 + 1.25 * g * g
+        h = ((s + 2.0 * g) * s + k) * s + g * a
+        terms = np.abs(m[:, 0, 0] * m[:, 1, 1] * m[:, 2, 2]) + np.abs(
+            m[:, 0, 1] * m[:, 1, 0] * m[:, 2, 2]) + np.abs(m[:, 0, 2] * m[:, 2, 0] * m[:, 1, 1])
+        h_terms = np.abs(nu) ** 3 + 2.0 * g * nu * nu + k * np.abs(nu) + g * a
+        assert np.all(np.abs(np.linalg.det(m) - h) <= 64.0 * eps * (terms + h_terms))
+
+
 def test_oracle_is_scale_invariant():
     """Rescaling every frequency by s leaves s * S(nu) unchanged; |det M|
     scales as s^3 (min 4.5e2 at s = 1, 4.5e-16 at s = 1e-6)."""
@@ -403,6 +440,105 @@ def test_point3_crossover_swaps_mechanisms():
     assert nu_p_of(det) < free        # narrower than the free triplet
     assert nu_p_of(lor) > free        # resonant local-field enhancement
     assert abs(lor.omega_eff) > 5.0 * omega
+
+
+def _mechanism_pair(delta, zeta, grid):
+    """Every root over ``grid`` for the lorentz and the detuning medium of
+    equal coupling zeta, gamma = 1: the two share the inversion cubic."""
+    lor = solution_arrays(MediumParams(delta=delta, zeta_lorentz=zeta), Mechanism.LORENTZ, grid)
+    det = solution_arrays(MediumParams(delta=delta, zeta_detuning=zeta), Mechanism.DETUNING, grid)
+    assert np.array_equal(lor.w, det.w, equal_nan=True)
+    return lor, det
+
+
+def test_mechanism_discriminant():
+    """At equal coupling the side-peak offsets of the two mechanisms differ by
+
+        nu_p^2(lorentz) - nu_p^2(detuning) = zeta W (2 delta - zeta W) (2 - W) / W:
+
+    at every steady state nu_p^2 = D (2 - W)/W - gamma^2 with
+    D = delta_eff^2 + gamma^2/4, and D is delta^2 + gamma^2/4 for the local
+    field but (delta - zeta W)^2 + gamma^2/4 for the shifted resonance.  The
+    sign says which triplet is wider; the spectra cannot tell the
+    mechanisms apart where zeta W = 2 delta.
+
+    Bound, per root: computing each nu_p^2 from the program's effective
+    parameters errs by at most 32 eps N (N = 4 |omega_eff|^2 + delta_eff^2
+    + 3/4, the magnitude of its terms), the right side by 8 eps of its
+    magnitude, and the identity itself needs an exact root: at a root where
+    the inversion cubic is eps_c (its residual times its normalization, plus
+    the 32 eps of evaluating it) the difference moves by
+    2 eps_c zeta W |2 delta - zeta W| / (W D_detuning).  The largest
+    deviation seen is 3 % of this bound.
+    """
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(8)
+    media = [(3.0, 50.0)] + [(rng.uniform(-5.0, 5.0), rng.uniform(1.0, 80.0)) for _ in range(40)]
+    for delta, zeta in media:
+        grid = np.linspace(0.0, 1.5 * zeta + 5.0, 200)
+        lor, det = _mechanism_pair(delta, zeta, grid)
+        found = lor.w == lor.w
+        w, omega = lor.w[found], np.broadcast_to(grid[:, None], lor.w.shape)[found]
+        sizes = []
+        nu_p_sq = []
+        for arr in (lor, det):
+            o2, d = np.abs(arr.omega_eff[found]) ** 2, arr.delta_eff[found]
+            nu_p_sq.append(spectrum_coefficients(o2, d, 1.0).nu_p_sq)
+            sizes.append(4.0 * o2 + d * d + 0.75)
+        expected = zeta * w * (2.0 * delta - zeta * w) * (2.0 - w) / w
+        shift = zeta * w * (2.0 * abs(delta) + zeta * w)
+        scale = np.maximum.reduce([np.full_like(w, zeta * zeta), np.full_like(w, abs(zeta * (zeta + 2.0 * delta))),
+                                   2.0 * omega**2 + delta * (delta + 2.0 * zeta) + 0.25,
+                                   np.full_like(w, delta * delta + 0.25)])
+        eps_c = (lor.residual[found] + 32.0 * eps) * scale
+        bound = (32.0 * eps * (sizes[0] + sizes[1]) + 8.0 * eps * shift * (2.0 - w) / w
+                 + 2.0 * eps_c * shift / (w * ((delta - zeta * w) ** 2 + 0.25)))
+        assert np.all(np.abs(nu_p_sq[0] - nu_p_sq[1] - expected) <= bound), (delta, zeta)
+
+
+def test_mechanisms_coincide_where_zeta_w_is_twice_delta():
+    """On the locus zeta W = 2 delta both mechanisms see the same
+    D = delta_eff^2 + gamma^2/4 and so emit the same spectrum.  For the
+    benchmark medium that is the middle root W = 0.12 at drive
+    omega^2 = (1 - W)(delta^2 + 1/4)/(2 W), omega = 5.82380.
+
+    Bound: |omega_eff|^2 and delta_eff^2 of the two mechanisms differ
+    relatively by at most r = dD / D + 32 eps, dD = zeta W |2 delta - zeta W|
+    at the computed root (the lorentz |omega_eff|^2 is omega^2 D_lorentz /
+    D_detuning); every spectral coefficient is a polynomial of degree at
+    most 2 in them, so it moves by at most (2 r + 8 eps) times the sum of
+    its terms' magnitudes.  The density adds the same relative change of a
+    and of its numerator, and its denominator's change over the
+    denominator, with 8 eps of Horner rounding per term magnitude for each
+    of the two evaluations.
+    """
+    eps = np.finfo(float).eps
+    delta, zeta = 3.0, 50.0
+    w0 = 2.0 * delta / zeta
+    omega = math.sqrt((1.0 - w0) * (delta * delta + 0.25) / (2.0 * w0))
+    assert omega == pytest.approx(5.82380, abs=1e-5)
+    lor, det = (branch_solution(medium, mech, Branch.MIDDLE, omega=omega)
+                for medium, mech in ((LORENTZ_50, Mechanism.LORENTZ),
+                                     (DETUNING_50, Mechanism.DETUNING)))
+    assert lor.w == det.w == pytest.approx(w0, rel=1e-14)
+    o2, d2 = abs(det.omega_eff) ** 2, det.delta_eff**2
+    r = zeta * det.w * abs(2.0 * delta - zeta * det.w) / min(o2, d2) + 32.0 * eps
+    rc = 2.0 * r + 8.0 * eps
+    nu = np.linspace(-40.0, 40.0, 2001)
+    spec_lor, spec_det = (spectrum_for_solution(sol, 1.0, nu) for sol in (lor, det))
+    cl, cd = spec_lor.coefficients, spec_det.coefficients
+    sizes = {"a": 2.0 * o2 + d2 + 0.25, "a0": 2.0 * o2 + 1.0, "b4": 8.0 * o2 + 2.0 * d2 + 1.5,
+             "b2": 16.0 * o2 * o2 + 2.0 * o2 * (4.0 * d2 + 1.0) + d2 * d2 + 1.5 * d2 + 0.5625,
+             "b0": cd.b0, "nu_p_sq": 4.0 * o2 + d2 + 0.75}
+    for name, size in sizes.items():
+        assert abs(getattr(cl, name) - getattr(cd, name)) <= rc * size, name
+    assert cd.nu_p_sq == pytest.approx(143.91667, abs=1e-5)
+    assert spec_lor.elastic_weight == pytest.approx(spec_det.elastic_weight, rel=rc)
+    nu2 = nu * nu
+    horner = ((nu2 + abs(cd.b4)) * nu2 + sizes["b2"]) * nu2 + cd.b0
+    den = ((nu2 + cd.b4) * nu2 + cd.b2) * nu2 + cd.b0
+    rel = 2.0 * rc + rc * horner / den + 16.0 * eps * horner / den + 8.0 * eps
+    assert np.all(np.abs(spec_lor.incoherent - spec_det.incoherent) <= rel * spec_det.incoherent)
 
 
 def test_spectrum_for_branch_pipeline():

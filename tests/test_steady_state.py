@@ -627,6 +627,74 @@ def test_exact_folds_give_one_marginal_double_root(params, mech):
         assert [w.category for w in caught] == [MarginalStabilityWarning]
 
 
+def record_bits(sol) -> tuple:
+    """A solution record with every float field as its bit pattern."""
+    floats = (sol.w, sol.rho22, sol.rho12.real, sol.rho12.imag, sol.omega_eff.real,
+              sol.omega_eff.imag, sol.delta_eff, sol.residual)
+    return tuple(float(x).hex() for x in floats) + (sol.branch, sol.stable)
+
+
+@pytest.mark.parametrize("params, mech", [
+    (LORENTZ_50, Mechanism.LORENTZ),
+    (DETUNING_50, Mechanism.DETUNING),
+    (MediumParams(delta=3.0, zeta_lorentz=20.0, zeta_detuning=30.0), Mechanism.JOINT),
+])
+def test_single_drive_results_equal_their_batch_row(params, mech):
+    """One drive gives bit for bit its row of a whole-grid call.  The kernel
+    evaluates only the cubic-formula form that its rows need, and only the
+    branch of Smith's division that its roots need, so a lone drive takes
+    other code paths than a grid that mixes one- and three-root drives; the
+    grid holds zero drive, both folds (the program's and the resultant's),
+    and drives whose root W = 0.06, 0.065, 0.07 lies where |Re f| < |Im f|
+    for the local-field factor f of the lorentz and joint media."""
+    zeta, delta = zeta_total(params, mech), params.delta
+    band = [np.sqrt((1.0 - w) * ((delta - zeta * w) ** 2 + 0.25) / (2.0 * w))
+            for w in (0.06, 0.065, 0.07)]
+    folds = list(find_thresholds(params, mech)) + [omega for omega, _ in fold_points()]
+    grid = np.unique(np.concatenate([[0.0], np.linspace(0.5, 25.0, 30), band, folds]))
+    whole = solution_arrays(params, mech, grid)
+    assert set(whole.count.tolist()) >= {1, 2, 3}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MarginalStabilityWarning)
+        points = scan_hysteresis(params, mech, grid).points
+        for i, omega in enumerate(grid.tolist()):
+            one = solution_arrays(params, mech, [omega])
+            for name in one._fields:
+                assert np.array_equal(getattr(one, name)[0], getattr(whole, name)[i],
+                                      equal_nan=True), (name, omega)
+            expected = {sol.branch: record_bits(sol) for sol in points[i].solutions}
+            for branch in Branch:
+                if branch in expected:
+                    sol = branch_solution(params, mech, branch, omega=omega)
+                    assert record_bits(sol) == expected[branch], (branch, omega)
+                else:
+                    with pytest.raises(BranchNotPresentError):
+                        branch_solution(params, mech, branch, omega=omega)
+
+
+def test_each_cubic_solves_alone_as_in_a_batch():
+    """The closed-form kernel gives each cubic the same roots, bit for bit,
+    whether it is solved alone or as one column of a batch.  Alone, a cubic
+    takes only the form it needs (Cardano's, or the trigonometric one); the
+    batch mixes one-root and three-root inversion cubics with the fold
+    cubic, a double root (x - 1)^2 (x + 2), the cubic x^3 + 1e-200 whose
+    discriminant underflows to 0 with p = 0 (the triple-root branch), a
+    vanishing cubic term (the quadratic fallback) and random cubics."""
+    rng = np.random.default_rng(12)
+    zeta = 50.0
+    columns = [steady_state._fold_cubic(LORENTZ_50, zeta),
+               (1.0, 0.0, -3.0, 2.0), (1.0, 0.0, 0.0, 1e-200), (1e-16, 1.0, -3.0, 2.0)]
+    columns += [steady_state._inversion_cubic(LORENTZ_50, zeta, omega)
+                for omega in (0.0, 1.0, OMEGA_DOWN_EXACT, 8.0, 15.6, OMEGA_UP_EXACT, 20.0)]
+    columns += [tuple(rng.normal(size=4)) for _ in range(20)]
+    coeffs = np.array(columns, dtype=float).T
+    roots, c = steady_state._real_cubic_roots(coeffs)
+    for j in range(coeffs.shape[1]):
+        alone, c_alone = steady_state._real_cubic_roots(coeffs[:, j:j + 1])
+        assert np.array_equal(alone[0], roots[j], equal_nan=True), columns[j]
+        assert np.array_equal(c_alone[:, 0], c[:, j])
+
+
 def test_scan_keeps_going_where_no_root_is_found(monkeypatch):
     """Drives without a physical root warn "solver failed" once each, in
     drive order and attributed to the caller, and keep an empty solution
