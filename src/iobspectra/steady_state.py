@@ -176,26 +176,37 @@ def _normalized(coeffs: np.ndarray) -> np.ndarray:
 
 
 def _horner(c, w):
+    """((c3 w + c2) w + c1) w + c0 for an array ``w``, updated in place."""
     c3, c2, c1, c0 = c
-    return ((c3 * w + c2) * w + c1) * w + c0
+    p = c3 * w
+    p += c2
+    p *= w
+    p += c1
+    p *= w
+    p += c0
+    return p
 
 
 def _polish(c, w: np.ndarray) -> np.ndarray:
     """Three Newton steps on the normalized cubic ``c``, elementwise; each
     element keeps its best iterate.  Where the derivative or the residual
-    vanishes, later iterates turn NaN or stand still, so they never beat it."""
+    vanishes, later iterates turn NaN or stand still, so they never beat it.
+    The caller silences floating-point warnings."""
     c3, c2, c1, _ = c
     d3, d2 = 3.0 * c3, 2.0 * c2
     p = _horner(c, w)
     best_w, best_r = w.copy(), np.abs(p)
-    with np.errstate(all="ignore"):
-        for _ in range(3):
-            w = w - p / ((d3 * w + d2) * w + c1)
-            p = _horner(c, w)
-            r = np.abs(p)
-            better = r < best_r
-            np.copyto(best_w, w, where=better)
-            np.copyto(best_r, r, where=better)
+    for _ in range(3):
+        slope = d3 * w
+        slope += d2
+        slope *= w
+        slope += c1
+        w = w - p / slope
+        p = _horner(c, w)
+        r = np.abs(p)
+        better = r < best_r
+        np.copyto(best_w, w, where=better)
+        np.copyto(best_r, r, where=better)
     return best_w
 
 
@@ -232,8 +243,8 @@ def _cubic_formula(c: np.ndarray) -> np.ndarray:
         if every:
             ts[:, 0] = one
         else:
-            ts[:, 0] = np.where(single, one, ts[:, 0])
-            ts[single, 1:] = np.nan
+            np.copyto(ts[:, 0], one, where=single)
+            np.copyto(ts[:, 1:], np.nan, where=single[:, None])
     return ts - shift[:, None]
 
 
@@ -270,8 +281,8 @@ def _real_cubic_roots(coeffs: np.ndarray):
         if not low.any():
             return np.sort(_polish(_per_root(c), roots), axis=1), c
         roots[low] = _low_degree_formula(*c[1:, low])
-    polish = ~low
-    roots[polish] = _polish(_per_root(c[:, polish]), roots[polish])
+        polish = ~low
+        roots[polish] = _polish(_per_root(c[:, polish]), roots[polish])
     return np.sort(roots, axis=1), c
 
 
@@ -316,7 +327,8 @@ def _merge_coincident(c, w: np.ndarray):
             # on p' = 3 c3 w^2 + 2 c2 w + c1; on p itself it converges only
             # linearly there and stops about sqrt(eps) short.
             c3, c2, c1, _ = (ci[join] for ci in c)
-            mid = _polish((0.0, 3.0 * c3, 2.0 * c2, c1), 0.5 * (last[join] + x[join]))
+            with np.errstate(all="ignore"):
+                mid = _polish((0.0, 3.0 * c3, 2.0 * c2, c1), 0.5 * (last[join] + x[join]))
             merged[rows[join], count[join] - 1] = np.where(
                 mid > 0.0, np.minimum(mid, 1.0), last[join])
         add = (x == x) & ~join
@@ -367,9 +379,9 @@ def _inversion_roots(params: MediumParams, zeta: float, omega: np.ndarray):
 
     # Only rows with two roots closer than _SPLIT_MAX can hold a split double
     # root; the rest skip the merge.
-    close = (w[:, 1:] - w[:, :-1] < _SPLIT_MAX).any(axis=1)
+    close = w[:, 1:] - w[:, :-1] < _SPLIT_MAX
     if close.any():
-        near = np.flatnonzero(close)
+        near = np.flatnonzero(close.any(axis=1))
         w[near], count[near] = _merge_coincident(c[:, near], w[near])
     return w, count, c, folds
 
@@ -595,10 +607,10 @@ class ScanPoints(RowView):
 
 def _solution(a: SolutionArrays, branches: np.ndarray, i: int, k: int) -> SteadyStateSolution:
     """Root k at drive i of ``a`` as a record, in Python scalars."""
-    w = a.w[i, k].item()
-    return SteadyStateSolution(w, 0.5 * (1.0 - w), a.rho12[i, k].item(), a.omega_eff[i, k].item(),
-                               a.delta_eff[i, k].item(), Branch(branches[i, k].item()),
-                               a.stable[i, k].item(), a.residual[i, k].item())
+    w = a.w.item(i, k)
+    return SteadyStateSolution(w, 0.5 * (1.0 - w), a.rho12.item(i, k), a.omega_eff.item(i, k),
+                               a.delta_eff.item(i, k), Branch(branches.item(i, k)),
+                               a.stable.item(i, k), a.residual.item(i, k))
 
 
 def _labeled(arr: SolutionArrays, omega_up: float | None, stacklevel: int = 3) -> np.ndarray:
