@@ -272,24 +272,25 @@ def _real_cubic_roots(coeffs: np.ndarray):
     root onto the near one (a phantom second root), and the dropped term
     adds at most |c3| < 1e-14 to the residual of a root in (0, 1].
     Returns the roots as a (K, 3) array, ascending and NaN-padded, and the
-    normalized coefficient rows (4, K).
+    normalized coefficients repeated per root, (4, K, 3).
     """
     c = _normalized(coeffs)
+    per_root = _per_root(c)
     low = np.abs(c[0]) < 1e-14
     with np.errstate(all="ignore"):
         roots = _cubic_formula(c)
         if not low.any():
-            return np.sort(_polish(_per_root(c), roots), axis=1), c
+            return np.sort(_polish(per_root, roots), axis=1), per_root
         roots[low] = _low_degree_formula(*c[1:, low])
         polish = ~low
-        roots[polish] = _polish(_per_root(c[:, polish]), roots[polish])
-    return np.sort(roots, axis=1), c
+        roots[polish] = _polish(per_root[:, polish], roots[polish])
+    return np.sort(roots, axis=1), per_root
 
 
 def _per_root(c: np.ndarray) -> np.ndarray:
     """Rows (..., K) repeated into (..., K, 3), one column per root.  Numpy
-    runs an operation on equal shapes much faster than a broadcast one on
-    small arrays, and the polish and the residual do several per root."""
+    runs an operation on equal shapes much faster than a broadcast one, and
+    the polish and the residual do several per root."""
     return c[..., None].repeat(3, axis=-1)
 
 
@@ -362,8 +363,8 @@ def _inversion_roots(params: MediumParams, zeta: float, omega: np.ndarray):
     One kernel call solves the inversion cubic at every drive and, as one
     more row, the fold cubic.  Returns (roots, count, c, folds): roots as an
     (M, 3) array ascending in W and NaN-padded and de-duplicated; count the
-    roots per drive; c the normalized cubic coefficient rows (4, M); folds
-    as from :func:`_fold_pair`.
+    roots per drive; c the normalized cubic coefficients repeated per root,
+    (4, M, 3); folds as from :func:`_fold_pair`.
     """
     coeffs = np.empty((4, omega.size + 1))
     coeffs[:, -1] = _fold_cubic(params, zeta)
@@ -382,7 +383,7 @@ def _inversion_roots(params: MediumParams, zeta: float, omega: np.ndarray):
     close = w[:, 1:] - w[:, :-1] < _SPLIT_MAX
     if close.any():
         near = np.flatnonzero(close.any(axis=1))
-        w[near], count[near] = _merge_coincident(c[:, near], w[near])
+        w[near], count[near] = _merge_coincident(c[:, near, 0], w[near])
     return w, count, c, folds
 
 
@@ -480,7 +481,7 @@ def _solve(params: MediumParams, mech: Mechanism, omega: np.ndarray):
     roots, count, c, folds = _inversion_roots(params, zeta_total(params, mech), omega)
     # ascending rho22, i.e. descending w, with the padding kept last
     w = -np.sort(-roots, axis=1)
-    residual = np.abs(_horner(_per_root(c), w))
+    residual = np.abs(_horner(c, w))
     drive = _per_root(omega)
     omega_eff, delta_eff = _effective(params, drive, w)
     rho12 = coherence(w, omega_eff, delta_eff, params.gamma)
