@@ -207,10 +207,11 @@ def oracle_spectrum(nu, omega_eff: complex, delta_eff: float, gamma: float, rho:
     return float(out) if np.isscalar(nu) or nus.ndim == 0 else out
 
 
-# Grid points per block of the oracle: its five complex buffers of 64 kB stay
-# in the heap and in cache, where whole-grid buffers are page-faulted afresh
-# on every call.
-_BLOCK = 4096
+# Grid points per block of the oracle.  Its five complex buffers of 125 kB
+# stay below the C allocator's default mmap threshold (128 KiB in glibc), so
+# they are reused from the heap, where whole-grid buffers can be
+# page-faulted afresh on every call.
+_BLOCK = 8000
 
 
 def _oracle_block(nu: np.ndarray, omega_eff: complex, delta_eff: float, gamma: float,
