@@ -313,10 +313,13 @@ def test_correlation_matrix_never_singular():
 
 
 def test_determinant_is_the_bloch_characteristic_cubic():
-    """det M = h(i nu) for Torrey's cubic h(s) = s^3 + 2 g s^2
-    + (4 |W|^2 + d^2 + 5 g^2/4) s + g a, a = 2 |W|^2 + d^2 + g^2/4, the
-    characteristic polynomial of the frozen Bloch matrix: the oracle's
-    non-singularity (|det M|^2 is the closed-form denominator) rests on it.
+    """det M = h(i nu) for Torrey's cubic h(s) = s^3 + 2 gamma s^2
+    + (4 |omega_eff|^2 + delta_eff^2 + 5 gamma^2/4) s + gamma a with
+    a = 2 |omega_eff|^2 + delta_eff^2 + gamma^2/4, the characteristic
+    polynomial of the frozen Bloch matrix: the oracle's non-singularity
+    (|det M|^2 is the closed-form denominator) rests on it.  The 300 seeded
+    media spread gamma, |omega_eff|/gamma and |delta_eff|/gamma over two
+    decades each.
 
     Bound: np.linalg.det multiplies the pivots of a partial-pivoting LU,
     whose backward error for n = 3 is at most about 3 * 4 * 2 sqrt(2) u |M|
@@ -479,8 +482,7 @@ def test_mechanism_discriminant():
         lor, det = _mechanism_pair(delta, zeta, grid)
         found = lor.w == lor.w
         w, omega = lor.w[found], np.broadcast_to(grid[:, None], lor.w.shape)[found]
-        sizes = []
-        nu_p_sq = []
+        sizes, nu_p_sq = [], []
         for arr in (lor, det):
             o2, d = np.abs(arr.omega_eff[found]) ** 2, arr.delta_eff[found]
             nu_p_sq.append(spectrum_coefficients(o2, d, 1.0).nu_p_sq)
