@@ -199,10 +199,12 @@ def oracle_spectrum(nu, omega_eff: complex, delta_eff: float, gamma: float, rho:
     """
     nus = np.asarray(nu, dtype=float)
     flat = nus.reshape(-1)
+    q = (rho.rho21 * rho.rho22, rho.rho22 - rho.rho12 * rho.rho21, -(rho.rho21 * rho.rho21))
     out = np.empty(flat.shape)
-    for start in range(0, flat.size, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        out[block] = _oracle_block(flat[block], omega_eff, delta_eff, gamma, rho)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, flat.size, _BLOCK):
+            block = slice(start, start + _BLOCK)
+            out[block] = _oracle_block(flat[block], omega_eff, delta_eff, gamma, q)
     out = out.reshape(nus.shape)
     return float(out) if np.isscalar(nu) or nus.ndim == 0 else out
 
@@ -216,30 +218,28 @@ _BLOCK = 4096
 
 
 def _oracle_block(nu: np.ndarray, omega_eff: complex, delta_eff: float, gamma: float,
-                  rho: StationaryState) -> np.ndarray:
-    """:func:`oracle_spectrum` on a 1-d block of drives."""
+                  q: tuple[complex, complex, complex]) -> np.ndarray:
+    """Re g12 of :func:`oracle_spectrum` on a 1-d block of offsets, for the
+    source vector ``q``."""
     m00, m01, m02, m10, m11, m20, m22 = _correlation_entries(nu, omega_eff, delta_eff, gamma)
-    q0 = rho.rho21 * rho.rho22
-    q1 = rho.rho22 - rho.rho12 * rho.rho21
-    q2 = -(rho.rho21 * rho.rho21)
+    q0, q1, q2 = q
     # Numpy may round a complex product written over one of its own operands
     # differently (another inner loop), so each product writes where it
     # always has: over an operand only as below, else into a buffer it does
     # not read.
-    with np.errstate(over="ignore", invalid="ignore"):
-        prod = m11 * m22
-        num = q0 * prod
-        det = np.multiply(m00, prod, out=m00)
-        det -= np.multiply(m01 * m10, m22, out=prod)
-        num -= np.multiply(m01 * q1, m22, out=m22)
-        det -= np.multiply(m02 * m20, m11, out=prod)
-        num -= np.multiply(m02 * q2, m11, out=prod)
-        g11 = np.divide(num, det, out=num)
-        g12 = np.subtract(q1, np.multiply(m10, g11, out=g11), out=g11)
-        out = np.divide(g12, m11, out=prod).real
-        # one sum flags an overflow anywhere; the mask is built only then
-        if not np.isfinite(det.sum()):
-            out = np.where(np.isfinite(det), out, 0.0)
+    prod = m11 * m22
+    num = q0 * prod
+    det = np.multiply(m00, prod, out=m00)
+    det -= np.multiply(m01 * m10, m22, out=prod)
+    num -= np.multiply(m01 * q1, m22, out=m22)
+    det -= np.multiply(m02 * m20, m11, out=prod)
+    num -= np.multiply(m02 * q2, m11, out=prod)
+    g11 = np.divide(num, det, out=num)
+    g12 = np.subtract(q1, np.multiply(m10, g11, out=g11), out=g11)
+    out = np.divide(g12, m11, out=prod).real
+    # one sum flags an overflow anywhere; the mask is built only then
+    if not np.isfinite(det.sum()):
+        out = np.where(np.isfinite(det), out, 0.0)
     return out
 
 
