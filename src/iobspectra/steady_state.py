@@ -176,7 +176,7 @@ def _normalized(coeffs: np.ndarray) -> np.ndarray:
 
 
 def _horner(c, w):
-    """((c3 w + c2) w + c1) w + c0 for an array ``w``, updated in place."""
+    """((c3 w + c2) w + c1) w + c0 for an array ``w``, built in one new array."""
     c3, c2, c1, c0 = c
     p = c3 * w
     p += c2
