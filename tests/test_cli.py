@@ -244,6 +244,19 @@ def test_spectrum_branch_absent_exit4(tmp_path, capsys):
     assert "upper" in err
 
 
+def test_spectrum_of_the_saturated_upper_branch(capsys):
+    """At omega = 3e8 the upper branch's w = W is below 1.1e-16, so its
+    rho22 = (1 - W)/2 rounds to exactly 1/2, the saturation limit.  The
+    spectrum is still written, with side peaks at +-2 omega."""
+    omega = 3e8
+    code, out, err = run(capsys, "spectrum", "--delta", "3", "--zeta-l", "50",
+                         "--omega", str(omega), "--branch", "upper", "--format", "json")
+    assert (code, err) == (0, "")
+    meta = json.loads(out)["meta"]
+    assert meta["rho22"] == 0.5
+    assert meta["peaks"][2] == pytest.approx(2.0 * omega, rel=1e-12)
+
+
 def test_weak_coupling_has_no_upper_branch(tmp_path, capsys):
     """delta = 10, zeta_l = 1e-6 is monostable: one hysteresis row per
     drive, and the spectrum of an upper branch is absent (exit 4)."""

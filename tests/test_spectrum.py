@@ -304,6 +304,23 @@ def test_oracle_vanishes_where_the_determinant_overflows():
     peak = incoherent_spectrum(0.0, c, rho.rho22, g)
     assert np.abs(got - closed).max() <= 1e-12 * peak
 
+def test_oracle_and_closed_form_agree_at_nan_and_infinite_offsets():
+    """At a NaN offset both routes give NaN; at an infinite one both give 0,
+    the limit of the nu^-4 tail.  Only an overflowed determinant at a number
+    maps to 0 in the oracle."""
+    ob, d, g = 2.0 + 1.0j, 1.0, 1.0
+    rho = stationary_state(ob, d, g)
+    c = spectrum_coefficients(abs(ob) ** 2, d, g)
+    nu = np.array([np.nan, np.inf, -np.inf, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = oracle_spectrum(nu, ob, d, g, rho)
+        closed = incoherent_spectrum(nu, c, rho.rho22, g)
+    assert np.isnan(got[0]) and np.isnan(closed[0])
+    assert got[1:3].tolist() == closed[1:3].tolist() == [0.0, 0.0]
+    assert abs(got[3] - closed[3]) <= 1e-12 * closed[3]
+
+
 def test_correlation_matrix_never_singular():
     ob, d, g = 2.0 + 1.0j, -3.0, 1.0
     rho = stationary_state(ob, d, g)
@@ -582,6 +599,35 @@ def test_sum_rule_constant_and_value():
     assert ratios[0] == pytest.approx(math.pi, abs=1e-8)
     for r in ratios:
         assert abs(r - math.pi) / math.pi <= 1e-10
+
+
+def test_sum_rule_is_pi_on_random_media_down_to_weak_drive():
+    """sum_rule_ratio is pi to 1e-10 on 300 seeded random effective media:
+    gamma in 0.1..10 and |omega_eff|/gamma in 0.1..30 (both log-uniform),
+    |delta_eff|/gamma up to 10.  At weak drive and large detuning rho22 is
+    about 1e-4 and rho22 - |rho12|^2 = 2 rho22^2 the difference of two
+    nearly equal numbers, so a ratio over that difference loses about
+    eps / (2 rho22^2) of accuracy there.
+
+    Each state also meets |rho12|^2 = w rho22, the identity behind
+    rho22 - |rho12|^2 = 2 rho22^2, within the rounding bound of the
+    steady-state property test, 8 eps w sum|c_i| / (2 Q).  For the free atom
+    at the effective drive the inversion cubic is (2 |omega_eff|^2 + D) w - D
+    with D = delta_eff^2 + gamma^2/4, and Q = D."""
+    rng = np.random.default_rng(2010)
+    eps = float(np.finfo(float).eps)
+    for _ in range(300):
+        g = 10.0 ** rng.uniform(-1.0, 1.0)
+        ob = (g * 10.0 ** rng.uniform(-1.0, math.log10(30.0))
+              * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
+        d = g * rng.uniform(-10.0, 10.0)
+        rho = stationary_state(ob, d, g)
+        c = spectrum_coefficients(abs(ob) ** 2, d, g)
+        ratio = sum_rule_ratio(_spectrum_stub(c), rho.rho22, rho.rho12)
+        assert abs(ratio - math.pi) <= 1e-10 * math.pi, (g, ob, d)
+        dd = d * d + 0.25 * g * g
+        bound = 8.0 * eps * rho.w * (2.0 * abs(ob) ** 2 + 2.0 * dd) / (2.0 * dd)
+        assert abs(abs(rho.rho12) ** 2 - rho.w * rho.rho22) <= bound
 
 
 def test_sum_rule_holds_for_joint_mechanism():
