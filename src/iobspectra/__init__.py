@@ -11,6 +11,7 @@ from .core import (
     validate_mechanism,
     zeta_total,
 )
+from .bloch import BlochState, bloch_rhs, jacobian
 from .steady_state import (
     HysteresisScan,
     ScanPoint,

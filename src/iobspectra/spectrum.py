@@ -17,8 +17,9 @@ An independent route to the same density solves a complex 3x3 linear
 system for the atom-field correlation function, over the matrix's two
 structural zeros with one determinant; both are implemented and
 cross-checked against each other.  A second check integrates the density
-of given coefficients by adaptive quadrature over the half line (the
-density is even in nu): the integral over rho22 - |rho12|^2 is exactly pi.
+of given coefficients by a fixed Gauss-Legendre rule over the half line
+(the density is even in nu): the integral over the inelastic share
+rho22 - |rho12|^2 = 2 rho22^2 is exactly pi.
 
 Spectra are reported in a common arbitrary unit (coupling and photon-energy
 prefactors dropped), so shapes and ratios are meaningful but absolute
@@ -27,6 +28,7 @@ radiometric scales are not.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -111,9 +113,12 @@ def incoherent_spectrum(nu, coeffs: SpectrumCoefficients, rho22: float, gamma: f
     nonnegative terms plus b0 > 0), so the density is finite and
     nonnegative everywhere.  Where the denominator overflows (|nu| beyond
     about 1e51) the density is 0, as its nu^-4 tail gives.
+
+    rho22 lies in [0, 1/2]: 1/2 is the saturation limit W -> 0, which a
+    steady state's rho22 = (1 - W)/2 reaches in rounding once W < 1.1e-16.
     """
-    if not 0.0 <= rho22 < 0.5:
-        raise ValueError(f"rho22 must lie in [0, 1/2), got {rho22}")
+    if not 0.0 <= rho22 <= 0.5:
+        raise ValueError(f"rho22 must lie in [0, 1/2], got {rho22}")
     nu_arr = np.asarray(nu, dtype=float)
     # in place: a temporary of a long grid can be page-faulted afresh on every call
     with np.errstate(over="ignore", invalid="ignore"):
@@ -195,7 +200,8 @@ def oracle_spectrum(nu, omega_eff: complex, delta_eff: float, gamma: float, rho:
     (its real part).
 
     det M grows as nu^3 and overflows past |nu| ~ 5.6e102; the density is 0
-    there, as its nu^-4 tail gives, and no warning is raised.
+    there, as its nu^-4 tail gives, and no warning is raised.  At a NaN
+    offset the density is NaN, as in :func:`incoherent_spectrum`.
     """
     nus = np.asarray(nu, dtype=float)
     flat = nus.reshape(-1)
@@ -237,9 +243,10 @@ def _oracle_block(nu: np.ndarray, omega_eff: complex, delta_eff: float, gamma: f
     g11 = np.divide(num, det, out=num)
     g12 = np.subtract(q1, np.multiply(m10, g11, out=g11), out=g11)
     out = np.divide(g12, m11, out=prod).real
-    # one sum flags an overflow anywhere; the mask is built only then
+    # one sum flags an overflow (or a NaN offset) anywhere; the mask is
+    # built only then, and leaves the NaN of a NaN offset
     if not np.isfinite(det.sum()):
-        out = np.where(np.isfinite(det), out, 0.0)
+        out = np.where(np.isfinite(det) | np.isnan(nu), out, 0.0)
     return out
 
 
@@ -302,38 +309,110 @@ def free_atom_saturation_max(gamma: float) -> float:
     return 0.5 / gamma
 
 
+# Gauss-Legendre nodes per panel of sum_rule_ratio; see there for the bound
+_GAUSS_NODES = 28
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """sum_rule_ratio's rule as (1 + nodes, weights) on [-1, 1], built on
+    first use: numpy.polynomial takes about 4 ms to import."""
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = leggauss(_GAUSS_NODES)
+    return 1.0 + x, w
+
+
+def _sum_rule_panels(nu_p: float) -> np.ndarray:
+    """Finite panel edges of :func:`sum_rule_ratio` in units of gamma, from
+    0 up; the last panel runs from the last edge to infinity.  ``nu_p`` is
+    the side-peak offset over gamma (0 without side peaks)."""
+    if nu_p <= 1.0:  # the side peaks merge with the central one
+        nu_p = 0.0
+    top = 2.0 * max(nu_p, 1.0)
+    steps = np.ldexp(1.0, np.arange(-1, math.frexp(top)[1] + 1))  # 1/2, 1, 2, ... >= top
+    upper = nu_p + steps[:steps.searchsorted(top) + 1]
+    if nu_p == 0.0:
+        return np.concatenate(([0.0], upper))
+    lower = steps[steps < 0.5 * nu_p]
+    return np.concatenate(([0.0], lower, [0.5 * nu_p], nu_p - lower[::-1], upper))
+
+
 def sum_rule_ratio(result: SpectrumResult, rho22: float, rho12: complex) -> float:
-    """Integral of the incoherent density over the inelastic share of emission.
+    """Integral of the incoherent density over the line, divided by 2 rho22^2.
 
-    Returns  integral S(nu) d nu / (rho22 - |rho12|^2), evaluated by adaptive
-    quadrature of the density built from ``result.coefficients``, with the
-    tails (falling as nu^-4) integrated to infinity.  The density depends on
-    nu only through nu^2, so S(nu) = S(-nu) for any coefficients and the
-    integral is twice the one over the half line: [0, cut] with a break at
-    the side peak nu_p, then [cut, inf).  For any consistent steady state
-    the ratio is exactly pi, making it a sharp cross-parameter consistency
-    probe.
+    At a steady state |rho12|^2 = W rho22 with W = 1 - 2 rho22, so the
+    inelastic share of emission rho22 - |rho12|^2 equals 2 rho22^2, and for
+    consistent coefficients the ratio is exactly pi (the density is
+    2 rho22^2 gamma a N / D, and the Hurwitz integral table, James, Nichols
+    & Phillips 1947, gives the integral of N / D as pi / (gamma a)).
+    Divided by the difference, the ratio would lose eps / (2 rho22^2) at
+    weak drive, where rho22 - |rho12|^2 cancels.  The factor 2 rho22^2
+    cancels instead, so the ratio integrates gamma a N / D of the
+    coefficients ``result.coefficients`` alone, with gamma = sqrt(b0) / a.
+    The state enters only through a check: ValueError when
+    rho22 - |rho12|^2 is not positive, an inconsistent steady state.
+
+    The density is even, so the integral is twice the one over [0, inf), in
+    theta with nu = gamma tan theta, d nu = (gamma^2 + nu^2) / gamma d theta.
+    That maps the half line onto [0, pi/2], where the nu^-4 tail becomes a
+    function analytic at pi/2.
+
+    Poles.  The sextic D is |det(i nu - B)|^2 for the Bloch matrix
+    B = -G + K of the effective drive, G = diag(gamma/2, gamma/2, gamma)
+    and K real antisymmetric with eigenvalues 0, +-i s,
+    s^2 = 4 |omega_eff|^2 + delta_eff^2 = nu_p^2 + 3 gamma^2 / 4.  An
+    eigenvector x gives Re lambda = -x* G x in [-gamma, -gamma/2], and by
+    Bauer-Fike (K is normal) each lambda lies within |G - 3 gamma/4| =
+    gamma/4 of -3 gamma/4 + {0, +-i s}.  So every pole of the density has
+    gamma/2 <= |Im nu| <= gamma and lies within gamma/4 of 0 or +-s, which
+    is within 0.87 gamma of +-nu_p.
+
+    Panels grade geometrically from both peaks: edges at gamma 2^j for
+    j >= -1 below nu_p / 2, at nu_p / 2, at nu_p -+ gamma 2^j above it, up
+    to nu_p + gamma 2^J with 2^J the first power >= 2 max(nu_p / gamma, 1),
+    then one panel to infinity.  For nu_p <= gamma the peaks merge and the
+    edges are 0, gamma/2, gamma and 2 gamma.  In theta, every panel's
+    Bernstein ellipse (foci at its ends) through the nearest possible pole
+    has rho >= 2.265, for nu_p / gamma from 0 to 1e12.  The tightest is the
+    panel of width gamma across a side peak near nu_p = 1.2 gamma; in nu a
+    pole gamma/2 above the middle of such a panel gives 1 + sqrt 2.
+
+    Error bound.  n-point Gauss-Legendre errs on a panel of half width h
+    by at most (64/15) M r^-2n / (r^2 - 1) h for any r < rho, with M the
+    largest modulus of the integrand on the ellipse r (Trefethen, SIAM
+    Rev. 50, 67, 2008, Thm 4.5).  At r = 2 and n = 28 that is
+    2.0e-17 M h.  Over the panels M h sums to at most 1.66 pi for gamma in
+    1e-2..1e2, |omega_eff| / gamma in 1e-2..1e3 and |delta_eff| / gamma in
+    1e-2..1e2, so the truncation stays below 4e-17 relative, under the
+    rounding of the sextic, which near the side peaks cancels by about
+    (nu_p / gamma)^2.
     """
-    from scipy.integrate import quad
-
-    denom = rho22 - abs(rho12) ** 2
-    if denom <= 0.0:
+    if not rho22 - abs(rho12) ** 2 > 0.0:
         raise ValueError(
-            f"rho22 - |rho12|^2 = {denom} is not positive; inconsistent steady state"
+            f"rho22 - |rho12|^2 = {rho22 - abs(rho12) ** 2} is not positive; "
+            "inconsistent steady state"
         )
     c = result.coefficients
-    a0, b4, b2, b0 = c.a0, c.b4, c.b2, c.b0
-    gamma = math.sqrt(b0) / c.a  # b0 = gamma^2 a^2
-    scale = 2.0 * rho22 * rho22 * gamma * c.a
-
-    def density(nu: float) -> float:
-        nu2 = nu * nu
-        return scale * (nu2 + a0) / (((nu2 + b4) * nu2 + b2) * nu2 + b0)
-
-    nu_p = math.sqrt(c.nu_p_sq) if c.nu_p_sq > 0.0 else 0.0
-    cut = 2.0 * nu_p + 20.0 * gamma
-    # half the absolute tolerances of a full-line integral, since the sum is doubled
-    inner, _ = quad(density, 0.0, cut, points=[nu_p] if nu_p > 0.0 else None,
-                    limit=500, epsabs=5e-14, epsrel=1e-12)
-    tail, _ = quad(density, cut, np.inf, limit=200, epsabs=5e-15)
-    return 2.0 * (inner + tail) / denom
+    gamma = math.sqrt(c.b0) / c.a  # b0 = gamma^2 a^2
+    edges = _sum_rule_panels(math.sqrt(c.nu_p_sq) / gamma if c.nu_p_sq > 0.0 else 0.0)
+    # Each panel's width in theta, arctan(ub) - arctan(ua), without the
+    # cancellation of two angles near pi/2; the last runs to pi/2.
+    ua = edges[:, None]
+    half = 0.5 * np.arctan(np.append(np.diff(edges) / (1.0 + edges[:-1] * edges[1:]),
+                                     1.0 / edges[-1]))[:, None]
+    x, w = _gauss_legendre()
+    # tan(theta_a + t) from tan t, for nodes t on [0, width]
+    tau = np.tan(half * x)
+    nu2 = (ua + tau) / (1.0 - ua * tau)
+    nu2 *= gamma
+    nu2 *= nu2
+    den = nu2 + c.b4
+    den *= nu2
+    den += c.b2
+    den *= nu2
+    den += c.b0
+    f = (nu2 + c.a0) * (nu2 + gamma * gamma)
+    f /= den
+    f *= half
+    return 2.0 * c.a * float((f @ w).sum())

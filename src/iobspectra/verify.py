@@ -7,7 +7,8 @@ quantity and reports the worst deviation against a fixed tolerance:
     factorization_identity       b4, b2, b0 vs the peak-root factorization
     fixed_point_agreement        cubic roots vs zeros of the Bloch flow
     rabi_relation                self-consistent |omega_eff|^2 vs its identity
-    sum_rule_constancy           integral S / (rho22 - |rho12|^2) vs pi across media
+    sum_rule_constancy           integral S / (2 rho22^2) vs pi across media, with
+                                 |rho12|^2 = w rho22 at each state
 
 Draws are seeded, so a seed fixes every printed deviation.
 """
@@ -18,8 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import spectrum, steady_state
-from .core import Branch, MediumParams, Mechanism
+from . import bloch, spectrum, steady_state
+from .core import Branch, MediumParams, Mechanism, zeta_total
 
 
 @dataclass(frozen=True)
@@ -104,12 +105,50 @@ def _found_roots(params: MediumParams, mech: Mechanism, omegas: np.ndarray):
         yield om, w[:n], rho12[:n], omega_eff[:n]
 
 
+# Newton steps per fixed-point search, and the halvings of one step
+_NEWTON_STEPS = 50
+_NEWTON_HALVINGS = 30
+
+
+def _flow_zero(params: MediumParams, mech: Mechanism, omega: float,
+               guess: np.ndarray) -> np.ndarray | None:
+    """A zero of the Bloch flow found by damped Newton from ``guess``, or
+    None when the search does not converge.
+
+    Each step solves J s = -F with the analytic Jacobian and is halved
+    until |F| falls.  The search converges once a full step is at most
+    1e-12 of |y|, the relative change between iterates at which a
+    hybrid Powell search with xtol = 1e-12 stops; it fails on a singular
+    Jacobian, on a step that no halving makes descend, or after
+    _NEWTON_STEPS steps.
+    """
+    y = guess
+    f = bloch.bloch_rhs(y, params, mech, omega)
+    norm = np.linalg.norm(f)
+    for _ in range(_NEWTON_STEPS):
+        try:
+            step = np.linalg.solve(bloch.jacobian(y, params, mech, omega), -f)
+        except np.linalg.LinAlgError:
+            return None
+        if np.linalg.norm(step) <= 1e-12 * np.linalg.norm(y):
+            return y + step
+        for _ in range(_NEWTON_HALVINGS):
+            trial = y + step
+            f_trial = bloch.bloch_rhs(trial, params, mech, omega)
+            norm_trial = np.linalg.norm(f_trial)
+            if norm_trial < norm:
+                break
+            step = 0.5 * step
+        else:
+            return None
+        y, f, norm = trial, f_trial, norm_trial
+    return None
+
+
 def check_fixed_points(seed: int) -> CheckResult:
-    """Algebraic roots versus damped root search on the Bloch flow."""
-    import scipy.optimize
-
-    from . import dynamics
-
+    """Algebraic roots versus damped Newton searches for zeros of the Bloch
+    flow, each started next to a root; every converged search must land on
+    an algebraic root."""
     rng = np.random.default_rng(seed + 2)
     cases = [
         (MediumParams(delta=3.0, zeta_lorentz=50.0), Mechanism.LORENTZ),
@@ -124,19 +163,13 @@ def check_fixed_points(seed: int) -> CheckResult:
         for om, roots, rho12, _ in _found_roots(params, mech, np.linspace(0.2, 20.0, 17)):
             for w, r12 in zip(roots, rho12):
                 fp = (2.0 * r12.real, 2.0 * r12.imag, w)
-                rhs = dynamics.bloch_rhs(fp, params, mech, om)
+                rhs = bloch.bloch_rhs(fp, params, mech, om)
                 max_dev = max(max_dev, float(np.abs(rhs).max()) / params.gamma)
                 guess = np.array([fp[0] + 1e-4, fp[1] - 1e-4, fp[2] - 1e-4])
-                res = scipy.optimize.root(
-                    lambda y: dynamics.bloch_rhs(y, params, mech, om),
-                    guess,
-                    jac=lambda y: dynamics.jacobian(y, params, mech, om),
-                    method="hybr",
-                    tol=1e-12,
-                )
-                if res.success:
+                zero = _flow_zero(params, mech, om, guess)
+                if zero is not None:
                     # every zero of the flow must coincide with an algebraic root
-                    max_dev = max(max_dev, min(abs(float(res.x[2]) - r) for r in roots))
+                    max_dev = max(max_dev, min(abs(float(zero[2]) - r) for r in roots))
     return CheckResult("fixed_point_agreement", max_dev <= 1e-8, max_dev, 1e-8)
 
 
@@ -181,15 +214,44 @@ def _sum_rule_cases() -> list[tuple[MediumParams, Mechanism, Branch, float]]:
     ]
 
 
+def _sum_rule_media(seed: int) -> list[tuple[MediumParams, Mechanism, Branch, float]]:
+    """Free atoms drawn from the seed, down to weak drive: gamma in 0.1..10
+    and omega / gamma in 0.1..30 (both log-uniform), |delta| / gamma <= 10."""
+    rng = np.random.default_rng(seed + 4)
+    media = []
+    for _ in range(40):
+        gamma = 10.0 ** rng.uniform(-1.0, 1.0)
+        omega = gamma * 10.0 ** rng.uniform(-1.0, np.log10(30.0))
+        delta = gamma * rng.uniform(-10.0, 10.0)
+        media.append((MediumParams(gamma=gamma, delta=delta), Mechanism.LORENTZ, Branch.LOWER,
+                      omega))
+    return media
+
+
 def check_sum_rule(seed: int) -> CheckResult:
-    """Integral S / (rho22 - |rho12|^2) against its exact value pi, across media."""
+    """Integral S / (2 rho22^2) against its exact value pi, across the ten
+    fixed media and 40 free atoms drawn from the seed.
+
+    Each state must also meet |rho12|^2 = w rho22, which makes 2 rho22^2 its
+    inelastic share rho22 - |rho12|^2, within the rounding bound
+    8 eps w sum|c_i| / (2 Q): the identity's defect is w P(w) / (2 Q) for
+    the inversion cubic P with coefficients c_i and
+    Q = (delta - zeta w)^2 + gamma^2/4, and rounding w leaves |P(w)| up to
+    about eps sum|c_i|.  The check fails otherwise.
+    """
+    eps = float(np.finfo(float).eps)
     max_dev = 0.0
-    for params, mech, branch, omega in _sum_rule_cases():
+    consistent = True
+    for params, mech, branch, omega in _sum_rule_cases() + _sum_rule_media(seed):
         sol = steady_state.branch_solution(params, mech, branch, omega=omega)
         result = spectrum.spectrum_for_solution(sol, params.gamma)
         ratio = spectrum.sum_rule_ratio(result, sol.rho22, sol.rho12)
         max_dev = max(max_dev, abs(ratio - np.pi) / np.pi)
-    return CheckResult("sum_rule_constancy", max_dev <= 1e-10, max_dev, 1e-10)
+        c = steady_state.cubic_coefficients(replace(params, omega=omega), mech)
+        q = (params.delta - zeta_total(params, mech) * sol.w) ** 2 + 0.25 * params.gamma**2
+        bound = 8.0 * eps * sol.w * sum(map(abs, c)) / (2.0 * q)
+        consistent = consistent and abs(abs(sol.rho12) ** 2 - sol.w * sol.rho22) <= bound
+    return CheckResult("sum_rule_constancy", consistent and max_dev <= 1e-10, max_dev, 1e-10)
 
 
 def run_verification(seed: int = 0, inject_b2_typo: bool = False) -> list[CheckResult]:

@@ -192,9 +192,9 @@ print(json.dumps({"codes": codes, "scipy": scipy}))
 
 
 def test_closed_form_commands_leave_scipy_unloaded(tmp_path):
-    """--help, hysteresis, spectrum and peaks compute in closed form, so a
-    process running them never imports scipy, whose import is most of such
-    a process's wall time."""
+    """--help, hysteresis, spectrum and peaks compute in closed form, and
+    verify checks them with numpy alone, so a process running them never
+    imports scipy, whose import is most of such a process's wall time."""
     medium = ["--delta", "3", "--zeta-l", "50"]
     runs = [
         ["--help"],
@@ -203,6 +203,8 @@ def test_closed_form_commands_leave_scipy_unloaded(tmp_path):
          "--out", str(tmp_path / "s.csv")],
         ["peaks", *medium, "--zeta-m", "50", "--mechanism", "both",
          "--free-atom-reference", "--omega", "0.05:25:101", "--out", str(tmp_path / "p.csv")],
+        ["verify", "--seed", "0"],
+        ["verify", "--inject-b2-typo"],
     ]
     src = str(Path(iobspectra.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -211,7 +213,7 @@ def test_closed_form_commands_leave_scipy_unloaded(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert report["codes"] == [0, 0, 0, 0]
+    assert report["codes"] == [0, 0, 0, 0, 0, 1]
     assert report["scipy"] == []
     assert all((tmp_path / f).stat().st_size > 0 for f in ("h.csv", "s.csv", "p.csv"))
 
