@@ -344,11 +344,12 @@ def sum_rule_ratio(result: SpectrumResult, rho22: float, rho12: complex) -> floa
     At a steady state |rho12|^2 = W rho22 with W = 1 - 2 rho22, so the
     inelastic share of emission rho22 - |rho12|^2 equals 2 rho22^2, and for
     consistent coefficients the ratio is exactly pi (the density is
-    2 rho22^2 gamma a N / D, and the Hurwitz integral table, James, Nichols
-    & Phillips 1947, gives the integral of N / D as pi / (gamma a)).
+    2 rho22^2 gamma a N / P with P the sextic, and the Hurwitz integral
+    table, James, Nichols & Phillips 1947, gives the integral of N / P as
+    pi / (gamma a)).
     Divided by the difference, the ratio would lose eps / (2 rho22^2) at
     weak drive, where rho22 - |rho12|^2 cancels.  The factor 2 rho22^2
-    cancels instead, so the ratio integrates gamma a N / D of the
+    cancels instead, so the ratio integrates gamma a N / P of the
     coefficients ``result.coefficients`` alone, with gamma = sqrt(b0) / a.
     The state enters only through a check: ValueError when
     rho22 - |rho12|^2 is not positive, an inconsistent steady state.
@@ -358,13 +359,13 @@ def sum_rule_ratio(result: SpectrumResult, rho22: float, rho12: complex) -> floa
     That maps the half line onto [0, pi/2], where the nu^-4 tail becomes a
     function analytic at pi/2.
 
-    Poles.  The sextic D is |det(i nu - B)|^2 for the Bloch matrix
+    Poles.  The sextic P is |det(i nu - B)|^2 for the Bloch matrix
     B = -G + K of the effective drive, G = diag(gamma/2, gamma/2, gamma)
     and K real antisymmetric with eigenvalues 0, +-i s,
     s^2 = 4 |omega_eff|^2 + delta_eff^2 = nu_p^2 + 3 gamma^2 / 4.  An
     eigenvector x gives Re lambda = -x* G x in [-gamma, -gamma/2], and by
-    Bauer-Fike (K is normal) each lambda lies within |G - 3 gamma/4| =
-    gamma/4 of -3 gamma/4 + {0, +-i s}.  So every pole of the density has
+    Bauer-Fike (K is normal) each lambda lies within
+    ||G - (3 gamma/4) I|| = gamma/4 of -3 gamma/4 + {0, +-i s}.  So every pole of the density has
     gamma/2 <= |Im nu| <= gamma and lies within gamma/4 of 0 or +-s, which
     is within 0.87 gamma of +-nu_p.
 
@@ -378,15 +379,16 @@ def sum_rule_ratio(result: SpectrumResult, rho22: float, rho12: complex) -> floa
     panel of width gamma across a side peak near nu_p = 1.2 gamma; in nu a
     pole gamma/2 above the middle of such a panel gives 1 + sqrt 2.
 
-    Error bound.  n-point Gauss-Legendre errs on a panel of half width h
-    by at most (64/15) M r^-2n / (r^2 - 1) h for any r < rho, with M the
-    largest modulus of the integrand on the ellipse r (Trefethen, SIAM
-    Rev. 50, 67, 2008, Thm 4.5).  At r = 2 and n = 28 that is
-    2.0e-17 M h.  Over the panels M h sums to at most 1.66 pi for gamma in
-    1e-2..1e2, |omega_eff| / gamma in 1e-2..1e3 and |delta_eff| / gamma in
-    1e-2..1e2, so the truncation stays below 4e-17 relative, under the
-    rounding of the sextic, which near the side peaks cancels by about
-    (nu_p / gamma)^2.
+    Error bound.  The n-point Gauss-Legendre rule (exact to degree
+    2n - 1) errs on a panel of half width h by at most
+    (64/15) M r^(2 - 2n) / (r^2 - 1) h for any r < rho, with M the largest
+    modulus of the integrand on the ellipse r (Trefethen, SIAM Rev. 50, 67,
+    2008, Thm 4.5).  At r = 2 and n = 28 that is 7.9e-17 M h.  Over the
+    panels M h sums to at most 1.66 pi for gamma in 1e-2..1e2,
+    |omega_eff| / gamma in 1e-2..1e3 and |delta_eff| / gamma in 1e-2..1e2,
+    so the truncation stays below 1.4e-16 relative, under one rounding.
+    The rounding of the sextic dominates: near the side peaks its terms
+    cancel by about (nu_p / gamma)^2.
     """
     if not rho22 - abs(rho12) ** 2 > 0.0:
         raise ValueError(

@@ -117,10 +117,8 @@ def _flow_zero(params: MediumParams, mech: Mechanism, omega: float,
 
     Each step solves J s = -F with the analytic Jacobian and is halved
     until |F| falls.  The search converges once a full step is at most
-    1e-12 of |y|, the relative change between iterates at which a
-    hybrid Powell search with xtol = 1e-12 stops; it fails on a singular
-    Jacobian, on a step that no halving makes descend, or after
-    _NEWTON_STEPS steps.
+    1e-12 of |y|; it fails on a singular Jacobian, on a step that no
+    halving makes descend, or after _NEWTON_STEPS steps.
     """
     y = guess
     f = bloch.bloch_rhs(y, params, mech, omega)

@@ -669,9 +669,10 @@ def full_line_ratio(c, rho22):
 def gauss_legendre_bound(c, r=2.0, samples=256):
     """Error bound of sum_rule_ratio's Gauss-Legendre rule for the
     coefficients ``c``, in units of the ratio: per panel of half width h
-    (in theta), (64/15) M r^-2n / (r^2 - 1) h (Trefethen, SIAM Rev. 50, 67,
-    2008, Thm 4.5), with M the largest modulus of the ratio's integrand on
-    the panel's Bernstein ellipse r, taken over ``samples`` points of it.
+    (in theta), (64/15) M r^(2 - 2n) / (r^2 - 1) h for the n-point rule
+    (Trefethen, SIAM Rev. 50, 67, 2008, Thm 4.5), with M the largest modulus
+    of the ratio's integrand on the panel's Bernstein ellipse r, taken over
+    ``samples`` points of it.
     The integrand is analytic inside the ellipse: every pole of the density
     lies outside rho = 2.26 of every panel (see sum_rule_ratio)."""
     from iobspectra.spectrum import _GAUSS_NODES, _sum_rule_panels
@@ -687,7 +688,7 @@ def gauss_legendre_bound(c, r=2.0, samples=256):
     nu2 = nu * nu
     den = ((nu2 + c.b4) * nu2 + c.b2) * nu2 + c.b0
     big_m = np.abs(2.0 * c.a * (nu2 + c.a0) * (nu2 + gamma * gamma) / den).max(axis=1)
-    return 64.0 / 15.0 * float((big_m * half).sum()) * r ** (-2 * _GAUSS_NODES) / (r * r - 1.0)
+    return 64.0 / 15.0 * float((big_m * half).sum()) * r ** (2 - 2 * _GAUSS_NODES) / (r * r - 1.0)
 
 
 def test_sum_rule_half_line_matches_full_line_quadrature():
