@@ -315,8 +315,9 @@ _GAUSS_NODES = 28
 
 @functools.cache
 def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """sum_rule_ratio's rule as (1 + nodes, weights) on [-1, 1], built on
-    first use: numpy.polynomial takes about 4 ms to import."""
+    """sum_rule_ratio's rule: its nodes shifted from [-1, 1] to [0, 2], and
+    its weights.  Built on first use: numpy.polynomial takes about 4 ms to
+    import."""
     from numpy.polynomial.legendre import leggauss
 
     x, w = leggauss(_GAUSS_NODES)
@@ -390,10 +391,10 @@ def sum_rule_ratio(result: SpectrumResult, rho22: float, rho12: complex) -> floa
     The rounding of the sextic dominates: near the side peaks its terms
     cancel by about (nu_p / gamma)^2.
     """
-    if not rho22 - abs(rho12) ** 2 > 0.0:
+    inelastic = rho22 - abs(rho12) ** 2
+    if not inelastic > 0.0:
         raise ValueError(
-            f"rho22 - |rho12|^2 = {rho22 - abs(rho12) ** 2} is not positive; "
-            "inconsistent steady state"
+            f"rho22 - |rho12|^2 = {inelastic} is not positive; inconsistent steady state"
         )
     c = result.coefficients
     gamma = math.sqrt(c.b0) / c.a  # b0 = gamma^2 a^2
@@ -404,11 +405,10 @@ def sum_rule_ratio(result: SpectrumResult, rho22: float, rho12: complex) -> floa
     half = 0.5 * np.arctan(np.append(np.diff(edges) / (1.0 + edges[:-1] * edges[1:]),
                                      1.0 / edges[-1]))[:, None]
     x, w = _gauss_legendre()
-    # tan(theta_a + t) from tan t, for nodes t on [0, width]
+    # nu = gamma tan(theta_a + t) from tan t, for nodes t on [0, width]
     tau = np.tan(half * x)
-    nu2 = (ua + tau) / (1.0 - ua * tau)
-    nu2 *= gamma
-    nu2 *= nu2
+    nu = gamma * (ua + tau) / (1.0 - ua * tau)
+    nu2 = np.multiply(nu, nu, out=nu)
     den = nu2 + c.b4
     den *= nu2
     den += c.b2

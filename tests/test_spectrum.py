@@ -691,6 +691,41 @@ def gauss_legendre_bound(c, r=2.0, samples=256):
     return 64.0 / 15.0 * float((big_m * half).sum()) * r ** (2 - 2 * _GAUSS_NODES) / (r * r - 1.0)
 
 
+def test_density_poles_lie_where_the_sum_rule_derivation_puts_them():
+    """The poles of the density, roots of its sextic on 300 media (gamma in
+    1e-2..1e2, |omega_eff|/gamma in 1e-2..1e3, |delta_eff|/gamma in
+    1e-2..1e2), lie where sum_rule_ratio's derivation puts them: at
+    gamma/2 <= |Im nu| <= gamma, within gamma/4 of 0 or +-s with
+    s^2 = 4 |omega_eff|^2 + delta_eff^2, and, in theta, outside the
+    Bernstein ellipse rho = 2.265 of every panel, which gauss_legendre_bound
+    needs at r = 2.  The 1e-6 slack is for the roots' own error: np.roots
+    has relative error near sqrt(eps) at the double roots of weak drive."""
+    from iobspectra.spectrum import _sum_rule_panels
+
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        g = 10.0 ** rng.uniform(-2.0, 2.0)
+        o = g * 10.0 ** rng.uniform(-2.0, 3.0)
+        d = g * 10.0 ** rng.uniform(-2.0, 2.0) * rng.choice([-1.0, 1.0])
+        c = spectrum_coefficients(o * o, d, g)
+        x = np.roots([1.0, c.b4, c.b2, c.b0]).astype(complex)
+        poles = np.concatenate([np.sqrt(x), -np.sqrt(x)]) / g
+        im = np.abs(poles.imag)
+        assert np.all((im >= 0.5 - 1e-6) & (im <= 1.0 + 1e-6))
+        s = math.sqrt(4.0 * o * o + d * d) / g
+        centre = np.abs(np.abs(poles.real)[:, None] - np.array([0.0, s])).min(axis=1)
+        assert np.all(np.hypot(centre, im - 0.75) <= 0.25 + 1e-6)
+        edges = _sum_rule_panels(math.sqrt(c.nu_p_sq) / g if c.nu_p_sq > 0.0 else 0.0)
+        half = 0.5 * np.arctan(np.append(np.diff(edges) / (1.0 + edges[:-1] * edges[1:]),
+                                         1.0 / edges[-1]))
+        t = np.arctan((poles - edges[:, None]) / (1.0 + edges[:, None] * poles))
+        t = np.concatenate([t - np.pi, t, t + np.pi], axis=1)
+        z = t / half[:, None] - 1.0
+        root = np.sqrt(z * z - 1.0)
+        rho = np.maximum(np.abs(z + root), np.abs(z - root))
+        assert rho.min() >= 2.265, (g, o, d)
+
+
 def test_sum_rule_half_line_matches_full_line_quadrature():
     """sum_rule_ratio, a Gauss-Legendre rule in theta over the half line,
     against a test-side quad of the same density over the whole line, on
