@@ -324,19 +324,25 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return 1.0 + x, w
 
 
-def _sum_rule_panels(nu_p: float) -> np.ndarray:
-    """Finite panel edges of :func:`sum_rule_ratio` in units of gamma, from
-    0 up; the last panel runs from the last edge to infinity.  ``nu_p`` is
-    the side-peak offset over gamma (0 without side peaks)."""
+def _sum_rule_panels(nu_p: float) -> tuple[np.ndarray, np.ndarray]:
+    """The panels of :func:`sum_rule_ratio` for the side-peak offset
+    ``nu_p`` over gamma (0 without side peaks): each panel's lower edge in
+    units of gamma, from 0 up, and its half width in theta.  The last panel
+    runs to infinity."""
     if nu_p <= 1.0:  # the side peaks merge with the central one
         nu_p = 0.0
     top = 2.0 * max(nu_p, 1.0)
     steps = np.ldexp(1.0, np.arange(-1, math.frexp(top)[1] + 1))  # 1/2, 1, 2, ... >= top
     upper = nu_p + steps[:steps.searchsorted(top) + 1]
     if nu_p == 0.0:
-        return np.concatenate(([0.0], upper))
-    lower = steps[steps < 0.5 * nu_p]
-    return np.concatenate(([0.0], lower, [0.5 * nu_p], nu_p - lower[::-1], upper))
+        edges = np.concatenate(([0.0], upper))
+    else:
+        lower = steps[steps < 0.5 * nu_p]
+        edges = np.concatenate(([0.0], lower, [0.5 * nu_p], nu_p - lower[::-1], upper))
+    # arctan(ub) - arctan(ua) without the cancellation of two angles near
+    # pi/2; the last panel ends at pi/2
+    widths = np.append(np.diff(edges) / (1.0 + edges[:-1] * edges[1:]), 1.0 / edges[-1])
+    return edges, 0.5 * np.arctan(widths)
 
 
 def sum_rule_ratio(result: SpectrumResult, rho22: float, rho12: complex) -> float:
@@ -398,12 +404,8 @@ def sum_rule_ratio(result: SpectrumResult, rho22: float, rho12: complex) -> floa
         )
     c = result.coefficients
     gamma = math.sqrt(c.b0) / c.a  # b0 = gamma^2 a^2
-    edges = _sum_rule_panels(math.sqrt(c.nu_p_sq) / gamma if c.nu_p_sq > 0.0 else 0.0)
-    # Each panel's width in theta, arctan(ub) - arctan(ua), without the
-    # cancellation of two angles near pi/2; the last runs to pi/2.
-    ua = edges[:, None]
-    half = 0.5 * np.arctan(np.append(np.diff(edges) / (1.0 + edges[:-1] * edges[1:]),
-                                     1.0 / edges[-1]))[:, None]
+    edges, half = _sum_rule_panels(math.sqrt(c.nu_p_sq) / gamma if c.nu_p_sq > 0.0 else 0.0)
+    ua, half = edges[:, None], half[:, None]
     x, w = _gauss_legendre()
     # nu = gamma tan(theta_a + t) from tan t, for nodes t on [0, width]
     tau = np.tan(half * x)

@@ -678,9 +678,7 @@ def gauss_legendre_bound(c, r=2.0, samples=256):
     from iobspectra.spectrum import _GAUSS_NODES, _sum_rule_panels
 
     gamma = math.sqrt(c.b0) / c.a
-    edges = _sum_rule_panels(math.sqrt(c.nu_p_sq) / gamma if c.nu_p_sq > 0.0 else 0.0)
-    half = 0.5 * np.arctan(np.append(np.diff(edges) / (1.0 + edges[:-1] * edges[1:]),
-                                     1.0 / edges[-1]))
+    edges, half = _sum_rule_panels(math.sqrt(c.nu_p_sq) / gamma if c.nu_p_sq > 0.0 else 0.0)
     phi = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
     ellipse = 0.5 * (r * np.exp(1j * phi) + np.exp(-1j * phi) / r)
     tau = np.tan(half[:, None] * (1.0 + ellipse))
@@ -715,9 +713,7 @@ def test_density_poles_lie_where_the_sum_rule_derivation_puts_them():
         s = math.sqrt(4.0 * o * o + d * d) / g
         centre = np.abs(np.abs(poles.real)[:, None] - np.array([0.0, s])).min(axis=1)
         assert np.all(np.hypot(centre, im - 0.75) <= 0.25 + 1e-6)
-        edges = _sum_rule_panels(math.sqrt(c.nu_p_sq) / g if c.nu_p_sq > 0.0 else 0.0)
-        half = 0.5 * np.arctan(np.append(np.diff(edges) / (1.0 + edges[:-1] * edges[1:]),
-                                         1.0 / edges[-1]))
+        edges, half = _sum_rule_panels(math.sqrt(c.nu_p_sq) / g if c.nu_p_sq > 0.0 else 0.0)
         t = np.arctan((poles - edges[:, None]) / (1.0 + edges[:, None] * poles))
         t = np.concatenate([t - np.pi, t, t + np.pi], axis=1)
         z = t / half[:, None] - 1.0
