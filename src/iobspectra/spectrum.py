@@ -353,9 +353,8 @@ def sum_rule_ratio(result: SpectrumResult, rho22: float, rho12: complex) -> floa
     consistent coefficients the ratio is exactly pi (the density is
     2 rho22^2 gamma a N / P with P the sextic, and the Hurwitz integral
     table, James, Nichols & Phillips 1947, gives the integral of N / P as
-    pi / (gamma a)).
-    Divided by the difference, the ratio would lose eps / (2 rho22^2) at
-    weak drive, where rho22 - |rho12|^2 cancels.  The factor 2 rho22^2
+    pi / (gamma a)).  Divided by the difference, the ratio would lose
+    eps / (2 rho22^2) at weak drive, where rho22 - |rho12|^2 cancels.  The factor 2 rho22^2
     cancels instead, so the ratio integrates gamma a N / P of the
     coefficients ``result.coefficients`` alone, with gamma = sqrt(b0) / a.
     The state enters only through a check: ValueError when
@@ -372,9 +371,9 @@ def sum_rule_ratio(result: SpectrumResult, rho22: float, rho12: complex) -> floa
     s^2 = 4 |omega_eff|^2 + delta_eff^2 = nu_p^2 + 3 gamma^2 / 4.  An
     eigenvector x gives Re lambda = -x* G x in [-gamma, -gamma/2], and by
     Bauer-Fike (K is normal) each lambda lies within
-    ||G - (3 gamma/4) I|| = gamma/4 of -3 gamma/4 + {0, +-i s}.  So every pole of the density has
-    gamma/2 <= |Im nu| <= gamma and lies within gamma/4 of 0 or +-s, which
-    is within 0.87 gamma of +-nu_p.
+    ||G - (3 gamma/4) I|| = gamma/4 of -3 gamma/4 + {0, +-i s}.  So every
+    pole of the density has gamma/2 <= |Im nu| <= gamma and lies within
+    gamma/4 of 0 or +-s, which is within 0.87 gamma of +-nu_p.
 
     Panels grade geometrically from both peaks: edges at gamma 2^j for
     j >= -1 below nu_p / 2, at nu_p / 2, at nu_p -+ gamma 2^j above it, up
