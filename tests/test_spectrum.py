@@ -634,6 +634,25 @@ def test_sum_rule_is_pi_on_random_media_down_to_weak_drive():
         assert abs(abs(rho.rho12) ** 2 - rho.w * rho.rho22) <= bound
 
 
+def test_sum_rule_accepts_weak_drive_states():
+    """2000 seeded stationary states at |omega_eff|/gamma 1e-4..1e-2 and
+    |delta_eff|/gamma 10..100 (log-uniform), where rho22 is 1e-12..1e-4.
+    There rho22 - |rho12|^2 = 2 rho22^2 is far below the absolute rounding
+    of rho22 = (1 - w)/2, which is that of w, about eps/2; so the
+    computed difference may come out a fraction of eps below zero.  Every
+    state is consistent, so none is rejected, and each ratio is pi to
+    1e-10."""
+    rng = np.random.default_rng(2017)
+    for _ in range(2000):
+        g = 10.0 ** rng.uniform(-1.0, 1.0)
+        ob = g * 10.0 ** rng.uniform(-4.0, -2.0) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        d = g * 10.0 ** rng.uniform(1.0, 2.0) * rng.choice([-1.0, 1.0])
+        rho = stationary_state(ob, d, g)
+        c = spectrum_coefficients(abs(ob) ** 2, d, g)
+        ratio = sum_rule_ratio(_spectrum_stub(c), rho.rho22, rho.rho12)
+        assert abs(ratio - math.pi) <= 1e-10 * math.pi, (g, ob, d)
+
+
 def test_sum_rule_holds_for_joint_mechanism():
     from iobspectra import spectrum_for_solution
 
