@@ -39,7 +39,6 @@ from .spectrum import (
     oracle_spectrum,
     peak_positions,
     spectrum_coefficients,
-    spectrum_for_branch,
     spectrum_for_solution,
     sum_rule_ratio,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "solutions_at",
     "solve_inversion",
     "spectrum_coefficients",
-    "spectrum_for_branch",
     "spectrum_for_solution",
     "stationary_state",
     "sum_rule_ratio",

@@ -25,9 +25,7 @@ equal); they differ only in the emission spectra they predict.
 from __future__ import annotations
 
 import math
-import operator
 import sys
-from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -111,19 +109,6 @@ class MediumParams:
         check_drive(self.omega)
         if self.zeta_lorentz < 0.0 or self.zeta_detuning < 0.0:
             raise ValueError("coupling strengths zeta_lorentz/zeta_detuning must be nonnegative")
-
-
-class RowView(Sequence):
-    """Read-only sequence of ``n`` items; item i is ``row(i)``, built when read."""
-
-    def __init__(self, n: int, row):
-        self._n, self._row = n, row
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, i):
-        return self._row(range(self._n)[operator.index(i)])
 
 
 def validate_mechanism(params: MediumParams, mech: Mechanism) -> None:

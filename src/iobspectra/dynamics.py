@@ -2,7 +2,7 @@
 
 Integrates the Bloch flow of :mod:`iobspectra.bloch` (equations of motion,
 right-hand side, Jacobian and state), whose names this module re-binds,
-from a state or along an adiabatic drive ramp, with scipy's integrators.
+from a state or along an adiabatic drive ramp, with scipy's LSODA.
 """
 
 from __future__ import annotations
@@ -13,15 +13,15 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
+# solve_ivp, bloch_rhs, jacobian and validate_mechanism are not called here
+# but stay bound: callers and tracers reach them as attributes of this module
 from scipy.integrate import ODEintWarning, odeint, solve_ivp
 
-# bloch_rhs, jacobian and validate_mechanism are not called here but stay
-# bound: callers and tracers reach them as attributes of this module
 from .bloch import (
     BLOCH_BALL_SLACK, BlochState, _coupling, _jac, _rhs, bloch_rhs, jacobian,
 )
 from .core import (
-    Branch, IntegrationError, MediumParams, Mechanism, RowView, check_drive, validate_mechanism,
+    Branch, IntegrationError, MediumParams, Mechanism, check_drive, validate_mechanism,
 )
 from . import steady_state
 
@@ -32,10 +32,9 @@ JUMP_THRESHOLD = 0.1         # |delta w| per sample marking a branch jump
 RING_TIME = 2.0 * math.log(4.0 / JUMP_THRESHOLD)
 ADIABATIC_DISTANCE = 0.05    # allowed distance from the instantaneous stable manifold
 
-_METHODS = ("DOP853", "LSODA")
 # LSODA's step cap per output interval (odeint's mxstep, 500 by default).
-# solve_ivp has none; a sweep's post-jump ringing takes about 1 500 steps in
-# some 0.01-gamma sample intervals of the down-sweep 2.6 -> 0.7.
+# A sweep's post-jump ringing takes about 1 500 steps in some 0.01-gamma
+# sample intervals of the down-sweep 2.6 -> 0.7.
 LSODA_MAX_STEPS = 1_000_000
 
 
@@ -62,11 +61,6 @@ class Trajectory:
         bad = _outside_ball(self.uvw)
         if bad.any():
             BlochState(*self.uvw[np.argmax(bad)].tolist())  # raises BlochState's error
-
-    @property
-    def states(self) -> RowView:
-        """The rows of ``uvw`` as BlochStates, each built when read."""
-        return RowView(len(self.uvw), lambda i: BlochState(*self.uvw[i].tolist()))
 
     def state_array(self) -> np.ndarray:
         return self.uvw
@@ -153,41 +147,36 @@ def integrate(
     mech: Mechanism,
     drive,
     t_end: float,
-    rel_tol: float = 1e-9,
-    abs_tol: float = 1e-11,
+    rel_tol: float = 1e-11,
+    abs_tol: float = 1e-13,
     *,
     t_eval=None,
-    method: str = "DOP853",
 ) -> Trajectory:
-    """Integrate the Bloch equations from t = 0 with an adaptive method.
+    """Integrate the Bloch equations from t = 0 with LSODA.
 
-    ``drive`` is a constant Rabi frequency or a callable omega(t).  The
-    method is DOP853 (default), an explicit one-step Runge-Kutta scheme, or
-    LSODA, the multistep scheme that switches between stiff and non-stiff
-    formulas on its own and is given the analytic Jacobian; slow parameter
-    ramps use it.  LSODA runs as one ODEPACK call (``odeint``), which
-    returns to Python only for the right-hand side and the Jacobian, with
-    ``t_end`` as its critical time, so that it never steps past the end of
-    a ramp.  Sample times are taken from ``t_eval``.  DOP853 returns its
-    own steps without it; LSODA needs it (ValueError otherwise), strictly
-    increasing within [0, t_end].  ``t_end`` must be positive and finite: an
-    integration to nan or inf would never return.  A failed integration, or
-    one that leaves the Bloch ball, raises IntegrationError with the time it
-    reached.
+    ``drive`` is a constant Rabi frequency or a callable omega(t).  LSODA is
+    the multistep scheme that switches between stiff and non-stiff formulas
+    on its own; it is given the analytic Jacobian and runs as one ODEPACK
+    call (``odeint``), which returns to Python only for the right-hand side
+    and the Jacobian, with ``t_end`` as its critical time, so that it never
+    steps past the end of a ramp.  It returns states only at the times
+    ``t_eval``, which must be given, strictly increasing within [0, t_end]
+    (ValueError otherwise).  The default tolerances keep a relaxation within
+    1e-9 of a tighter integration; slow ramps pass looser ones.  ``t_end``
+    must be positive and finite: an integration to nan or inf would never
+    return.  A failed integration, or one that leaves the Bloch ball, raises
+    IntegrationError with the time it reached.
     """
     if not 0.0 < t_end < math.inf:
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
     if not 0.0 < rel_tol <= 1e-3 or not 0.0 < abs_tol <= 1e-3:
         raise ValueError("tolerances must lie in (0, 1e-3]")
-    if method not in _METHODS:
-        raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
-    if method == "LSODA":
-        if t_eval is None:
-            raise ValueError("LSODA needs t_eval: it returns states at given times only")
-        t_eval = np.asarray(t_eval, dtype=float)
-        if (t_eval.ndim != 1 or t_eval.size == 0 or not 0.0 <= t_eval[0]
-                or not t_eval[-1] <= t_end or np.any(np.diff(t_eval) <= 0.0)):
-            raise ValueError("t_eval must increase strictly within [0, t_end]")
+    if t_eval is None:
+        raise ValueError("integrate needs t_eval: LSODA returns states at given times only")
+    t_eval = np.asarray(t_eval, dtype=float)
+    if (t_eval.ndim != 1 or t_eval.size == 0 or not 0.0 <= t_eval[0]
+            or not t_eval[-1] <= t_end or np.any(np.diff(t_eval) <= 0.0)):
+        raise ValueError("t_eval must increase strictly within [0, t_end]")
 
     zl, zm = _coupling(params, mech)
     g = params.gamma
@@ -205,34 +194,24 @@ def integrate(
         u, v, w = y.tolist()
         return _rhs(u, v, w, omega_of_t(t), g, d, zl, zm)
 
-    if method == "LSODA":
-        def jac(t, y):
-            u, v, w = y.tolist()
-            return _jac(u, v, w, omega_of_t(t), g, d, zl, zm)
+    def jac(t, y):
+        u, v, w = y.tolist()
+        return _jac(u, v, w, omega_of_t(t), g, d, zl, zm)
 
-        # odeint starts at its first time, so 0 leads a t_eval that starts later
-        times = t_eval if t_eval[0] == 0.0 else np.concatenate(([0.0], t_eval))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ODEintWarning)  # the error below replaces it
-            uvw, info = odeint(rhs, y0, times, Dfun=jac, full_output=True, rtol=rel_tol,
-                               atol=abs_tol, tcrit=[t_end], mxstep=LSODA_MAX_STEPS, tfirst=True)
-        # A lone time 0 is not integrated ("Nothing was done"): y0 is the answer.
-        if times.size > 1 and info["message"] != "Integration successful.":
-            # odeint leaves the rows and counters after the failing output
-            # unset; the last one it set is the first whose RHS count is the total
-            t_fail = float(info["tcur"][np.argmax(info["nfe"] == calls)])
-            raise IntegrationError(f"integration failed at t={t_fail}: {info['message']}",
-                                   time=t_fail)
-        times, uvw = t_eval, uvw[times.size - t_eval.size:]
-    else:
-        sol = solve_ivp(rhs, (0.0, float(t_end)), y0, method=method,
-                        rtol=rel_tol, atol=abs_tol, t_eval=t_eval)
-        if not sol.success:
-            t_fail = float(sol.t[-1]) if len(sol.t) else 0.0  # a list when empty
-            raise IntegrationError(
-                f"integration failed at t={t_fail}: {sol.message}", time=t_fail
-            )
-        times, uvw = sol.t.copy(), sol.y.T
+    # odeint starts at its first time, so 0 leads a t_eval that starts later
+    times = t_eval if t_eval[0] == 0.0 else np.concatenate(([0.0], t_eval))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ODEintWarning)  # the error below replaces it
+        uvw, info = odeint(rhs, y0, times, Dfun=jac, full_output=True, rtol=rel_tol,
+                           atol=abs_tol, tcrit=[t_end], mxstep=LSODA_MAX_STEPS, tfirst=True)
+    # A lone time 0 is not integrated ("Nothing was done"): y0 is the answer.
+    if times.size > 1 and info["message"] != "Integration successful.":
+        # odeint leaves the rows and counters after the failing output
+        # unset; the last one it set is the first whose RHS count is the total
+        t_fail = float(info["tcur"][np.argmax(info["nfe"] == calls)])
+        raise IntegrationError(f"integration failed at t={t_fail}: {info['message']}",
+                               time=t_fail)
+    times, uvw = t_eval, uvw[times.size - t_eval.size:]
     omegas = np.array([omega_of_t(t) for t in times])
     try:
         return Trajectory(times=times, uvw=uvw, omegas=omegas)
@@ -299,7 +278,7 @@ def sweep_adiabatic(
 
     traj = integrate(
         y0, params, mech, drive, t_end,
-        rel_tol=1e-8, abs_tol=1e-10, t_eval=t_eval, method="LSODA",
+        rel_tol=1e-8, abs_tol=1e-10, t_eval=t_eval,
     )
 
     w = traj.uvw[:, 2]

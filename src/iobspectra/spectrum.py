@@ -35,9 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Branch, MediumParams, Mechanism
-from . import steady_state
-from .steady_state import StationaryState
+from .steady_state import StationaryState, SteadyStateSolution
 
 
 @dataclass(frozen=True)
@@ -266,7 +264,7 @@ def default_nu_grid(nu_p_sq_max: float, gamma: float, points: int = 2001) -> np.
 
 
 def spectrum_for_solution(
-    sol: steady_state.SteadyStateSolution,
+    sol: SteadyStateSolution,
     gamma: float,
     nu_grid=None,
 ) -> SpectrumResult:
@@ -282,22 +280,6 @@ def spectrum_for_solution(
         peaks=peak_positions(coeffs),
         coefficients=coeffs,
     )
-
-
-def spectrum_for_branch(
-    params: MediumParams,
-    mech: Mechanism,
-    branch: Branch,
-    omega: float,
-    nu_grid=None,
-) -> SpectrumResult:
-    """Full pipeline: solve the cubic at ``omega``, pick the branch, compute
-    effective parameters and coherence, and sample the incoherent density.
-
-    Raises BranchNotPresentError outside the branch's existence window.
-    """
-    sol = steady_state.branch_solution(params, mech, branch, omega=omega)
-    return spectrum_for_solution(sol, params.gamma, nu_grid)
 
 
 def free_atom_saturation_max(gamma: float) -> float:

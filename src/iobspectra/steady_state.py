@@ -25,6 +25,7 @@ once; the single-drive functions call the same kernel on one drive.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -38,7 +39,6 @@ from .core import (
     MediumParams,
     Mechanism,
     NoPhysicalRootError,
-    RowView,
     check_drive,
     validate_mechanism,
     zeta_total,
@@ -593,17 +593,21 @@ _BRANCH_NAMES = np.array([["", "", ""], ["lower", "", ""], ["lower", "upper", ""
                           ["lower", "middle", "upper"]])
 
 
-class ScanPoints(RowView):
+class ScanPoints(Sequence):
     """Read-only view of ``arrays``, one ScanPoint per drive, built when read;
     ``branches`` holds the (M, 3) branch names of the roots, "" past the last."""
 
     def __init__(self, arrays: SolutionArrays, branches: np.ndarray):
-        def point(i: int) -> ScanPoint:  # a closure, so that no cycle holds the arrays
-            return ScanPoint(arrays.omega[i].item(), [_solution(arrays, branches, i, k)
-                                                      for k in range(arrays.count[i])])
-
-        super().__init__(len(arrays.omega), point)
         self.arrays, self.branches = arrays, branches
+
+    def __len__(self) -> int:
+        return len(self.arrays.omega)
+
+    def __getitem__(self, i) -> ScanPoint:
+        i = range(len(self))[operator.index(i)]
+        a = self.arrays
+        return ScanPoint(a.omega[i].item(),
+                         [_solution(a, self.branches, i, k) for k in range(a.count[i])])
 
 
 def _solution(a: SolutionArrays, branches: np.ndarray, i: int, k: int) -> SteadyStateSolution:

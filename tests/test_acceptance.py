@@ -326,14 +326,14 @@ def test_criterion_08_dynamic_validation():
     fp_mid = fixed_point_state(p, Mechanism.LORENTZ, roots[1])
     start_mid = BlochState(fp_mid.u, fp_mid.v, fp_mid.w - 1e-6)
     traj_mid = integrate(start_mid, p, Mechanism.LORENTZ, 8.0, 300.0, t_eval=[0.0, 300.0])
-    end = traj_mid.states[-1]
-    mid_escapes = math.dist((end.u, end.v, end.w), (fp_mid.u, fp_mid.v, fp_mid.w)) > 0.05
-    mid_reaches_upper = math.dist((end.u, end.v, end.w), (fp_up.u, fp_up.v, fp_up.w)) <= 1e-6
+    end = traj_mid.uvw[-1].tolist()
+    mid_escapes = math.dist(end, (fp_mid.u, fp_mid.v, fp_mid.w)) > 0.05
+    mid_reaches_upper = math.dist(end, (fp_up.u, fp_up.v, fp_up.w)) <= 1e-6
 
     start_up = BlochState(fp_up.u + 1e-3, fp_up.v, fp_up.w)
     traj_up = integrate(start_up, p, Mechanism.LORENTZ, 8.0, 50.0, t_eval=[0.0, 50.0])
-    end_up = traj_up.states[-1]
-    stable_returns = math.dist((end_up.u, end_up.v, end_up.w), (fp_up.u, fp_up.v, fp_up.w)) <= 1e-6
+    end_up = traj_up.uvw[-1].tolist()
+    stable_returns = math.dist(end_up, (fp_up.u, fp_up.v, fp_up.w)) <= 1e-6
 
     # analytic Jacobian against central finite differences
     rng = np.random.default_rng(17)

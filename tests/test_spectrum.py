@@ -22,7 +22,6 @@ from iobspectra import (
     peak_positions,
     solution_arrays,
     spectrum_coefficients,
-    spectrum_for_branch,
     spectrum_for_solution,
     stationary_state,
     sum_rule_ratio,
@@ -565,8 +564,9 @@ def test_mechanisms_coincide_where_zeta_w_is_twice_delta():
 
 
 def test_spectrum_for_branch_pipeline():
-    res = spectrum_for_branch(LORENTZ_50, Mechanism.LORENTZ, Branch.UPPER, 1.6)
+    """A branch's spectrum: branch_solution, then spectrum_for_solution."""
     sol = branch_solution(LORENTZ_50, Mechanism.LORENTZ, Branch.UPPER, omega=1.6)
+    res = spectrum_for_solution(sol, LORENTZ_50.gamma)
     assert res.elastic_weight == pytest.approx(abs(sol.rho12) ** 2, rel=1e-12)
     assert len(res.peaks) == 3
     assert res.nu_grid.shape == res.incoherent.shape
@@ -576,8 +576,9 @@ def test_spectrum_for_branch_pipeline():
 
 
 def test_spectrum_for_branch_missing_branch():
+    """Outside the branch's existence window the pipeline stops at its first step."""
     with pytest.raises(BranchNotPresentError):
-        spectrum_for_branch(LORENTZ_50, Mechanism.LORENTZ, Branch.UPPER, 0.5)
+        branch_solution(LORENTZ_50, Mechanism.LORENTZ, Branch.UPPER, omega=0.5)
 
 
 # --------------------------------------------------------------------- sum rule
@@ -808,7 +809,8 @@ def test_verify_sum_rule_cases_raise_no_runtime_warning():
 
 
 def test_sum_rule_rejects_inconsistent_state():
-    res = spectrum_for_branch(MediumParams(omega=1.0), Mechanism.LORENTZ, Branch.LOWER, 1.0)
+    sol = branch_solution(MediumParams(omega=1.0), Mechanism.LORENTZ, Branch.LOWER)
+    res = spectrum_for_solution(sol, 1.0)
     with pytest.raises(ValueError):
         sum_rule_ratio(res, 0.1, complex(math.sqrt(0.2)))
 
