@@ -290,6 +290,14 @@ def test_sweep_rejects_nonfinite_endpoints(name, args):
         sweep_adiabatic(LORENTZ_50, Mechanism.LORENTZ, *args, 1e-3)
 
 
+@pytest.mark.parametrize("samples", [1, 0, -3])
+def test_sweep_needs_two_samples(samples):
+    """A sweep spaces its samples t_end / (samples - 1) apart, so fewer than
+    two is a ValueError that names samples."""
+    with pytest.raises(ValueError, match="samples must be at least 2"):
+        sweep_adiabatic(LORENTZ_50, Mechanism.LORENTZ, 13.0, 13.5, 1e-3, samples=samples)
+
+
 NONFINITE_T_END = """
 import json, math
 from iobspectra import BlochState, MediumParams, Mechanism, integrate
@@ -381,6 +389,19 @@ def test_lsoda_failure_at_the_first_step(monkeypatch, capfd):
         assert 0.0 <= info.value.time <= t_eval[1]
         assert caught == []
     assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("t_eval", [[0.0, 1.0], [1.0]])
+def test_lsoda_failure_time_is_where_lsoda_stopped(monkeypatch, t_eval):
+    """With a right-hand side that is inf from the start, odeint reports
+    success with a NaN row at t = 1 but LSODA's time still at 0.  The
+    failure time is where LSODA stopped, not the first bad sample, also
+    when a leading 0 is put before t_eval."""
+    monkeypatch.setattr(dynamics, "_rhs", lambda *args: (math.inf, 0.0, 0.0))
+    with pytest.raises(IntegrationError, match="left the Bloch ball") as info:
+        integrate(BlochState(0.0, 0.0, 1.0), FREE, Mechanism.LORENTZ, 1.0, 1.0,
+                  t_eval=t_eval)
+    assert info.value.time == 0.0
 
 
 @pytest.mark.parametrize("t_eval", [None, [], [0.0, 2.0], [-1.0, 0.5], [0.0, 0.5, 0.5],
