@@ -880,6 +880,24 @@ def test_drives_whose_square_overflows_are_rejected(omega):
         scan_hysteresis(LORENTZ_50, Mechanism.LORENTZ, [0.0, omega])
 
 
+@pytest.mark.parametrize("entry, omegas", [
+    (solution_arrays, [1.0, np.nan]),
+    (solution_arrays, [np.nan, 1.0]),
+    (solution_arrays, [1.0, np.inf]),
+    (solution_arrays, [-np.inf, 1.0]),
+    (scan_hysteresis, [0.0, np.nan, 2.0]),
+    (scan_hysteresis, [0.0, 2.0, np.inf]),
+])
+def test_nonfinite_drives_are_rejected_before_any_solve(entry, omegas):
+    """A NaN or infinite drive in an array entry point is a ValueError that
+    names omega, raised before any solve or warning: no root count of 0 for
+    it, and no ThresholdRangeWarning from a scan."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="omega must be finite"):
+            entry(LORENTZ_50, Mechanism.LORENTZ, omegas)
+
+
 def test_largest_drive_solves_without_overflow():
     """At the largest accepted drive the scan finds the lone saturated upper
     root, with no overflow on the way: the Routh-Hurwitz test scales omega^2
