@@ -64,7 +64,9 @@ class BranchNotPresentError(LookupError):
 
 
 def check_drive(omega: float, name: str = "omega") -> None:
-    """ValueError naming ``name`` for a drive above OMEGA_MAX."""
+    """ValueError naming ``name`` for a drive that is not finite or is above OMEGA_MAX."""
+    if not math.isfinite(omega):
+        raise ValueError(f"{name} must be finite, got {omega!r}")
     if omega > OMEGA_MAX:
         raise ValueError(f"{name} must be at most {OMEGA_MAX:.4g}, got {omega}")
 

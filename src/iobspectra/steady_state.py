@@ -467,11 +467,12 @@ def solution_arrays(params: MediumParams, mech: Mechanism, omegas) -> SolutionAr
 
     One closed-form cubic solve over all drives, then effective parameters,
     coherence, residual and linear stability for every root at once.
-    Drives above ``OMEGA_MAX`` are rejected (ValueError).
+    Non-finite drives and drives above ``OMEGA_MAX`` are rejected (ValueError).
     """
     omega = np.atleast_1d(np.asarray(omegas, dtype=float))
     if omega.size:
-        check_drive(float(omega.max()))
+        for extreme in (omega.min(), omega.max()):  # a NaN is both
+            check_drive(float(extreme))
     return _solve(params, mech, omega)[0]
 
 
@@ -699,7 +700,7 @@ def scan_hysteresis(
         raise ValueError("omega_grid must be a nonempty 1-d array")
     if np.any(grid < 0.0) or np.any(np.diff(grid) <= 0.0):
         raise ValueError("omega_grid must be strictly increasing and nonnegative")
-    check_drive(float(grid[-1]))
+    check_drive(float(grid.max()))  # a NaN passes the order check, not this
 
     arr, folds = _solve(params, mech, grid)
     lo, hi = float(grid[0]), float(grid[-1])
