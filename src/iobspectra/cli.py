@@ -29,7 +29,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import spectrum, steady_state
+from . import dynamics, spectrum, steady_state
 from .core import (
     Branch,
     BranchNotPresentError,
@@ -367,8 +367,6 @@ def _cmd_dynamics(ns: argparse.Namespace) -> int:
         grid = _drive_grid(ns.omega)
     if ns.samples < 2 or ns.samples > GRID_POINT_CAP:
         raise ValueError("samples must lie in [2, 1e6]")
-
-    from . import dynamics
 
     if ns.mode == "relax":
         params = replace(params, omega=omega)

@@ -1,29 +1,125 @@
-"""Time-domain mean-field Bloch dynamics with self-consistent renormalization.
+"""The mean-field Bloch flow with self-consistent renormalization, and its
+integration in time.
 
-Integrates the Bloch flow of :mod:`iobspectra.bloch` (equations of motion,
-right-hand side, Jacobian and state), whose names this module re-binds,
-from a state or along an adiabatic drive ramp, with scipy's LSODA.
+The state is the real triple (u, v, w): twice the real and imaginary parts
+of the coherence, rho12 = (u + i v)/2, and the population difference w.
+The equations of motion in the frame rotating at the laser frequency are
+
+    du/dt = -delta_bar v - (gamma/2) u + 2 Im(omega_bar) w
+    dv/dt =  delta_bar u - (gamma/2) v - 2 Re(omega_bar) w
+    dw/dt =  gamma (1 - w) + 2 (Re(omega_bar) v - Im(omega_bar) u)
+
+with the instantaneous renormalizations
+omega_bar(t) = omega(t) + zeta_lorentz (u + i v)/2 and
+delta_bar(t) = delta - zeta_detuning w(t).  Zeros of the right-hand side
+coincide with the algebraic steady states, which is the dynamic validation
+route for the cubic solver; the Routh-Hurwitz test on this Jacobian's
+characteristic cubic classifies the stability of each branch.
+
+The integrators follow the flow from a state or along an adiabatic drive
+ramp with scipy's LSODA.  scipy.integrate is imported on the first
+integration, so importing this module, building states and evaluating the
+flow load no scipy module.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-# solve_ivp, bloch_rhs, jacobian and validate_mechanism are not called here
-# but stay bound: callers and tracers reach them as attributes of this module
-from scipy.integrate import ODEintWarning, odeint, solve_ivp
 
-from .bloch import (
-    BLOCH_BALL_SLACK, BlochState, _coupling, _jac, _rhs, bloch_rhs, jacobian,
-)
 from .core import (
     Branch, IntegrationError, MediumParams, Mechanism, check_drive, validate_mechanism,
 )
 from . import steady_state
+
+BLOCH_BALL_SLACK = 1e-9
+
+
+@dataclass(frozen=True)
+class BlochState:
+    """Coherence quadratures and population difference, confined to the unit ball."""
+
+    u: float
+    v: float
+    w: float
+
+    def __post_init__(self):
+        for name in ("u", "v", "w"):
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            object.__setattr__(self, name, value)
+        if self.u**2 + self.v**2 + self.w**2 > 1.0 + BLOCH_BALL_SLACK:
+            raise ValueError(
+                f"state ({self.u}, {self.v}, {self.w}) lies outside the Bloch ball"
+            )
+
+
+def _coupling(params: MediumParams, mech: Mechanism) -> tuple[float, float]:
+    validate_mechanism(params, mech)
+    return params.zeta_lorentz, params.zeta_detuning
+
+
+def _rhs(u, v, w, om, g, d, zl, zm) -> tuple[float, float, float]:
+    obr = om + 0.5 * zl * u
+    obi = 0.5 * zl * v
+    db = d - zm * w
+    return (
+        -db * v - 0.5 * g * u + 2.0 * obi * w,
+        db * u - 0.5 * g * v - 2.0 * obr * w,
+        g * (1.0 - w) + 2.0 * (obr * v - obi * u),
+    )
+
+
+def _jac(u, v, w, om, g, d, zl, zm) -> np.ndarray:
+    """Jacobian of :func:`_rhs` at one state, a 3x3 matrix."""
+    db = d - zm * w
+    zs = zl + zm
+    return np.array([[-0.5 * g, -db + zl * w, zs * v],
+                     [db - zl * w, -0.5 * g, -zs * u - 2.0 * om],
+                     [0.0, 2.0 * om, -g]])
+
+
+def _components(state):
+    if isinstance(state, BlochState):
+        return state.u, state.v, state.w
+    return state[0], state[1], state[2]
+
+
+def bloch_rhs(state, params: MediumParams, mech: Mechanism, omega_now) -> np.ndarray:
+    """Time derivatives (du/dt, dv/dt, dw/dt) at the given state and drive.
+
+    ``state`` is a :class:`BlochState` or a raw (u, v, w) triple.  A raw
+    triple is not checked against the Bloch ball, because root searches step
+    outside it; its components may also be arrays of one shape, giving a
+    (3, ...) result.
+    """
+    zl, zm = _coupling(params, mech)
+    return np.array(_rhs(*_components(state), omega_now, params.gamma, params.delta, zl, zm))
+
+
+def jacobian(state, params: MediumParams, mech: Mechanism, omega_now) -> np.ndarray:
+    """Exact Jacobian of :func:`bloch_rhs`, including the d(omega_bar)/d(u,v)
+    and d(delta_bar)/dw self-consistency terms, at one state as there."""
+    zl, zm = _coupling(params, mech)
+    return _jac(*_components(state), omega_now, params.gamma, params.delta, zl, zm)
+
+
+def __getattr__(name):
+    # scipy.integrate takes about half a second to import, so its names are
+    # bound on first access: by the first integration, or by a tracer
+    if name in ("ODEintWarning", "odeint", "solve_ivp"):
+        import scipy.integrate
+
+        globals()[name] = value = getattr(scipy.integrate, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 RAMP_RATE_MAX_FACTOR = 1e-3  # max ramp rate in units of gamma^2
 JUMP_THRESHOLD = 0.1         # |delta w| per sample marking a branch jump
@@ -201,10 +297,14 @@ def integrate(
 
     # odeint starts at its first time, so 0 leads a t_eval that starts later
     times = t_eval if t_eval[0] == 0.0 else np.concatenate(([0.0], t_eval))
+    # odeint through the module attribute, not a global name: the attribute
+    # binds scipy on first use, and a tracer that wraps it sees the call
+    module = sys.modules[__name__]
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ODEintWarning)  # the error below replaces it
-        uvw, info = odeint(rhs, y0, times, Dfun=jac, full_output=True, rtol=rel_tol,
-                           atol=abs_tol, tcrit=[t_end], mxstep=LSODA_MAX_STEPS, tfirst=True)
+        warnings.simplefilter("ignore", module.ODEintWarning)  # the error below replaces it
+        uvw, info = module.odeint(rhs, y0, times, Dfun=jac, full_output=True, rtol=rel_tol,
+                                  atol=abs_tol, tcrit=[t_end], mxstep=LSODA_MAX_STEPS,
+                                  tfirst=True)
     # A lone time 0 is not integrated ("Nothing was done"): y0 is the answer.
     if times.size > 1 and info["message"] != "Integration successful.":
         # odeint leaves the rows and counters after the failing output
@@ -212,12 +312,15 @@ def integrate(
         t_fail = float(info["tcur"][np.argmax(info["nfe"] == calls)])
         raise IntegrationError(f"integration failed at t={t_fail}: {info['message']}",
                                time=t_fail)
-    times, uvw = t_eval, uvw[times.size - t_eval.size:]
-    omegas = np.array([omega_of_t(t) for t in times])
+    omegas = np.array([omega_of_t(t) for t in t_eval])
     try:
-        return Trajectory(times=times, uvw=uvw, omegas=omegas)
+        return Trajectory(times=t_eval, uvw=uvw[times.size - t_eval.size:], omegas=omegas)
     except ValueError as exc:  # the times always increase: a state left the ball
-        t_fail = float(times[np.argmax(_outside_ball(uvw))])
+        # Row k >= 1 of odeint's rows is the first bad one (row 0 is y0).  It
+        # may lie past the time LSODA reached: an RHS that is inf at t = 0
+        # gives "Integration successful." and NaN rows, with tcur still 0.
+        k = int(np.argmax(_outside_ball(uvw)))
+        t_fail = min(float(times[k]), float(info["tcur"][k - 1]))
         raise IntegrationError(f"integrator left the Bloch ball: {exc}", time=t_fail) from exc
 
 
@@ -232,31 +335,31 @@ def sweep_adiabatic(
 ) -> SweepResult:
     """Linearly ramp the drive and detect hysteresis jumps.
 
-    Both endpoints must be finite and at most OMEGA_MAX.  The sweep starts
-    next to the stable fixed point appropriate to its direction (lower
-    branch going up, upper going down), on the ramp's slow manifold: shifted
-    by the first-order lag of the moving fixed point along the Jacobian's
-    oscillatory pair (see _slow_start), so that the start excites no
-    ringing.  It integrates with LSODA in one ODEPACK call, with the ramp's
-    end as the critical time, at the ``samples`` times: compiled steps and
-    linear algebra keep long slow ramps cheap, and the output does not
-    depend on the BLAS thread setup.
+    Both endpoints must be finite and at most OMEGA_MAX, and ``samples``, if
+    given, at least 2.  The sweep starts next to the stable fixed point
+    appropriate to its direction (lower branch going up, upper going down),
+    on the ramp's slow manifold: shifted by the first-order lag of the
+    moving fixed point along the Jacobian's oscillatory pair (see
+    _slow_start), so that the start excites no ringing.  It integrates with
+    LSODA in one ODEPACK call, with the ramp's end as the critical time, at
+    the ``samples`` times: compiled steps and linear algebra keep long slow
+    ramps cheap, and the output does not depend on the BLAS thread setup.
     Branch jumps show up as runs of |dw| spikes between samples; the drive
     midway across the largest spike of each run is returned.
     A NonAdiabaticWarning is raised if, away from detected jumps, the state
     strays more than ADIABATIC_DISTANCE from every instantaneous stable
     fixed point.
     """
-    for name, value in (("omega_start", omega_start), ("omega_end", omega_end)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-        check_drive(value, name)
+    check_drive(omega_start, "omega_start")
+    check_drive(omega_end, "omega_end")
     if omega_start < 0.0 or omega_end < 0.0 or omega_start == omega_end:
         raise ValueError("sweep endpoints must be nonnegative and distinct")
     if not 0.0 < ramp_rate <= RAMP_RATE_MAX_FACTOR * params.gamma**2:
         raise ValueError(
             f"ramp_rate must lie in (0, {RAMP_RATE_MAX_FACTOR} gamma^2] for adiabaticity"
         )
+    if samples is not None and samples < 2:
+        raise ValueError(f"samples must be at least 2, got {samples}")
 
     direction = 1.0 if omega_end > omega_start else -1.0
     span = abs(omega_end - omega_start)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import bloch, spectrum, steady_state
+from . import dynamics, spectrum, steady_state
 from .core import Branch, MediumParams, Mechanism, zeta_total
 
 
@@ -121,18 +121,18 @@ def _flow_zero(params: MediumParams, mech: Mechanism, omega: float,
     halving makes descend, or after _NEWTON_STEPS steps.
     """
     y = guess
-    f = bloch.bloch_rhs(y, params, mech, omega)
+    f = dynamics.bloch_rhs(y, params, mech, omega)
     norm = np.linalg.norm(f)
     for _ in range(_NEWTON_STEPS):
         try:
-            step = np.linalg.solve(bloch.jacobian(y, params, mech, omega), -f)
+            step = np.linalg.solve(dynamics.jacobian(y, params, mech, omega), -f)
         except np.linalg.LinAlgError:
             return None
         if np.linalg.norm(step) <= 1e-12 * np.linalg.norm(y):
             return y + step
         for _ in range(_NEWTON_HALVINGS):
             trial = y + step
-            f_trial = bloch.bloch_rhs(trial, params, mech, omega)
+            f_trial = dynamics.bloch_rhs(trial, params, mech, omega)
             norm_trial = np.linalg.norm(f_trial)
             if norm_trial < norm:
                 break
@@ -161,7 +161,7 @@ def check_fixed_points(seed: int) -> CheckResult:
         for om, roots, rho12, _ in _found_roots(params, mech, np.linspace(0.2, 20.0, 17)):
             for w, r12 in zip(roots, rho12):
                 fp = (2.0 * r12.real, 2.0 * r12.imag, w)
-                rhs = bloch.bloch_rhs(fp, params, mech, om)
+                rhs = dynamics.bloch_rhs(fp, params, mech, om)
                 max_dev = max(max_dev, float(np.abs(rhs).max()) / params.gamma)
                 guess = np.array([fp[0] + 1e-4, fp[1] - 1e-4, fp[2] - 1e-4])
                 zero = _flow_zero(params, mech, om, guess)

@@ -1,6 +1,8 @@
-"""The package namespace: every public name resolves, and ``dynamics``
-(with its scipy import) loads only when first used."""
+"""The package namespace: every public name resolves, and scipy loads only
+when something is integrated."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -13,9 +15,22 @@ import iobspectra
 FRESH_PROCESS = """
 import sys
 import iobspectra
-assert "iobspectra.dynamics" not in sys.modules
+
+def no_scipy(after):
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    assert not loaded, f"{loaded} loaded after {after}"
+
+no_scipy("import iobspectra")
+state = iobspectra.BlochState(0.1, 0.2, 0.3)
+no_scipy("building a BlochState")
+params = iobspectra.MediumParams(delta=3.0, zeta_lorentz=50.0)
+iobspectra.bloch_rhs(state, params, iobspectra.Mechanism.LORENTZ, 8.0)
+iobspectra.jacobian(state, params, iobspectra.Mechanism.LORENTZ, 8.0)
+no_scipy("bloch_rhs and jacobian")
 assert set(iobspectra.__all__) | {"dynamics"} <= set(dir(iobspectra))
 assert iobspectra.dynamics.integrate is sys.modules["iobspectra.dynamics"].integrate
+iobspectra.dynamics.odeint
+assert "scipy.integrate" in sys.modules
 """
 
 
@@ -35,13 +50,39 @@ def test_unknown_attribute_raises_attribute_error():
         iobspectra.no_such_name
 
 
-def test_dynamics_loads_on_first_access():
+def run_fresh(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
     src = str(Path(iobspectra.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", FRESH_PROCESS], env=env,
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_scipy_loads_on_first_integration():
+    run_fresh(FRESH_PROCESS)
+
+
+RESOLVE = """
+import importlib, json, sys
+missing = [(m, a) for m, a in json.loads(sys.argv[1])
+           if not hasattr(importlib.import_module("iobspectra." + m), a)]
+assert not missing, missing
+"""
+
+
+def test_tracer_targets_resolve():
+    """The benchmark's tracer wraps each (module, attribute) of its TARGETS
+    through getattr and setattr, so each must resolve on iobspectra.<module>.
+    A fresh process meets the names bound on first access as a tracer does."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    pairs = sorted({(module, attr) for module, attr, _, _ in tracer.TARGETS})
+    assert ("dynamics", "solve_ivp") in pairs
+    run_fresh(RESOLVE, json.dumps(pairs))
 
 
 def test_dynamics_solve_ivp_is_scipys():
