@@ -335,15 +335,15 @@ def sweep_adiabatic(
 ) -> SweepResult:
     """Linearly ramp the drive and detect hysteresis jumps.
 
-    Both endpoints must be finite and at most OMEGA_MAX, and ``samples``, if
-    given, at least 2.  The sweep starts next to the stable fixed point
-    appropriate to its direction (lower branch going up, upper going down),
-    on the ramp's slow manifold: shifted by the first-order lag of the
-    moving fixed point along the Jacobian's oscillatory pair (see
-    _slow_start), so that the start excites no ringing.  It integrates with
-    LSODA in one ODEPACK call, with the ramp's end as the critical time, at
-    the ``samples`` times: compiled steps and linear algebra keep long slow
-    ramps cheap, and the output does not depend on the BLAS thread setup.
+    Both endpoints must be finite and at most OMEGA_MAX.  The sweep starts
+    next to the stable fixed point appropriate to its direction (lower
+    branch going up, upper going down), on the ramp's slow manifold: shifted
+    by the first-order lag of the moving fixed point along the Jacobian's
+    oscillatory pair (see _slow_start), so that the start excites no
+    ringing.  It integrates with LSODA in one ODEPACK call, with the ramp's
+    end as the critical time, at the ``samples`` times (at least 2): compiled
+    steps and linear algebra keep long slow ramps cheap, and the output does
+    not depend on the BLAS thread setup.
     Branch jumps show up as runs of |dw| spikes between samples; the drive
     midway across the largest spike of each run is returned.
     A NonAdiabaticWarning is raised if, away from detected jumps, the state
