@@ -404,6 +404,19 @@ def test_lsoda_failure_time_is_where_lsoda_stopped(monkeypatch, t_eval):
     assert info.value.time == 0.0
 
 
+@pytest.mark.parametrize("omega", [1e150, 3e153])
+def test_a_drive_that_stalls_lsoda_is_an_integration_error(omega):
+    """At a constant drive this large, within OMEGA_MAX, the squared norm of
+    the first derivative overflows in LSODA's initial step size, which comes
+    out 0.  odeint then reports "Integration successful." with the state
+    unmoved at every output time; that is an IntegrationError at the time
+    LSODA reached, 0."""
+    with pytest.raises(IntegrationError, match="integration failed at t=0.0") as info:
+        integrate(BlochState(0.0, 0.0, 1.0), LORENTZ_50, Mechanism.LORENTZ, omega, 1.0,
+                  t_eval=[0.0, 1.0])
+    assert info.value.time == 0.0
+
+
 @pytest.mark.parametrize("t_eval", [None, [], [0.0, 2.0], [-1.0, 0.5], [0.0, 0.5, 0.5],
                                     [0.5, 0.2], [[0.0, 0.5]]])
 def test_lsoda_needs_increasing_t_eval_within_t_span(t_eval):
