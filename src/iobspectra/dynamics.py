@@ -260,9 +260,9 @@ def integrate(
     (ValueError otherwise).  The default tolerances keep relaxations of the
     benchmark medium at omega = 8 within 1e-9 of one at 1e-13 / 1e-15;
     sweeps pass looser ones.  ``t_end`` must be positive and finite: an
-    integration to nan or inf would never return.  A failed integration, or
-    one that leaves the Bloch ball, raises IntegrationError with the time
-    it reached.
+    integration to nan or inf would never return.  A failed integration, one
+    that leaves the Bloch ball, and one in which LSODA takes no step raise
+    IntegrationError with the time it reached.
     """
     if not 0.0 < t_end < math.inf:
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
@@ -314,7 +314,7 @@ def integrate(
                                time=t_fail)
     omegas = np.array([omega_of_t(t) for t in t_eval])
     try:
-        return Trajectory(times=t_eval, uvw=uvw[times.size - t_eval.size:], omegas=omegas)
+        traj = Trajectory(times=t_eval, uvw=uvw[times.size - t_eval.size:], omegas=omegas)
     except ValueError as exc:  # the times always increase: a state left the ball
         # Row k >= 1 of odeint's rows is the first bad one (row 0 is y0).  It
         # may lie past the time LSODA reached: an RHS that is inf at t = 0
@@ -322,6 +322,14 @@ def integrate(
         k = int(np.argmax(_outside_ball(uvw)))
         t_fail = min(float(times[k]), float(info["tcur"][k - 1]))
         raise IntegrationError(f"integrator left the Bloch ball: {exc}", time=t_fail) from exc
+    # An RHS whose squared norm overflows makes LSODA's first step size 0; it
+    # then passes every output time unmoved and reports success.  Its last
+    # step size hu is 0 only while no step has been taken.
+    if times.size > 1 and info["hu"][0] == 0.0:
+        t_fail = float(info["tcur"][0])
+        raise IntegrationError(f"integration failed at t={t_fail}: LSODA took no step",
+                               time=t_fail)
+    return traj
 
 
 def sweep_adiabatic(
