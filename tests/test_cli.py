@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -410,6 +411,20 @@ def test_peaks_families_and_none_entries(tmp_path, capsys):
     capsys.readouterr()
     _, cols2 = read_csv(out2)
     assert "none" in cols2["nu_p"]
+
+
+def test_peaks_up_to_omega_max_raise_no_runtime_warning(capsys):
+    """Past |omega_eff| of about 1e77 the density coefficients b2 and b0
+    overflow, but peaks reads only nu_p_sq: the saturated upper branch gives
+    nu_p = 2 omega, with no RuntimeWarning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, "peaks", "--delta", "3", "--zeta-l", "50",
+                             "--omega", "0:1e100:3", "--format", "json")
+    assert (code, err) == (0, "")
+    data = json.loads(out)["data"]
+    assert data["branch"] == ["lower", "upper", "upper"]
+    assert data["nu_p"][1:] == [2.0 * om for om in data["omega"][1:]]
 
 
 def test_peaks_json_null_for_missing(tmp_path, capsys):
