@@ -327,7 +327,8 @@ def _cmd_peaks(ns: argparse.Namespace) -> int:
         # |omega_eff| ** 2 in Python: numpy's square rounds some values differently
         o2 = np.array([x ** 2 for x in roots["omega_eff_abs"]])
         d = np.array(roots["delta_eff"])
-        nu_p_sq = spectrum.spectrum_coefficients(o2, d, params.gamma).nu_p_sq
+        with np.errstate(over="ignore"):  # b2 and b0 overflow past |omega_eff| ~ 1e77; unread
+            nu_p_sq = spectrum.spectrum_coefficients(o2, d, params.gamma).nu_p_sq
         cols["omega"] += roots["omega"]
         cols["mechanism"] += [tag] * len(nu_p_sq)
         cols["branch"] += roots["branch"]
