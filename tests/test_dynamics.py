@@ -290,6 +290,13 @@ def test_sweep_rejects_nonfinite_endpoints(name, args):
         sweep_adiabatic(LORENTZ_50, Mechanism.LORENTZ, *args, 1e-3)
 
 
+@pytest.mark.parametrize("omega", [math.nan, math.inf])
+def test_integrate_rejects_a_nonfinite_constant_drive(omega):
+    with pytest.raises(ValueError, match="omega must be finite"):
+        integrate(BlochState(0.0, 0.0, 1.0), FREE, Mechanism.LORENTZ, omega, 1.0,
+                  t_eval=[0.0, 1.0])
+
+
 @pytest.mark.parametrize("samples", [1, 0, -3])
 def test_sweep_needs_two_samples(samples):
     """A sweep spaces its samples t_end / (samples - 1) apart, so fewer than

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import null_space
 
 from iobspectra import (
+    BlochState,
     Branch,
     BranchNotPresentError,
     MediumParams,
@@ -20,6 +21,7 @@ from iobspectra import (
     effective_params,
     find_thresholds,
     fixed_point_state,
+    integrate,
     jacobian,
     rabi_relation_sq,
     scan_hysteresis,
@@ -28,6 +30,7 @@ from iobspectra import (
     solve_inversion,
     spectrum_coefficients,
     stationary_state,
+    sweep_adiabatic,
     zeta_total,
 )
 from iobspectra import steady_state
@@ -865,19 +868,31 @@ def test_scan_rejects_bad_grids():
 
 
 
-@pytest.mark.parametrize("omega", [1e160, 1e200])
+# Each entry point that takes a drive, called with the one drive omega
+DRIVE_ENTRIES = [
+    lambda om: MediumParams(delta=3.0, zeta_lorentz=50.0, omega=om),
+    lambda om: branch_solution(LORENTZ_50, Mechanism.LORENTZ, Branch.UPPER, omega=om),
+    lambda om: solution_arrays(LORENTZ_50, Mechanism.LORENTZ, [1.0, om]),
+    lambda om: scan_hysteresis(LORENTZ_50, Mechanism.LORENTZ, sorted([2.0, om])),
+    lambda om: sweep_adiabatic(LORENTZ_50, Mechanism.LORENTZ, om, 2.0, 1e-3),
+    lambda om: integrate(BlochState(0.0, 0.0, 1.0), LORENTZ_50, Mechanism.LORENTZ, om, 1.0,
+                         t_eval=[0.0, 1.0]),
+]
+
+
+@pytest.mark.parametrize("omega", [1e160, 1e200, -1.0, -1e200])
 def test_drives_whose_square_overflows_are_rejected(omega):
     """omega**2 overflows past about 1.3e154 (OverflowError on a Python
-    float, inf coefficients on an array).  Every entry that takes a drive
-    rejects such a drive with a ValueError that names omega."""
-    with pytest.raises(ValueError, match="omega must be at most"):
-        MediumParams(delta=3.0, zeta_lorentz=50.0, omega=omega)
-    with pytest.raises(ValueError, match="omega must be at most"):
-        branch_solution(LORENTZ_50, Mechanism.LORENTZ, Branch.UPPER, omega=omega)
-    with pytest.raises(ValueError, match="omega must be at most"):
-        solution_arrays(LORENTZ_50, Mechanism.LORENTZ, [1.0, omega])
-    with pytest.raises(ValueError, match="omega must be at most"):
-        scan_hysteresis(LORENTZ_50, Mechanism.LORENTZ, [0.0, omega])
+    float, inf coefficients on an array), and a drive is nonnegative.  Every
+    entry that takes a drive rejects a drive too large or negative with a
+    ValueError that names it (omega, or a sweep's omega_start), before any
+    solve or warning."""
+    rule = "must be nonnegative" if omega < 0.0 else "must be at most"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for entry in DRIVE_ENTRIES:
+            with pytest.raises(ValueError, match=f"^omega(_start)? {rule}"):
+                entry(omega)
 
 
 @pytest.mark.parametrize("entry, omegas", [
@@ -887,14 +902,19 @@ def test_drives_whose_square_overflows_are_rejected(omega):
     (solution_arrays, [-np.inf, 1.0]),
     (scan_hysteresis, [0.0, np.nan, 2.0]),
     (scan_hysteresis, [0.0, 2.0, np.inf]),
+    (solution_arrays, [1.0, -1.0]),
+    (solution_arrays, [-1e200]),
+    (scan_hysteresis, [-1.0, 2.0]),
+    (scan_hysteresis, [-1e200, 0.0, 2.0]),
 ])
 def test_nonfinite_drives_are_rejected_before_any_solve(entry, omegas):
-    """A NaN or infinite drive in an array entry point is a ValueError that
-    names omega, raised before any solve or warning: no root count of 0 for
-    it, and no ThresholdRangeWarning from a scan."""
+    """A NaN, infinite or negative drive in an array entry point is a
+    ValueError that names omega, raised before any solve or warning: no root
+    count of 0 for it, and no ThresholdRangeWarning from a scan."""
+    rule = "must be finite" if not np.isfinite(omegas).all() else "must be nonnegative"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="omega must be finite"):
+        with pytest.raises(ValueError, match=f"^omega {rule}"):
             entry(LORENTZ_50, Mechanism.LORENTZ, omegas)
 
 
