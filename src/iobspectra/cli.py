@@ -37,6 +37,7 @@ from .core import (
     MediumParams,
     Mechanism,
     NoPhysicalRootError,
+    check_drive,
     validate_mechanism,
 )
 from .verify import run_verification
@@ -158,14 +159,8 @@ def _medium_and_mechanism(ns: argparse.Namespace) -> tuple[MediumParams, Mechani
 
 def _drive_grid(spec: str) -> np.ndarray:
     grid = parse_grid(spec)
-    if grid[0] < 0.0:
-        raise ValueError("omega grid must be nonnegative")
+    check_drive(grid[0], "omega grid")
     return grid
-
-
-def _check_drive(omega: float) -> None:
-    if omega < 0.0:
-        raise ValueError("omega must be nonnegative")
 
 
 # --------------------------------------------------------------------------
@@ -275,9 +270,9 @@ def _cmd_hysteresis(ns: argparse.Namespace) -> int:
 
 def _cmd_spectrum(ns: argparse.Namespace) -> int:
     params, mech = _medium_and_mechanism(ns)
-    _check_drive(ns.omega)
+    params = replace(params, omega=ns.omega)
     nu_grid = None if ns.nu_grid is None else parse_grid(ns.nu_grid)
-    sol = steady_state.branch_solution(params, mech, Branch(ns.branch), omega=ns.omega)
+    sol = steady_state.branch_solution(params, mech, Branch(ns.branch))
     _diag(ns, f"{ns.branch} branch at omega={ns.omega}: "
               f"w={sol.w:.6g}, |omega_eff|={abs(sol.omega_eff):.6g}")
     result = spectrum.spectrum_for_solution(sol, params.gamma, nu_grid)
@@ -361,7 +356,7 @@ def _cmd_dynamics(ns: argparse.Namespace) -> int:
             omega = float(ns.omega)
         except ValueError as exc:
             raise ValueError("relax mode needs a scalar --omega") from exc
-        _check_drive(omega)
+        params = replace(params, omega=omega)
         if not 0.0 < ns.t_end < math.inf:
             raise ValueError("t-end must be positive and finite")
     else:
@@ -370,7 +365,6 @@ def _cmd_dynamics(ns: argparse.Namespace) -> int:
         raise ValueError("samples must lie in [2, 1e6]")
 
     if ns.mode == "relax":
-        params = replace(params, omega=omega)
         if ns.branch == "ground":
             state0 = dynamics.BlochState(0.0, 0.0, 1.0)
         else:

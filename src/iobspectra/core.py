@@ -64,9 +64,12 @@ class BranchNotPresentError(LookupError):
 
 
 def check_drive(omega: float, name: str = "omega") -> None:
-    """ValueError naming ``name`` for a drive that is not finite or is above OMEGA_MAX."""
+    """The drive rule: ValueError naming ``name`` for a drive that is not
+    finite, is negative or is above OMEGA_MAX."""
     if not math.isfinite(omega):
         raise ValueError(f"{name} must be finite, got {omega!r}")
+    if omega < 0.0:
+        raise ValueError(f"{name} must be nonnegative")
     if omega > OMEGA_MAX:
         raise ValueError(f"{name} must be at most {OMEGA_MAX:.4g}, got {omega}")
 
@@ -106,8 +109,6 @@ class MediumParams:
             object.__setattr__(self, name, value)
         if self.gamma <= 0.0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.omega < 0.0:
-            raise ValueError(f"omega must be nonnegative, got {self.omega}")
         check_drive(self.omega)
         if self.zeta_lorentz < 0.0 or self.zeta_detuning < 0.0:
             raise ValueError("coupling strengths zeta_lorentz/zeta_detuning must be nonnegative")

@@ -234,6 +234,7 @@ def _drive_function(drive) -> Callable[[float], float]:
     if callable(drive):
         return drive
     value = float(drive)
+    check_drive(value)
     return lambda t: value
 
 
@@ -250,12 +251,12 @@ def integrate(
 ) -> Trajectory:
     """Integrate the Bloch equations from t = 0 with LSODA.
 
-    ``drive`` is a constant Rabi frequency or a callable omega(t).  LSODA is
-    the multistep scheme that switches between stiff and non-stiff formulas
-    on its own; it is given the analytic Jacobian and runs as one ODEPACK
-    call (``odeint``), which returns to Python only for the right-hand side
-    and the Jacobian, with ``t_end`` as its critical time, so that it never
-    steps past the end of a ramp.  It returns states only at the times
+    ``drive`` is a constant drive (see check_drive) or a callable omega(t).
+    LSODA is the multistep scheme that switches between stiff and non-stiff
+    formulas on its own; it is given the analytic Jacobian and runs as one
+    ODEPACK call (``odeint``), which returns to Python only for the
+    right-hand side and the Jacobian, with ``t_end`` as its critical time, so
+    that it never steps past the end of a ramp.  It returns states only at the times
     ``t_eval``, which must be given, strictly increasing within [0, t_end]
     (ValueError otherwise).  The default tolerances keep relaxations of the
     benchmark medium at omega = 8 within 1e-9 of one at 1e-13 / 1e-15;
@@ -322,13 +323,10 @@ def integrate(
         k = int(np.argmax(_outside_ball(uvw)))
         t_fail = min(float(times[k]), float(info["tcur"][k - 1]))
         raise IntegrationError(f"integrator left the Bloch ball: {exc}", time=t_fail) from exc
-    # An RHS whose squared norm overflows makes LSODA's first step size 0; it
-    # then passes every output time unmoved and reports success.  Its last
-    # step size hu is 0 only while no step has been taken.
+    # An RHS whose squared norm overflows makes LSODA's first step size 0: it
+    # passes every output time unmoved and reports success, with hu still 0.
     if times.size > 1 and info["hu"][0] == 0.0:
-        t_fail = float(info["tcur"][0])
-        raise IntegrationError(f"integration failed at t={t_fail}: LSODA took no step",
-                               time=t_fail)
+        raise IntegrationError("integration failed at t=0.0: LSODA took no step", time=0.0)
     return traj
 
 
@@ -343,7 +341,7 @@ def sweep_adiabatic(
 ) -> SweepResult:
     """Linearly ramp the drive and detect hysteresis jumps.
 
-    Both endpoints must be finite and at most OMEGA_MAX.  The sweep starts
+    The endpoints are distinct drives (see check_drive).  The sweep starts
     next to the stable fixed point appropriate to its direction (lower
     branch going up, upper going down), on the ramp's slow manifold: shifted
     by the first-order lag of the moving fixed point along the Jacobian's
@@ -360,8 +358,8 @@ def sweep_adiabatic(
     """
     check_drive(omega_start, "omega_start")
     check_drive(omega_end, "omega_end")
-    if omega_start < 0.0 or omega_end < 0.0 or omega_start == omega_end:
-        raise ValueError("sweep endpoints must be nonnegative and distinct")
+    if omega_start == omega_end:
+        raise ValueError("sweep endpoints must be distinct")
     if not 0.0 < ramp_rate <= RAMP_RATE_MAX_FACTOR * params.gamma**2:
         raise ValueError(
             f"ramp_rate must lie in (0, {RAMP_RATE_MAX_FACTOR} gamma^2] for adiabaticity"

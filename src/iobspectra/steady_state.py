@@ -467,13 +467,18 @@ def solution_arrays(params: MediumParams, mech: Mechanism, omegas) -> SolutionAr
 
     One closed-form cubic solve over all drives, then effective parameters,
     coherence, residual and linear stability for every root at once.
-    Non-finite drives and drives above ``OMEGA_MAX`` are rejected (ValueError).
+    Drives that break :func:`check_drive` are rejected (ValueError).
     """
     omega = np.atleast_1d(np.asarray(omegas, dtype=float))
     if omega.size:
-        for extreme in (omega.min(), omega.max()):  # a NaN is both
-            check_drive(float(extreme))
+        _check_drives(omega)
     return _solve(params, mech, omega)[0]
+
+
+def _check_drives(omega: np.ndarray) -> None:
+    """:func:`check_drive` on the least and greatest of nonempty drives (a NaN is both)."""
+    for extreme in (omega.min(), omega.max()):
+        check_drive(float(extreme))
 
 
 def _solve(params: MediumParams, mech: Mechanism, omega: np.ndarray):
@@ -698,9 +703,9 @@ def scan_hysteresis(
     grid = np.asarray(omega_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("omega_grid must be a nonempty 1-d array")
-    if np.any(grid < 0.0) or np.any(np.diff(grid) <= 0.0):
-        raise ValueError("omega_grid must be strictly increasing and nonnegative")
-    check_drive(float(grid.max()))  # a NaN passes the order check, not this
+    if np.any(np.diff(grid) <= 0.0):  # a NaN passes this, not the drive check
+        raise ValueError("omega_grid must be strictly increasing")
+    _check_drives(grid)
 
     arr, folds = _solve(params, mech, grid)
     lo, hi = float(grid[0]), float(grid[-1])
