@@ -172,16 +172,12 @@ def _fmt_cell(value) -> str:
         return "none"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
     return str(value)
 
 
 def _meta_value(value) -> str:
     if isinstance(value, (dict, list, tuple)) or value is None or isinstance(value, bool):
         return json.dumps(value, allow_nan=False)
-    if isinstance(value, float):
-        return repr(value)
     return str(value)
 
 
@@ -244,15 +240,15 @@ def _root_columns(scan: steady_state.HysteresisScan) -> dict:
     """One row per root of an array-backed scan, drive by drive, as Python scalars."""
     arr, branches = scan.points.arrays, scan.points.branches
     found = branches != ""
-    w = arr.w[found]
+    w, z = arr.w[found], arr.omega_eff[found]
     return {
         "omega": np.repeat(arr.omega, arr.count).tolist(),
         "branch": branches[found].tolist(),
         "w": w.tolist(),
         "rho22": (0.5 * (1.0 - w)).tolist(),
         "stable": arr.stable[found].tolist(),
-        # Python's abs, as in the solution records: np.abs rounds some |z| differently
-        "omega_eff_abs": [abs(z) for z in arr.omega_eff[found].tolist()],
+        # hypot, as Python's abs in the solution records: np.abs rounds some |z| differently
+        "omega_eff_abs": np.hypot(z.real, z.imag).tolist(),
         "delta_eff": arr.delta_eff[found].tolist(),
     }
 
