@@ -858,6 +858,57 @@ def test_scan_matches_exact_algebra_over_extreme_media(medium, start):
         assert [s.stable for s in point.solutions] == [b is not Branch.MIDDLE for b in labels]
 
 
+@settings(max_examples=150, deadline=None)
+@given(medium=extreme_media())
+def test_coefficients_follow_the_w_route_over_extreme_media(medium):
+    """At every steady state of every mechanism the saturation law gives
+    |omega_eff|^2 = (1 - W) D / (2W) with D = delta_eff^2 + gamma^2/4, so
+    the spectrum coefficients depend on (W, D, gamma) alone: a = D/W,
+    a0 = (1 - W) D/W + gamma^2 and nu_p^2 = D (2 - W)/W - gamma^2.  This
+    route checks the effective parameters without going through omega_eff.
+
+    With |omega_eff|^2 = omega^2 D / Q from the Rabi relation, the defect
+    |omega_eff|^2 - (1 - W) D/(2W) is exactly D P(W) / (2 W Q), with P the
+    inversion cubic and Q = (delta - zeta W)^2 + gamma^2/4.  As for the
+    identity |rho12|^2 = w rho22, rounding W leaves |P(W)| up to about
+    eps sum|c_i|, and the two sides round by a few eps of terms no larger
+    than D sum|c_i| / (2 W Q); so the bound is 8 eps D sum|c_i| / (2 W Q).
+    Over 3 800 random media the defect reached 2.0 times
+    eps D sum|c_i| / (2 W Q).  a, a0 and nu_p^2 move by 2, 2 and 4 times
+    the defect, plus 4 eps of the terms on both sides; over those media
+    they reached a quarter of that bound.  The drives run past the window
+    to 1e60, where W is about D / (2 omega^2)."""
+    params, mech, gamma, delta, zeta = medium
+    exact = fold_oracle(gamma, delta, zeta)
+    top = 2.0 * (zeta + abs(delta) + gamma) if exact is None else 1.5 * exact[0]
+    grid = np.concatenate([np.linspace(0.0, top, 60), np.geomspace(2.0 * top, 1e60, 8)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        arr = solution_arrays(params, mech, grid)
+    found = np.isfinite(arr.w)
+    assert found.sum(axis=1).tolist() == arr.count.tolist()
+    w, d, z = arr.w[found], arr.delta_eff[found], arr.omega_eff[found]
+    omega = np.broadcast_to(arr.omega[:, None], arr.w.shape)[found]
+    g2 = gamma * gamma
+    big_d = d * d + 0.25 * g2
+    q = (delta - zeta * w) ** 2 + 0.25 * g2
+    c3, c2, c1, c0 = steady_state._inversion_cubic(params, zeta, omega)
+    defect_bound = 8.0 * EPS * big_d * (abs(c3) + abs(c2) + np.abs(c1) + abs(c0)) / (2.0 * w * q)
+
+    o2 = z.real**2 + z.imag**2
+    assert np.all(np.abs(o2 - (1.0 - w) * big_d / (2.0 * w)) <= defect_bound)
+    with np.errstate(over="ignore"):  # b2 and b0, not checked here, overflow at large drives
+        c = spectrum_coefficients(o2, d, gamma)
+    a0_route = (1.0 - w) * big_d / w + g2
+    nu_route = big_d * (2.0 - w) / w - g2
+    for got, route, k, terms in [
+        (c.a, big_d / w, 2.0, c.a + big_d / w),
+        (c.a0, a0_route, 2.0, c.a0 + a0_route),
+        (c.nu_p_sq, nu_route, 4.0, 4.0 * o2 + d * d + 0.75 * g2 + big_d * (2.0 - w) / w + g2),
+    ]:
+        assert np.all(np.abs(got - route) <= k * defect_bound + 4.0 * EPS * terms)
+
+
 def test_scan_rejects_bad_grids():
     with pytest.raises(ValueError):
         scan_hysteresis(LORENTZ_50, Mechanism.LORENTZ, [1.0, 0.5])
