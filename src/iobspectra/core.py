@@ -64,8 +64,7 @@ class BranchNotPresentError(LookupError):
 
 
 def check_drive(omega: float, name: str = "omega") -> None:
-    """The drive rule: ValueError naming ``name`` for a drive that is not
-    finite, is negative or is above OMEGA_MAX."""
+    """ValueError naming ``name`` unless the drive is finite, nonnegative and at most OMEGA_MAX."""
     if not math.isfinite(omega):
         raise ValueError(f"{name} must be finite, got {omega!r}")
     if omega < 0.0:

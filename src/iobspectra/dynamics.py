@@ -255,15 +255,15 @@ def integrate(
     LSODA is the multistep scheme that switches between stiff and non-stiff
     formulas on its own; it is given the analytic Jacobian and runs as one
     ODEPACK call (``odeint``), which returns to Python only for the
-    right-hand side and the Jacobian, with ``t_end`` as its critical time, so
-    that it never steps past the end of a ramp.  It returns states only at the times
-    ``t_eval``, which must be given, strictly increasing within [0, t_end]
-    (ValueError otherwise).  The default tolerances keep relaxations of the
-    benchmark medium at omega = 8 within 1e-9 of one at 1e-13 / 1e-15;
-    sweeps pass looser ones.  ``t_end`` must be positive and finite: an
-    integration to nan or inf would never return.  A failed integration, one
-    that leaves the Bloch ball, and one in which LSODA takes no step raise
-    IntegrationError with the time it reached.
+    right-hand side and the Jacobian, with ``t_end`` as its critical time,
+    so that it never steps past the end of a ramp.  It returns states only
+    at the times ``t_eval``, which must be given, strictly increasing within
+    [0, t_end] (ValueError otherwise).  The default tolerances keep
+    relaxations of the benchmark medium at omega = 8 within 1e-9 of one at
+    1e-13 / 1e-15; sweeps pass looser ones.  ``t_end`` must be positive and
+    finite: an integration to nan or inf would never return.  A failed
+    integration, one that leaves the Bloch ball, and one in which LSODA
+    takes no step raise IntegrationError with the time it reached.
     """
     if not 0.0 < t_end < math.inf:
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
@@ -323,8 +323,7 @@ def integrate(
         k = int(np.argmax(_outside_ball(uvw)))
         t_fail = min(float(times[k]), float(info["tcur"][k - 1]))
         raise IntegrationError(f"integrator left the Bloch ball: {exc}", time=t_fail) from exc
-    # An RHS whose squared norm overflows makes LSODA's first step size 0: it
-    # passes every output time unmoved and reports success, with hu still 0.
+    # an overflowed RHS norm makes LSODA's first step 0: it "succeeds" unmoved, hu still 0
     if times.size > 1 and info["hu"][0] == 0.0:
         raise IntegrationError("integration failed at t=0.0: LSODA took no step", time=0.0)
     return traj

@@ -470,14 +470,13 @@ def solution_arrays(params: MediumParams, mech: Mechanism, omegas) -> SolutionAr
     Drives that break :func:`check_drive` are rejected (ValueError).
     """
     omega = np.atleast_1d(np.asarray(omegas, dtype=float))
-    if omega.size:
-        _check_drives(omega)
+    _check_drives(omega)
     return _solve(params, mech, omega)[0]
 
 
 def _check_drives(omega: np.ndarray) -> None:
-    """:func:`check_drive` on the least and greatest of nonempty drives (a NaN is both)."""
-    for extreme in (omega.min(), omega.max()):
+    """:func:`check_drive` on the least and greatest drive (a NaN is both; 0 stands for none)."""
+    for extreme in (omega.min(initial=0.0), omega.max(initial=0.0)):
         check_drive(float(extreme))
 
 
