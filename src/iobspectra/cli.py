@@ -25,7 +25,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .core import (
     MediumParams,
     Mechanism,
     NoPhysicalRootError,
+    SWITCHED_OFF,
     check_drive,
     validate_mechanism,
 )
@@ -82,8 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
         "two-level medium (all frequencies in units of the decay rate).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    mechanisms = [m.value for m in Mechanism]
 
-    def common(p: argparse.ArgumentParser, mechanism_choices=("lorentz", "detuning", "joint")):
+    def common(p: argparse.ArgumentParser, mechanism_choices=mechanisms):
         p.add_argument("--gamma", type=float, default=1.0, help="decay rate (unit scale)")
         p.add_argument("--delta", type=float, default=0.0, help="bare detuning")
         p.add_argument("--zeta-l", type=float, default=0.0, help="local-field coupling")
@@ -110,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_peaks = sub.add_parser("peaks", help="side-peak positions over a drive grid")
-    common(p_peaks, mechanism_choices=("lorentz", "detuning", "joint", "both"))
+    common(p_peaks, mechanism_choices=[*mechanisms, "both"])
     p_peaks.add_argument("--omega", required=True, help="drive grid start:end:count")
     p_peaks.add_argument(
         "--free-atom-reference", action="store_true",
@@ -277,7 +279,6 @@ def _cmd_spectrum(ns: argparse.Namespace) -> int:
     if ns.normalize == "free-atom-max":
         reference = spectrum.free_atom_saturation_max(params.gamma)
         density = density / reference
-    c = result.coefficients
     meta = _base_meta(
         ns,
         branch=ns.branch,
@@ -288,12 +289,9 @@ def _cmd_spectrum(ns: argparse.Namespace) -> int:
         unstable=not sol.stable,
         elastic_weight=result.elastic_weight,
         peaks=list(result.peaks),
-        coefficients={
-            "a": c.a, "a0": c.a0, "b4": c.b4, "b2": c.b2, "b0": c.b0,
-            # "gamma6" is the denominator floor b0; the key stays for
-            # readers of existing files and for unchanged build ids
-            "nu_p_sq": c.nu_p_sq, "gamma6": c.b0,
-        },
+        # "gamma6" is the denominator floor b0; the key stays for
+        # readers of existing files and for unchanged build ids
+        coefficients={**asdict(result.coefficients), "gamma6": result.coefficients.b0},
         normalize=ns.normalize,
         normalize_reference=reference,
     )
@@ -303,44 +301,33 @@ def _cmd_spectrum(ns: argparse.Namespace) -> int:
 
 
 def _cmd_peaks(ns: argparse.Namespace) -> int:
-    params = _medium(ns)
+    base = _medium(ns)
     grid = _drive_grid(ns.omega)
-    tags = ["lorentz", "detuning"] if ns.mechanism == "both" else [ns.mechanism]
+    mechs = list(SWITCHED_OFF) if ns.mechanism == "both" else [Mechanism(ns.mechanism)]
+    # a single mechanism runs with its SWITCHED_OFF coupling at 0, the free atom with every one
+    families = [(m.value, m, replace(base, **{SWITCHED_OFF[m]: 0.0} if m in SWITCHED_OFF else {}))
+                for m in mechs]
+    if ns.free_atom_reference:
+        free = replace(base, **dict.fromkeys(SWITCHED_OFF.values(), 0.0))
+        families.append(("free", Mechanism.LORENTZ, free))
     cols = {k: [] for k in ("omega", "mechanism", "branch", "nu_p")}
-    thresholds_meta: dict[str, object] = {}
-
-    def add_family(tag: str, params: MediumParams, mech: Mechanism) -> None:
-        scan = steady_state.scan_hysteresis(params, mech, grid)
-        thresholds_meta[tag] = (
-            None if scan.omega_up is None else [scan.omega_up, scan.omega_down]
-        )
+    thresholds: dict[str, object] = {}
+    for tag, mech, medium in families:
+        scan = steady_state.scan_hysteresis(medium, mech, grid)
+        thresholds[tag] = None if scan.omega_up is None else [scan.omega_up, scan.omega_down]
         roots = _root_columns(scan)
-        # |omega_eff| ** 2 in Python: numpy's square rounds some values differently
-        o2 = np.array([x ** 2 for x in roots["omega_eff_abs"]])
-        d = np.array(roots["delta_eff"])
         with np.errstate(over="ignore"):  # b2 and b0 overflow past |omega_eff| ~ 1e77; unread
-            nu_p_sq = spectrum.spectrum_coefficients(o2, d, params.gamma).nu_p_sq
+            # float_power rounds as Python's x ** 2 (libm pow); np.square differs on some values
+            o2 = np.float_power(roots["omega_eff_abs"], 2.0)
+            nu_p_sq = spectrum.spectrum_coefficients(o2, np.array(roots["delta_eff"]),
+                                                     medium.gamma).nu_p_sq
         cols["omega"] += roots["omega"]
         cols["mechanism"] += [tag] * len(nu_p_sq)
         cols["branch"] += roots["branch"]
         cols["nu_p"] += [math.sqrt(x) if x > 0.0 else None for x in nu_p_sq.tolist()]
 
-    # each mechanism uses its own coupling; the other one is switched off
-    for tag in tags:
-        mech = Mechanism(tag)
-        if mech is Mechanism.LORENTZ:
-            p = replace(params, zeta_detuning=0.0)
-        elif mech is Mechanism.DETUNING:
-            p = replace(params, zeta_lorentz=0.0)
-        else:
-            p = params
-        add_family(tag, p, mech)
-    if ns.free_atom_reference:
-        free = replace(params, zeta_lorentz=0.0, zeta_detuning=0.0)
-        add_family("free", free, Mechanism.LORENTZ)
-
-    meta = _base_meta(ns, mechanism=",".join(tags),
-                      free_atom_reference=ns.free_atom_reference, thresholds=thresholds_meta)
+    meta = _base_meta(ns, mechanism=",".join(m.value for m in mechs),
+                      free_atom_reference=ns.free_atom_reference, thresholds=thresholds)
     _emit(ns, meta, cols)
     return EXIT_OK
 
@@ -362,12 +349,11 @@ def _cmd_dynamics(ns: argparse.Namespace) -> int:
 
     if ns.mode == "relax":
         if ns.branch == "ground":
-            state0 = dynamics.BlochState(0.0, 0.0, 1.0)
+            u, v, w = 0.0, 0.0, 1.0
         else:
             sol = steady_state.branch_solution(params, mech, Branch(ns.branch))
-            state0 = dynamics.BlochState(2.0 * sol.rho12.real, 2.0 * sol.rho12.imag, sol.w)
-        if ns.perturb:
-            state0 = dynamics.BlochState(state0.u, state0.v, state0.w + ns.perturb)
+            u, v, w = 2.0 * sol.rho12.real, 2.0 * sol.rho12.imag, sol.w
+        state0 = dynamics.BlochState(u, v, w + ns.perturb)
         t_eval = np.linspace(0.0, ns.t_end, ns.samples)
         traj = dynamics.integrate(state0, params, mech, omega, ns.t_end, t_eval=t_eval)
         meta = _base_meta(ns, mode=ns.mode, branch=ns.branch,

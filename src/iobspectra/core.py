@@ -113,20 +113,18 @@ class MediumParams:
             raise ValueError("coupling strengths zeta_lorentz/zeta_detuning must be nonnegative")
 
 
-def validate_mechanism(params: MediumParams, mech: Mechanism) -> None:
-    """Reject mechanism tags inconsistent with the coupling parameters.
+# The coupling each single mechanism switches off; ``joint`` keeps both.
+SWITCHED_OFF = {Mechanism.LORENTZ: "zeta_detuning", Mechanism.DETUNING: "zeta_lorentz"}
 
-    ``lorentz`` requires ``zeta_detuning == 0``, ``detuning`` requires
-    ``zeta_lorentz == 0``; ``joint`` accepts both couplings at once.
-    """
+
+def validate_mechanism(params: MediumParams, mech: Mechanism) -> None:
+    """Reject mechanism tags inconsistent with the coupling parameters: a
+    single mechanism requires its :data:`SWITCHED_OFF` coupling to be 0."""
     mech = Mechanism(mech)
-    if mech is Mechanism.LORENTZ and params.zeta_detuning != 0.0:
+    off = SWITCHED_OFF.get(mech)
+    if off is not None and getattr(params, off) != 0.0:
         raise MechanismError(
-            f"mechanism 'lorentz' requires zeta_detuning == 0, got {params.zeta_detuning}"
-        )
-    if mech is Mechanism.DETUNING and params.zeta_lorentz != 0.0:
-        raise MechanismError(
-            f"mechanism 'detuning' requires zeta_lorentz == 0, got {params.zeta_lorentz}"
+            f"mechanism '{mech.value}' requires {off} == 0, got {getattr(params, off)}"
         )
 
 
