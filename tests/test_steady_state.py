@@ -675,6 +675,30 @@ def test_single_drive_results_equal_their_batch_row(params, mech):
                         branch_solution(params, mech, branch, omega=omega)
 
 
+@pytest.mark.parametrize("params, mech", [
+    (LORENTZ_50, Mechanism.LORENTZ),
+    (DETUNING_50, Mechanism.DETUNING),
+    (MediumParams(delta=3.0, zeta_lorentz=20.0, zeta_detuning=30.0), Mechanism.JOINT),
+    (MediumParams(delta=3.0), Mechanism.LORENTZ),
+])
+def test_rows_with_fewer_roots_are_nan_padded(params, mech):
+    """Every (M, 3) float column of the solution arrays is NaN, in both parts
+    where it is complex, past a row's root count and finite before it, and
+    stable/marginal are False there, with or without a local-field coupling."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MarginalStabilityWarning)
+        arr = solution_arrays(params, mech, np.linspace(0.0, 25.0, 51))
+    absent = np.arange(3) >= arr.count[:, None]
+    assert absent.any() and not absent.all()
+    for name in arr._fields:
+        col = getattr(arr, name)
+        if col.ndim == 2 and col.dtype.kind in "fc":
+            for part in (col.real, col.imag) if col.dtype.kind == "c" else (col,):
+                assert np.isnan(part[absent]).all(), name
+                assert np.isfinite(part[~absent]).all(), name
+    assert not (arr.stable[absent].any() or arr.marginal[absent].any())
+
+
 def test_each_cubic_solves_alone_as_in_a_batch():
     """The closed-form kernel gives each cubic the same roots, bit for bit,
     whether it is solved alone or as one column of a batch.  Alone, a cubic
