@@ -413,7 +413,8 @@ def _effective(params: MediumParams, omega: np.ndarray, w: np.ndarray):
     delta_eff = params.delta - params.zeta_detuning * w
     zl = params.zeta_lorentz
     if zl == 0.0:
-        return _complex(omega, np.zeros_like(w)), delta_eff
+        zero = 0.0 * w  # NaN where w pads a row
+        return _complex(omega + zero, zero), delta_eff
     dd = delta_eff * delta_eff + 0.25 * g * g
     a = zl * w
     f_re = 1.0 - a * delta_eff / dd
