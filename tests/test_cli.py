@@ -140,6 +140,14 @@ def test_inconsistent_mechanism_exits_2(capsys):
      "configuration error: omega must be at most 3.352e+153, got 1e+200"),
     (["dynamics", "--mode", "sweep-up", "--omega", "1:1e200:3"],
      "configuration error: omega_end must be at most 3.352e+153, got 1e+200"),
+    (["dynamics", "--mode", "relax", "--omega", "1", "--perturb", "1e200"],
+     "configuration error: state (0.0, 0.0, 1e+200) lies outside the Bloch ball"),
+    (["hysteresis", "--gamma", "1e200", "--omega", "0:1:3"],
+     "configuration error: gamma must be at most 3.352e+153 in magnitude, got 1e+200"),
+    (["hysteresis", "--delta", "1e200", "--omega", "0:1:3"],
+     "configuration error: delta must be at most 3.352e+153 in magnitude, got 1e+200"),
+    (["spectrum", "--gamma", "1e155", "--omega", "1"],
+     "configuration error: gamma must be at most 3.352e+153 in magnitude, got 1e+155"),
 ])
 def test_configuration_errors_exit_2_with_one_line(tmp_path, capsys, args, line):
     """Each bad configuration exits 2 with exactly one stderr line and no stdout."""

@@ -54,6 +54,11 @@ def test_inconsistent_mechanism_rejected():
         {"zeta_detuning": -2.0},
         {"delta": math.nan},
         {"omega": math.inf},
+        # squares of these overflow in the cubics
+        {"gamma": 1e200},
+        {"delta": -1e200},
+        {"zeta_lorentz": 1e200},
+        {"zeta_detuning": 1e200},
     ],
 )
 def test_params_validation(kwargs):

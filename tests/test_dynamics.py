@@ -50,6 +50,8 @@ def test_bloch_state_validation():
         BlochState(1.0, 1.0, 1.0)  # outside the ball
     with pytest.raises(ValueError):
         BlochState(math.nan, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        BlochState(0.0, 0.0, 1e200)  # its square overflows
 
 
 def test_trajectory_holds_one_state_array():
