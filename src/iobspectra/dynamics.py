@@ -54,7 +54,7 @@ class BlochState:
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
             object.__setattr__(self, name, value)
-        if self.u**2 + self.v**2 + self.w**2 > 1.0 + BLOCH_BALL_SLACK:
+        if self.u * self.u + self.v * self.v + self.w * self.w > 1.0 + BLOCH_BALL_SLACK:
             raise ValueError(
                 f"state ({self.u}, {self.v}, {self.w}) lies outside the Bloch ball"
             )
