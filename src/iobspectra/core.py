@@ -31,7 +31,9 @@ from enum import Enum
 
 # The largest drive.  The steady-state solver scales omega^2 by up to 8 (the
 # Routh-Hurwitz test of the Bloch Jacobian), so larger drives would overflow;
-# omega^2 <= float max / 16 leaves a factor 2 to spare.
+# omega^2 <= float max / 16 leaves a factor 2 to spare.  It also bounds
+# gamma, |delta| and each zeta, so the cubics' largest square,
+# (delta - zeta W)^2 with zeta = zeta_l + zeta_m, stays below 9/16 float max.
 OMEGA_MAX = 0.25 * math.sqrt(sys.float_info.max)
 
 
@@ -92,6 +94,8 @@ class MediumParams:
                     fixed to zero)
     zeta_lorentz  : local-field (near dipole-dipole) coupling strength (>= 0)
     zeta_detuning : excitation-dependent frequency shift strength (>= 0)
+
+    gamma, |delta| and both couplings are at most OMEGA_MAX too.
     """
 
     gamma: float = 1.0
@@ -105,6 +109,10 @@ class MediumParams:
             value = float(getattr(self, name))
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+            if name != "omega" and abs(value) > OMEGA_MAX:  # check_drive bounds the drive
+                raise ValueError(
+                    f"{name} must be at most {OMEGA_MAX:.4g} in magnitude, got {value}"
+                )
             object.__setattr__(self, name, value)
         if self.gamma <= 0.0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
