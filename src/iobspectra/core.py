@@ -24,10 +24,20 @@ equal); they differ only in the emission spectra they predict.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 import sys
 from dataclasses import dataclass
 from enum import Enum
+
+# glibc hands a free heap top over 128 KiB back to the system unless a live
+# block lies above it, so the 1-3 MB of numpy temporaries of a drive scan or
+# a spectrum were faulted in again on some calls and not others, as the heap
+# fell.  Serve blocks up to 4 MiB from the heap and keep up to 8 MiB free.
+if "CS_GNU_LIBC_VERSION" in getattr(os, "confstr_names", {}):
+    ctypes.CDLL(None).mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
+    ctypes.CDLL(None).mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
 
 # The largest drive.  The steady-state solver scales omega^2 by up to 8 (the
 # Routh-Hurwitz test of the Bloch Jacobian), so larger drives would overflow;
