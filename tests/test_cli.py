@@ -519,6 +519,26 @@ def test_dynamics_nonfinite_t_end_exits_2(t_end):
     assert "configuration error: t-end must be positive and finite" in proc.stderr
 
 
+@pytest.mark.parametrize("t_end", ["1e-160", "1e-300"])
+def test_dynamics_t_end_that_underflows_lsodas_first_step_exits_2(capsys, t_end):
+    """Below about 2.4e-149, the first sample time of a relax with two samples
+    makes LSODA's initial step 0 or NaN; that is a configuration error, not a
+    numerical failure."""
+    code, _, err = run(capsys, "dynamics", "--mode", "relax", "--omega", "8",
+                       "--t-end", t_end, "--samples", "2")
+    assert code == 2
+    assert "configuration error: the first output time after 0 must exceed" in err
+
+
+def test_dynamics_short_t_end_still_integrates(tmp_path, capsys):
+    out = tmp_path / "short.csv"
+    code, _, _ = run(capsys, "dynamics", "--mode", "relax", "--omega", "8",
+                     "--t-end", "1e-100", "--samples", "2", "--out", str(out))
+    assert code == 0
+    _, cols = read_csv(out)
+    assert float(cols["v"][1]) == pytest.approx(-1.6e-99, rel=1e-9)
+
+
 def test_numerical_failure_maps_to_exit_3(capsys, monkeypatch):
     from iobspectra import IntegrationError
 

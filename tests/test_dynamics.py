@@ -426,6 +426,35 @@ def test_a_drive_that_stalls_lsoda_is_an_integration_error(omega):
     assert info.value.time == 0.0
 
 
+@pytest.mark.parametrize("t1, rel_tol", [(1e-160, 1e-11), (1e-300, 1e-11), (5e-324, 1e-11),
+                                         (1e-150, 1e-11), (1e-152, 1e-8)])
+def test_a_first_time_that_underflows_lsodas_first_step_is_refused(t1, rel_tol):
+    """DLSODA's initial step is 1/sqrt(1/(tol t1^2) + tol |f0|^2) for the first
+    output time t1 after 0 and tol = min(max(rel_tol, 100 eps), 1e-3).  Once
+    tol t1^2 falls to 1/DBL_MAX the step is 0 or NaN, and LSODA "takes no
+    step" or leaves the Bloch ball; such a t1 is a ValueError that names the
+    bound, before the call."""
+    with pytest.raises(ValueError, match="the first output time after 0 must exceed"):
+        integrate(BlochState(0.0, 0.0, 1.0), LORENTZ_50, Mechanism.LORENTZ, 8.0, 1.0,
+                  rel_tol=rel_tol, t_eval=[t1, 1.0])
+
+
+@pytest.mark.parametrize("rel_tol", [1e-11, 1e-8, 1e-3])
+def test_short_first_times_above_the_bound_integrate(rel_tol):
+    """At the bound 1/sqrt(tol DBL_MAX) the first step is refused, one part in
+    1e12 above it LSODA integrates, and at 1e-100 it does so at every
+    tolerance: from the ground state v = -2 omega t to first order."""
+    tol = min(max(rel_tol, 100.0 * sys.float_info.epsilon), 1e-3)
+    bound = 1.0 / math.sqrt(tol * sys.float_info.max)
+    with pytest.raises(ValueError, match=f"must exceed {bound:.3g}"):
+        integrate(BlochState(0.0, 0.0, 1.0), LORENTZ_50, Mechanism.LORENTZ, 8.0, bound,
+                  rel_tol=rel_tol, t_eval=[0.0, bound])
+    for t1 in (bound * (1.0 + 1e-12), 1e-100):
+        traj = integrate(BlochState(0.0, 0.0, 1.0), LORENTZ_50, Mechanism.LORENTZ, 8.0, t1,
+                         rel_tol=rel_tol, t_eval=[0.0, t1])
+        assert traj.uvw[-1, 1] == pytest.approx(-16.0 * t1, rel=1e-9)
+
+
 @pytest.mark.parametrize("t_eval", [None, [], [0.0, 2.0], [-1.0, 0.5], [0.0, 0.5, 0.5],
                                     [0.5, 0.2], [[0.0, 0.5]]])
 def test_lsoda_needs_increasing_t_eval_within_t_span(t_eval):
