@@ -298,6 +298,13 @@ def integrate(
 
     # odeint starts at its first time, so 0 leads a t_eval that starts later
     times = t_eval if t_eval[0] == 0.0 else np.concatenate(([0.0], t_eval))
+    # DLSODA's first step is 1/sqrt(1/(tol t1 t1) + ...) for the first time t1
+    # after 0: once tol t1 t1, so rounded, is at most 1/DBL_MAX it is 0 or NaN
+    tol = min(max(rel_tol, 100.0 * sys.float_info.epsilon), 1e-3)
+    t1 = float(times[1]) if times.size > 1 else math.inf
+    if tol * t1 * t1 <= 1.0 / sys.float_info.max:
+        bound = 1.0 / math.sqrt(tol * sys.float_info.max)
+        raise ValueError(f"the first output time after 0 must exceed {bound:.3g}")
     # odeint through the module attribute, not a global name: the attribute
     # binds scipy on first use, and a tracer that wraps it sees the call
     module = sys.modules[__name__]
