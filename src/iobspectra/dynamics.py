@@ -17,18 +17,21 @@ route for the cubic solver; the Routh-Hurwitz test on this Jacobian's
 characteristic cubic classifies the stability of each branch.
 
 The integrators follow the flow from a state or along an adiabatic drive
-ramp with scipy's LSODA.  scipy.integrate is imported on the first
-integration, so importing this module, building states and evaluating the
-flow load no scipy module.
+ramp with scipy's LSODA, in scipy's compiled ODEPACK module alone: importing
+this module, building states and evaluating the flow load no scipy module,
+and an integration loads that extension module, not scipy.integrate.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,16 +113,43 @@ def jacobian(state, params: MediumParams, mech: Mechanism, omega_now) -> np.ndar
     return _jac(*_components(state), omega_now, params.gamma, params.delta, zl, zm)
 
 
+def _odepack():
+    """scipy's compiled ODEPACK module, loaded in 3 ms without scipy.integrate
+    (half a second), and registered so that either import order shares it."""
+    name = "scipy.integrate._odepack"
+    if name not in sys.modules:  # a top-level spec is found without an import
+        path = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0],
+                            "integrate")
+        spec = importlib.machinery.PathFinder.find_spec(name, [path])
+        if spec is None:
+            raise ImportError(f"scipy's ODEPACK extension {name} is not in {path}")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return sys.modules[name]
+
+
 def __getattr__(name):
-    # scipy.integrate takes about half a second to import, so its names are
-    # bound on first access: by the first integration, or by a tracer
-    if name in ("ODEintWarning", "odeint", "solve_ivp"):
-        import scipy.integrate
+    # Bound on first access, by the first integration or by a tracer.  Only
+    # tracers ask for solve_ivp, which imports the scipy.integrate package.
+    if name not in ("odeint", "solve_ivp"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _odepack() if name == "odeint" else importlib.import_module("scipy.integrate")
+    globals()[name] = value = getattr(module, name)
+    return value
 
-        globals()[name] = value = getattr(scipy.integrate, name)
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
+# odeint's failure statuses, worded as scipy.integrate.odeint words them
+_LSODA_MESSAGES = {
+    -1: "Excess work done on this call (perhaps wrong Dfun type).",
+    -2: "Excess accuracy requested (tolerances too small).",
+    -3: "Illegal input detected (internal error).",
+    -4: "Repeated error test failures (internal error).",
+    -5: "Repeated convergence failures (perhaps bad Jacobian or tolerances).",
+    -6: "Error weight became zero during problem.",
+    -7: "Internal workspace insufficient to finish (internal error).",
+    -8: "Run terminated (internal error).",
+}
 
 RAMP_RATE_MAX_FACTOR = 1e-3  # max ramp rate in units of gamma^2
 JUMP_THRESHOLD = 0.1         # |delta w| per sample marking a branch jump
@@ -230,12 +260,16 @@ def _slow_start(fp: BlochState, params: MediumParams, omega_dot: float) -> Bloch
     return BlochState(*y.tolist())
 
 
-def _drive_function(drive) -> Callable[[float], float]:
-    if callable(drive):
-        return drive
-    value = float(drive)
-    check_drive(value)
-    return lambda t: value
+class Ramp(NamedTuple):
+    """The drive omega0 + slope min(t, t_end) of a sweep, which ``integrate``
+    evaluates inside its right-hand side."""
+
+    omega0: float
+    slope: float
+    t_end: float
+
+    def __call__(self, t):
+        return self.omega0 + self.slope * (t if t < self.t_end else self.t_end)
 
 
 def integrate(
@@ -251,17 +285,19 @@ def integrate(
 ) -> Trajectory:
     """Integrate the Bloch equations from t = 0 with LSODA.
 
-    ``drive`` is a constant drive (see check_drive) or a callable omega(t).
-    LSODA is the multistep scheme that switches between stiff and non-stiff
-    formulas on its own; it is given the analytic Jacobian and runs as one
-    ODEPACK call (``odeint``), which returns to Python only for the
+    ``drive`` is a constant drive (see check_drive), a :class:`Ramp`, or a
+    callable omega(t).  LSODA is the multistep scheme that switches between
+    stiff and non-stiff formulas on its own; it is given the analytic
+    Jacobian and runs as one call of scipy's compiled ODEPACK module (the
+    only scipy module it loads), which returns to Python only for the
     right-hand side and the Jacobian, with ``t_end`` as its critical time,
     so that it never steps past the end of a ramp.  It returns states only
     at the times ``t_eval``, which must be given, strictly increasing within
     [0, t_end] (ValueError otherwise).  The default tolerances keep
     relaxations of the benchmark medium at omega = 8 within 1e-9 of one at
     1e-13 / 1e-15; sweeps pass looser ones.  ``t_end`` must be positive and
-    finite: an integration to nan or inf would never return.  A failed
+    finite: an integration to nan or inf would never return, and a first
+    time after 0 too short for LSODA's first step is a ValueError.  A failed
     integration, one that leaves the Bloch ball, and one in which LSODA
     takes no step raise IntegrationError with the time it reached.
     """
@@ -279,7 +315,11 @@ def integrate(
     zl, zm = _coupling(params, mech)
     g = params.gamma
     d = params.delta
-    omega_of_t = _drive_function(drive)
+    if not callable(drive):  # a constant; a slope of -0.0 adds nothing, even to -0.0
+        check_drive(float(drive))
+        drive = Ramp(float(drive), -0.0, 0.0)
+    # a Ramp inline: a call per step would take a quarter of the RHS's time
+    o0, slope, t_stop = drive if isinstance(drive, Ramp) else (None,) * 3
     y0 = (state0.u, state0.v, state0.w)
 
     # Python floats, not numpy scalars: the same results at less than half
@@ -290,11 +330,12 @@ def integrate(
         nonlocal calls
         calls += 1
         u, v, w = y.tolist()
-        return _rhs(u, v, w, omega_of_t(t), g, d, zl, zm)
+        om = drive(t) if slope is None else o0 + slope * (t if t < t_stop else t_stop)
+        return _rhs(u, v, w, om, g, d, zl, zm)
 
     def jac(t, y):
         u, v, w = y.tolist()
-        return _jac(u, v, w, omega_of_t(t), g, d, zl, zm)
+        return _jac(u, v, w, drive(t), g, d, zl, zm)
 
     # odeint starts at its first time, so 0 leads a t_eval that starts later
     times = t_eval if t_eval[0] == 0.0 else np.concatenate(([0.0], t_eval))
@@ -305,22 +346,20 @@ def integrate(
     if tol * t1 * t1 <= 1.0 / sys.float_info.max:
         bound = 1.0 / math.sqrt(tol * sys.float_info.max)
         raise ValueError(f"the first output time after 0 must exceed {bound:.3g}")
-    # odeint through the module attribute, not a global name: the attribute
-    # binds scipy on first use, and a tracer that wraps it sees the call
-    module = sys.modules[__name__]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", module.ODEintWarning)  # the error below replaces it
-        uvw, info = module.odeint(rhs, y0, times, Dfun=jac, full_output=True, rtol=rel_tol,
-                                  atol=abs_tol, tcrit=[t_end], mxstep=LSODA_MAX_STEPS,
-                                  tfirst=True)
-    # A lone time 0 is not integrated ("Nothing was done"): y0 is the answer.
-    if times.size > 1 and info["message"] != "Integration successful.":
+    # odeint through the module attribute, which loads ODEPACK on first use
+    # and which a tracer can wrap, with the arguments scipy's odeint wrapper
+    # passes for Dfun=jac, full_output=1, tcrit=[t_end], mxstep and tfirst=1
+    uvw, info, status = sys.modules[__name__].odeint(
+        rhs, y0, times, (), jac, 0, -1, -1, 1, rel_tol, abs_tol, [t_end], 0.0, 0.0, 0.0, 0,
+        LSODA_MAX_STEPS, 0, 12, 5, 1)
+    # 2 is success; a lone time 0 is not integrated (1, "Nothing was done")
+    if times.size > 1 and status != 2:
         # odeint leaves the rows and counters after the failing output
         # unset; the last one it set is the first whose RHS count is the total
         t_fail = float(info["tcur"][np.argmax(info["nfe"] == calls)])
-        raise IntegrationError(f"integration failed at t={t_fail}: {info['message']}",
+        raise IntegrationError(f"integration failed at t={t_fail}: {_LSODA_MESSAGES[status]}",
                                time=t_fail)
-    omegas = np.array([omega_of_t(t) for t in t_eval])
+    omegas = np.array([drive(t) for t in t_eval])
     try:
         traj = Trajectory(times=t_eval, uvw=uvw[times.size - t_eval.size:], omegas=omegas)
     except ValueError as exc:  # the times always increase: a state left the ball
@@ -377,9 +416,6 @@ def sweep_adiabatic(
     span = abs(omega_end - omega_start)
     t_end = span / ramp_rate
 
-    def drive(t):
-        return omega_start + direction * ramp_rate * min(t, t_end)
-
     start_params = replace(params, omega=float(omega_start))
     sols = steady_state.solutions_at(start_params, mech)
     preferred = Branch.LOWER if direction > 0 else Branch.UPPER
@@ -393,7 +429,7 @@ def sweep_adiabatic(
     t_eval = np.linspace(0.0, t_end, samples)
 
     traj = integrate(
-        y0, params, mech, drive, t_end,
+        y0, params, mech, Ramp(omega_start, direction * ramp_rate, t_end), t_end,
         rel_tol=1e-8, abs_tol=1e-10, t_eval=t_eval,
     )
 

@@ -515,6 +515,62 @@ def test_sweep_from_the_pole_starts_on_the_sphere():
     assert np.max(np.abs(y0 - slow)) <= 0.1 * eta_sq
 
 
+def odeint_oracle(y0, t_eval, drive, params, t_end, rel_tol, abs_tol):
+    """The integration of ``integrate``, made through scipy's public
+    ``odeint`` wrapper with keyword arguments and a plain callable drive."""
+    from scipy.integrate import odeint
+
+    g, d, zl, zm = params.gamma, params.delta, params.zeta_lorentz, params.zeta_detuning
+    return odeint(lambda t, y: dynamics._rhs(*y.tolist(), drive(t), g, d, zl, zm),
+                  np.array(y0), t_eval,
+                  Dfun=lambda t, y: dynamics._jac(*y.tolist(), drive(t), g, d, zl, zm),
+                  rtol=rel_tol, atol=abs_tol, tcrit=[t_end], mxstep=dynamics.LSODA_MAX_STEPS,
+                  tfirst=True)
+
+
+@pytest.mark.parametrize("start, end, samples", [(13.0, 16.6, 721), (2.6, 0.7, None)])
+def test_sweeps_equal_scipys_odeint_bit_for_bit(start, end, samples):
+    """The README up-sweep and the down-sweep 2.6 -> 0.7, integrated by the
+    direct ODEPACK call with the ramp evaluated inside the right-hand side,
+    equal bit for bit the same integration through scipy's public odeint
+    with the ramp as a plain function: a scipy whose private signature
+    changed fails here."""
+    result = sweep_adiabatic(LORENTZ_50, Mechanism.LORENTZ, start, end, 1e-3, samples=samples)
+    traj = result.trajectory
+    t_end = abs(end - start) / 1e-3
+    direction = 1.0 if end > start else -1.0
+
+    def drive(t):
+        return start + direction * 1e-3 * min(t, t_end)
+
+    times = traj.times.copy()
+    ref = odeint_oracle(traj.uvw[0], times, drive, LORENTZ_50, t_end, 1e-8, 1e-10)
+    np.testing.assert_array_equal(traj.times, times)
+    np.testing.assert_array_equal(traj.uvw, ref)
+    np.testing.assert_array_equal(traj.omegas, [drive(t) for t in times])
+
+
+def test_readme_relax_equals_scipys_odeint_bit_for_bit():
+    """The README relax (omega = 8, upper branch perturbed by 1e-3, to t = 50
+    in 1001 samples) at a constant drive, against scipy's public odeint."""
+    p = replace(LORENTZ_50, omega=8.0)
+    sol = branch_solution(p, Mechanism.LORENTZ, Branch.UPPER)
+    y0 = (2.0 * sol.rho12.real, 2.0 * sol.rho12.imag, sol.w + 1e-3)
+    t_eval = np.linspace(0.0, 50.0, 1001)
+    traj = integrate(BlochState(*y0), p, Mechanism.LORENTZ, 8.0, 50.0, t_eval=t_eval)
+    ref = odeint_oracle(y0, t_eval, lambda t: 8.0, p, 50.0, 1e-11, 1e-13)
+    np.testing.assert_array_equal(traj.uvw, ref)
+    assert (traj.omegas == 8.0).all()
+
+
+def test_lsoda_messages_are_scipys():
+    """IntegrationError words odeint's failure statuses as scipy.integrate
+    does: the table equals scipy's own, failures only."""
+    from scipy.integrate._odepack_py import _msgs
+
+    assert dynamics._LSODA_MESSAGES == {k: v for k, v in _msgs.items() if k < 0}
+
+
 def test_readme_sweep_rhs_budget(monkeypatch):
     """The README sweep 13 -> 16.6 starts on the slow manifold, so LSODA does
     not spend its first thousand time units resolving a start-up ringing:

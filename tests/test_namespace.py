@@ -1,5 +1,5 @@
-"""The package namespace: every public name resolves, and scipy loads only
-when something is integrated."""
+"""The package namespace: every public name resolves, and of scipy only the
+compiled ODEPACK module loads, and only when something is integrated."""
 
 import importlib.util
 import json
@@ -29,8 +29,11 @@ iobspectra.jacobian(state, params, iobspectra.Mechanism.LORENTZ, 8.0)
 no_scipy("bloch_rhs and jacobian")
 assert set(iobspectra.__all__) | {"dynamics"} <= set(dir(iobspectra))
 assert iobspectra.dynamics.integrate is sys.modules["iobspectra.dynamics"].integrate
-iobspectra.dynamics.odeint
-assert "scipy.integrate" in sys.modules
+iobspectra.integrate(state, params, iobspectra.Mechanism.LORENTZ, 8.0, 5.0,
+                     t_eval=[0.0, 1.0, 5.0])
+iobspectra.sweep_adiabatic(params, iobspectra.Mechanism.LORENTZ, 13.0, 13.5, 1e-3)
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert loaded == ["scipy.integrate._odepack"], f"{loaded} loaded after a relax and a sweep"
 """
 
 
@@ -61,6 +64,10 @@ def run_fresh(code, *args):
 
 
 def test_scipy_loads_on_first_integration():
+    """Importing the package, building states and evaluating the flow load no
+    scipy module; a relax and a sweep load scipy's compiled ODEPACK module
+    alone, not the scipy.integrate package, whose import takes about half a
+    second."""
     run_fresh(FRESH_PROCESS)
 
 
@@ -118,9 +125,27 @@ def test_dynamics_solve_ivp_is_scipys():
     assert iobspectra.dynamics.solve_ivp is scipy.integrate.solve_ivp
 
 
+SCIPY_FIRST = """
+import sys
+import scipy.integrate
+from iobspectra import dynamics
+assert dynamics.odeint is sys.modules["scipy.integrate._odepack"].odeint
+"""
+
+PACKAGE_FIRST = """
+import sys
+from iobspectra import dynamics
+odeint = dynamics.odeint
+import scipy.integrate
+assert odeint is sys.modules["scipy.integrate._odepack"].odeint
+assert odeint is scipy.integrate._odepack_py._odepack.odeint
+"""
+
+
 def test_dynamics_odeint_is_scipys():
     """LSODA runs through ``dynamics.odeint``, which tracers wrap by attribute
-    as they wrap ``solve_ivp``."""
-    import scipy.integrate
-
-    assert iobspectra.dynamics.odeint is scipy.integrate.odeint
+    as they wrap ``solve_ivp``.  It is the function of scipy's one ODEPACK
+    module object, whether scipy.integrate loaded that module first or the
+    package did and scipy.integrate reuses it."""
+    run_fresh(SCIPY_FIRST)
+    run_fresh(PACKAGE_FIRST)
