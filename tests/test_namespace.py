@@ -71,6 +71,29 @@ def test_scipy_loads_on_first_integration():
     run_fresh(FRESH_PROCESS)
 
 
+NO_ODEPACK = """
+import importlib.machinery, os
+from iobspectra import dynamics
+find_spec = importlib.machinery.PathFinder.find_spec
+importlib.machinery.PathFinder.find_spec = lambda name, path=None, target=None: (
+    None if name == "scipy.integrate._odepack" else find_spec(name, path, target))
+try:
+    dynamics.odeint
+    raise AssertionError("no ImportError")
+except ImportError as exc:
+    message = str(exc)
+assert message.startswith("scipy's ODEPACK extension scipy.integrate._odepack is not in "), message
+assert message.endswith(os.path.join("scipy", "integrate")), message
+"""
+
+
+def test_a_missing_odepack_extension_is_an_import_error():
+    """Without the compiled extension, the first integration raises an
+    ImportError that names where it was looked for; there is no fallback to
+    the scipy.integrate package."""
+    run_fresh(NO_ODEPACK)
+
+
 REPEATED_SCANS = """
 import resource
 import numpy as np
