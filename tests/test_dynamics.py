@@ -367,8 +367,7 @@ with open(out, "w") as f:
 def test_lsoda_failure_is_an_integration_error(tmp_path, bad, message):
     """A right-hand side that breaks at t = 3 ends the one ODEPACK call.  The
     caller gets IntegrationError with the time reached, near t = 3, and no
-    rows: odeint's ODEintWarning is not emitted, and nothing reaches stdout
-    or stderr.  It runs in a child process under a timeout, in case the
+    rows: no warning is emitted, and nothing reaches stdout or stderr.  It runs in a child process under a timeout, in case the
     solver does not stop."""
     src = str(Path(iobspectra.__file__).resolve().parents[1])
     env = dict(os.environ)
