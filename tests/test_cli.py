@@ -295,6 +295,53 @@ def test_spectrum_json_on_an_overflowing_grid(capsys):
     assert density[0] == density[2] == 0.0 < density[1]
 
 
+SPECTRUM_AT_1E76 = """\
+# format_version: 1
+# command: spectrum
+# gamma: 1.0
+# delta: 3.0
+# zeta_l: 50.0
+# zeta_m: 0.0
+# omega: 1e+76
+# seed: 0
+# mechanism: lorentz
+# branch: upper
+# w: 4.625e-152
+# rho22: 0.5
+# omega_eff_abs: 1e+76
+# delta_eff: 3.0
+# unstable: false
+# elastic_weight: 2.312500000000001e-152
+# peaks: [-2e+76, 0.0, 2e+76]
+# coefficients: {"a": 2e+152, "a0": 2e+152, "b4": -8e+152, "b2": 1.6000000000000001e+305, \
+"b0": 4.0000000000000002e+304, "nu_p_sq": 4e+152, "gamma6": 4.0000000000000002e+304}
+# normalize: null
+# normalize_reference: null
+# build: 0811623aba28
+# columns: nu,density
+-1.0,0.09999999999999999
+0.0,0.5
+1.0,0.09999999999999999
+"""
+
+
+@pytest.mark.parametrize("omega", ["1e77", "1e100"])
+def test_spectrum_with_overflowed_density_coefficients_exits_3(tmp_path, capsys, omega):
+    """Past |omega_eff| of about 1e77 the density coefficients b2 and b0
+    overflow, and the density would be 0 at every offset.  That is a
+    numerical failure, exit 3 with one line naming the coefficients, and
+    no file is written; at 1e76 the spectrum is written as before."""
+    medium = ("--delta", "3", "--zeta-l", "50", "--branch", "upper", "--nu-grid=-1:1:3")
+    out = tmp_path / "never.csv"
+    code, stdout, err = run(capsys, "spectrum", *medium, "--omega", omega, "--out", str(out))
+    assert (code, stdout) == (3, "")
+    assert err.startswith("iobspectra: numerical failure: ") and err.count("\n") == 1
+    assert "b2" in err and "b0" in err
+    assert not out.exists()
+    code, stdout, err = run(capsys, "spectrum", *medium, "--omega", "1e76")
+    assert (code, stdout, err) == (0, SPECTRUM_AT_1E76, "")
+
+
 def test_spectrum_metadata_and_normalization(tmp_path, capsys):
     out = tmp_path / "mollow.json"
     code, _, _ = run(

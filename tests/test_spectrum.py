@@ -324,6 +324,20 @@ def test_oracle_and_closed_form_agree_at_nan_and_infinite_offsets():
     assert abs(got[3] - closed[3]) <= 1e-12 * closed[3]
 
 
+def test_oracle_is_pointwise_across_any_split_of_the_grid():
+    """The oracle of a 10 001-point grid equals, bit for bit, the concatenation
+    of its calls on pieces of the grid: on pieces of 4096 points, and on
+    pieces of 1 and of 3 points."""
+    ob, d, g = 3.0 - 2.0j, 1.5, 1.0
+    rho = stationary_state(ob, d, g)
+    nu = np.linspace(-40.0, 40.0, 10_001)
+    whole = oracle_spectrum(nu, ob, d, g, rho)
+    for size in (4096, 1, 3):
+        pieces = [oracle_spectrum(nu[i:i + size], ob, d, g, rho)
+                  for i in range(0, nu.size, size)]
+        assert np.concatenate(pieces).tobytes() == whole.tobytes(), size
+
+
 def test_correlation_matrix_never_singular():
     ob, d, g = 2.0 + 1.0j, -3.0, 1.0
     rho = stationary_state(ob, d, g)

@@ -684,7 +684,9 @@ def test_single_drive_results_equal_their_batch_row(params, mech):
 def test_rows_with_fewer_roots_are_nan_padded(params, mech):
     """Every (M, 3) float column of the solution arrays is NaN, in both parts
     where it is complex, past a row's root count and finite before it, and
-    stable/marginal are False there, with or without a local-field coupling."""
+    stable/marginal are False there, with or without a local-field coupling.
+    A row's roots strictly decrease in W, and solve_inversion at its drive
+    gives the same roots in ascending order."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MarginalStabilityWarning)
         arr = solution_arrays(params, mech, np.linspace(0.0, 25.0, 51))
@@ -697,6 +699,10 @@ def test_rows_with_fewer_roots_are_nan_padded(params, mech):
                 assert np.isnan(part[absent]).all(), name
                 assert np.isfinite(part[~absent]).all(), name
     assert not (arr.stable[absent].any() or arr.marginal[absent].any())
+    for omega, count, w in zip(arr.omega.tolist(), arr.count.tolist(), arr.w):
+        roots = w[:count].tolist()
+        assert all(hi > lo for hi, lo in zip(roots, roots[1:])), (omega, roots)
+        assert solve_inversion(replace(params, omega=omega), mech) == roots[::-1], omega
 
 
 def test_each_cubic_solves_alone_as_in_a_batch():
