@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .steady_state import StationaryState, SteadyStateSolution
+from .steady_state import StationaryState, SteadyStateSolution, _horner
 
 
 @dataclass(frozen=True)
@@ -122,11 +122,7 @@ def incoherent_spectrum(nu, coeffs: SpectrumCoefficients, rho22: float, gamma: f
     # in place: a temporary of a long grid can be page-faulted afresh on every call
     with np.errstate(over="ignore", invalid="ignore"):
         nu2 = np.multiply(nu_arr, nu_arr, out=np.empty_like(nu_arr))
-        den = nu2 + coeffs.b4
-        den *= nu2
-        den += coeffs.b2
-        den *= nu2
-        den += coeffs.b0
+        den = _horner((1.0, coeffs.b4, coeffs.b2, coeffs.b0), nu2)
         out = np.add(nu2, coeffs.a0, out=nu2)
         np.multiply(2.0 * rho22 * rho22 * gamma * coeffs.a, out, out=out)
         out /= den
@@ -204,49 +200,29 @@ def oracle_spectrum(nu, omega_eff: complex, delta_eff: float, gamma: float, rho:
     """
     nus = np.asarray(nu, dtype=float)
     flat = nus.reshape(-1)
-    q = (rho.rho21 * rho.rho22, rho.rho22 - rho.rho12 * rho.rho21, -(rho.rho21 * rho.rho21))
-    out = np.empty(flat.shape)
+    m00, m01, m02, m10, m11, m20, m22 = _correlation_entries(flat, omega_eff, delta_eff, gamma)
+    q0, q1, q2 = (rho.rho21 * rho.rho22, rho.rho22 - rho.rho12 * rho.rho21,
+                  -(rho.rho21 * rho.rho21))
+    # In place to spare temporaries, but no product writes over one of its
+    # operands: numpy rounds such a product of one element in another inner
+    # loop, so a one-point grid would differ from the same point in a longer one.
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, flat.size, _BLOCK):
-            block = slice(start, start + _BLOCK)
-            out[block] = _oracle_block(flat[block], omega_eff, delta_eff, gamma, q)
+        prod = m11 * m22
+        det = m00 * prod
+        num = np.multiply(q0, prod, out=m00)
+        det -= np.multiply(m01 * m10, m22, out=prod)
+        num -= np.multiply(m01 * q1, m22, out=prod)
+        det -= np.multiply(m02 * m20, m11, out=prod)
+        num -= np.multiply(m02 * q2, m11, out=prod)
+        g11 = np.divide(num, det, out=num)
+        g12 = np.subtract(q1, np.multiply(m10, g11, out=m22), out=g11)
+        out = np.divide(g12, m11, out=prod).real
+        # one sum flags an overflow (or a NaN offset) anywhere; the mask is
+        # built only then, and leaves the NaN of a NaN offset
+        if not np.isfinite(det.sum()):
+            out = np.where(np.isfinite(det) | np.isnan(flat), out, 0.0)
     out = out.reshape(nus.shape)
     return float(out) if np.isscalar(nu) or nus.ndim == 0 else out
-
-
-# Grid points per block of the oracle.  Its five complex buffers of 64 kB
-# stay below the C allocator's default mmap threshold (128 KiB in glibc) and
-# in cache, so they are reused from the heap, where whole-grid buffers can
-# be page-faulted afresh on every call.  In the spectra workload blocks of
-# 4096 points ran faster than blocks of 8000 or 2048.
-_BLOCK = 4096
-
-
-def _oracle_block(nu: np.ndarray, omega_eff: complex, delta_eff: float, gamma: float,
-                  q: tuple[complex, complex, complex]) -> np.ndarray:
-    """Re g12 of :func:`oracle_spectrum` on a 1-d block of offsets, for the
-    source vector ``q``."""
-    m00, m01, m02, m10, m11, m20, m22 = _correlation_entries(nu, omega_eff, delta_eff, gamma)
-    q0, q1, q2 = q
-    # Numpy may round a complex product written over one of its own operands
-    # differently (another inner loop), so each product writes where it
-    # always has: over an operand only as below, else into a buffer it does
-    # not read.
-    prod = m11 * m22
-    num = q0 * prod
-    det = np.multiply(m00, prod, out=m00)
-    det -= np.multiply(m01 * m10, m22, out=prod)
-    num -= np.multiply(m01 * q1, m22, out=m22)
-    det -= np.multiply(m02 * m20, m11, out=prod)
-    num -= np.multiply(m02 * q2, m11, out=prod)
-    g11 = np.divide(num, det, out=num)
-    g12 = np.subtract(q1, np.multiply(m10, g11, out=g11), out=g11)
-    out = np.divide(g12, m11, out=prod).real
-    # one sum flags an overflow (or a NaN offset) anywhere; the mask is
-    # built only then, and leaves the NaN of a NaN offset
-    if not np.isfinite(det.sum()):
-        out = np.where(np.isfinite(det) | np.isnan(nu), out, 0.0)
-    return out
 
 
 def peak_positions(coeffs: SpectrumCoefficients) -> list[float]:
@@ -397,11 +373,7 @@ def sum_rule_ratio(result: SpectrumResult, rho22: float, rho12: complex) -> floa
     tau = np.tan(half * x)
     nu = gamma * (ua + tau) / (1.0 - ua * tau)
     nu2 = np.multiply(nu, nu, out=nu)
-    den = nu2 + c.b4
-    den *= nu2
-    den += c.b2
-    den *= nu2
-    den += c.b0
+    den = _horner((1.0, c.b4, c.b2, c.b0), nu2)
     f = (nu2 + c.a0) * (nu2 + gamma * gamma)
     f /= den
     f *= half

@@ -271,7 +271,7 @@ def _real_cubic_roots(coeffs: np.ndarray):
     roots are not polished: Newton on the cubic can walk a far quadratic
     root onto the near one (a phantom second root), and the dropped term
     adds at most |c3| < 1e-14 to the residual of a root in (0, 1].
-    Returns the roots as a (K, 3) array, ascending and NaN-padded, and the
+    Returns the roots as a (K, 3) array, unordered and NaN-padded, and the
     normalized coefficients repeated per root, (4, K, 3).
     """
     c = _normalized(coeffs)
@@ -280,11 +280,11 @@ def _real_cubic_roots(coeffs: np.ndarray):
     with np.errstate(all="ignore"):
         roots = _cubic_formula(c)
         if not low.any():
-            return np.sort(_polish(per_root, roots), axis=1), per_root
+            return _polish(per_root, roots), per_root
         roots[low] = _low_degree_formula(*c[1:, low])
         polish = ~low
         roots[polish] = _polish(per_root[:, polish], roots[polish])
-    return np.sort(roots, axis=1), per_root
+    return roots, per_root
 
 
 def _per_root(c: np.ndarray) -> np.ndarray:
@@ -314,15 +314,16 @@ def _coincide(c, lo, hi):
 
 
 def _merge_coincident(c, w: np.ndarray):
-    """Rows of roots ``w`` with coincident neighbours (see :func:`_coincide`)
-    collapsed left to right, each merged pair into the double root between
-    them; returns the merged rows, NaN-padded, and their root counts."""
+    """Rows of descending roots ``w`` with coincident neighbours (see
+    :func:`_coincide`) collapsed left to right, each merged pair into the
+    double root between them; returns the merged rows, NaN-padded, and their
+    root counts."""
     rows = np.arange(w.shape[0])
     merged = np.full_like(w, np.nan)
     count = np.zeros(w.shape[0], dtype=int)
     for x in w.T:
         last = merged[rows, np.maximum(count - 1, 0)]
-        join = (count > 0) & _coincide(c, last, x)
+        join = (count > 0) & _coincide(c, x, last)
         if join.any():
             # A double root is a simple root of the derivative, so Newton runs
             # on p' = 3 c3 w^2 + 2 c2 w + c1; on p itself it converges only
@@ -331,7 +332,7 @@ def _merge_coincident(c, w: np.ndarray):
             with np.errstate(all="ignore"):
                 mid = _polish((0.0, 3.0 * c3, 2.0 * c2, c1), 0.5 * (last[join] + x[join]))
             merged[rows[join], count[join] - 1] = np.where(
-                mid > 0.0, np.minimum(mid, 1.0), last[join])
+                mid > 0.0, np.minimum(mid, 1.0), x[join])
         add = (x == x) & ~join
         merged[rows[add], count[add]] = x[add]
         count += add
@@ -362,7 +363,8 @@ def _inversion_roots(params: MediumParams, zeta: float, omega: np.ndarray):
 
     One kernel call solves the inversion cubic at every drive and, as one
     more row, the fold cubic.  Returns (roots, count, c, folds): roots as an
-    (M, 3) array ascending in W and NaN-padded and de-duplicated; count the
+    (M, 3) array descending in W (ascending in rho22, the order of
+    :class:`SolutionArrays`), NaN-padded and de-duplicated; count the
     roots per drive; c the normalized cubic coefficients repeated per root,
     (4, M, 3); folds as from :func:`_fold_pair`.
     """
@@ -375,12 +377,12 @@ def _inversion_roots(params: MediumParams, zeta: float, omega: np.ndarray):
     raw, c = raw[:-1], c[:, :-1]
     w = np.minimum(raw, 1.0)
     w[(raw <= 0.0) | (raw > 1.0 + 1e-9)] = np.nan
-    w.sort(axis=1)
+    w = -np.sort(-w, axis=1)  # the padding stays last
     count = (w == w).sum(axis=1)
 
     # Only rows with two roots closer than _SPLIT_MAX can hold a split double
     # root; the rest skip the merge.
-    close = w[:, 1:] - w[:, :-1] < _SPLIT_MAX
+    close = w[:, :-1] - w[:, 1:] < _SPLIT_MAX
     if close.any():
         near = np.flatnonzero(close.any(axis=1))
         w[near], count[near] = _merge_coincident(c[:, near, 0], w[near])
@@ -484,9 +486,7 @@ def _check_drives(omega: np.ndarray) -> None:
 def _solve(params: MediumParams, mech: Mechanism, omega: np.ndarray):
     """(SolutionArrays, folds) at the checked 1-d drives ``omega``, with the
     exact folds of :func:`_fold_pair` from the same kernel call."""
-    roots, count, c, folds = _inversion_roots(params, zeta_total(params, mech), omega)
-    # ascending rho22, i.e. descending w, with the padding kept last
-    w = -np.sort(-roots, axis=1)
+    w, count, c, folds = _inversion_roots(params, zeta_total(params, mech), omega)
     residual = np.abs(_horner(c, w))
     drive = _per_root(omega)
     omega_eff, delta_eff = _effective(params, drive, w)
@@ -508,7 +508,7 @@ def solve_inversion(params: MediumParams, mech: Mechanism) -> list[float]:
     )
     if count[0] == 0:
         raise _no_root_error(params, mech)
-    return roots[0, : count[0]].tolist()
+    return roots[0, : count[0]][::-1].tolist()
 
 
 def effective_params(
