@@ -274,6 +274,10 @@ def _cmd_spectrum(ns: argparse.Namespace) -> int:
     _diag(ns, f"{ns.branch} branch at omega={ns.omega}: "
               f"w={sol.w:.6g}, |omega_eff|={abs(sol.omega_eff):.6g}")
     result = spectrum.spectrum_for_solution(sol, params.gamma, nu_grid)
+    overflowed = [k for k, v in asdict(result.coefficients).items() if not math.isfinite(v)]
+    if overflowed:  # the density would read 0 at every offset
+        raise OverflowError(f"density coefficients {', '.join(overflowed)} overflow "
+                            f"at |omega_eff| = {abs(sol.omega_eff)}")
     density = result.incoherent
     reference = None
     if ns.normalize == "free-atom-max":
@@ -413,7 +417,7 @@ def main(argv=None) -> int:
     except BranchNotPresentError as exc:
         print(f"iobspectra: {exc}", file=sys.stderr)
         return EXIT_BRANCH_ABSENT
-    except (NoPhysicalRootError, IntegrationError) as exc:
+    except (NoPhysicalRootError, IntegrationError, OverflowError) as exc:
         print(f"iobspectra: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:
