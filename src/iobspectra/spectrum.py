@@ -200,13 +200,13 @@ def oracle_spectrum(nu, omega_eff: complex, delta_eff: float, gamma: float, rho:
     """
     nus = np.asarray(nu, dtype=float)
     flat = nus.reshape(-1)
-    m00, m01, m02, m10, m11, m20, m22 = _correlation_entries(flat, omega_eff, delta_eff, gamma)
     q0, q1, q2 = (rho.rho21 * rho.rho22, rho.rho22 - rho.rho12 * rho.rho21,
                   -(rho.rho21 * rho.rho21))
     # In place to spare temporaries, but no product writes over one of its
     # operands: numpy rounds such a product of one element in another inner
     # loop, so a one-point grid would differ from the same point in a longer one.
     with np.errstate(over="ignore", invalid="ignore"):
+        m00, m01, m02, m10, m11, m20, m22 = _correlation_entries(flat, omega_eff, delta_eff, gamma)
         prod = m11 * m22
         det = m00 * prod
         num = np.multiply(q0, prod, out=m00)
