@@ -340,12 +340,15 @@ import json, sys, warnings
 import numpy as np
 from iobspectra import BlochState, IntegrationError, MediumParams, Mechanism, dynamics
 bad, out = float(sys.argv[1]), sys.argv[2]
-rhs = dynamics._rhs
+odeint = dynamics.odeint
 
-def broken(u, v, w, om, *rest):  # the drive is omega = t, so this breaks past t = 3
-    return (bad, 0.0, 0.0) if om > 3.0 else rhs(u, v, w, om, *rest)
+def broken_odeint(rhs, *args):  # integrate's callback, broken past t = 3
+    def broken(t, y):
+        out = rhs(t, y)  # the real callback first keeps integrate's call count exact
+        return (bad, 0.0, 0.0) if t > 3.0 else out
+    return odeint(broken, *args)
 
-dynamics._rhs = broken
+dynamics.odeint = broken_odeint
 with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always")
     try:
@@ -383,11 +386,25 @@ def test_lsoda_failure_is_an_integration_error(tmp_path, bad, message):
     assert result["warnings"] == []
 
 
+def rhs_inf_from_the_start(monkeypatch):
+    """Wrap the callback ``integrate`` passes to ``dynamics.odeint`` so that
+    it returns inf in du/dt at every call, after the real callback ran."""
+    odeint = dynamics.odeint
+
+    def broken_odeint(rhs, *args):
+        def broken(t, y):
+            rhs(t, y)  # keeps integrate's call count exact
+            return (math.inf, 0.0, 0.0)
+        return odeint(broken, *args)
+
+    monkeypatch.setattr(dynamics, "odeint", broken_odeint)
+
+
 def test_lsoda_failure_at_the_first_step(monkeypatch, capfd):
     """A right-hand side that is inf from the start fails before the first
     sample after 0: IntegrationError with a time in [0, t_eval[1]], no
     warning, and nothing printed by the solver."""
-    monkeypatch.setattr(dynamics, "_rhs", lambda *args: (math.inf, 0.0, 0.0))
+    rhs_inf_from_the_start(monkeypatch)
     for t_eval in ([0.0, 1.0], np.linspace(0.0, 1.0, 11)):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -405,7 +422,7 @@ def test_lsoda_failure_time_is_where_lsoda_stopped(monkeypatch, t_eval):
     success with a NaN row at t = 1 but LSODA's time still at 0.  The
     failure time is where LSODA stopped, not the first bad sample, also
     when a leading 0 is put before t_eval."""
-    monkeypatch.setattr(dynamics, "_rhs", lambda *args: (math.inf, 0.0, 0.0))
+    rhs_inf_from_the_start(monkeypatch)
     with pytest.raises(IntegrationError, match="left the Bloch ball") as info:
         integrate(BlochState(0.0, 0.0, 1.0), FREE, Mechanism.LORENTZ, 1.0, 1.0,
                   t_eval=t_eval)
@@ -527,14 +544,25 @@ def odeint_oracle(y0, t_eval, drive, params, t_end, rel_tol, abs_tol):
                   tfirst=True)
 
 
-@pytest.mark.parametrize("start, end, samples", [(13.0, 16.6, 721), (2.6, 0.7, None)])
-def test_sweeps_equal_scipys_odeint_bit_for_bit(start, end, samples):
-    """The README up-sweep and the down-sweep 2.6 -> 0.7, integrated by the
-    direct ODEPACK call with the ramp evaluated inside the right-hand side,
-    equal bit for bit the same integration through scipy's public odeint
-    with the ramp as a plain function: a scipy whose private signature
-    changed fails here."""
-    result = sweep_adiabatic(LORENTZ_50, Mechanism.LORENTZ, start, end, 1e-3, samples=samples)
+JOINT_50 = MediumParams(delta=3.0, zeta_lorentz=30.0, zeta_detuning=20.0)
+
+
+@pytest.mark.parametrize("params, mech, start, end, samples", [
+    (LORENTZ_50, Mechanism.LORENTZ, 13.0, 16.6, 721),
+    (LORENTZ_50, Mechanism.LORENTZ, 2.6, 0.7, None),
+    (DETUNING_50, Mechanism.DETUNING, 13.0, 16.6, 721),
+    (DETUNING_50, Mechanism.DETUNING, 2.6, 0.7, None),
+    (JOINT_50, Mechanism.JOINT, 13.0, 16.6, None),
+])
+def test_sweeps_equal_scipys_odeint_bit_for_bit(params, mech, start, end, samples):
+    """The README up-sweep and the down-sweep 2.6 -> 0.7, of the README
+    medium and of media with a detuning coupling, integrated by the direct
+    ODEPACK call with the ramp evaluated inside the right-hand side, equal
+    bit for bit the same integration through scipy's public odeint with the
+    ramp as a plain function: a scipy whose private signature changed fails
+    here, and so does an inline right-hand side that rounds differently."""
+    result = sweep_adiabatic(params, mech, start, end, 1e-3, samples=samples)
+    assert len(result.jumps) == 1
     traj = result.trajectory
     t_end = abs(end - start) / 1e-3
     direction = 1.0 if end > start else -1.0
@@ -543,7 +571,7 @@ def test_sweeps_equal_scipys_odeint_bit_for_bit(start, end, samples):
         return start + direction * 1e-3 * min(t, t_end)
 
     times = traj.times.copy()
-    ref = odeint_oracle(traj.uvw[0], times, drive, LORENTZ_50, t_end, 1e-8, 1e-10)
+    ref = odeint_oracle(traj.uvw[0], times, drive, params, t_end, 1e-8, 1e-10)
     np.testing.assert_array_equal(traj.times, times)
     np.testing.assert_array_equal(traj.uvw, ref)
     np.testing.assert_array_equal(traj.omegas, [drive(t) for t in times])
@@ -562,6 +590,22 @@ def test_readme_relax_equals_scipys_odeint_bit_for_bit():
     assert (traj.omegas == 8.0).all()
 
 
+def test_relax_at_a_callable_drive_equals_scipys_odeint_bit_for_bit():
+    """A relax of the joint medium from the ground state at a plain callable
+    drive, which integrate calls at every right-hand side, against scipy's
+    public odeint with the same function."""
+
+    def drive(t):
+        return 8.0 + 0.5 * math.sin(t)
+
+    y0 = (0.0, 0.0, 1.0)
+    t_eval = np.linspace(0.0, 20.0, 401)
+    traj = integrate(BlochState(*y0), JOINT_50, Mechanism.JOINT, drive, 20.0, t_eval=t_eval)
+    ref = odeint_oracle(y0, t_eval, drive, JOINT_50, 20.0, 1e-11, 1e-13)
+    np.testing.assert_array_equal(traj.uvw, ref)
+    np.testing.assert_array_equal(traj.omegas, [drive(t) for t in t_eval])
+
+
 def test_lsoda_messages_are_scipys():
     """IntegrationError words odeint's failure statuses as scipy.integrate
     does: the table equals scipy's own, failures only."""
@@ -574,16 +618,19 @@ def test_readme_sweep_rhs_budget(monkeypatch):
     """The README sweep 13 -> 16.6 starts on the slow manifold, so LSODA does
     not spend its first thousand time units resolving a start-up ringing:
     at most 30 000 right-hand-side calls, with the jump unchanged.  The calls
-    are counted at the module's ``_rhs``, which the integrator reaches."""
+    are counted by wrapping the callback that ``integrate`` passes to
+    ``dynamics.odeint``."""
     calls = 0
-    rhs = dynamics._rhs
+    odeint = dynamics.odeint
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return rhs(*args)
+    def counted_odeint(rhs, *args):
+        def counted(t, y):
+            nonlocal calls
+            calls += 1
+            return rhs(t, y)
+        return odeint(counted, *args)
 
-    monkeypatch.setattr(dynamics, "_rhs", counted)
+    monkeypatch.setattr(dynamics, "odeint", counted_odeint)
     result = sweep_adiabatic(LORENTZ_50, Mechanism.LORENTZ, 13.0, 16.6, 1e-3, samples=721)
     assert 0 < calls <= 30_000
     assert result.jumps == [15.707500000000001]
