@@ -325,13 +325,23 @@ def integrate(
     # Python floats, not numpy scalars: the same results at less than half
     # the cost.  The call count locates a failed odeint call's last output.
     calls = 0
+    # _rhs inline (same expressions, same order) into one float64 array that
+    # ODEPACK takes as it is: no second frame, no new array per call.
+    out = np.empty(3)
+    buf = memoryview(out)
 
     def rhs(t, y):
         nonlocal calls
         calls += 1
         u, v, w = y.tolist()
         om = drive(t) if slope is None else o0 + slope * (t if t < t_stop else t_stop)
-        return _rhs(u, v, w, om, g, d, zl, zm)
+        obr = om + 0.5 * zl * u
+        obi = 0.5 * zl * v
+        db = d - zm * w
+        buf[0] = -db * v - 0.5 * g * u + 2.0 * obi * w
+        buf[1] = db * u - 0.5 * g * v - 2.0 * obr * w
+        buf[2] = g * (1.0 - w) + 2.0 * (obr * v - obi * u)
+        return out
 
     def jac(t, y):
         u, v, w = y.tolist()
