@@ -548,11 +548,11 @@ JOINT_50 = MediumParams(delta=3.0, zeta_lorentz=30.0, zeta_detuning=20.0)
 
 
 @pytest.mark.parametrize("params, mech, start, end, samples", [
-    (LORENTZ_50, Mechanism.LORENTZ, 13.0, 16.6, 721),
-    (LORENTZ_50, Mechanism.LORENTZ, 2.6, 0.7, None),
-    (DETUNING_50, Mechanism.DETUNING, 13.0, 16.6, 721),
-    (DETUNING_50, Mechanism.DETUNING, 2.6, 0.7, None),
-    (JOINT_50, Mechanism.JOINT, 13.0, 16.6, None),
+    pytest.param(LORENTZ_50, Mechanism.LORENTZ, 13.0, 16.6, 721, id="13.0-16.6-721"),
+    pytest.param(LORENTZ_50, Mechanism.LORENTZ, 2.6, 0.7, None, id="2.6-0.7-None"),
+    pytest.param(DETUNING_50, Mechanism.DETUNING, 13.0, 16.6, 721, id="detuning-13.0-16.6-721"),
+    pytest.param(DETUNING_50, Mechanism.DETUNING, 2.6, 0.7, None, id="detuning-2.6-0.7-None"),
+    pytest.param(JOINT_50, Mechanism.JOINT, 13.0, 16.6, None, id="joint-13.0-16.6-None"),
 ])
 def test_sweeps_equal_scipys_odeint_bit_for_bit(params, mech, start, end, samples):
     """The README up-sweep and the down-sweep 2.6 -> 0.7, of the README
