@@ -21,6 +21,7 @@ computes or writes anything; a failed check is a configuration error.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import math
@@ -183,19 +184,44 @@ def _meta_value(value) -> str:
     return str(value)
 
 
+# rows that the writers format and write at a time
+_BLOCK_ROWS = 4096
+
+
+def _csv_cells(values: list) -> list[str]:
+    try:  # a slice of floats; str(x) of a float is its repr
+        return list(map(float.__repr__, values))
+    except TypeError:
+        return list(map(_fmt_cell, values))
+
+
 def write_csv(stream, meta: dict, columns: dict) -> None:
     for key, value in meta.items():
         stream.write(f"# {key}: {_meta_value(value)}\n")
-    names = list(columns)
-    stream.write("# columns: " + ",".join(names) + "\n")
-    for row in zip(*(columns[n] for n in names)):
-        stream.write(",".join(_fmt_cell(v) for v in row) + "\n")
+    stream.write("# columns: " + ",".join(columns) + "\n")
+    cols = list(columns.values())
+    rows = min(map(len, cols), default=0)
+    for start in range(0, rows, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, rows)
+        cells = [_csv_cells(c[start:stop]) for c in cols]
+        stream.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def write_json(stream, meta: dict, columns: dict) -> None:
-    payload = {"meta": meta, "data": columns}
-    json.dump(payload, stream, allow_nan=False, separators=(",", ": "), indent=1)
-    stream.write("\n")
+    """The bytes of ``json.dump({"meta": meta, "data": columns})`` with
+    ``indent=1``, ``separators=(",", ": ")`` and ``allow_nan=False``, plus a
+    newline.  The columns, lists of scalars under string names, go through
+    the C encoder a block of cells at a time."""
+    head = json.dumps(meta, allow_nan=False, separators=(",", ": "), indent=1)
+    stream.write('{\n "meta": ' + head.replace("\n", "\n ") + ',\n "data": {')
+    for i, (name, values) in enumerate(columns.items()):
+        stream.write((",\n  " if i else "\n  ") + json.dumps(name) + ": [")
+        for start in range(0, len(values), _BLOCK_ROWS):
+            block = json.dumps(values[start:start + _BLOCK_ROWS], allow_nan=False,
+                               separators=(",\n   ", ": "))
+            stream.write((",\n   " if start else "\n   ") + block[1:-1])
+        stream.write("\n  ]" if values else "]")
+    stream.write("\n }\n}\n" if columns else "}\n}\n")
 
 
 def _emit(ns: argparse.Namespace, meta: dict, columns: dict) -> None:
@@ -431,6 +457,9 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    # the imports' objects live until exit: no collection, the last one at
+    # shutdown included, need walk them
+    gc.freeze()
     sys.exit(main())
 
 

@@ -80,8 +80,8 @@ def spectrum_coefficients(
          + delta_eff^4 - (3/2) gamma^2 delta_eff^2 + (9/16) gamma^4
     b0 = gamma^2 a^2
 
-    Works elementwise: arrays of |omega_eff|^2 and delta_eff (with a scalar
-    gamma) give arrays in every field, each bit for bit the scalar call's.
+    Works elementwise: arrays of |omega_eff|^2, delta_eff and gamma give
+    arrays in every field, each bit for bit the scalar call's.
 
     The leading quartic term of b2 is fixed by the peak-root factorization
     b2 = nu_p_sq^2 + 8 gamma^2 |omega_eff|^2 (a quadratic term there would
@@ -90,7 +90,7 @@ def spectrum_coefficients(
     """
     if np.any(omega_eff_sq < 0.0):
         raise ValueError(f"omega_eff_sq must be nonnegative, got {omega_eff_sq}")
-    if gamma <= 0.0:
+    if np.any(gamma <= 0.0):
         raise ValueError(f"gamma must be positive, got {gamma}")
     o2 = omega_eff_sq
     d2 = delta_eff * delta_eff

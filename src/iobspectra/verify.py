@@ -32,13 +32,15 @@ class CheckResult:
 
 
 def _coefficients_maybe_injected(
-    omega_eff_sq: float, delta_eff: float, gamma: float, inject: bool
+    omega_eff_sq, delta_eff, gamma, inject: bool
 ) -> spectrum.SpectrumCoefficients:
+    """The density coefficients, elementwise on arrays; ``inject`` corrupts b2."""
     coeffs = spectrum.spectrum_coefficients(omega_eff_sq, delta_eff, gamma)
     if not inject:
         return coeffs
-    # deliberately corrupt the quartic drive term down to quadratic
-    o2, d2, g2 = omega_eff_sq, delta_eff**2, gamma**2
+    # deliberately corrupt the quartic drive term down to quadratic; float_power
+    # rounds as Python's x ** 2 (libm pow), elementwise
+    o2, d2, g2 = omega_eff_sq, np.float_power(delta_eff, 2.0), np.float_power(gamma, 2.0)
     bad_b2 = 16.0 * o2 + 2.0 * o2 * (4.0 * d2 + g2) + d2 * d2 - 1.5 * g2 * d2 + 0.5625 * g2 * g2
     return replace(coeffs, b2=bad_b2)
 
@@ -74,24 +76,19 @@ def check_factorization(seed: int, inject: bool = False) -> CheckResult:
     """b4 = -2 nu_p^2, b2 = nu_p^4 + 8 gamma^2 |omega|^2,
     b0 = gamma^2 (2 |omega|^2 + delta^2 + gamma^2/4)^2 over 1000 random sets."""
     rng = np.random.default_rng(seed + 1)
-    max_dev = 0.0
-    for k in range(1000):
-        if k % 5 == 0:  # force negative nu_p_sq cases
-            o2 = rng.uniform(0.0, 0.05)
-            d = rng.uniform(-0.2, 0.2)
-            g = rng.uniform(1.0, 3.0)
-        else:
-            o2 = rng.uniform(0.0, 50.0)
-            d = rng.uniform(-10.0, 10.0)
-            g = rng.uniform(0.3, 3.0)
-        c = _coefficients_maybe_injected(o2, d, g, inject)
-        scale = g * g + d * d + 2.0 * o2
-        dev = max(
-            abs(c.b4 + 2.0 * c.nu_p_sq) / scale,
-            abs(c.b2 - (c.nu_p_sq**2 + 8.0 * g * g * o2)) / scale**2,
-            abs(c.b0 - g * g * (2.0 * o2 + d * d + 0.25 * g * g) ** 2) / scale**3,
-        )
-        max_dev = max(max_dev, dev)
+    # one (o2, d, g) draw per set, in set order; every fifth set forces nu_p_sq < 0
+    weak = (np.arange(1000) % 5 == 0)[:, None]
+    low = np.where(weak, [0.0, -0.2, 1.0], [0.0, -10.0, 0.3])
+    high = np.where(weak, [0.05, 0.2, 3.0], [50.0, 10.0, 3.0])
+    o2, d, g = rng.uniform(low, high).T
+    c = _coefficients_maybe_injected(o2, d, g, inject)
+    power = np.float_power  # libm pow, as Python's scalar x ** n
+    scale = g * g + d * d + 2.0 * o2
+    max_dev = float(np.max([
+        abs(c.b4 + 2.0 * c.nu_p_sq) / scale,
+        abs(c.b2 - (power(c.nu_p_sq, 2.0) + 8.0 * g * g * o2)) / power(scale, 2.0),
+        abs(c.b0 - g * g * power(2.0 * o2 + d * d + 0.25 * g * g, 2.0)) / power(scale, 3.0),
+    ]))
     return CheckResult("factorization_identity", max_dev <= 1e-12, max_dev, 1e-12)
 
 

@@ -635,6 +635,119 @@ def test_run_verification_api():
     assert "sum_rule_constancy" in names
 
 
+def _factorization_max_dev_per_set(seed, inject):
+    """The factorization check as one scalar pass per set: the oracle of the
+    array check's exact max_dev."""
+    from dataclasses import replace
+
+    from iobspectra import spectrum_coefficients
+
+    rng = np.random.default_rng(seed + 1)
+    max_dev = 0.0
+    for k in range(1000):
+        if k % 5 == 0:
+            o2, d, g = rng.uniform(0.0, 0.05), rng.uniform(-0.2, 0.2), rng.uniform(1.0, 3.0)
+        else:
+            o2, d, g = rng.uniform(0.0, 50.0), rng.uniform(-10.0, 10.0), rng.uniform(0.3, 3.0)
+        c = spectrum_coefficients(o2, d, g)
+        if inject:
+            d2, g2 = d**2, g**2
+            c = replace(c, b2=16.0 * o2 + 2.0 * o2 * (4.0 * d2 + g2) + d2 * d2
+                        - 1.5 * g2 * d2 + 0.5625 * g2 * g2)
+        scale = g * g + d * d + 2.0 * o2
+        dev = max(
+            abs(c.b4 + 2.0 * c.nu_p_sq) / scale,
+            abs(c.b2 - (c.nu_p_sq**2 + 8.0 * g * g * o2)) / scale**2,
+            abs(c.b0 - g * g * (2.0 * o2 + d * d + 0.25 * g * g) ** 2) / scale**3,
+        )
+        max_dev = max(max_dev, dev)
+    return max_dev
+
+
+@pytest.mark.parametrize("inject", [False, True])
+def test_factorization_check_equals_the_per_set_loop(inject):
+    from iobspectra.verify import check_factorization
+
+    for seed in range(50):
+        result = check_factorization(seed, inject)
+        assert type(result.max_dev) is float
+        assert result.max_dev == _factorization_max_dev_per_set(seed, inject), seed
+        assert result.passed is (not inject)
+
+
+# --------------------------------------------------------------------- writers
+
+def _csv_per_cell(stream, meta, columns):
+    """The CSV writer as one cell at a time: the oracle of the block writer."""
+    from iobspectra.cli import _fmt_cell, _meta_value
+
+    for key, value in meta.items():
+        stream.write(f"# {key}: {_meta_value(value)}\n")
+    names = list(columns)
+    stream.write("# columns: " + ",".join(names) + "\n")
+    for row in zip(*(columns[n] for n in names)):
+        stream.write(",".join(_fmt_cell(v) for v in row) + "\n")
+
+
+_WRITER_META = {"format_version": "1", "omega_up": None, "unstable": True, "seed": 3,
+                "peaks": [-1.5, 1.5], "thresholds": {"lorentz": [15.6, 1.4], "free": None},
+                "nested": {"a": {"b": [], "c": {}}, "d": [[], {}]}, "text": "a\"b\nc"}
+
+
+def _writer_columns(rows):
+    rng = np.random.default_rng(rows)
+    cells = [None, True, False, "lower", 7, -0.0, 5e-324, 1.7e308, 0.1]
+    return {
+        "omega": rng.uniform(-1.0, 1.0, rows).tolist(),
+        "mixed": [cells[i] for i in rng.integers(0, len(cells), rows)],
+        "branch": ["upper"] * rows,
+        "edges": [(-0.0, 5e-324, 1.7e308, -2.5e-300)[i % 4] for i in range(rows)],
+        "late_none": [1.0] * (rows - 1) + [None] * min(rows, 1),
+    }
+
+
+def _assert_same_text(got, want):
+    """Equal texts; else the first line that differs, not a diff of the whole."""
+    if got != want:
+        a, b = got.split("\n"), want.split("\n")
+        i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+        pytest.fail(f"line {i}: wrote {a[i:i + 1]}, expected {b[i:i + 1]}")
+
+
+@pytest.mark.parametrize("rows", ["zero", "one", "block", "block_plus_one"])
+def test_writers_equal_the_one_pass_writers(rows):
+    import io
+
+    from iobspectra.cli import _BLOCK_ROWS, write_csv, write_json
+
+    n = {"zero": 0, "one": 1, "block": _BLOCK_ROWS, "block_plus_one": _BLOCK_ROWS + 1}[rows]
+    cases = [(_WRITER_META, _writer_columns(n)), ({}, _writer_columns(n)),
+             (_WRITER_META, {}), (_WRITER_META, {"empty": [], "also": []})]
+    for meta, columns in cases:
+        got, want = io.StringIO(), io.StringIO()
+        write_csv(got, meta, columns)
+        _csv_per_cell(want, meta, columns)
+        _assert_same_text(got.getvalue(), want.getvalue())
+        got = io.StringIO()
+        write_json(got, meta, columns)
+        payload = {"meta": meta, "data": columns}
+        _assert_same_text(got.getvalue(), json.dumps(payload, allow_nan=False,
+                                                     separators=(",", ": "), indent=1) + "\n")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_json_writer_refuses_nonfinite_cells(bad):
+    import io
+
+    from iobspectra.cli import _BLOCK_ROWS, write_json
+
+    for values in ([bad], [1.0] * _BLOCK_ROWS + [bad]):
+        with pytest.raises(ValueError):
+            write_json(io.StringIO(), {}, {"x": values})
+    with pytest.raises(ValueError):
+        write_json(io.StringIO(), {"x": bad}, {})
+
+
 # ------------------------------------------------------------------------ misc
 
 def test_help_exits_zero(capsys):

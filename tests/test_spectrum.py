@@ -100,6 +100,9 @@ def test_coefficient_validation():
         spectrum_coefficients(1.0, 0.0, 0.0)
     with pytest.raises(ValueError, match="nonnegative"):
         spectrum_coefficients(np.array([1.0, -1e-300, 4.0]), np.zeros(3), 1.0)
+    for bad in (0.0, -1e-300, -2.0):
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            spectrum_coefficients(np.ones(3), np.zeros(3), np.array([1.0, bad, 2.0]))
 
 
 def test_coefficients_elementwise_on_arrays():
@@ -113,6 +116,17 @@ def test_coefficients_elementwise_on_arrays():
     assert (arrays.nu_p_sq < 0.0).any() and (arrays.nu_p_sq > 0.0).any()
     for i in range(len(o2)):
         scalar = spectrum_coefficients(float(o2[i]), float(d[i]), g)
+        for name in ("a", "a0", "b4", "b2", "b0", "nu_p_sq"):
+            assert getattr(arrays, name)[i] == getattr(scalar, name)
+
+
+def test_coefficients_elementwise_in_gamma():
+    """An array gamma gives, element by element, the scalar call's bits."""
+    rng = np.random.default_rng(13)
+    o2, d, g = rng.uniform(0.0, 50.0, 100), rng.uniform(-10.0, 10.0, 100), rng.uniform(0.3, 3.0, 100)
+    arrays = spectrum_coefficients(o2, d, g)
+    for i in range(len(g)):
+        scalar = spectrum_coefficients(float(o2[i]), float(d[i]), float(g[i]))
         for name in ("a", "a0", "b4", "b2", "b0", "nu_p_sq"):
             assert getattr(arrays, name)[i] == getattr(scalar, name)
 
