@@ -1,5 +1,7 @@
 """Intrinsic optical bistability and emission spectra of a dense two-level medium."""
 
+import types
+
 from .core import (
     Branch,
     BranchNotPresentError,
@@ -55,49 +57,6 @@ from .dynamics import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Branch",
-    "BranchNotPresentError",
-    "BlochState",
-    "HysteresisScan",
-    "IntegrationError",
-    "MechanismError",
-    "MediumParams",
-    "Mechanism",
-    "NoPhysicalRootError",
-    "NonAdiabaticWarning",
-    "ScanPoint",
-    "SolutionArrays",
-    "SpectrumCoefficients",
-    "SpectrumResult",
-    "StationaryState",
-    "SteadyStateSolution",
-    "SweepResult",
-    "Trajectory",
-    "bloch_rhs",
-    "branch_solution",
-    "coherence",
-    "cubic_coefficients",
-    "default_nu_grid",
-    "effective_params",
-    "find_thresholds",
-    "fixed_point_state",
-    "free_atom_saturation_max",
-    "incoherent_spectrum",
-    "integrate",
-    "jacobian",
-    "oracle_spectrum",
-    "peak_positions",
-    "rabi_relation_sq",
-    "scan_hysteresis",
-    "solution_arrays",
-    "solutions_at",
-    "solve_inversion",
-    "spectrum_coefficients",
-    "spectrum_for_solution",
-    "stationary_state",
-    "sum_rule_ratio",
-    "sweep_adiabatic",
-    "validate_mechanism",
-    "zeta_total",
-]
+# every public name bound above, the submodules that the imports bind aside
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, types.ModuleType)]

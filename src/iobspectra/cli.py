@@ -14,8 +14,9 @@ whatever the CPU affinity or BLAS thread count.  Diagnostics go to stderr;
 data streams stay clean.  Exit codes: 0 ok, 1 verify failure,
 2 configuration error, 3 numerical failure, 4 branch absent.
 
-Each subcommand handler reads the parsed arguments and checks them before it
-computes or writes anything; a failed check is a configuration error.
+Each subparser carries its handler as ``run``.  A handler checks the parsed
+arguments before it computes or writes anything (a failed check is a
+configuration error), and the data commands write through ``_emit``.
 """
 
 from __future__ import annotations
@@ -85,8 +86,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     mechanisms = [m.value for m in Mechanism]
+    branches = [b.value for b in Branch]
 
-    def common(p: argparse.ArgumentParser, mechanism_choices=mechanisms):
+    def common(p: argparse.ArgumentParser, run, mechanism_choices=mechanisms):
+        p.set_defaults(run=run)
         p.add_argument("--gamma", type=float, default=1.0, help="decay rate (unit scale)")
         p.add_argument("--delta", type=float, default=0.0, help="bare detuning")
         p.add_argument("--zeta-l", type=float, default=0.0, help="local-field coupling")
@@ -99,13 +102,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-v", "--verbose", action="count", default=0)
 
     p_hyst = sub.add_parser("hysteresis", help="branch structure over a drive grid")
-    common(p_hyst)
+    common(p_hyst, _cmd_hysteresis)
     p_hyst.add_argument("--omega", required=True, help="drive grid start:end:count")
 
     p_spec = sub.add_parser("spectrum", help="emission spectrum on one branch")
-    common(p_spec)
+    common(p_spec, _cmd_spectrum)
     p_spec.add_argument("--omega", required=True, type=float, help="drive strength")
-    p_spec.add_argument("--branch", choices=("lower", "middle", "upper"), default="lower")
+    p_spec.add_argument("--branch", choices=branches, default="lower")
     p_spec.add_argument("--nu-grid", default=None, help="emission grid start:end:count")
     p_spec.add_argument(
         "--normalize", choices=("free-atom-max",), default=None,
@@ -113,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_peaks = sub.add_parser("peaks", help="side-peak positions over a drive grid")
-    common(p_peaks, mechanism_choices=[*mechanisms, "both"])
+    common(p_peaks, _cmd_peaks, mechanism_choices=[*mechanisms, "both"])
     p_peaks.add_argument("--omega", required=True, help="drive grid start:end:count")
     p_peaks.add_argument(
         "--free-atom-reference", action="store_true",
@@ -121,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_dyn = sub.add_parser("dynamics", help="time-domain sweeps and relaxation")
-    common(p_dyn)
+    common(p_dyn, _cmd_dynamics)
     p_dyn.add_argument("--mode", choices=("sweep-up", "sweep-down", "relax"), default="relax")
     p_dyn.add_argument(
         "--omega", required=True,
@@ -129,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_dyn.add_argument("--ramp-rate", type=float, default=1e-3, help="sweep ramp rate")
     p_dyn.add_argument("--t-end", type=float, default=50.0, help="relax run length")
-    p_dyn.add_argument("--branch", choices=("lower", "middle", "upper", "ground"),
+    p_dyn.add_argument("--branch", choices=[*branches, "ground"],
                        default="ground", help="relax initial condition")
     p_dyn.add_argument("--perturb", type=float, default=0.0,
                        help="inversion offset added to the relax start state")
@@ -138,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "sample at the --omega grid points")
 
     p_ver = sub.add_parser("verify", help="run the oracle cross-check suite")
-    common(p_ver)
+    common(p_ver, _cmd_verify)
     p_ver.add_argument(
         "--inject-b2-typo", action="store_true",
         help="self-test: corrupt the quartic b2 term and confirm detection",
@@ -224,13 +227,16 @@ def write_json(stream, meta: dict, columns: dict) -> None:
     stream.write("\n }\n}\n" if columns else "}\n}\n")
 
 
-def _emit(ns: argparse.Namespace, meta: dict, columns: dict) -> None:
+def _emit(ns: argparse.Namespace, columns: dict, **meta) -> int:
+    """Write ``columns`` under :func:`_base_meta` with ``meta`` added; EXIT_OK."""
+    meta = _base_meta(ns, **meta)
     writer = write_csv if ns.fmt == "csv" else write_json
     if ns.out is None:
         writer(sys.stdout, meta, columns)
-        return
-    with open(ns.out, "w", encoding="utf-8", newline="") as fh:
-        writer(fh, meta, columns)
+    else:
+        with open(ns.out, "w", encoding="utf-8", newline="") as fh:
+            writer(fh, meta, columns)
+    return EXIT_OK
 
 
 def _base_meta(ns: argparse.Namespace, **extra) -> dict:
@@ -287,9 +293,7 @@ def _cmd_hysteresis(ns: argparse.Namespace) -> int:
     scan = steady_state.scan_hysteresis(params, mech, grid)
     _diag(ns, f"scanned {len(scan.points)} drives, "
               f"thresholds={scan.omega_up}, {scan.omega_down}")
-    meta = _base_meta(ns, omega_up=scan.omega_up, omega_down=scan.omega_down)
-    _emit(ns, meta, _root_columns(scan))
-    return EXIT_OK
+    return _emit(ns, _root_columns(scan), omega_up=scan.omega_up, omega_down=scan.omega_down)
 
 
 def _cmd_spectrum(ns: argparse.Namespace) -> int:
@@ -309,8 +313,9 @@ def _cmd_spectrum(ns: argparse.Namespace) -> int:
     if ns.normalize == "free-atom-max":
         reference = spectrum.free_atom_saturation_max(params.gamma)
         density = density / reference
-    meta = _base_meta(
+    return _emit(
         ns,
+        {"nu": result.nu_grid.tolist(), "density": density.tolist()},
         branch=ns.branch,
         w=sol.w,
         rho22=sol.rho22,
@@ -325,9 +330,6 @@ def _cmd_spectrum(ns: argparse.Namespace) -> int:
         normalize=ns.normalize,
         normalize_reference=reference,
     )
-    cols = {"nu": result.nu_grid.tolist(), "density": density.tolist()}
-    _emit(ns, meta, cols)
-    return EXIT_OK
 
 
 def _cmd_peaks(ns: argparse.Namespace) -> int:
@@ -356,10 +358,8 @@ def _cmd_peaks(ns: argparse.Namespace) -> int:
         cols["branch"] += roots["branch"]
         cols["nu_p"] += [math.sqrt(x) if x > 0.0 else None for x in nu_p_sq.tolist()]
 
-    meta = _base_meta(ns, mechanism=",".join(m.value for m in mechs),
-                      free_atom_reference=ns.free_atom_reference, thresholds=thresholds)
-    _emit(ns, meta, cols)
-    return EXIT_OK
+    return _emit(ns, cols, mechanism=",".join(m.value for m in mechs),
+                 free_atom_reference=ns.free_atom_reference, thresholds=thresholds)
 
 
 def _cmd_dynamics(ns: argparse.Namespace) -> int:
@@ -386,19 +386,17 @@ def _cmd_dynamics(ns: argparse.Namespace) -> int:
         state0 = dynamics.BlochState(u, v, w + ns.perturb)
         t_eval = np.linspace(0.0, ns.t_end, ns.samples)
         traj = dynamics.integrate(state0, params, mech, omega, ns.t_end, t_eval=t_eval)
-        meta = _base_meta(ns, mode=ns.mode, branch=ns.branch,
-                          perturb=ns.perturb, t_end=ns.t_end, jumps=[])
+        meta = dict(branch=ns.branch, perturb=ns.perturb, t_end=ns.t_end, jumps=[])
     else:
         start, end = (grid[0], grid[-1]) if ns.mode == "sweep-up" else (grid[-1], grid[0])
         result = dynamics.sweep_adiabatic(
             params, mech, float(start), float(end), ns.ramp_rate, samples=len(grid),
         )
         traj = result.trajectory
-        meta = _base_meta(ns, mode=ns.mode, ramp_rate=ns.ramp_rate, jumps=list(result.jumps))
+        meta = dict(ramp_rate=ns.ramp_rate, jumps=list(result.jumps))
     u, v, w = traj.uvw.T.tolist()
     cols = {"t": traj.times.tolist(), "omega": traj.omegas.tolist(), "u": u, "v": v, "w": w}
-    _emit(ns, meta, cols)
-    return EXIT_OK
+    return _emit(ns, cols, mode=ns.mode, **meta)
 
 
 def _cmd_verify(ns: argparse.Namespace) -> int:
@@ -422,15 +420,6 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
 # entry point
 # --------------------------------------------------------------------------
 
-_DISPATCH = {
-    "hysteresis": _cmd_hysteresis,
-    "spectrum": _cmd_spectrum,
-    "peaks": _cmd_peaks,
-    "dynamics": _cmd_dynamics,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -439,7 +428,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
-        return _DISPATCH[ns.command](ns)
+        return ns.run(ns)
     except BranchNotPresentError as exc:
         print(f"iobspectra: {exc}", file=sys.stderr)
         return EXIT_BRANCH_ABSENT

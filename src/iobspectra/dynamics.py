@@ -68,19 +68,8 @@ def _coupling(params: MediumParams, mech: Mechanism) -> tuple[float, float]:
     return params.zeta_lorentz, params.zeta_detuning
 
 
-def _rhs(u, v, w, om, g, d, zl, zm) -> tuple[float, float, float]:
-    obr = om + 0.5 * zl * u
-    obi = 0.5 * zl * v
-    db = d - zm * w
-    return (
-        -db * v - 0.5 * g * u + 2.0 * obi * w,
-        db * u - 0.5 * g * v - 2.0 * obr * w,
-        g * (1.0 - w) + 2.0 * (obr * v - obi * u),
-    )
-
-
 def _jac(u, v, w, om, g, d, zl, zm) -> np.ndarray:
-    """Jacobian of :func:`_rhs` at one state, a 3x3 matrix."""
+    """Jacobian of :func:`bloch_rhs` at one state, a 3x3 matrix."""
     db = d - zm * w
     zs = zl + zm
     return np.array([[-0.5 * g, -db + zl * w, zs * v],
@@ -103,7 +92,16 @@ def bloch_rhs(state, params: MediumParams, mech: Mechanism, omega_now) -> np.nda
     (3, ...) result.
     """
     zl, zm = _coupling(params, mech)
-    return np.array(_rhs(*_components(state), omega_now, params.gamma, params.delta, zl, zm))
+    g, d = params.gamma, params.delta
+    u, v, w = _components(state)
+    obr = omega_now + 0.5 * zl * u
+    obi = 0.5 * zl * v
+    db = d - zm * w
+    return np.array((
+        -db * v - 0.5 * g * u + 2.0 * obi * w,
+        db * u - 0.5 * g * v - 2.0 * obr * w,
+        g * (1.0 - w) + 2.0 * (obr * v - obi * u),
+    ))
 
 
 def jacobian(state, params: MediumParams, mech: Mechanism, omega_now) -> np.ndarray:
@@ -325,8 +323,8 @@ def integrate(
     # Python floats, not numpy scalars: the same results at less than half
     # the cost.  The call count locates a failed odeint call's last output.
     calls = 0
-    # _rhs inline (same expressions, same order) into one float64 array that
-    # ODEPACK takes as it is: no second frame, no new array per call.
+    # bloch_rhs inline (same expressions, same order) into one float64 array
+    # that ODEPACK takes as it is: no second frame, no new array per call.
     out = np.empty(3)
     buf = memoryview(out)
 

@@ -755,6 +755,25 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("args", [
+    ["hysteresis", "--omega", "0:1:3"],
+    ["spectrum", "--omega", "1"],
+    ["peaks", "--omega", "0:1:3"],
+    ["dynamics", "--omega", "1"],
+    ["verify"],
+])
+def test_each_subcommand_carries_its_handler(args):
+    """``main`` runs ``ns.run``, which each subparser sets to its own handler."""
+    from iobspectra import cli
+
+    assert cli.build_parser().parse_args(args).run is getattr(cli, f"_cmd_{args[0]}")
+
+
+def test_bare_command_line_exits_2(capsys):
+    assert main([]) == 2
+    assert "required: command" in capsys.readouterr().err
+
+
 def test_stdout_emission(capsys):
     code, out, err = run(capsys, "hysteresis", "--omega", "0:5:6")
     assert code == 0

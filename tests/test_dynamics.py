@@ -34,6 +34,7 @@ from iobspectra.dynamics import JUMP_THRESHOLD, _jump_samples
 from test_steady_state import LORENTZ_50, DETUNING_50, OMEGA_UP_EXACT, OMEGA_DOWN_EXACT, fold_points
 
 FREE = MediumParams(delta=3.0)
+JOINT_50 = MediumParams(delta=3.0, zeta_lorentz=30.0, zeta_detuning=20.0)
 OMEGA_UP, OMEGA_DOWN = find_thresholds(LORENTZ_50, Mechanism.LORENTZ)
 
 
@@ -122,6 +123,24 @@ def test_no_coherence_means_bare_drive():
     assert bloch_rhs(state, coupled, Mechanism.LORENTZ, 3.0) == pytest.approx(
         bloch_rhs(state, free, Mechanism.LORENTZ, 3.0)
     )
+
+
+@pytest.mark.parametrize("params, mech", [
+    (LORENTZ_50, Mechanism.LORENTZ), (DETUNING_50, Mechanism.DETUNING), (JOINT_50, Mechanism.JOINT),
+], ids=["lorentz", "detuning", "joint"])
+def test_bloch_rhs_on_arrays_equals_its_scalar_calls(params, mech):
+    """Array components of one shape, with an array or a scalar drive, give a
+    (3, ...) result whose every column is the scalar call's, bit for bit."""
+    rng = np.random.default_rng(11)
+    u, v, w = rng.uniform(-0.6, 0.6, (3, 4, 5))
+    for drive in (rng.uniform(0.0, 20.0, (4, 5)), 8.0):
+        out = bloch_rhs((u, v, w), params, mech, drive)
+        assert out.shape == (3, 4, 5)
+        drives = np.broadcast_to(drive, (4, 5))
+        for k in np.ndindex(4, 5):
+            scalar = bloch_rhs((float(u[k]), float(v[k]), float(w[k])), params, mech,
+                               float(drives[k]))
+            assert out[(slice(None), *k)].tolist() == scalar.tolist(), k
 
 
 # -------------------------------------------------------------------- Jacobian
@@ -537,14 +556,12 @@ def odeint_oracle(y0, t_eval, drive, params, t_end, rel_tol, abs_tol):
     from scipy.integrate import odeint
 
     g, d, zl, zm = params.gamma, params.delta, params.zeta_lorentz, params.zeta_detuning
-    return odeint(lambda t, y: dynamics._rhs(*y.tolist(), drive(t), g, d, zl, zm),
+    # joint keeps both couplings, so it takes every medium as it is
+    return odeint(lambda t, y: dynamics.bloch_rhs(y.tolist(), params, Mechanism.JOINT, drive(t)),
                   np.array(y0), t_eval,
                   Dfun=lambda t, y: dynamics._jac(*y.tolist(), drive(t), g, d, zl, zm),
                   rtol=rel_tol, atol=abs_tol, tcrit=[t_end], mxstep=dynamics.LSODA_MAX_STEPS,
                   tfirst=True)
-
-
-JOINT_50 = MediumParams(delta=3.0, zeta_lorentz=30.0, zeta_detuning=20.0)
 
 
 @pytest.mark.parametrize("params, mech, start, end, samples", [

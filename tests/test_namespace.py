@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -38,13 +39,18 @@ assert loaded == ["scipy.integrate._odepack"], f"{loaded} loaded after a relax a
 
 
 def test_every_public_name_resolves():
-    for name in iobspectra.__all__:
-        value = getattr(iobspectra, name)
-        if name not in vars(iobspectra):  # resolved on access, from dynamics
-            assert value is getattr(iobspectra.dynamics, name), name
+    """``__all__``, derived from the imports of ``__init__``, holds 44 distinct
+    names, each bound in the package to an object of an iobspectra module and
+    none to a module, so a later import there cannot export a foreign name."""
+    names = iobspectra.__all__
+    assert len(names) == len(set(names)) == 44
+    for name in names:
+        value = vars(iobspectra)[name]
+        assert not isinstance(value, types.ModuleType), name
+        assert value.__module__.startswith("iobspectra."), (name, value.__module__)
     namespace = {}
     exec("from iobspectra import *", namespace)
-    for name in iobspectra.__all__:
+    for name in names:
         assert namespace[name] is getattr(iobspectra, name), name
 
 
