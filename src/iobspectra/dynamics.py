@@ -180,7 +180,7 @@ class Trajectory:
     omegas: np.ndarray
 
     def __post_init__(self):
-        if np.any(np.diff(self.times) <= 0.0):
+        if not np.all(np.diff(self.times) > 0.0):  # NaN times fail too
             raise ValueError("trajectory times must be strictly increasing")
         bad = _outside_ball(self.uvw)
         if bad.any():

@@ -92,58 +92,42 @@ def check_factorization(seed: int, inject: bool = False) -> CheckResult:
     return CheckResult("factorization_identity", max_dev <= 1e-12, max_dev, 1e-12)
 
 
-def _found_roots(params: MediumParams, mech: Mechanism, omegas: np.ndarray):
-    """Per drive: (omega, roots w, coherences rho12, effective drives), from
-    one :func:`steady_state.solution_arrays` call."""
-    arr = steady_state.solution_arrays(params, mech, omegas)
-    for om, n, w, rho12, omega_eff in zip(arr.omega.tolist(), arr.count.tolist(),
-                                          arr.w.tolist(), arr.rho12.tolist(),
-                                          arr.omega_eff.tolist()):
-        yield om, w[:n], rho12[:n], omega_eff[:n]
-
-
-# Newton steps per fixed-point search, and the halvings of one step
+# Newton steps per fixed-point search
 _NEWTON_STEPS = 50
-_NEWTON_HALVINGS = 30
 
 
-def _flow_zero(params: MediumParams, mech: Mechanism, omega: float,
-               guess: np.ndarray) -> np.ndarray | None:
-    """A zero of the Bloch flow found by damped Newton from ``guess``, or
-    None when the search does not converge.
+def _flow_zeros(params: MediumParams, mech: Mechanism, omega: np.ndarray,
+                guess: np.ndarray) -> np.ndarray:
+    """Zeros of the Bloch flow by plain Newton from each column of the (3, K)
+    ``guess`` at the drives ``omega`` (K,); NaN columns where a search fails.
 
-    Each step solves J s = -F with the analytic Jacobian and is halved
-    until |F| falls.  The search converges once a full step is at most
-    1e-12 of |y|; it fails on a singular Jacobian, on a step that no
-    halving makes descend, or after _NEWTON_STEPS steps.
-    """
-    y = guess
-    f = dynamics.bloch_rhs(y, params, mech, omega)
-    norm = np.linalg.norm(f)
+    One stacked solve of J s = -F, with each search's analytic Jacobian,
+    steps every open search.  A search converges at its first step of at
+    most 1e-12 |y|; a singular Jacobian ends every open search, as does the
+    last of _NEWTON_STEPS steps."""
+    zeros = np.full_like(guess, np.nan)
+    open_, y = np.arange(guess.shape[1]), guess
     for _ in range(_NEWTON_STEPS):
+        om = omega[open_]
+        f = dynamics.bloch_rhs(y, params, mech, om)
+        jac = [dynamics.jacobian(s, params, mech, o) for s, o in zip(y.T.tolist(), om.tolist())]
         try:
-            step = np.linalg.solve(dynamics.jacobian(y, params, mech, omega), -f)
+            step = np.linalg.solve(jac, -f.T[:, :, None])[:, :, 0].T
         except np.linalg.LinAlgError:
-            return None
-        if np.linalg.norm(step) <= 1e-12 * np.linalg.norm(y):
-            return y + step
-        for _ in range(_NEWTON_HALVINGS):
-            trial = y + step
-            f_trial = dynamics.bloch_rhs(trial, params, mech, omega)
-            norm_trial = np.linalg.norm(f_trial)
-            if norm_trial < norm:
-                break
-            step = 0.5 * step
-        else:
-            return None
-        y, f, norm = trial, f_trial, norm_trial
-    return None
+            break
+        done = np.linalg.norm(step, axis=0) <= 1e-12 * np.linalg.norm(y, axis=0)
+        y = y + step
+        zeros[:, open_[done]] = y[:, done]
+        open_, y = open_[~done], y[:, ~done]
+        if open_.size == 0:
+            break
+    return zeros
 
 
 def check_fixed_points(seed: int) -> CheckResult:
-    """Algebraic roots versus damped Newton searches for zeros of the Bloch
-    flow, each started next to a root; every converged search must land on
-    an algebraic root."""
+    """Algebraic roots versus Newton searches for zeros of the Bloch flow,
+    each started next to a root; every converged search must land on an
+    algebraic root."""
     rng = np.random.default_rng(seed + 2)
     cases = [
         (MediumParams(delta=3.0, zeta_lorentz=50.0), Mechanism.LORENTZ),
@@ -155,16 +139,17 @@ def check_fixed_points(seed: int) -> CheckResult:
     ]
     max_dev = 0.0
     for params, mech in cases:
-        for om, roots, rho12, _ in _found_roots(params, mech, np.linspace(0.2, 20.0, 17)):
-            for w, r12 in zip(roots, rho12):
-                fp = (2.0 * r12.real, 2.0 * r12.imag, w)
-                rhs = dynamics.bloch_rhs(fp, params, mech, om)
-                max_dev = max(max_dev, float(np.abs(rhs).max()) / params.gamma)
-                guess = np.array([fp[0] + 1e-4, fp[1] - 1e-4, fp[2] - 1e-4])
-                zero = _flow_zero(params, mech, om, guess)
-                if zero is not None:
-                    # every zero of the flow must coincide with an algebraic root
-                    max_dev = max(max_dev, min(abs(float(zero[2]) - r) for r in roots))
+        arr = steady_state.solution_arrays(params, mech, np.linspace(0.2, 20.0, 17))
+        at = np.nonzero(arr.w == arr.w)
+        om, rho12 = arr.omega[at[0]], arr.rho12[at]
+        fp = np.array([2.0 * rho12.real, 2.0 * rho12.imag, arr.w[at]])
+        rhs = dynamics.bloch_rhs(fp, params, mech, om)
+        max_dev = max(max_dev, float(np.abs(rhs).max()) / params.gamma)
+        zero_w = _flow_zeros(params, mech, om, fp + [[1e-4], [-1e-4], [-1e-4]])[2]
+        # every zero of the flow must coincide with an algebraic root; fmin and
+        # fmax pass over NaN, the padding of a drive's roots and a failed search
+        miss = np.fmin.reduce(np.abs(zero_w[:, None] - arr.w[at[0]]), axis=1)
+        max_dev = max(max_dev, float(np.fmax.reduce(miss, initial=0.0)))
     return CheckResult("fixed_point_agreement", max_dev <= 1e-8, max_dev, 1e-8)
 
 
@@ -181,13 +166,14 @@ def check_rabi_relation(seed: int) -> CheckResult:
     ]
     max_dev = 0.0
     for params in cases:
-        found = _found_roots(params, Mechanism.LORENTZ, np.linspace(0.05, 25.0, 60))
-        for om, roots, _, omega_effs in found:
+        arr = steady_state.solution_arrays(params, Mechanism.LORENTZ, np.linspace(0.05, 25.0, 60))
+        at = np.nonzero(arr.w == arr.w)
+        for om, w, omega_eff in zip(arr.omega[at[0]].tolist(), arr.w[at].tolist(),
+                                    arr.omega_eff[at].tolist()):
             p = replace(params, omega=om)
-            for w, omega_eff in zip(roots, omega_effs):
-                expected = steady_state.rabi_relation_sq(w, p, Mechanism.LORENTZ)
-                rel = abs(abs(omega_eff) ** 2 - expected) / max(expected, 1e-300)
-                max_dev = max(max_dev, rel)
+            expected = steady_state.rabi_relation_sq(w, p, Mechanism.LORENTZ)
+            rel = abs(abs(omega_eff) ** 2 - expected) / max(expected, 1e-300)
+            max_dev = max(max_dev, rel)
     return CheckResult("rabi_relation", max_dev <= 1e-10, max_dev, 1e-10)
 
 
@@ -239,7 +225,7 @@ def check_sum_rule(seed: int) -> CheckResult:
     consistent = True
     for params, mech, branch, omega in _sum_rule_cases() + _sum_rule_media(seed):
         sol = steady_state.branch_solution(params, mech, branch, omega=omega)
-        result = spectrum.spectrum_for_solution(sol, params.gamma)
+        result = spectrum.spectrum_for_solution(sol, params.gamma, nu_grid=())
         ratio = spectrum.sum_rule_ratio(result, sol.rho22, sol.rho12)
         max_dev = max(max_dev, abs(ratio - np.pi) / np.pi)
         c = steady_state.cubic_coefficients(replace(params, omega=omega), mech)

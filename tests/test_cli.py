@@ -625,6 +625,16 @@ def test_verify_seed_changes_draws_reproducibly(capsys):
     assert out_a != out_c  # different draws, different max deviations
 
 
+def test_verify_out_writes_the_printed_text(tmp_path, capsys):
+    for args in (["--seed", "3"], ["--inject-b2-typo"]):
+        path = tmp_path / "report.txt"
+        code, out, err = run(capsys, "verify", *args, "--out", str(path))
+        assert code == (1 if args == ["--inject-b2-typo"] else 0)
+        assert err == ""
+        assert path.read_bytes() == out.encode("utf-8")
+        assert out.endswith("\n") and out.splitlines()[-1].startswith("overall: ")
+
+
 def test_run_verification_api():
     results = run_verification(seed=0)
     assert all(r.passed for r in results)
@@ -673,6 +683,151 @@ def test_factorization_check_equals_the_per_set_loop(inject):
         assert type(result.max_dev) is float
         assert result.max_dev == _factorization_max_dev_per_set(seed, inject), seed
         assert result.passed is (not inject)
+
+
+def _found_roots(params, mech, omegas):
+    """Per drive: (omega, roots w, coherences rho12, effective drives), a
+    walk over one solution_arrays call, one drive at a time."""
+    from iobspectra import solution_arrays
+
+    arr = solution_arrays(params, mech, omegas)
+    for om, n, w, rho12, omega_eff in zip(arr.omega.tolist(), arr.count.tolist(),
+                                          arr.w.tolist(), arr.rho12.tolist(),
+                                          arr.omega_eff.tolist()):
+        yield om, w[:n], rho12[:n], omega_eff[:n]
+
+
+def _damped_flow_zero(params, mech, omega, guess):
+    """A zero of the Bloch flow by damped Newton from ``guess``, or None:
+    each step J s = -F is halved (up to 30 times) until |F| falls, and the
+    search converges once a full step is at most 1e-12 of |y|."""
+    from iobspectra.dynamics import bloch_rhs, jacobian
+
+    y = guess
+    f = bloch_rhs(y, params, mech, omega)
+    norm = np.linalg.norm(f)
+    for _ in range(50):
+        try:
+            step = np.linalg.solve(jacobian(y, params, mech, omega), -f)
+        except np.linalg.LinAlgError:
+            return None
+        if np.linalg.norm(step) <= 1e-12 * np.linalg.norm(y):
+            return y + step
+        for _ in range(30):
+            trial = y + step
+            f_trial = bloch_rhs(trial, params, mech, omega)
+            norm_trial = np.linalg.norm(f_trial)
+            if norm_trial < norm:
+                break
+            step = 0.5 * step
+        else:
+            return None
+        y, f, norm = trial, f_trial, norm_trial
+    return None
+
+
+def _fixed_point_per_root(seed, search=True):
+    """The fixed-point check one root at a time, with a damped search per
+    root: the oracle of the stacked check.  Returns its max_dev and, per
+    case, (params, mech, drives, guesses, zeros) with a (3, K) column per
+    root and NaN for a failed search.  Without ``search``, the max_dev of
+    the flow residuals at the roots alone."""
+    from iobspectra import MediumParams, Mechanism
+    from iobspectra.dynamics import bloch_rhs
+
+    rng = np.random.default_rng(seed + 2)
+    cases = [
+        (MediumParams(delta=3.0, zeta_lorentz=50.0), Mechanism.LORENTZ),
+        (MediumParams(delta=3.0, zeta_detuning=50.0), Mechanism.DETUNING),
+        (MediumParams(delta=rng.uniform(-4.0, 4.0), zeta_lorentz=rng.uniform(0.0, 40.0)),
+         Mechanism.LORENTZ),
+    ]
+    max_dev, searches = 0.0, []
+    for params, mech in cases:
+        drives, guesses, zeros = [], [], []
+        for om, roots, rho12, _ in _found_roots(params, mech, np.linspace(0.2, 20.0, 17)):
+            for w, r12 in zip(roots, rho12):
+                fp = (2.0 * r12.real, 2.0 * r12.imag, w)
+                rhs = bloch_rhs(fp, params, mech, om)
+                max_dev = max(max_dev, float(np.abs(rhs).max()) / params.gamma)
+                if not search:
+                    continue
+                guess = np.array([fp[0] + 1e-4, fp[1] - 1e-4, fp[2] - 1e-4])
+                zero = _damped_flow_zero(params, mech, om, guess)
+                if zero is not None:
+                    max_dev = max(max_dev, min(abs(float(zero[2]) - r) for r in roots))
+                drives.append(om)
+                guesses.append(guess)
+                zeros.append(np.full(3, np.nan) if zero is None else zero)
+        searches.append((params, mech, np.array(drives), np.array(guesses).T,
+                         np.array(zeros).T))
+    return max_dev, searches
+
+
+def _rabi_max_dev_per_root(seed):
+    """The Rabi-relation check one drive at a time, as the oracle of its
+    exact max_dev."""
+    from dataclasses import replace
+
+    from iobspectra import MediumParams, Mechanism, rabi_relation_sq
+
+    rng = np.random.default_rng(seed + 3)
+    cases = [
+        MediumParams(delta=3.0, zeta_lorentz=50.0),
+        MediumParams(gamma=rng.uniform(0.5, 2.0), delta=rng.uniform(-5.0, 5.0),
+                     zeta_lorentz=rng.uniform(1.0, 80.0)),
+    ]
+    max_dev = 0.0
+    for params in cases:
+        found = _found_roots(params, Mechanism.LORENTZ, np.linspace(0.05, 25.0, 60))
+        for om, roots, _, omega_effs in found:
+            p = replace(params, omega=om)
+            for w, omega_eff in zip(roots, omega_effs):
+                expected = rabi_relation_sq(w, p, Mechanism.LORENTZ)
+                rel = abs(abs(omega_eff) ** 2 - expected) / max(expected, 1e-300)
+                max_dev = max(max_dev, rel)
+    return max_dev
+
+
+def test_root_checks_equal_the_per_root_searches():
+    from iobspectra.verify import _flow_zeros, check_fixed_points, check_rabi_relation
+
+    for seed in range(50):
+        fixed, rabi = check_fixed_points(seed), check_rabi_relation(seed)
+        assert type(fixed.max_dev) is float and type(rabi.max_dev) is float
+        max_dev, searches = _fixed_point_per_root(seed)
+        assert fixed.max_dev == max_dev, seed
+        assert rabi.max_dev == _rabi_max_dev_per_root(seed), seed
+        assert fixed.passed and rabi.passed
+        # the residuals set max_dev, so the zeros are compared themselves
+        for params, mech, drives, guesses, zeros in searches:
+            stacked = _flow_zeros(params, mech, drives, guesses)
+            assert np.array_equal(stacked, zeros, equal_nan=True), seed
+
+
+@pytest.mark.parametrize("exit_", ["step_limit", "singular_jacobian"])
+def test_failed_flow_searches_leave_the_residuals(monkeypatch, exit_):
+    """When no Newton search converges, after its last step or on a singular
+    Jacobian, the fixed-point check still passes without an exception and
+    reports the flow residuals at the roots alone."""
+    from iobspectra import MediumParams, Mechanism, dynamics, solution_arrays, verify
+
+    params, mech = MediumParams(delta=3.0, zeta_lorentz=50.0), Mechanism.LORENTZ
+    arr = solution_arrays(params, mech, np.array([1.0, 8.0, 15.0]))
+    at = np.nonzero(arr.w == arr.w)
+    guess = np.array([2.0 * arr.rho12[at].real, 2.0 * arr.rho12[at].imag, arr.w[at]]) + 1e-4
+    assert np.isfinite(verify._flow_zeros(params, mech, arr.omega[at[0]], guess)).all()
+    if exit_ == "step_limit":
+        monkeypatch.setattr(verify, "_NEWTON_STEPS", 1)
+    else:
+        monkeypatch.setattr(dynamics, "jacobian", lambda *args: np.zeros((3, 3)))
+    assert np.isnan(verify._flow_zeros(params, mech, arr.omega[at[0]], guess)).all()
+    for seed in range(10):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = verify.check_fixed_points(seed)
+        assert result.passed is True
+        assert result.max_dev == _fixed_point_per_root(seed, search=False)[0], seed
 
 
 # --------------------------------------------------------------------- writers

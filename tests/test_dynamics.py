@@ -82,6 +82,13 @@ def test_trajectory_holds_one_state_array():
         assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("times", [[0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0, 3.0],
+                                   [3.0, 2.0, 1.0, 0.0], [0.0, 1.0, math.nan, 2.0]])
+def test_trajectory_refuses_times_that_do_not_increase(times):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Trajectory(times=np.array(times), uvw=np.zeros((4, 3)), omegas=np.zeros(4))
+
+
 # ------------------------------------------------------------------ right side
 
 def test_fixed_points_annihilate_rhs():
@@ -651,6 +658,34 @@ def test_readme_sweep_rhs_budget(monkeypatch):
     result = sweep_adiabatic(LORENTZ_50, Mechanism.LORENTZ, 13.0, 16.6, 1e-3, samples=721)
     assert 0 < calls <= 30_000
     assert result.jumps == [15.707500000000001]
+
+
+def test_nonadiabatic_warning_away_from_jumps():
+    """The adiabaticity check on the README sweep 13 -> 16.6: the sweep
+    itself stays on the stable manifold, its states pulled in by a factor
+    0.8 stray from it, and samples within 0.3 gamma of a jump are not
+    counted."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", dynamics.NonAdiabaticWarning)
+        result = sweep_adiabatic(LORENTZ_50, Mechanism.LORENTZ, 13.0, 16.6, 1e-3, samples=721)
+    traj, jumps = result.trajectory, result.jumps
+    assert len(jumps) == 1
+
+    def check(uvw, jumps):
+        moved = Trajectory(times=traj.times, uvw=uvw, omegas=traj.omegas)
+        dynamics._warn_if_nonadiabatic(moved, LORENTZ_50, Mechanism.LORENTZ, jumps)
+
+    near = (np.abs(traj.omegas - jumps[0]) < 0.3 * LORENTZ_50.gamma)[:, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", dynamics.NonAdiabaticWarning)
+        check(traj.uvw, jumps)
+        check(np.where(near, 0.8 * traj.uvw, traj.uvw), jumps)
+    stray = r"sweep strayed 0\.1\d+ from the stable manifold \(limit 0\.05\)"
+    with pytest.warns(dynamics.NonAdiabaticWarning, match=stray):
+        check(0.8 * traj.uvw, jumps)
+    # counted, the samples about the jump stray too
+    with pytest.warns(dynamics.NonAdiabaticWarning):
+        check(traj.uvw, [])
 
 
 def test_free_atom_sweep_has_no_jump():
