@@ -75,6 +75,8 @@ def parse_grid(spec: str) -> np.ndarray:
         raise ValueError(f"grid count {count} exceeds cap {GRID_POINT_CAP}")
     if not (math.isfinite(start) and math.isfinite(end)) or end <= start:
         raise ValueError(f"grid spec {spec!r} must have finite end > start")
+    if not math.isfinite(end - start):  # linspace would overflow
+        raise ValueError(f"grid spec {spec!r} spans beyond the largest float")
     return np.linspace(start, end, count)
 
 

@@ -307,7 +307,7 @@ def integrate(
         raise ValueError("integrate needs t_eval: LSODA returns states at given times only")
     t_eval = np.asarray(t_eval, dtype=float)
     if (t_eval.ndim != 1 or t_eval.size == 0 or not 0.0 <= t_eval[0]
-            or not t_eval[-1] <= t_end or np.any(np.diff(t_eval) <= 0.0)):
+            or not t_eval[-1] <= t_end or not np.all(np.diff(t_eval) > 0.0)):
         raise ValueError("t_eval must increase strictly within [0, t_end]")
 
     zl, zm = _coupling(params, mech)

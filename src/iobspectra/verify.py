@@ -105,12 +105,15 @@ def _flow_zeros(params: MediumParams, mech: Mechanism, omega: np.ndarray,
     steps every open search.  A search converges at its first step of at
     most 1e-12 |y|; a singular Jacobian ends every open search, as does the
     last of _NEWTON_STEPS steps."""
+    # the couplings once, not once per root as dynamics.jacobian would
+    zl, zm = dynamics._coupling(params, mech)
+    g, d = params.gamma, params.delta
     zeros = np.full_like(guess, np.nan)
     open_, y = np.arange(guess.shape[1]), guess
     for _ in range(_NEWTON_STEPS):
         om = omega[open_]
         f = dynamics.bloch_rhs(y, params, mech, om)
-        jac = [dynamics.jacobian(s, params, mech, o) for s, o in zip(y.T.tolist(), om.tolist())]
+        jac = [dynamics._jac(*s, o, g, d, zl, zm) for s, o in zip(y.T.tolist(), om.tolist())]
         try:
             step = np.linalg.solve(jac, -f.T[:, :, None])[:, :, 0].T
         except np.linalg.LinAlgError:

@@ -19,6 +19,17 @@ def run(capsys, *args):
     return code, captured.out, captured.err
 
 
+def python(*args, env=(), **kwargs):
+    """``python *args`` in a child process that imports this checkout's
+    package, with ``env`` added to the environment; text output captured."""
+    src = str(Path(iobspectra.__file__).resolve().parents[1])
+    env = dict(os.environ, **dict(env))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    kwargs.setdefault("timeout", 120)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          **kwargs)
+
+
 def read_csv(path):
     meta, names, rows = {}, [], []
     for line in path.read_text().splitlines():
@@ -40,7 +51,8 @@ def test_parse_grid():
     assert grid == pytest.approx([0.0, 5.0, 10.0, 15.0, 20.0, 25.0])
 
 
-@pytest.mark.parametrize("bad", ["0:25", "a:b:c", "0:25:1", "5:5:10", "0:25:2000001"])
+@pytest.mark.parametrize("bad", ["0:25", "a:b:c", "0:25:1", "5:5:10", "0:25:2000001",
+                                 "-1e308:1e308:3"])
 def test_parse_grid_rejects(bad):
     with pytest.raises(ValueError):
         parse_grid(bad)
@@ -148,13 +160,19 @@ def test_inconsistent_mechanism_exits_2(capsys):
      "configuration error: delta must be at most 3.352e+153 in magnitude, got 1e+200"),
     (["spectrum", "--gamma", "1e155", "--omega", "1"],
      "configuration error: gamma must be at most 3.352e+153 in magnitude, got 1e+155"),
+    (["spectrum", "--omega", "8", "--nu-grid=-1e308:1e308:3", "--format", "json",
+      "--out", "{out}"],
+     "configuration error: grid spec '-1e308:1e308:3' spans beyond the largest float"),
 ])
 def test_configuration_errors_exit_2_with_one_line(tmp_path, capsys, args, line):
-    """Each bad configuration exits 2 with exactly one stderr line and no stdout."""
+    """Each bad configuration exits 2 with exactly one stderr line, no stdout
+    and no output file."""
     missing = str(tmp_path / "no-such-dir" / "out.csv")
-    code, out, err = run(capsys, *(a.format(missing=missing) for a in args))
+    never = tmp_path / "never.out"
+    code, out, err = run(capsys, *(a.format(missing=missing, out=never) for a in args))
     assert (code, out) == (2, "")
     assert err == "iobspectra: " + line.format(missing=missing) + "\n"
+    assert not never.exists()
 
 
 def test_unknown_flag_rejected(capsys):
@@ -177,21 +195,39 @@ def test_byte_identical_reruns(tmp_path, capsys):
 def test_sweep_output_independent_of_blas_threads():
     """A sweep prints the same bytes whatever the BLAS thread count; the
     LAPACK path behind a stiff integrator's LU steps must not leak into it."""
-    args = [sys.executable, "-m", "iobspectra", "dynamics", "--mode", "sweep-up",
-            "--delta", "3", "--zeta-l", "50", "--omega", "15.2:16.2:201",
-            "--ramp-rate", "1e-3", "--format", "json"]
-    src = str(Path(iobspectra.__file__).resolve().parents[1])
+    args = ["-m", "iobspectra", "dynamics", "--mode", "sweep-up", "--delta", "3",
+            "--zeta-l", "50", "--omega", "15.2:16.2:201", "--ramp-rate", "1e-3",
+            "--format", "json"]
     outputs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-        proc = subprocess.run(args, env=env, capture_output=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr.decode()
+        proc = python(*args, env={"OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
 
 
-SCIPY_PROBE = """
+# the README's commands, each writing to a file in the working directory
+README_CLOSED_FORM = [
+    ["hysteresis", "--delta", "3", "--zeta-l", "50", "--mechanism", "lorentz",
+     "--omega", "0:25:500", "--out", "hysteresis.csv"],
+    ["spectrum", "--delta", "3", "--zeta-l", "50", "--mechanism", "lorentz",
+     "--omega", "15.6", "--branch", "lower", "--normalize", "free-atom-max",
+     "--out", "point1.csv"],
+    ["peaks", "--delta", "3", "--zeta-l", "50", "--zeta-m", "50", "--mechanism", "both",
+     "--free-atom-reference", "--omega", "0.05:25:500", "--out", "peaks.csv"],
+]
+README_DYNAMICS = [
+    ["dynamics", "--mode", "sweep-up", "--delta", "3", "--zeta-l", "50",
+     "--omega", "13:16.6:721", "--ramp-rate", "1e-3", "--format", "json", "--out", "sweep.json"],
+    ["dynamics", "--mode", "relax", "--omega", "8", "--delta", "3", "--zeta-l", "50",
+     "--branch", "upper", "--perturb", "1e-3", "--t-end", "50", "--out", "relax.csv"],
+    # the down-sweep of acceptance criterion 8, the sweep with the most RHS calls
+    ["dynamics", "--mode", "sweep-down", "--delta", "3", "--zeta-l", "50",
+     "--omega", "0.7:2.6:191", "--ramp-rate", "1e-3", "--format", "json",
+     "--out", "sweep-down.json"],
+]
+
+PROBE = """
 import json, sys
 from iobspectra.cli import main
 codes = [main(args) for args in json.loads(sys.argv[1])]
@@ -200,31 +236,42 @@ print(json.dumps({"codes": codes, "scipy": scipy}))
 """
 
 
+def probe(runs, cwd):
+    """Run each command line of ``runs`` through ``main`` in one child process
+    in ``cwd``, with RuntimeWarnings as errors.  It must exit 0 with an empty
+    stderr; returns its exit codes and the scipy modules it loaded, and the
+    lines it printed before that report."""
+    proc = python("-W", "error::RuntimeWarning", "-c", PROBE, json.dumps(runs), cwd=cwd)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    *printed, report = proc.stdout.splitlines()
+    return json.loads(report), printed
+
+
 def test_closed_form_commands_leave_scipy_unloaded(tmp_path):
     """--help, hysteresis, spectrum and peaks compute in closed form, and
     verify checks them with numpy alone, so a process running them never
-    imports scipy, whose import is most of such a process's wall time."""
+    imports scipy, whose import is most of such a process's wall time.  Nor
+    does any of them raise a RuntimeWarning (overflow, invalid value): not at
+    the README's commands, the density's far tail, where its denominator
+    overflows, the saturated upper branch, whose rho22 rounds to 1/2, three
+    verify seeds or the b2 typo."""
     medium = ["--delta", "3", "--zeta-l", "50"]
     runs = [
         ["--help"],
-        ["hysteresis", *medium, "--omega", "0:25:101", "--out", str(tmp_path / "h.csv")],
-        ["spectrum", *medium, "--omega", "15.6", "--normalize", "free-atom-max",
-         "--out", str(tmp_path / "s.csv")],
-        ["peaks", *medium, "--zeta-m", "50", "--mechanism", "both",
-         "--free-atom-reference", "--omega", "0.05:25:101", "--out", str(tmp_path / "p.csv")],
+        ["dynamics", "--help"],
+        *README_CLOSED_FORM,
+        ["spectrum", *medium, "--omega", "15.6", "--nu-grid=-1e200:1e200:5",
+         "--out", "far-tail.csv"],
+        ["spectrum", *medium, "--omega", "3e8", "--branch", "upper", "--out", "saturated.csv"],
         ["verify", "--seed", "0"],
+        ["verify", "--seed", "7"],
+        ["verify", "--seed", "292"],
         ["verify", "--inject-b2-typo"],
     ]
-    src = str(Path(iobspectra.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(runs)], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout.splitlines()[-1])
-    assert report["codes"] == [0, 0, 0, 0, 0, 1]
-    assert report["scipy"] == []
-    assert all((tmp_path / f).stat().st_size > 0 for f in ("h.csv", "s.csv", "p.csv"))
+    report, _ = probe(runs, tmp_path)
+    assert report == {"codes": [0] * 10 + [1], "scipy": []}
+    files = ("hysteresis.csv", "point1.csv", "peaks.csv", "far-tail.csv", "saturated.csv")
+    assert all((tmp_path / f).stat().st_size > 0 for f in files)
 
 
 def test_csv_json_numeric_equivalence(tmp_path, capsys):
@@ -556,14 +603,48 @@ def test_dynamics_unphysical_perturbation_exits_2(capsys):
 def test_dynamics_nonfinite_t_end_exits_2(t_end):
     """A relaxation to an infinite time would never finish, so it runs in a
     child process under a timeout."""
-    src = str(Path(iobspectra.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    args = [sys.executable, "-m", "iobspectra", "dynamics", "--mode", "relax", "--omega", "8",
-            "--delta", "3", "--zeta-l", "50", "--t-end", t_end]
-    proc = subprocess.run(args, env=env, capture_output=True, text=True, timeout=60)
+    proc = python("-m", "iobspectra", "dynamics", "--mode", "relax", "--omega", "8",
+                  "--delta", "3", "--zeta-l", "50", "--t-end", t_end, timeout=60)
     assert proc.returncode == 2
     assert "configuration error: t-end must be positive and finite" in proc.stderr
+
+
+def test_dynamics_at_a_drive_that_stalls_lsoda_exits_3():
+    """At omega = 3e153 LSODA's first step comes out 0 and it "succeeds" with
+    the state unmoved; that is a numerical failure, exit 3, not a flat
+    trajectory.  A stalled integration could also hang, so it runs in a child
+    process under a timeout."""
+    proc = python("-m", "iobspectra", "dynamics", "--mode", "relax", "--delta", "3",
+                  "--zeta-l", "50", "--omega", "3e153", "--t-end", "1", "--samples", "2",
+                  timeout=60)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == ("iobspectra: numerical failure: integration failed at t=0.0: "
+                           "LSODA took no step\n")
+
+
+def test_readme_dynamics_commands(tmp_path, monkeypatch, capfd):
+    """The README sweeps and relax write their data to --out and nothing to
+    fd 1 or 2 (no ODEPACK message, no warning).  Each sweep jumps once, at
+    15.7075 up and 1.385 down; the perturbed upper branch relaxes back; each
+    JSON file re-encodes to its own bytes; and a process running them loads
+    of scipy the compiled ODEPACK module alone."""
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [main(args) for args in README_DYNAMICS] == [0, 0, 0]
+    assert capfd.readouterr() == ("", "")
+    for name, jump in (("sweep.json", 15.7075), ("sweep-down.json", 1.385)):
+        text = (tmp_path / name).read_text()
+        payload = json.loads(text)
+        again = json.dumps(payload, indent=1, separators=(",", ": "), allow_nan=False) + "\n"
+        assert again == text, name
+        jumps = payload["meta"]["jumps"]
+        assert len(jumps) == 1 and abs(jumps[0] - jump) <= 1e-9, (name, jumps)
+    # w ends within 2e-3 of its start, and moves at most 1e-6 over the last 10 samples
+    w = [float(x) for x in read_csv(tmp_path / "relax.csv")[1]["w"]]
+    assert abs(w[-1] - w[0]) <= 2e-3 and max(w[-10:]) - min(w[-10:]) <= 1e-6
+    assert probe(README_DYNAMICS, tmp_path) == (
+        {"codes": [0, 0, 0], "scipy": ["scipy.integrate._odepack"]}, [])
 
 
 @pytest.mark.parametrize("t_end", ["1e-160", "1e-300"])
@@ -820,7 +901,7 @@ def test_failed_flow_searches_leave_the_residuals(monkeypatch, exit_):
     if exit_ == "step_limit":
         monkeypatch.setattr(verify, "_NEWTON_STEPS", 1)
     else:
-        monkeypatch.setattr(dynamics, "jacobian", lambda *args: np.zeros((3, 3)))
+        monkeypatch.setattr(dynamics, "_jac", lambda *args: np.zeros((3, 3)))
     assert np.isnan(verify._flow_zeros(params, mech, arr.omega[at[0]], guess)).all()
     for seed in range(10):
         with warnings.catch_warnings():
@@ -906,8 +987,10 @@ def test_json_writer_refuses_nonfinite_cells(bad):
 # ------------------------------------------------------------------------ misc
 
 def test_help_exits_zero(capsys):
-    assert main(["--help"]) == 0
-    capsys.readouterr()
+    """The help of the command line and of each subcommand prints and exits 0."""
+    for command in ([], ["hysteresis"], ["spectrum"], ["peaks"], ["dynamics"], ["verify"]):
+        assert main([*command, "--help"]) == 0, command
+        assert capsys.readouterr().out.startswith("usage: iobspectra"), command
 
 
 @pytest.mark.parametrize("args", [

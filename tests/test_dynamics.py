@@ -498,7 +498,8 @@ def test_short_first_times_above_the_bound_integrate(rel_tol):
 
 
 @pytest.mark.parametrize("t_eval", [None, [], [0.0, 2.0], [-1.0, 0.5], [0.0, 0.5, 0.5],
-                                    [0.5, 0.2], [[0.0, 0.5]]])
+                                    [0.5, 0.2], [[0.0, 0.5]], [0.0, math.nan, 1.0],
+                                    [0.0, 0.5, math.nan, 1.0]])
 def test_lsoda_needs_increasing_t_eval_within_t_span(t_eval):
     """LSODA returns states at given times only, so it needs t_eval, strictly
     increasing within [0, t_end]."""
