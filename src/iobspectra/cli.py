@@ -273,8 +273,13 @@ def _diag(ns: argparse.Namespace, message: str) -> None:
 # --------------------------------------------------------------------------
 
 def _root_columns(scan: steady_state.HysteresisScan) -> dict:
-    """One row per root of an array-backed scan, drive by drive, as Python scalars."""
+    """One row per root of an array-backed scan, drive by drive, as Python
+    scalars; NoPhysicalRootError if some drive has no root."""
     arr, branches = scan.points.arrays, scan.points.branches
+    rootless = arr.omega[arr.count == 0]
+    if rootless.size:
+        raise NoPhysicalRootError(f"no inversion root in (0, 1] at {rootless.size} of "
+                                  f"{arr.omega.size} drives, the first at omega={rootless[0]}")
     found = branches != ""
     w, z = arr.w[found], arr.omega_eff[found]
     return {

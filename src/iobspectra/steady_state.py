@@ -47,7 +47,8 @@ from .core import (
 # Roots closer than this collapse to a single (tangency) root; so do roots that
 # rounding cannot tell from a double root (see _coincide).
 ROOT_MERGE_TOL = 1e-8
-# Eigenvalue |Re| below this, as estimated in _stability, flags marginal stability.
+# Eigenvalue |Re| below this, in units of gamma, as estimated in _stability,
+# flags marginal stability.
 MARGINAL_STABILITY_TOL = 1e-9
 
 _EPS = float(np.finfo(float).eps)
@@ -455,13 +456,13 @@ def _stability(params: MediumParams, omega, w, rho12):
     """(stable, marginal) by Routh-Hurwitz: stable iff c0 > 0 and 2g c1 > c0
     (NaN gives False).  Marginal: the real eigenvalue at a fold, about -c0/c1,
     or the Hopf pair's real part, about (c0 - 2g c1)/(2 (c1 + 4g^2)), is
-    within MARGINAL_STABILITY_TOL of zero."""
+    within MARGINAL_STABILITY_TOL * g of zero, g being the unit of frequency."""
     g = params.gamma
     c1, c0 = _hurwitz(params, omega, w, rho12)
     hopf = 2.0 * g * c1 - c0
     abs_c1 = abs(c1)
-    marginal = (abs(c0) < MARGINAL_STABILITY_TOL * abs_c1) | (
-        abs(hopf) < 2.0 * MARGINAL_STABILITY_TOL * (abs_c1 + 4.0 * g * g))
+    tol = MARGINAL_STABILITY_TOL * g
+    marginal = (abs(c0) < tol * abs_c1) | (abs(hopf) < 2.0 * tol * (abs_c1 + 4.0 * g * g))
     return (c0 > 0.0) & (hopf > 0.0), marginal
 
 

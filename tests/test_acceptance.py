@@ -25,6 +25,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import readme_commands
 
 from iobspectra import (
     Branch,
@@ -186,7 +187,7 @@ def test_criterion_04_factorization_identity():
     assert elapsed < 0.1
 
 
-def test_criterion_05_peak_positions(tmp_path):
+def test_criterion_05_peak_positions(tmp_path, monkeypatch):
     t0 = time.perf_counter()
 
     # (a) sampled argmax against the exact side-peak location
@@ -209,14 +210,11 @@ def test_criterion_05_peak_positions(tmp_path):
         found = nu[window][np.argmax(s[window])]
         argmax_ok &= abs(found - nu_p) <= step
 
-    # (b) emit the full peak-position dataset through the CLI
-    out = tmp_path / "peaks.csv"
-    code = cli_main([
-        "peaks", "--delta", "3", "--zeta-l", "50", "--zeta-m", "50",
-        "--mechanism", "both", "--free-atom-reference",
-        "--omega", "0.05:25:500", "--out", str(out),
-    ])
-    text = out.read_text()
+    # (b) emit the full peak-position dataset through the CLI, by the README's command
+    (peaks,) = [args for args in readme_commands() if args[0] == "peaks"]
+    monkeypatch.chdir(tmp_path)
+    code = cli_main(peaks)
+    text = (tmp_path / peaks[peaks.index("--out") + 1]).read_text()
     rows = [line.split(",") for line in text.splitlines() if not line.startswith("#")]
     families = {(r[1], r[2]) for r in rows}
     dataset_ok = (

@@ -1,33 +1,19 @@
 import json
 import math
-import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import console_script, python, readme_commands
 
 import iobspectra
-from iobspectra.cli import main, parse_grid, run_verification
+from iobspectra.cli import build_parser, main, parse_grid, run_verification
 
 
 def run(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def python(*args, env=(), **kwargs):
-    """``python *args`` in a child process that imports this checkout's
-    package, with ``env`` added to the environment; text output captured."""
-    src = str(Path(iobspectra.__file__).resolve().parents[1])
-    env = dict(os.environ, **dict(env))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    kwargs.setdefault("timeout", 120)
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          **kwargs)
 
 
 def read_csv(path):
@@ -206,26 +192,18 @@ def test_sweep_output_independent_of_blas_threads():
     assert outputs[0] == outputs[1]
 
 
-# the README's commands, each writing to a file in the working directory
-README_CLOSED_FORM = [
-    ["hysteresis", "--delta", "3", "--zeta-l", "50", "--mechanism", "lorentz",
-     "--omega", "0:25:500", "--out", "hysteresis.csv"],
-    ["spectrum", "--delta", "3", "--zeta-l", "50", "--mechanism", "lorentz",
-     "--omega", "15.6", "--branch", "lower", "--normalize", "free-atom-max",
-     "--out", "point1.csv"],
-    ["peaks", "--delta", "3", "--zeta-l", "50", "--zeta-m", "50", "--mechanism", "both",
-     "--free-atom-reference", "--omega", "0.05:25:500", "--out", "peaks.csv"],
-]
-README_DYNAMICS = [
-    ["dynamics", "--mode", "sweep-up", "--delta", "3", "--zeta-l", "50",
-     "--omega", "13:16.6:721", "--ramp-rate", "1e-3", "--format", "json", "--out", "sweep.json"],
-    ["dynamics", "--mode", "relax", "--omega", "8", "--delta", "3", "--zeta-l", "50",
-     "--branch", "upper", "--perturb", "1e-3", "--t-end", "50", "--out", "relax.csv"],
-    # the down-sweep of acceptance criterion 8, the sweep with the most RHS calls
-    ["dynamics", "--mode", "sweep-down", "--delta", "3", "--zeta-l", "50",
-     "--omega", "0.7:2.6:191", "--ramp-rate", "1e-3", "--format", "json",
-     "--out", "sweep-down.json"],
-]
+# the README's commands, in the order of its CLI block
+README = readme_commands()
+README_CLOSED_FORM = [cmd for cmd in README if cmd[0] in ("hysteresis", "spectrum", "peaks")]
+README_DYNAMICS = [cmd for cmd in README if cmd[0] == "dynamics"]
+README_VERIFY = [cmd for cmd in README if cmd[0] == "verify"]
+
+
+def test_readme_lists_every_subcommand():
+    """The README's CLI block runs each of the five subcommands, so the three
+    lists above, which tier-1 runs, hold every command of the README."""
+    assert {cmd[0] for cmd in README} == {"hysteresis", "spectrum", "peaks", "dynamics", "verify"}
+
 
 PROBE = """
 import json, sys
@@ -263,15 +241,34 @@ def test_closed_form_commands_leave_scipy_unloaded(tmp_path):
         ["spectrum", *medium, "--omega", "15.6", "--nu-grid=-1e200:1e200:5",
          "--out", "far-tail.csv"],
         ["spectrum", *medium, "--omega", "3e8", "--branch", "upper", "--out", "saturated.csv"],
-        ["verify", "--seed", "0"],
+        *README_VERIFY,
         ["verify", "--seed", "7"],
         ["verify", "--seed", "292"],
         ["verify", "--inject-b2-typo"],
     ]
     report, _ = probe(runs, tmp_path)
-    assert report == {"codes": [0] * 10 + [1], "scipy": []}
-    files = ("hysteresis.csv", "point1.csv", "peaks.csv", "far-tail.csv", "saturated.csv")
+    assert report == {"codes": [0] * (len(runs) - 1) + [1], "scipy": []}
+    files = [args[args.index("--out") + 1] for args in runs if "--out" in args]
     assert all((tmp_path / f).stat().st_size > 0 for f in files)
+
+
+CONSOLE_SCRIPT = """
+import sys
+from importlib import import_module
+module, function = sys.argv.pop(1).split(":")
+sys.exit(getattr(import_module(module), function)())
+"""
+
+
+def test_console_script_runs_the_readme_verify():
+    """The ``[project.scripts]`` target, called as the installed wrapper calls
+    it, runs the README's verify with RuntimeWarnings as errors: exit 0, an
+    empty stderr and a passing report."""
+    (verify,) = README_VERIFY
+    proc = python("-W", "error::RuntimeWarning", "-c", CONSOLE_SCRIPT,
+                  console_script("iobspectra"), *verify)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.endswith("overall: PASS\n")
 
 
 def test_csv_json_numeric_equivalence(tmp_path, capsys):
@@ -389,6 +386,22 @@ def test_spectrum_with_overflowed_density_coefficients_exits_3(tmp_path, capsys,
     assert (code, stdout, err) == (0, SPECTRUM_AT_1E76, "")
 
 
+@pytest.mark.filterwarnings("ignore:solver failed:UserWarning")
+@pytest.mark.parametrize("command", ["hysteresis", "peaks"])
+def test_scan_with_a_rootless_drive_exits_3(tmp_path, capsys, command):
+    """At gamma = 1e-300 the cubic's coefficients underflow and no drive has a
+    root.  A scan with missing rows is a numerical failure, exit 3 with the
+    count and the first such drive on the last stderr line, and no file is
+    written."""
+    out = tmp_path / "never.csv"
+    code, stdout, err = run(capsys, command, "--gamma", "1e-300", "--omega", "0:1:3",
+                            "--out", str(out))
+    assert (code, stdout) == (3, "")
+    assert err.splitlines()[-1] == ("iobspectra: numerical failure: no inversion root in "
+                                    "(0, 1] at 3 of 3 drives, the first at omega=0.0")
+    assert not out.exists()
+
+
 def test_spectrum_metadata_and_normalization(tmp_path, capsys):
     out = tmp_path / "mollow.json"
     code, _, _ = run(
@@ -434,51 +447,50 @@ def _cells(values):
     return out
 
 
-def test_hysteresis_and_peaks_columns_equal_the_object_walk(tmp_path, capsys):
+def test_hysteresis_and_peaks_columns_equal_the_object_walk(tmp_path, monkeypatch, capsys):
     """The README hysteresis and peaks files, cell for cell, against the
     per-point walk over ``scan.points`` with one spectrum_coefficients call
     per root."""
-    from dataclasses import replace
-
     from iobspectra import MediumParams, Mechanism, scan_hysteresis, spectrum_coefficients
 
-    hyst, peaks = tmp_path / "hysteresis.csv", tmp_path / "peaks.csv"
-    assert main(["hysteresis", "--delta", "3", "--zeta-l", "50", "--mechanism", "lorentz",
-                 "--omega", "0:25:500", "--out", str(hyst)]) == 0
-    assert main(["peaks", "--delta", "3", "--zeta-l", "50", "--zeta-m", "50",
-                 "--mechanism", "both", "--free-atom-reference",
-                 "--omega", "0.05:25:500", "--out", str(peaks)]) == 0
+    monkeypatch.chdir(tmp_path)
+    (hyst,) = [cmd for cmd in README if cmd[0] == "hysteresis"]
+    (peaks,) = [cmd for cmd in README if cmd[0] == "peaks"]
+    assert main(hyst) == main(peaks) == 0
     capsys.readouterr()
+    hyst, peaks = (build_parser().parse_args(cmd) for cmd in (hyst, peaks))  # by name
 
-    medium = MediumParams(delta=3.0, zeta_lorentz=50.0)
+    medium = MediumParams(delta=hyst.delta, zeta_lorentz=hyst.zeta_l)
     expected = {k: [] for k in ("omega", "branch", "w", "rho22", "stable",
                                 "omega_eff_abs", "delta_eff")}
-    for point in scan_hysteresis(medium, Mechanism.LORENTZ, np.linspace(0.0, 25.0, 500)).points:
+    grid = parse_grid(hyst.omega)
+    for point in scan_hysteresis(medium, Mechanism.LORENTZ, grid).points:
         for sol in point.solutions:
             for key, value in (("omega", point.omega), ("branch", sol.branch.value),
                                ("w", sol.w), ("rho22", sol.rho22), ("stable", sol.stable),
                                ("omega_eff_abs", abs(sol.omega_eff)),
                                ("delta_eff", sol.delta_eff)):
                 expected[key].append(value)
-    _, cols = read_csv(hyst)
+    _, cols = read_csv(tmp_path / hyst.out)
     assert list(cols) == list(expected)
     for key, values in expected.items():
         assert _cells(cols[key]) == values, key
 
     expected = {k: [] for k in ("omega", "mechanism", "branch", "nu_p")}
-    families = [("lorentz", replace(medium, zeta_lorentz=50.0), Mechanism.LORENTZ),
-                ("detuning", replace(medium, zeta_lorentz=0.0, zeta_detuning=50.0),
-                 Mechanism.DETUNING),
-                ("free", replace(medium, zeta_lorentz=0.0), Mechanism.LORENTZ)]
+    d, zl, zm = peaks.delta, peaks.zeta_l, peaks.zeta_m
+    families = [("lorentz", MediumParams(delta=d, zeta_lorentz=zl), Mechanism.LORENTZ),
+                ("detuning", MediumParams(delta=d, zeta_detuning=zm), Mechanism.DETUNING),
+                ("free", MediumParams(delta=d), Mechanism.LORENTZ)]
+    grid = parse_grid(peaks.omega)
     for tag, params, mech in families:
-        for point in scan_hysteresis(params, mech, np.linspace(0.05, 25.0, 500)).points:
+        for point in scan_hysteresis(params, mech, grid).points:
             for sol in point.solutions:
                 c = spectrum_coefficients(abs(sol.omega_eff) ** 2, sol.delta_eff, params.gamma)
                 expected["omega"].append(point.omega)
                 expected["mechanism"].append(tag)
                 expected["branch"].append(sol.branch.value)
                 expected["nu_p"].append(math.sqrt(c.nu_p_sq) if c.nu_p_sq > 0.0 else None)
-    _, cols = read_csv(peaks)
+    _, cols = read_csv(tmp_path / peaks.out)
     assert list(cols) == list(expected)
     for key, values in expected.items():
         assert _cells(cols[key]) == values, key
@@ -991,6 +1003,25 @@ def test_help_exits_zero(capsys):
     for command in ([], ["hysteresis"], ["spectrum"], ["peaks"], ["dynamics"], ["verify"]):
         assert main([*command, "--help"]) == 0, command
         assert capsys.readouterr().out.startswith("usage: iobspectra"), command
+
+
+@pytest.mark.parametrize("args, diagnostic", [
+    (["hysteresis", "--delta", "3", "--zeta-l", "50", "--omega", "0:20:5"],
+     "scanned 5 drives, thresholds=15.67"),
+    (["spectrum", "--delta", "3", "--zeta-l", "50", "--omega", "8", "--nu-grid=-5:5:3"],
+     "lower branch at omega=8.0: w="),
+    (["peaks", "--omega", "0:1:3"], None),
+    (["dynamics", "--omega", "8", "--t-end", "1", "--samples", "3"], None),
+    (["verify"], None),
+])
+def test_verbose_adds_one_diagnostic_line_at_most(capsys, args, diagnostic):
+    """``-v`` prints the ``diagnostic`` line, if any, to stderr and leaves the
+    data bytes as they are."""
+    quiet = run(capsys, *args)
+    code, out, err = run(capsys, args[0], "-v", *args[1:])
+    assert quiet == (code, out, "") and code == 0
+    assert len(err.splitlines()) == (diagnostic is not None)
+    assert err.startswith(diagnostic or "")
 
 
 @pytest.mark.parametrize("args", [

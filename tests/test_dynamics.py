@@ -1,17 +1,14 @@
 import json
 import math
-import os
-import subprocess
 import sys
 import warnings
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import python
 from scipy.integrate import solve_ivp
 
-import iobspectra
 from iobspectra import dynamics
 from iobspectra import (
     BlochState,
@@ -350,11 +347,7 @@ print(json.dumps(errors))
 def test_integrate_rejects_nonfinite_t_end():
     """An integration to t_end = nan or inf would never return, so it runs in
     a child process under a timeout."""
-    src = str(Path(iobspectra.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", NONFINITE_T_END], env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = python("-c", NONFINITE_T_END, timeout=60)
     assert proc.returncode == 0, proc.stderr
     errors = json.loads(proc.stdout)
     assert len(errors) == 2
@@ -398,12 +391,8 @@ def test_lsoda_failure_is_an_integration_error(tmp_path, bad, message):
     caller gets IntegrationError with the time reached, near t = 3, and no
     rows: no warning is emitted, and nothing reaches stdout or stderr.  It runs in a child process under a timeout, in case the
     solver does not stop."""
-    src = str(Path(iobspectra.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     out = tmp_path / "result.json"
-    proc = subprocess.run([sys.executable, "-c", BROKEN_RHS, bad, str(out)], env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = python("-c", BROKEN_RHS, bad, str(out), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "" and proc.stderr == ""
     result = json.loads(out.read_text())

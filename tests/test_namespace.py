@@ -4,12 +4,11 @@ compiled ODEPACK module loads, and only when something is integrated."""
 import importlib.util
 import json
 import os
-import subprocess
-import sys
 import types
 from pathlib import Path
 
 import pytest
+from conftest import python
 
 import iobspectra
 
@@ -60,12 +59,8 @@ def test_unknown_attribute_raises_attribute_error():
 
 
 def run_fresh(code, *args):
-    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
-    src = str(Path(iobspectra.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
-                          capture_output=True, text=True, timeout=120)
+    """Run ``code`` in a fresh interpreter, which must exit 0."""
+    proc = python("-c", code, *args)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -375,6 +375,23 @@ def test_three_root_stability_pattern():
     assert not arr.marginal[0].any()
 
 
+@pytest.mark.parametrize("k", [-300, -40, -10, 10, 40, 300])
+def test_flags_do_not_depend_on_the_scale_of_gamma(k):
+    """gamma is the unit of frequency: scaling gamma, delta, zeta and the
+    drives by 2**k, which is exact, gives k = 0's roots, root counts and
+    stability flags, the marginal ones included, bit for bit."""
+    up, down = find_thresholds(LORENTZ_50, Mechanism.LORENTZ)
+    drives = np.array([0.0, down, 8.0, up, 20.0])
+    want = solution_arrays(LORENTZ_50, Mechanism.LORENTZ, drives)
+    assert want.marginal.sum() == 2  # the double root at each fold
+    s = 2.0**k
+    scaled = MediumParams(gamma=s, delta=3.0 * s, zeta_lorentz=50.0 * s)
+    got = solution_arrays(scaled, Mechanism.LORENTZ, drives * s)
+    assert np.array_equal(got.w, want.w, equal_nan=True)
+    for name in ("count", "stable", "marginal"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
 @pytest.mark.parametrize("params, mech", [(LORENTZ_50, Mechanism.LORENTZ),
                                           (DETUNING_50, Mechanism.DETUNING)])
 def test_marginal_stability_warning_at_exact_folds(params, mech):
