@@ -14,24 +14,27 @@ whatever the CPU affinity or BLAS thread count.  Diagnostics go to stderr;
 data streams stay clean.  Exit codes: 0 ok, 1 verify failure,
 2 configuration error, 3 numerical failure, 4 branch absent.
 
-Each subparser carries its handler as ``run``.  A handler checks the parsed
+Each subparser carries its handler as ``run`` and the package module that
+the handler computes with as ``library``.  A handler checks the parsed
 arguments before it computes or writes anything (a failed check is a
 configuration error), and the data commands write through ``_emit``.
+
+numpy, the library modules, ``json`` and ``hashlib`` are imported in the
+functions that use them, so help and usage errors load no numpy, and a
+command loads only its own library module and what that imports.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import hashlib
-import json
+import importlib
 import math
+import os
 import sys
 from dataclasses import asdict, replace
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import dynamics, spectrum, steady_state
 from .core import (
     Branch,
     BranchNotPresentError,
@@ -43,7 +46,11 @@ from .core import (
     check_drive,
     validate_mechanism,
 )
-from .verify import run_verification
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from . import steady_state
 
 FORMAT_VERSION = "1"
 GRID_POINT_CAP = 1_000_000
@@ -61,6 +68,8 @@ EXIT_BRANCH_ABSENT = 4
 
 def parse_grid(spec: str) -> np.ndarray:
     """Parse 'start:end:count' into a linspace grid (count capped at 1e6)."""
+    import numpy as np
+
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid spec must be start:end:count, got {spec!r}")
@@ -90,8 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     mechanisms = [m.value for m in Mechanism]
     branches = [b.value for b in Branch]
 
-    def common(p: argparse.ArgumentParser, run, mechanism_choices=mechanisms):
-        p.set_defaults(run=run)
+    def common(p: argparse.ArgumentParser, run, library, mechanism_choices=mechanisms):
+        p.set_defaults(run=run, library=library)
         p.add_argument("--gamma", type=float, default=1.0, help="decay rate (unit scale)")
         p.add_argument("--delta", type=float, default=0.0, help="bare detuning")
         p.add_argument("--zeta-l", type=float, default=0.0, help="local-field coupling")
@@ -104,11 +113,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-v", "--verbose", action="count", default=0)
 
     p_hyst = sub.add_parser("hysteresis", help="branch structure over a drive grid")
-    common(p_hyst, _cmd_hysteresis)
+    common(p_hyst, _cmd_hysteresis, "steady_state")
     p_hyst.add_argument("--omega", required=True, help="drive grid start:end:count")
 
     p_spec = sub.add_parser("spectrum", help="emission spectrum on one branch")
-    common(p_spec, _cmd_spectrum)
+    common(p_spec, _cmd_spectrum, "spectrum")
     p_spec.add_argument("--omega", required=True, type=float, help="drive strength")
     p_spec.add_argument("--branch", choices=branches, default="lower")
     p_spec.add_argument("--nu-grid", default=None, help="emission grid start:end:count")
@@ -118,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_peaks = sub.add_parser("peaks", help="side-peak positions over a drive grid")
-    common(p_peaks, _cmd_peaks, mechanism_choices=[*mechanisms, "both"])
+    common(p_peaks, _cmd_peaks, "spectrum", mechanism_choices=[*mechanisms, "both"])
     p_peaks.add_argument("--omega", required=True, help="drive grid start:end:count")
     p_peaks.add_argument(
         "--free-atom-reference", action="store_true",
@@ -126,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_dyn = sub.add_parser("dynamics", help="time-domain sweeps and relaxation")
-    common(p_dyn, _cmd_dynamics)
+    common(p_dyn, _cmd_dynamics, "dynamics")
     p_dyn.add_argument("--mode", choices=("sweep-up", "sweep-down", "relax"), default="relax")
     p_dyn.add_argument(
         "--omega", required=True,
@@ -143,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "sample at the --omega grid points")
 
     p_ver = sub.add_parser("verify", help="run the oracle cross-check suite")
-    common(p_ver, _cmd_verify)
+    common(p_ver, _cmd_verify, "verify")
     p_ver.add_argument(
         "--inject-b2-typo", action="store_true",
         help="self-test: corrupt the quartic b2 term and confirm detection",
@@ -184,6 +193,8 @@ def _fmt_cell(value) -> str:
 
 
 def _meta_value(value) -> str:
+    import json
+
     if isinstance(value, (dict, list, tuple)) or value is None or isinstance(value, bool):
         return json.dumps(value, allow_nan=False)
     return str(value)
@@ -217,6 +228,8 @@ def write_json(stream, meta: dict, columns: dict) -> None:
     ``indent=1``, ``separators=(",", ": ")`` and ``allow_nan=False``, plus a
     newline.  The columns, lists of scalars under string names, go through
     the C encoder a block of cells at a time."""
+    import json
+
     head = json.dumps(meta, allow_nan=False, separators=(",", ": "), indent=1)
     stream.write('{\n "meta": ' + head.replace("\n", "\n ") + ',\n "data": {')
     for i, (name, values) in enumerate(columns.items()):
@@ -236,12 +249,39 @@ def _emit(ns: argparse.Namespace, columns: dict, **meta) -> int:
     if ns.out is None:
         writer(sys.stdout, meta, columns)
     else:
-        with open(ns.out, "w", encoding="utf-8", newline="") as fh:
-            writer(fh, meta, columns)
+        _write_file(ns.out, lambda fh: writer(fh, meta, columns))
     return EXIT_OK
 
 
+def _write_file(path: str, write) -> None:
+    """``write(fh)`` to a new file beside ``path``, which then replaces
+    ``path``: a write that raises leaves neither a partial file nor a changed
+    one.  A target that exists but is no regular file (a pipe, a device) is
+    written in place."""
+    target = os.path.realpath(path)  # a symlink's file, not the link, is replaced
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            write(fh)
+        return
+    head, tail = os.path.split(target)
+    temp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:  # "x": a new file, with the permissions that the umask gives any new file
+        fh = open(temp, "x", encoding="utf-8", newline="")
+    except OSError as exc:  # name the file asked for, not the temporary one
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
+            write(fh)
+        os.replace(temp, target)
+    except BaseException:
+        os.remove(temp)
+        raise
+
+
 def _base_meta(ns: argparse.Namespace, **extra) -> dict:
+    import hashlib
+    import json
+
     meta = {
         "format_version": FORMAT_VERSION,
         "command": ns.command,
@@ -275,6 +315,8 @@ def _diag(ns: argparse.Namespace, message: str) -> None:
 def _root_columns(scan: steady_state.HysteresisScan) -> dict:
     """One row per root of an array-backed scan, drive by drive, as Python
     scalars; NoPhysicalRootError if some drive has no root."""
+    import numpy as np
+
     arr, branches = scan.points.arrays, scan.points.branches
     rootless = arr.omega[arr.count == 0]
     if rootless.size:
@@ -295,6 +337,8 @@ def _root_columns(scan: steady_state.HysteresisScan) -> dict:
 
 
 def _cmd_hysteresis(ns: argparse.Namespace) -> int:
+    from . import steady_state
+
     params, mech = _medium_and_mechanism(ns)
     grid = _drive_grid(ns.omega)
     scan = steady_state.scan_hysteresis(params, mech, grid)
@@ -304,6 +348,8 @@ def _cmd_hysteresis(ns: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum(ns: argparse.Namespace) -> int:
+    from . import spectrum, steady_state
+
     params, mech = _medium_and_mechanism(ns)
     params = replace(params, omega=ns.omega)
     nu_grid = None if ns.nu_grid is None else parse_grid(ns.nu_grid)
@@ -340,6 +386,10 @@ def _cmd_spectrum(ns: argparse.Namespace) -> int:
 
 
 def _cmd_peaks(ns: argparse.Namespace) -> int:
+    import numpy as np
+
+    from . import spectrum, steady_state
+
     base = _medium(ns)
     grid = _drive_grid(ns.omega)
     mechs = list(SWITCHED_OFF) if ns.mechanism == "both" else [Mechanism(ns.mechanism)]
@@ -370,6 +420,10 @@ def _cmd_peaks(ns: argparse.Namespace) -> int:
 
 
 def _cmd_dynamics(ns: argparse.Namespace) -> int:
+    import numpy as np
+
+    from . import dynamics, steady_state
+
     params, mech = _medium_and_mechanism(ns)
     if ns.mode == "relax":
         try:
@@ -407,8 +461,10 @@ def _cmd_dynamics(ns: argparse.Namespace) -> int:
 
 
 def _cmd_verify(ns: argparse.Namespace) -> int:
+    from . import verify
+
     _medium_and_mechanism(ns)  # the suite draws its own media, but the flags must agree
-    results = run_verification(ns.seed, ns.inject_b2_typo)
+    results = verify.run_verification(ns.seed, ns.inject_b2_typo)
     lines = []
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -418,8 +474,7 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if ns.out is not None:
-        with open(ns.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        _write_file(ns.out, lambda fh: fh.write(text))
     return EXIT_OK if overall else EXIT_VERIFY_FAILED
 
 
@@ -428,12 +483,15 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    return _run(ns)
 
+
+def _run(ns: argparse.Namespace) -> int:
+    """Run the parsed command line ``ns``; its exit code."""
     try:
         return ns.run(ns)
     except BranchNotPresentError as exc:
@@ -453,10 +511,21 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    # the imports' objects live until exit: no collection, the last one at
-    # shutdown included, need walk them
+    ns = build_parser().parse_args()
+    # the command's imports' objects live until exit: frozen once they are
+    # loaded, no collection, the last one at shutdown included, need walk them
+    importlib.import_module(f"{__package__}.{ns.library}")
     gc.freeze()
-    sys.exit(main())
+    sys.exit(_run(ns))
+
+
+def __getattr__(name):
+    # callers reach the verification suite as cli.run_verification; verify
+    # loads on that first access
+    if name == "run_verification":
+        from .verify import run_verification
+        return run_verification
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 if __name__ == "__main__":

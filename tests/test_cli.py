@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import stat
+import threading
 import warnings
 
 import numpy as np
@@ -981,6 +984,60 @@ def test_writers_equal_the_one_pass_writers(rows):
         payload = {"meta": meta, "data": columns}
         _assert_same_text(got.getvalue(), json.dumps(payload, allow_nan=False,
                                                      separators=(",", ": "), indent=1) + "\n")
+
+
+def _out_namespace(out, fmt="json"):
+    return build_parser().parse_args(["hysteresis", "--omega", "0:1:3", "--format", fmt,
+                                      "--out", str(out)])
+
+
+def test_a_refused_cell_leaves_no_out_file(tmp_path):
+    """A writer that refuses a cell, here after a whole block of good ones,
+    leaves no file, no temporary file, and an existing target with its bytes."""
+    from iobspectra.cli import _BLOCK_ROWS, _emit
+
+    columns = {"x": [1.0] * _BLOCK_ROWS + [math.nan]}
+    target = tmp_path / "out.json"
+    with pytest.raises(ValueError):
+        _emit(_out_namespace(target), columns)
+    assert list(tmp_path.iterdir()) == []
+    target.write_bytes(b"kept\n")
+    with pytest.raises(ValueError):
+        _emit(_out_namespace(target), columns)
+    assert list(tmp_path.iterdir()) == [target]
+    assert target.read_bytes() == b"kept\n"
+
+
+def test_out_replaces_the_file_a_symlink_names(tmp_path):
+    """A written ``--out`` replaces an existing file whole, and through a
+    symlink it replaces the file linked to, not the link."""
+    from iobspectra.cli import _emit
+
+    real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+    real.write_text("old\n" * 1000)
+    link.symlink_to(real)
+    assert _emit(_out_namespace(link, "csv"), {"x": [1.0]}) == 0
+    assert link.is_symlink() and link.resolve() == real.resolve()
+    assert real.read_text().endswith("# columns: x\n1.0\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_out_writes_a_pipe_in_place(tmp_path):
+    """An ``--out`` that is no regular file, here a named pipe, is written in
+    place, not replaced by a file."""
+    from iobspectra.cli import _emit
+
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    read = []
+    reader = threading.Thread(target=lambda: read.append(pipe.read_text()), daemon=True)
+    reader.start()
+    assert _emit(_out_namespace(pipe, "csv"), {"x": [1.0]}) == 0
+    reader.join(60)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(os.stat(pipe).st_mode)
+    assert read and read[0].endswith("# columns: x\n1.0\n")
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

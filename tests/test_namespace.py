@@ -1,5 +1,7 @@
-"""The package namespace: every public name resolves, and of scipy only the
-compiled ODEPACK module loads, and only when something is integrated."""
+"""The package namespace: every public name resolves; importing the package
+and the CLI's help load no numpy, and each command only its own modules; and
+of scipy only the compiled ODEPACK module loads, and only when something is
+integrated."""
 
 import importlib.util
 import json
@@ -8,7 +10,7 @@ import types
 from pathlib import Path
 
 import pytest
-from conftest import python
+from conftest import python, readme_commands
 
 import iobspectra
 
@@ -38,12 +40,14 @@ assert loaded == ["scipy.integrate._odepack"], f"{loaded} loaded after a relax a
 
 
 def test_every_public_name_resolves():
-    """``__all__``, derived from the imports of ``__init__``, holds 44 distinct
-    names, each bound in the package to an object of an iobspectra module and
-    none to a module, so a later import there cannot export a foreign name."""
+    """``__all__``, core's imports in ``__init__`` and its table of lazy names,
+    holds 44 distinct names.  Each resolves, and is then bound in the package,
+    to an object of an iobspectra module and none to a module, so a later
+    import there cannot export a foreign name."""
     names = iobspectra.__all__
     assert len(names) == len(set(names)) == 44
     for name in names:
+        getattr(iobspectra, name)
         value = vars(iobspectra)[name]
         assert not isinstance(value, types.ModuleType), name
         assert value.__module__.startswith("iobspectra."), (name, value.__module__)
@@ -56,6 +60,96 @@ def test_every_public_name_resolves():
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         iobspectra.no_such_name
+
+
+def test_cli_run_verification_is_the_suites():
+    """``cli.run_verification``, which the benchmark calls, is the verify
+    module's function, though ``cli`` imports that module only on use."""
+    from iobspectra import cli, verify
+
+    assert cli.run_verification is verify.run_verification
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cli.no_such_name
+
+
+LOADS = """
+import gc, json, sys
+
+def loaded():
+    return {"numpy": "numpy" in sys.modules,
+            "iobspectra": sorted(m for m in sys.modules if m.split(".")[0] == "iobspectra")}
+
+args = json.loads(sys.argv[1])
+report = {}
+if args is None:
+    import iobspectra
+    report["undir"] = sorted({*iobspectra.__all__, *iobspectra._LAZY} - set(dir(iobspectra)))
+else:
+    from iobspectra import cli
+    gc.freeze = lambda: report.setdefault("frozen", loaded())
+    sys.argv[1:] = args
+    try:
+        cli.entry()
+    except SystemExit as exc:
+        report["code"] = exc.code
+report["loaded"] = loaded()
+print(json.dumps(report))
+"""
+
+
+def loads(args, cwd):
+    """Run ``args`` through ``cli.entry`` in a fresh process in ``cwd``, or
+    ``import iobspectra`` alone for None; what it reports."""
+    proc = python("-c", LOADS, json.dumps(args), cwd=cwd)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+CLI_MODULES = ["iobspectra", "iobspectra.cli", "iobspectra.core"]
+
+
+@pytest.mark.parametrize("args", [
+    ["--help"],
+    *([command, "--help"] for command in ("hysteresis", "spectrum", "peaks", "dynamics", "verify")),
+    [],
+    ["hysteresis", "--omega", "0:1:3", "--mechanism", "no-such-mechanism"],
+], ids=" ".join)
+def test_help_and_usage_errors_load_no_numpy(tmp_path, args):
+    """The help and a usage error exit before any freeze, with the package,
+    core and cli loaded, and no numpy."""
+    report = loads(args, tmp_path)
+    assert report == {"code": 0 if "--help" in args else 2,
+                      "loaded": {"numpy": False, "iobspectra": CLI_MODULES}}
+
+
+def test_import_iobspectra_loads_core_alone(tmp_path):
+    """``import iobspectra`` loads core and no numpy, and ``dir`` lists every
+    public name and the lazy submodules before any of them loads."""
+    report = loads(None, tmp_path)
+    assert report == {"undir": [], "loaded": {"numpy": False,
+                                              "iobspectra": ["iobspectra", "iobspectra.core"]}}
+
+
+LIBRARY_MODULES = {
+    "hysteresis": ["steady_state"],
+    "spectrum": ["spectrum", "steady_state"],
+    "peaks": ["spectrum", "steady_state"],
+    "dynamics": ["dynamics", "steady_state"],
+    "verify": ["dynamics", "spectrum", "steady_state", "verify"],
+}
+README_LOADS = [cmd for cmd in readme_commands()
+                if cmd[0] != "dynamics" or cmd[cmd.index("--mode") + 1] == "relax"]
+
+
+@pytest.mark.parametrize("args", README_LOADS, ids=lambda args: args[0])
+def test_each_command_loads_its_own_modules(tmp_path, args):
+    """The README's closed-form commands, its relax and its verify each load
+    numpy and the modules their library module imports, no other, and all of
+    them before ``entry`` freezes the collector."""
+    report = loads(args, tmp_path)
+    modules = {"numpy": True, "iobspectra": sorted(
+        CLI_MODULES + ["iobspectra." + m for m in LIBRARY_MODULES[args[0]]])}
+    assert report == {"code": 0, "frozen": modules, "loaded": modules}
 
 
 def run_fresh(code, *args):
