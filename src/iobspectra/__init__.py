@@ -1,30 +1,22 @@
 """Intrinsic optical bistability and emission spectra of a dense two-level medium.
 
-Importing the package loads :mod:`iobspectra.core` alone, which needs no
-numpy.  The public names of the other modules, and those modules as
-attributes, resolve on first access: each imports its module then and is
-bound here.
+Importing the package loads no module of it.  The public names, and the
+modules as attributes, resolve on first access: each imports its module
+then and is bound here.  :mod:`iobspectra.core` needs no numpy; the other
+modules compute with it.
 """
 
 import importlib
-import types
-
-from .core import (
-    Branch,
-    BranchNotPresentError,
-    IntegrationError,
-    MechanismError,
-    MediumParams,
-    Mechanism,
-    NoPhysicalRootError,
-    validate_mechanism,
-    zeta_total,
-)
 
 __version__ = "0.1.0"
 
-# the public names of the modules that compute with numpy, by module
+# the public names, by module
 _LAZY = {
+    "core": (
+        "Branch", "BranchNotPresentError", "IntegrationError", "MechanismError",
+        "MediumParams", "Mechanism", "NoPhysicalRootError", "validate_mechanism",
+        "zeta_total",
+    ),
     "steady_state": (
         "HysteresisScan", "ScanPoint", "SolutionArrays", "StationaryState",
         "SteadyStateSolution", "branch_solution", "coherence", "cubic_coefficients",
@@ -46,10 +38,7 @@ _LAZY = {
 }
 _MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
 
-# core's names bound above, then the lazy ones
-__all__ = [name for name, value in globals().items()
-           if not name.startswith("_") and not isinstance(value, types.ModuleType)]
-__all__ += list(_MODULE_OF)
+__all__ = list(_MODULE_OF)
 
 
 def __getattr__(name):

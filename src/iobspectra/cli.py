@@ -19,9 +19,11 @@ the handler computes with as ``library``.  A handler checks the parsed
 arguments before it computes or writes anything (a failed check is a
 configuration error), and the data commands write through ``_emit``.
 
-numpy, the library modules, ``json`` and ``hashlib`` are imported in the
-functions that use them, so help and usage errors load no numpy, and a
-command loads only its own library module and what that imports.
+``core``, ``dataclasses``, numpy, the library modules, ``json`` and
+``hashlib`` are imported in the functions that use them, and a subparser
+adds its arguments only when it parses.  So help and usage errors load no
+numpy, the top-level help and a missing command no package module beyond
+this one, and a command only its own library module and what that imports.
 """
 
 from __future__ import annotations
@@ -32,25 +34,13 @@ import importlib
 import math
 import os
 import sys
-from dataclasses import asdict, replace
-from typing import TYPE_CHECKING
 
-from .core import (
-    Branch,
-    BranchNotPresentError,
-    IntegrationError,
-    MediumParams,
-    Mechanism,
-    NoPhysicalRootError,
-    SWITCHED_OFF,
-    check_drive,
-    validate_mechanism,
-)
-
+TYPE_CHECKING = False  # typing's flag, without the import
 if TYPE_CHECKING:
     import numpy as np
 
     from . import steady_state
+    from .core import Mechanism, MediumParams
 
 FORMAT_VERSION = "1"
 GRID_POINT_CAP = 1_000_000
@@ -89,92 +79,128 @@ def parse_grid(spec: str) -> np.ndarray:
     return np.linspace(start, end, count)
 
 
+class _Subparser(argparse.ArgumentParser):
+    """A subcommand's parser, made with its name and help alone.  It adds
+    its arguments with ``add_arguments(self)`` the first time it parses, so
+    that a command line builds only the subparser it uses."""
+
+    def __init__(self, *args, add_arguments, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._add_arguments = add_arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_arguments is not None:
+            add, self._add_arguments = self._add_arguments, None
+            add(self)
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="iobspectra",
         description="Steady-state bistability and emission spectra of a dense "
         "two-level medium (all frequencies in units of the decay rate).",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    mechanisms = [m.value for m in Mechanism]
-    branches = [b.value for b in Branch]
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subparser)
 
-    def common(p: argparse.ArgumentParser, run, library, mechanism_choices=mechanisms):
+    def common(p: argparse.ArgumentParser, run, library, extra_mechanisms=()):
+        from .core import Mechanism
+
         p.set_defaults(run=run, library=library)
         p.add_argument("--gamma", type=float, default=1.0, help="decay rate (unit scale)")
         p.add_argument("--delta", type=float, default=0.0, help="bare detuning")
         p.add_argument("--zeta-l", type=float, default=0.0, help="local-field coupling")
         p.add_argument("--zeta-m", type=float, default=0.0, help="detuning-shift coupling")
-        p.add_argument("--mechanism", choices=mechanism_choices, default="lorentz",
-                       help="feedback mechanism (joint is experimental)")
+        p.add_argument("--mechanism", choices=[*(m.value for m in Mechanism), *extra_mechanisms],
+                       default="lorentz", help="feedback mechanism (joint is experimental)")
         p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("-v", "--verbose", action="count", default=0)
 
-    p_hyst = sub.add_parser("hysteresis", help="branch structure over a drive grid")
-    common(p_hyst, _cmd_hysteresis, "steady_state")
-    p_hyst.add_argument("--omega", required=True, help="drive grid start:end:count")
+    def hysteresis_arguments(p: argparse.ArgumentParser):
+        common(p, _cmd_hysteresis, "steady_state")
+        p.add_argument("--omega", required=True, help="drive grid start:end:count")
 
-    p_spec = sub.add_parser("spectrum", help="emission spectrum on one branch")
-    common(p_spec, _cmd_spectrum, "spectrum")
-    p_spec.add_argument("--omega", required=True, type=float, help="drive strength")
-    p_spec.add_argument("--branch", choices=branches, default="lower")
-    p_spec.add_argument("--nu-grid", default=None, help="emission grid start:end:count")
-    p_spec.add_argument(
-        "--normalize", choices=("free-atom-max",), default=None,
-        help="rescale densities by the saturated free-atom peak value",
-    )
+    def spectrum_arguments(p: argparse.ArgumentParser):
+        from .core import Branch
 
-    p_peaks = sub.add_parser("peaks", help="side-peak positions over a drive grid")
-    common(p_peaks, _cmd_peaks, "spectrum", mechanism_choices=[*mechanisms, "both"])
-    p_peaks.add_argument("--omega", required=True, help="drive grid start:end:count")
-    p_peaks.add_argument(
-        "--free-atom-reference", action="store_true",
-        help="append the zeta=0 reference family",
-    )
+        common(p, _cmd_spectrum, "spectrum")
+        p.add_argument("--omega", required=True, type=float, help="drive strength")
+        p.add_argument("--branch", choices=[b.value for b in Branch], default="lower")
+        p.add_argument("--nu-grid", default=None, help="emission grid start:end:count")
+        p.add_argument(
+            "--normalize", choices=("free-atom-max",), default=None,
+            help="rescale densities by the saturated free-atom peak value",
+        )
 
-    p_dyn = sub.add_parser("dynamics", help="time-domain sweeps and relaxation")
-    common(p_dyn, _cmd_dynamics, "dynamics")
-    p_dyn.add_argument("--mode", choices=("sweep-up", "sweep-down", "relax"), default="relax")
-    p_dyn.add_argument(
-        "--omega", required=True,
-        help="sweep: range start:end:count; relax: scalar drive",
-    )
-    p_dyn.add_argument("--ramp-rate", type=float, default=1e-3, help="sweep ramp rate")
-    p_dyn.add_argument("--t-end", type=float, default=50.0, help="relax run length")
-    p_dyn.add_argument("--branch", choices=[*branches, "ground"],
+    def peaks_arguments(p: argparse.ArgumentParser):
+        common(p, _cmd_peaks, "spectrum", extra_mechanisms=["both"])
+        p.add_argument("--omega", required=True, help="drive grid start:end:count")
+        p.add_argument(
+            "--free-atom-reference", action="store_true",
+            help="append the zeta=0 reference family",
+        )
+
+    def dynamics_arguments(p: argparse.ArgumentParser):
+        from .core import Branch
+
+        common(p, _cmd_dynamics, "dynamics")
+        p.add_argument("--mode", choices=("sweep-up", "sweep-down", "relax"), default="relax")
+        p.add_argument(
+            "--omega", required=True,
+            help="sweep: range start:end:count; relax: scalar drive",
+        )
+        p.add_argument("--ramp-rate", type=float, default=1e-3, help="sweep ramp rate")
+        p.add_argument("--t-end", type=float, default=50.0, help="relax run length")
+        p.add_argument("--branch", choices=[*(b.value for b in Branch), "ground"],
                        default="ground", help="relax initial condition")
-    p_dyn.add_argument("--perturb", type=float, default=0.0,
+        p.add_argument("--perturb", type=float, default=0.0,
                        help="inversion offset added to the relax start state")
-    p_dyn.add_argument("--samples", type=int, default=1001,
+        p.add_argument("--samples", type=int, default=1001,
                        help="relax output times; checked in every mode, but sweeps "
                        "sample at the --omega grid points")
 
-    p_ver = sub.add_parser("verify", help="run the oracle cross-check suite")
-    common(p_ver, _cmd_verify, "verify")
-    p_ver.add_argument(
-        "--inject-b2-typo", action="store_true",
-        help="self-test: corrupt the quartic b2 term and confirm detection",
-    )
+    def verify_arguments(p: argparse.ArgumentParser):
+        common(p, _cmd_verify, "verify")
+        p.add_argument(
+            "--inject-b2-typo", action="store_true",
+            help="self-test: corrupt the quartic b2 term and confirm detection",
+        )
 
+    sub.add_parser("hysteresis", help="branch structure over a drive grid",
+                   add_arguments=hysteresis_arguments)
+    sub.add_parser("spectrum", help="emission spectrum on one branch",
+                   add_arguments=spectrum_arguments)
+    sub.add_parser("peaks", help="side-peak positions over a drive grid",
+                   add_arguments=peaks_arguments)
+    sub.add_parser("dynamics", help="time-domain sweeps and relaxation",
+                   add_arguments=dynamics_arguments)
+    sub.add_parser("verify", help="run the oracle cross-check suite",
+                   add_arguments=verify_arguments)
     return parser
 
 
 def _medium(ns: argparse.Namespace) -> MediumParams:
     """The checked medium of the command line; the drive is set per point."""
+    from .core import MediumParams
+
     return MediumParams(gamma=ns.gamma, delta=ns.delta,
                         zeta_lorentz=ns.zeta_l, zeta_detuning=ns.zeta_m)
 
 
 def _medium_and_mechanism(ns: argparse.Namespace) -> tuple[MediumParams, Mechanism]:
     """The checked medium and the mechanism tag, checked against its couplings."""
+    from .core import Mechanism, validate_mechanism
+
     params, mech = _medium(ns), Mechanism(ns.mechanism)
     validate_mechanism(params, mech)
     return params, mech
 
 
 def _drive_grid(spec: str) -> np.ndarray:
+    from .core import check_drive
+
     grid = parse_grid(spec)
     check_drive(grid[0], "omega grid")
     return grid
@@ -317,6 +343,8 @@ def _root_columns(scan: steady_state.HysteresisScan) -> dict:
     scalars; NoPhysicalRootError if some drive has no root."""
     import numpy as np
 
+    from .core import NoPhysicalRootError
+
     arr, branches = scan.points.arrays, scan.points.branches
     rootless = arr.omega[arr.count == 0]
     if rootless.size:
@@ -348,7 +376,12 @@ def _cmd_hysteresis(ns: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum(ns: argparse.Namespace) -> int:
+    from dataclasses import asdict, replace
+
+    import numpy as np
+
     from . import spectrum, steady_state
+    from .core import Branch
 
     params, mech = _medium_and_mechanism(ns)
     params = replace(params, omega=ns.omega)
@@ -366,6 +399,11 @@ def _cmd_spectrum(ns: argparse.Namespace) -> int:
     if ns.normalize == "free-atom-max":
         reference = spectrum.free_atom_saturation_max(params.gamma)
         density = density / reference
+    finite = np.isfinite(density)
+    if not finite.all():  # 0/0 where the sextic's terms underflow, at the smallest scales
+        raise FloatingPointError(f"density is not finite at {finite.size - finite.sum()} of "
+                                 f"{finite.size} offsets, the first at "
+                                 f"nu={result.nu_grid[~finite][0]}")
     return _emit(
         ns,
         {"nu": result.nu_grid.tolist(), "density": density.tolist()},
@@ -386,9 +424,12 @@ def _cmd_spectrum(ns: argparse.Namespace) -> int:
 
 
 def _cmd_peaks(ns: argparse.Namespace) -> int:
+    from dataclasses import replace
+
     import numpy as np
 
     from . import spectrum, steady_state
+    from .core import SWITCHED_OFF, Mechanism
 
     base = _medium(ns)
     grid = _drive_grid(ns.omega)
@@ -420,9 +461,12 @@ def _cmd_peaks(ns: argparse.Namespace) -> int:
 
 
 def _cmd_dynamics(ns: argparse.Namespace) -> int:
+    from dataclasses import replace
+
     import numpy as np
 
     from . import dynamics, steady_state
+    from .core import Branch
 
     params, mech = _medium_and_mechanism(ns)
     if ns.mode == "relax":
@@ -492,12 +536,14 @@ def main(argv=None) -> int:
 
 def _run(ns: argparse.Namespace) -> int:
     """Run the parsed command line ``ns``; its exit code."""
+    from .core import BranchNotPresentError, IntegrationError, NoPhysicalRootError
+
     try:
         return ns.run(ns)
     except BranchNotPresentError as exc:
         print(f"iobspectra: {exc}", file=sys.stderr)
         return EXIT_BRANCH_ABSENT
-    except (NoPhysicalRootError, IntegrationError, OverflowError) as exc:
+    except (NoPhysicalRootError, IntegrationError, OverflowError, FloatingPointError) as exc:
         print(f"iobspectra: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:
@@ -520,11 +566,15 @@ def entry() -> None:
 
 
 def __getattr__(name):
-    # callers reach the verification suite as cli.run_verification; verify
-    # loads on that first access
+    # callers reach the verification suite as cli.run_verification and the
+    # mechanism check as cli.validate_mechanism; each module loads on that
+    # first access
     if name == "run_verification":
         from .verify import run_verification
         return run_verification
+    if name == "validate_mechanism":
+        from .core import validate_mechanism
+        return validate_mechanism
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -655,17 +655,18 @@ def solutions_at(params: MediumParams, mech: Mechanism) -> list[SteadyStateSolut
     :func:`scan_hysteresis`: ``upper`` at or above the upper fold, where the
     surviving root continues the upper branch, ``lower`` otherwise.
     """
-    arr, names = _at_drive(params, mech)
+    arr, names = _at_drive(params, mech, params.omega)
     return ScanPoints(arr, names)[0].solutions
 
 
-def _at_drive(params: MediumParams, mech: Mechanism) -> tuple[SolutionArrays, np.ndarray]:
-    """The roots at ``params.omega`` and their branch names, for
+def _at_drive(params: MediumParams, mech: Mechanism,
+              omega: float) -> tuple[SolutionArrays, np.ndarray]:
+    """The roots at the checked drive ``omega`` and their branch names, for
     :func:`solutions_at` and :func:`branch_solution`; marginal roots warn at
     the caller of those."""
-    arr, folds = _solve(params, mech, np.array([params.omega]))
+    arr, folds = _solve(params, mech, np.array([omega]))
     if arr.count[0] == 0:
-        raise _no_root_error(params, mech)
+        raise _no_root_error(replace(params, omega=omega), mech)
     return arr, _labeled(arr, None if folds is None else folds[0], stacklevel=4)
 
 
@@ -675,15 +676,19 @@ def branch_solution(
     branch: Branch,
     omega: float | None = None,
 ) -> SteadyStateSolution:
-    """The solution on a given branch, or BranchNotPresentError outside its window."""
+    """The solution on a given branch at ``omega`` (by default
+    ``params.omega``), or BranchNotPresentError outside its window."""
     branch = Branch(branch)
-    if omega is not None:
-        params = replace(params, omega=float(omega))
-    arr, names = _at_drive(params, mech)
+    if omega is None:
+        omega = params.omega
+    else:  # the medium is checked; the drive is the one new value
+        omega = float(omega)
+        check_drive(omega)
+    arr, names = _at_drive(params, mech, omega)
     row = names[0].tolist()
     if branch.value not in row:
         raise BranchNotPresentError(
-            f"branch '{branch.value}' does not exist at omega={params.omega}"
+            f"branch '{branch.value}' does not exist at omega={omega}"
         )
     return _solution(arr, names, 0, row.index(branch.value))
 

@@ -4,6 +4,7 @@ import os
 import stat
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -387,6 +388,24 @@ def test_spectrum_with_overflowed_density_coefficients_exits_3(tmp_path, capsys,
     assert not out.exists()
     code, stdout, err = run(capsys, "spectrum", *medium, "--omega", "1e76")
     assert (code, stdout, err) == (0, SPECTRUM_AT_1E76, "")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_spectrum_with_a_non_finite_density_exits_3(tmp_path, capsys, fmt):
+    """At gamma = 1e-300 the density's sextic terms underflow and every cell
+    would be 0/0.  In either format that is a numerical failure, exit 3 with
+    one line naming the count and the first such offset, and nothing is
+    written: CSV wrote the NaN cells with exit 0, and JSON called the
+    encoder's refusal a configuration error (exit 2)."""
+    args = ("spectrum", "--delta", "1e-170", "--zeta-l", "1e+20", "--gamma", "1e-300",
+            "--zeta-m", "1", "--mechanism", "joint", "--omega", "1", "--branch", "upper",
+            "--nu-grid=-1e-300:1e-300:3", "--format", fmt)
+    out = tmp_path / "never.out"
+    code, stdout, err = run(capsys, *args, "--out", str(out))
+    assert (code, stdout, err) == (3, "", "iobspectra: numerical failure: density is not "
+                                          "finite at 3 of 3 offsets, the first at nu=-1e-300\n")
+    assert not out.exists()
+    assert run(capsys, *args) == (3, "", err)
 
 
 @pytest.mark.filterwarnings("ignore:solver failed:UserWarning")
@@ -1098,6 +1117,21 @@ def test_each_subcommand_carries_its_handler(args):
 def test_bare_command_line_exits_2(capsys):
     assert main([]) == 2
     assert "required: command" in capsys.readouterr().err
+
+
+# stdout, stderr and exit code of ``python -m iobspectra ARGS`` with
+# COLUMNS=80, recorded while every subparser was built with its arguments
+CLI_TEXTS = json.loads((Path(__file__).parent / "cli_texts.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", CLI_TEXTS, ids=lambda case: " ".join(case["args"]))
+def test_help_and_usage_texts_are_unchanged(tmp_path, case):
+    """The top-level help, each subcommand's help, a missing command and a
+    usage error read byte for byte as recorded, though a subparser now adds
+    its arguments only when it parses."""
+    proc = python("-m", "iobspectra", *case["args"], env={"COLUMNS": "80"}, cwd=tmp_path)
+    assert (proc.stdout, proc.stderr, proc.returncode) == (
+        case["stdout"], case["stderr"], case["code"])
 
 
 def test_stdout_emission(capsys):

@@ -64,10 +64,12 @@ def test_unknown_attribute_raises_attribute_error():
 
 def test_cli_run_verification_is_the_suites():
     """``cli.run_verification``, which the benchmark calls, is the verify
-    module's function, though ``cli`` imports that module only on use."""
-    from iobspectra import cli, verify
+    module's function, and ``cli.validate_mechanism``, which its tracer
+    wraps, core's, though ``cli`` imports those modules only on use."""
+    from iobspectra import cli, core, verify
 
     assert cli.run_verification is verify.run_verification
+    assert cli.validate_mechanism is core.validate_mechanism
     with pytest.raises(AttributeError, match="no_such_name"):
         cli.no_such_name
 
@@ -77,6 +79,7 @@ import gc, json, sys
 
 def loaded():
     return {"numpy": "numpy" in sys.modules,
+            "core's imports": sorted({"ctypes", "dataclasses"} & set(sys.modules)),
             "iobspectra": sorted(m for m in sys.modules if m.split(".")[0] == "iobspectra")}
 
 args = json.loads(sys.argv[1])
@@ -106,6 +109,7 @@ def loads(args, cwd):
 
 
 CLI_MODULES = ["iobspectra", "iobspectra.cli", "iobspectra.core"]
+CORE_IMPORTS = ["ctypes", "dataclasses"]
 
 
 @pytest.mark.parametrize("args", [
@@ -115,19 +119,25 @@ CLI_MODULES = ["iobspectra", "iobspectra.cli", "iobspectra.core"]
     ["hysteresis", "--omega", "0:1:3", "--mechanism", "no-such-mechanism"],
 ], ids=" ".join)
 def test_help_and_usage_errors_load_no_numpy(tmp_path, args):
-    """The help and a usage error exit before any freeze, with the package,
-    core and cli loaded, and no numpy."""
+    """The help and a usage error exit before any freeze, with no numpy.  The
+    top-level help and a missing command load the package and cli alone, not
+    core or what core imports; a subcommand's help and its usage errors build
+    its arguments, whose choices come from core."""
     report = loads(args, tmp_path)
-    assert report == {"code": 0 if "--help" in args else 2,
-                      "loaded": {"numpy": False, "iobspectra": CLI_MODULES}}
+    top_level = args in (["--help"], [])
+    assert report == {"code": 0 if "--help" in args else 2, "loaded": {
+        "numpy": False,
+        "core's imports": [] if top_level else CORE_IMPORTS,
+        "iobspectra": ["iobspectra", "iobspectra.cli"] if top_level else CLI_MODULES}}
 
 
-def test_import_iobspectra_loads_core_alone(tmp_path):
-    """``import iobspectra`` loads core and no numpy, and ``dir`` lists every
-    public name and the lazy submodules before any of them loads."""
+def test_import_iobspectra_loads_iobspectra_alone(tmp_path):
+    """``import iobspectra`` loads no module of the package but itself, no
+    numpy and not what core imports, and ``dir`` lists every public name
+    and the lazy submodules before any of them loads."""
     report = loads(None, tmp_path)
-    assert report == {"undir": [], "loaded": {"numpy": False,
-                                              "iobspectra": ["iobspectra", "iobspectra.core"]}}
+    assert report == {"undir": [], "loaded": {"numpy": False, "core's imports": [],
+                                              "iobspectra": ["iobspectra"]}}
 
 
 LIBRARY_MODULES = {
@@ -147,7 +157,7 @@ def test_each_command_loads_its_own_modules(tmp_path, args):
     numpy and the modules their library module imports, no other, and all of
     them before ``entry`` freezes the collector."""
     report = loads(args, tmp_path)
-    modules = {"numpy": True, "iobspectra": sorted(
+    modules = {"numpy": True, "core's imports": CORE_IMPORTS, "iobspectra": sorted(
         CLI_MODULES + ["iobspectra." + m for m in LIBRARY_MODULES[args[0]]])}
     assert report == {"code": 0, "frozen": modules, "loaded": modules}
 
@@ -208,9 +218,9 @@ for mech, params in ((Mechanism.LORENTZ, MediumParams(delta=3.0, zeta_lorentz=50
 @pytest.mark.skipif("CS_GNU_LIBC_VERSION" not in getattr(os, "confstr_names", {}),
                     reason="the heap setting is glibc's")
 def test_repeated_scans_reuse_their_heap():
-    """Importing the package keeps freed heap for the next call: with glibc's
-    defaults, five 2000-drive scans in a fresh process faulted in about 600
-    pages again."""
+    """Importing core, as the scans do, keeps freed heap for the next call:
+    with glibc's defaults, five 2000-drive scans in a fresh process faulted
+    in about 600 pages again."""
     run_fresh(REPEATED_SCANS)
 
 
