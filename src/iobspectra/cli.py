@@ -253,19 +253,22 @@ def write_json(stream, meta: dict, columns: dict) -> None:
     """The bytes of ``json.dump({"meta": meta, "data": columns})`` with
     ``indent=1``, ``separators=(",", ": ")`` and ``allow_nan=False``, plus a
     newline.  The columns, lists of scalars under string names, go through
-    the C encoder a block of cells at a time."""
+    the C encoder a block of cells at a time.  Nothing is written until every
+    block is encoded, so a refused cell leaves ``stream`` (stdout too) as it was."""
     import json
 
+    parts = []
     head = json.dumps(meta, allow_nan=False, separators=(",", ": "), indent=1)
-    stream.write('{\n "meta": ' + head.replace("\n", "\n ") + ',\n "data": {')
+    parts.append('{\n "meta": ' + head.replace("\n", "\n ") + ',\n "data": {')
     for i, (name, values) in enumerate(columns.items()):
-        stream.write((",\n  " if i else "\n  ") + json.dumps(name) + ": [")
+        parts.append((",\n  " if i else "\n  ") + json.dumps(name) + ": [")
         for start in range(0, len(values), _BLOCK_ROWS):
             block = json.dumps(values[start:start + _BLOCK_ROWS], allow_nan=False,
                                separators=(",\n   ", ": "))
-            stream.write((",\n   " if start else "\n   ") + block[1:-1])
-        stream.write("\n  ]" if values else "]")
-    stream.write("\n }\n}\n" if columns else "}\n}\n")
+            parts.append((",\n   " if start else "\n   ") + block[1:-1])
+        parts.append("\n  ]" if values else "]")
+    parts.append("\n }\n}\n" if columns else "}\n}\n")
+    stream.writelines(parts)
 
 
 def _emit(ns: argparse.Namespace, columns: dict, **meta) -> int:

@@ -19,12 +19,13 @@ in closed form from the real roots in (0, 1) of one more cubic,
 
 Both cubics are solved by one closed-form kernel that works row-wise on
 numpy arrays, so a whole drive grid is solved, assembled and classified at
-once; the single-drive functions call the same kernel on one drive.
+once; the single-drive functions call the same kernel on one drive.  It is
+elementwise in the medium too: rows of media, one per drive, solve in one
+call, each row with the bits of its own one-medium call.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 import warnings
 from collections.abc import Sequence
@@ -146,6 +147,22 @@ class SolutionArrays(NamedTuple):
     marginal: np.ndarray
 
 
+class _Rows(NamedTuple):
+    """Media as (K, 1) columns, one per drive of a kernel call, which reads
+    them in place of a MediumParams; :meth:`of` checks each mechanism."""
+
+    gamma: np.ndarray
+    delta: np.ndarray
+    zeta_lorentz: np.ndarray
+    zeta_detuning: np.ndarray
+
+    @classmethod
+    def of(cls, media: Sequence[tuple[MediumParams, Mechanism]]) -> _Rows:
+        for params, mech in media:
+            validate_mechanism(params, mech)
+        return cls(*np.array([[getattr(p, f) for f in cls._fields] for p, _ in media]).T[..., None])
+
+
 def cubic_coefficients(
     params: MediumParams, mech: Mechanism
 ) -> tuple[float, float, float, float]:
@@ -156,16 +173,18 @@ def cubic_coefficients(
     c1 = 2 omega^2 + delta (delta + 2 zeta) + gamma^2 / 4
     c0 = -(delta^2 + gamma^2 / 4)
     """
-    return _inversion_cubic(params, zeta_total(params, mech), params.omega)
+    return tuple(map(float, _inversion_cubic(params, zeta_total(params, mech), params.omega)))
 
 
-def _inversion_cubic(params: MediumParams, zeta: float, omega):
-    """Inversion-cubic coefficients at drive ``omega`` (a float or an array)."""
-    g2_4 = 0.25 * params.gamma**2
+def _inversion_cubic(medium, zeta, omega):
+    """Inversion-cubic coefficients at drive ``omega`` (a float or an array).
+    The medium's squares are libm pow, as Python's x ** 2, so that _Rows
+    round as one medium; numpy's array ** 2 differs on some values."""
+    g2_4 = 0.25 * np.float_power(medium.gamma, 2.0)
     c3 = zeta * zeta
-    c2 = -zeta * (zeta + 2.0 * params.delta)
-    c1 = 2.0 * omega**2 + params.delta * (params.delta + 2.0 * zeta) + g2_4
-    c0 = -(params.delta**2 + g2_4)
+    c2 = -zeta * (zeta + 2.0 * medium.delta)
+    c1 = 2.0 * omega**2 + medium.delta * (medium.delta + 2.0 * zeta) + g2_4
+    c0 = -(np.float_power(medium.delta, 2.0) + g2_4)
     return c3, c2, c1, c0
 
 
@@ -340,42 +359,46 @@ def _merge_coincident(c, w: np.ndarray):
     return merged, count
 
 
-def _fold_cubic(params: MediumParams, zeta: float):
+def _fold_cubic(medium, zeta):
     """Coefficients of the fold cubic
     2 zeta^2 W^3 - zeta (zeta + 2 delta) W^2 + delta^2 + gamma^2/4."""
-    delta = params.delta
+    delta = medium.delta
     return (2.0 * zeta * zeta, -zeta * (zeta + 2.0 * delta), 0.0,
-            delta * delta + 0.25 * params.gamma**2)
+            delta * delta + 0.25 * np.float_power(medium.gamma, 2.0))
 
 
-def _fold_pair(params: MediumParams, zeta: float, roots: np.ndarray) -> tuple[float, float] | None:
-    """Fold drives (omega_up, omega_down) from the fold cubic's ``roots``
-    (one row of :func:`_real_cubic_roots`), or None for a monostable medium."""
-    delta, g2_4 = params.delta, 0.25 * params.gamma**2
-    ws = [w for w in roots.tolist() if 0.0 < w < 1.0]
-    if len(ws) < 2:
-        return None
-    omegas = [math.sqrt((1.0 - w) * ((delta - zeta * w) ** 2 + g2_4) / (2.0 * w)) for w in ws]
-    return max(omegas), min(omegas)
+def _fold_pair(medium, zeta, roots: np.ndarray) -> np.ndarray:
+    """Fold drives (omega_up, omega_down) as a (2, K) array from the fold
+    cubics' ``roots`` (K, 3), rows of :func:`_real_cubic_roots`; NaN for a
+    monostable medium.  At most two roots lie in (0, 1): with c1 = 0 and
+    c3, c0 > 0 the cubic has one negative root."""
+    w = np.where((roots > 0.0) & (roots < 1.0), roots, np.nan)
+    q = np.float_power(medium.delta - zeta * w, 2.0) + 0.25 * np.float_power(medium.gamma, 2.0)
+    omegas = np.sqrt((1.0 - w) * q / (2.0 * w))
+    omegas.sort(axis=1)  # the NaN padding last
+    folds = omegas.T[1::-1]
+    folds[1, np.isnan(folds[0])] = np.nan  # one root in (0, 1) is no pair
+    return folds
 
 
-def _inversion_roots(params: MediumParams, zeta: float, omega: np.ndarray):
+def _inversion_roots(medium, zeta, omega: np.ndarray):
     """Physical inversion roots W in (0, 1] at each drive, and the exact folds.
 
     One kernel call solves the inversion cubic at every drive and, as one
-    more row, the fold cubic.  Returns (roots, count, c, folds): roots as an
-    (M, 3) array descending in W (ascending in rho22, the order of
-    :class:`SolutionArrays`), NaN-padded and de-duplicated; count the
-    roots per drive; c the normalized cubic coefficients repeated per root,
-    (4, M, 3); folds as from :func:`_fold_pair`.
+    more column per medium, the fold cubic.  Returns (roots, count, c,
+    folds): roots as an (M, 3) array descending in W (ascending in rho22,
+    the order of :class:`SolutionArrays`), NaN-padded and de-duplicated;
+    count the roots per drive; c the normalized cubic coefficients repeated
+    per root, (4, M, 3); folds as from :func:`_fold_pair`.
     """
-    coeffs = np.empty((4, omega.size + 1))
-    coeffs[:, -1] = _fold_cubic(params, zeta)
-    coeffs[0, :-1], coeffs[1, :-1], coeffs[2, :-1], coeffs[3, :-1] = _inversion_cubic(
-        params, zeta, omega)
-    raw, c = _real_cubic_roots(coeffs)
-    folds = _fold_pair(params, zeta, raw[-1])
-    raw, c = raw[:-1], c[:, :-1]
+    n = omega.size
+    coeffs = np.empty((4, n + np.size(zeta), 1))  # (K, 1) columns, as the media's
+    coeffs[0, :n], coeffs[1, :n], coeffs[2, :n], coeffs[3, :n] = _inversion_cubic(
+        medium, zeta, omega[:, None])
+    coeffs[0, n:], coeffs[1, n:], coeffs[2, n:], coeffs[3, n:] = _fold_cubic(medium, zeta)
+    raw, c = _real_cubic_roots(coeffs[..., 0])
+    folds = _fold_pair(medium, zeta, raw[n:])
+    raw, c = raw[:n], c[:, :n]
     w = np.minimum(raw, 1.0)
     w[(raw <= 0.0) | (raw > 1.0 + 1e-9)] = np.nan
     w = -np.sort(-w, axis=1)  # the padding stays last
@@ -399,7 +422,7 @@ def _complex(re, im):
     return out
 
 
-def _effective(params: MediumParams, omega: np.ndarray, w: np.ndarray):
+def _effective(medium, omega: np.ndarray, w: np.ndarray):
     """(omega_eff, delta_eff) at drives omega and inversions w,
     elementwise; see :func:`effective_params`.
 
@@ -412,10 +435,10 @@ def _effective(params: MediumParams, omega: np.ndarray, w: np.ndarray):
     do (its division is Smith's algorithm), so that one drive and a drive
     array give the same bits.
     """
-    g = params.gamma
-    delta_eff = params.delta - params.zeta_detuning * w
-    zl = params.zeta_lorentz
-    if zl == 0.0:
+    g = medium.gamma
+    delta_eff = medium.delta - medium.zeta_detuning * w
+    zl = medium.zeta_lorentz
+    if not np.count_nonzero(zl):
         zero = 0.0 * w  # NaN where w pads a row
         return _complex(omega + zero, zero), delta_eff
     dd = delta_eff * delta_eff + 0.25 * g * g
@@ -438,27 +461,27 @@ def _effective(params: MediumParams, omega: np.ndarray, w: np.ndarray):
     return _complex(re, im), delta_eff
 
 
-def _hurwitz(params: MediumParams, omega, w, rho12):
+def _hurwitz(medium, omega, w, rho12):
     """(c1, c0) of the characteristic cubic l^3 + 2g l^2 + c1 l + c0 of the
     Bloch Jacobian [[-g/2, a, zs v], [-a, -g/2, -k], [0, 2 omega, -g]] at
-    fixed points given as scalars or arrays of one shape."""
-    g, zl, zm = params.gamma, params.zeta_lorentz, params.zeta_detuning
+    fixed points given as scalars or arrays that broadcast together."""
+    g, zl, zm = medium.gamma, medium.zeta_lorentz, medium.zeta_detuning
     zs = zl + zm
     u, v = 2.0 * rho12.real, 2.0 * rho12.imag
-    a = zl * w - (params.delta - zm * w)
+    a = zl * w - (medium.delta - zm * w)
     drive2 = 2.0 * omega
     k = zs * u + drive2
     e = 0.25 * g * g + a * a
     return e + g * g + drive2 * k, g * e + drive2 * (0.5 * g * k + a * zs * v)
 
 
-def _stability(params: MediumParams, omega, w, rho12):
+def _stability(medium, omega, w, rho12):
     """(stable, marginal) by Routh-Hurwitz: stable iff c0 > 0 and 2g c1 > c0
     (NaN gives False).  Marginal: the real eigenvalue at a fold, about -c0/c1,
     or the Hopf pair's real part, about (c0 - 2g c1)/(2 (c1 + 4g^2)), is
     within MARGINAL_STABILITY_TOL * g of zero, g being the unit of frequency."""
-    g = params.gamma
-    c1, c0 = _hurwitz(params, omega, w, rho12)
+    g = medium.gamma
+    c1, c0 = _hurwitz(medium, omega, w, rho12)
     hopf = 2.0 * g * c1 - c0
     abs_c1 = abs(c1)
     tol = MARGINAL_STABILITY_TOL * g
@@ -475,7 +498,7 @@ def solution_arrays(params: MediumParams, mech: Mechanism, omegas) -> SolutionAr
     """
     omega = np.atleast_1d(np.asarray(omegas, dtype=float))
     _check_drives(omega)
-    return _solve(params, mech, omega)[0]
+    return _solve(params, zeta_total(params, mech), omega)[0]
 
 
 def _check_drives(omega: np.ndarray) -> None:
@@ -484,15 +507,16 @@ def _check_drives(omega: np.ndarray) -> None:
         check_drive(float(extreme))
 
 
-def _solve(params: MediumParams, mech: Mechanism, omega: np.ndarray):
-    """(SolutionArrays, folds) at the checked 1-d drives ``omega``, with the
-    exact folds of :func:`_fold_pair` from the same kernel call."""
-    w, count, c, folds = _inversion_roots(params, zeta_total(params, mech), omega)
+def _solve(medium, zeta, omega: np.ndarray):
+    """(SolutionArrays, folds) of ``medium`` (or _Rows), of total coupling
+    ``zeta``, at the checked 1-d drives ``omega``, with the exact folds of
+    :func:`_fold_pair` from the same kernel call."""
+    w, count, c, folds = _inversion_roots(medium, zeta, omega)
     residual = np.abs(_horner(c, w))
     drive = _per_root(omega)
-    omega_eff, delta_eff = _effective(params, drive, w)
-    rho12 = coherence(w, omega_eff, delta_eff, params.gamma)
-    stable, marginal = _stability(params, drive, w, rho12)
+    omega_eff, delta_eff = _effective(medium, drive, w)
+    rho12 = coherence(w, omega_eff, delta_eff, medium.gamma)
+    stable, marginal = _stability(medium, drive, w, rho12)
     return SolutionArrays(omega, count, w, rho12, omega_eff, delta_eff, residual,
                           stable, marginal), folds
 
@@ -592,7 +616,8 @@ def find_thresholds(params: MediumParams, mech: Mechanism) -> tuple[float, float
     """
     zeta = zeta_total(params, mech)
     roots, _ = _real_cubic_roots(np.array(_fold_cubic(params, zeta))[:, None])
-    return _fold_pair(params, zeta, roots[0])
+    up, down = _fold_pair(params, zeta, roots)[:, 0].tolist()
+    return None if up != up else (up, down)
 
 
 # branch names by root count, "" past the last root
@@ -625,15 +650,14 @@ def _solution(a: SolutionArrays, branches: np.ndarray, i: int, k: int) -> Steady
                                a.stable.item(i, k), a.residual.item(i, k))
 
 
-def _labeled(arr: SolutionArrays, omega_up: float | None, stacklevel: int = 3) -> np.ndarray:
+def _labeled(arr: SolutionArrays, omega_up: np.ndarray, stacklevel: int = 3) -> np.ndarray:
     """Branch names (M, 3) of the roots of ``arr``, "" past the last, warning
     once per marginal root (attributed ``stacklevel`` frames up: by default
     the caller's caller).  Three roots are lower/middle/upper and a merged
     pair lower/upper; a single root continues the upper branch at drives at
-    or above ``omega_up`` and the lower one otherwise."""
+    or above ``omega_up`` (per drive or one; NaN: none) and the lower one otherwise."""
     names = _BRANCH_NAMES[arr.count]
-    if omega_up is not None:
-        names[(arr.count == 1) & (arr.omega >= omega_up), 0] = "upper"
+    names[(arr.count == 1) & (arr.omega >= omega_up), 0] = "upper"
     for i, k in zip(*np.nonzero(arr.marginal)):
         om, w = arr.omega[i].item(), arr.w[i, k].item()
         warnings.warn(f"solution at omega={om}, w={w} is marginally stable",
@@ -664,10 +688,10 @@ def _at_drive(params: MediumParams, mech: Mechanism,
     """The roots at the checked drive ``omega`` and their branch names, for
     :func:`solutions_at` and :func:`branch_solution`; marginal roots warn at
     the caller of those."""
-    arr, folds = _solve(params, mech, np.array([omega]))
+    arr, folds = _solve(params, zeta_total(params, mech), np.array([omega]))
     if arr.count[0] == 0:
         raise _no_root_error(replace(params, omega=omega), mech)
-    return arr, _labeled(arr, None if folds is None else folds[0], stacklevel=4)
+    return arr, _labeled(arr, folds[0], stacklevel=4)
 
 
 def branch_solution(
@@ -713,17 +737,18 @@ def scan_hysteresis(
         raise ValueError("omega_grid must be strictly increasing")
     _check_drives(grid)
 
-    arr, folds = _solve(params, mech, grid)
+    arr, folds = _solve(params, zeta_total(params, mech), grid)
     lo, hi = float(grid[0]), float(grid[-1])
+    up, down = folds[:, 0].tolist()
     omega_up = omega_down = None
-    if folds is not None and folds[0] >= lo and folds[1] <= hi:
-        omega_up, omega_down = min(folds[0], hi), max(folds[1], lo)
-        for clipped, end, name in ((folds[1] < lo, "lower", "omega_down"),
-                                   (folds[0] > hi, "upper", "omega_up")):
+    if up >= lo and down <= hi:
+        omega_up, omega_down = min(up, hi), max(down, lo)
+        for clipped, end, name in ((down < lo, "lower", "omega_down"),
+                                   (up > hi, "upper", "omega_up")):
             if clipped:
                 warnings.warn(f"bistable window touches the {end} end of the drive grid; "
                               f"{name} may lie outside it", ThresholdRangeWarning, stacklevel=2)
-    points = ScanPoints(arr, _labeled(arr, None if folds is None else folds[0]))
+    points = ScanPoints(arr, _labeled(arr, folds[0]))
     for om in arr.omega[arr.count == 0].tolist():
         error = _no_root_error(replace(params, omega=om), mech)
         warnings.warn(f"solver failed at omega={om}: {error}", stacklevel=2)

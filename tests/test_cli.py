@@ -750,6 +750,18 @@ def test_verify_out_writes_the_printed_text(tmp_path, capsys):
         assert out.endswith("\n") and out.splitlines()[-1].startswith("overall: ")
 
 
+# stdout and exit code of ``iobspectra verify ARGS``, recorded in-process
+VERIFY_TEXTS = json.loads((Path(__file__).parent / "verify_texts.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", VERIFY_TEXTS, ids=lambda case: " ".join(case["args"]))
+def test_verify_prints_the_recorded_text(capsys, case):
+    """The report of ``verify --seed 0``, ``--seed 7`` and ``--inject-b2-typo``
+    reads byte for byte as recorded, with the recorded exit code."""
+    code, out, _ = run(capsys, *case["args"])
+    assert (out, code) == (case["stdout"], case["code"])
+
+
 def test_run_verification_api():
     results = run_verification(seed=0)
     assert all(r.passed for r in results)
@@ -1025,6 +1037,17 @@ def test_a_refused_cell_leaves_no_out_file(tmp_path):
         _emit(_out_namespace(target), columns)
     assert list(tmp_path.iterdir()) == [target]
     assert target.read_bytes() == b"kept\n"
+
+
+def test_a_refused_cell_leaves_stdout_empty(capsys):
+    """Without ``--out``, a JSON cell refused after a whole block of good ones
+    leaves stdout empty, not half a document."""
+    from iobspectra.cli import _BLOCK_ROWS, _emit
+
+    ns = build_parser().parse_args(["hysteresis", "--omega", "0:1:3", "--format", "json"])
+    with pytest.raises(ValueError):
+        _emit(ns, {"x": [1.0] * _BLOCK_ROWS + [math.nan]})
+    assert capsys.readouterr().out == ""
 
 
 def test_out_replaces_the_file_a_symlink_names(tmp_path):

@@ -392,6 +392,35 @@ def test_flags_do_not_depend_on_the_scale_of_gamma(k):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
+def test_power_of_two_scaling_as_rows_of_one_call():
+    """Lorentz media scaled by 2**k, k = -300 ... 300, as the rows of one
+    kernel call: roots, root counts, stability flags (the marginal double
+    roots at the folds of LORENTZ_50 included), coherences and residuals stay
+    bit for bit, and the drives, effective drives and detunings and both
+    folds scale by exactly 2**k."""
+    media = [LORENTZ_50] + [MediumParams(gamma=g, delta=d, zeta_lorentz=z) for g, d, z in
+                            [(0.7, -2.0, 40.0), (0.3, 0.5, 5.0), (1.3, -0.4, 900.0),
+                             (0.25, 12.0, 60.0)]]
+    scales = np.ldexp(1.0, np.arange(-300, 301))
+    for params in media:
+        up, down = find_thresholds(params, Mechanism.LORENTZ)
+        drives = np.array([0.0, down, 0.5 * (up + down), up, 2.0 * up])
+        want = solution_arrays(params, Mechanism.LORENTZ, drives)
+        cases = [(MediumParams(gamma=s * params.gamma, delta=s * params.delta,
+                               zeta_lorentz=s * params.zeta_lorentz), Mechanism.LORENTZ, s * omega)
+                 for s in scales.tolist() for omega in drives.tolist()]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", MarginalStabilityWarning)
+            got, folds = solve_rows(cases)
+        s = np.repeat(scales, drives.size)
+        for name in want._fields:
+            tiled = np.concatenate([getattr(want, name)] * scales.size)
+            if name in ("omega", "omega_eff", "delta_eff"):  # frequencies
+                tiled = (s if tiled.ndim == 1 else s[:, None]) * tiled
+            assert np.array_equal(getattr(got, name), tiled, equal_nan=True), (params, name)
+        assert np.array_equal(folds, s * np.array([[up], [down]]))
+
+
 @pytest.mark.parametrize("params, mech", [(LORENTZ_50, Mechanism.LORENTZ),
                                           (DETUNING_50, Mechanism.DETUNING)])
 def test_marginal_stability_warning_at_exact_folds(params, mech):
@@ -771,6 +800,16 @@ def test_scan_keeps_going_where_no_root_is_found(monkeypatch):
         solutions_at(replace(LORENTZ_50, omega=0.5), Mechanism.LORENTZ)
 
 
+def test_solve_inversion_raises_where_no_root_is_found():
+    """At gamma = 1e-300 the constant term gamma^2/4 underflows, so W = 0 is
+    the cubic's only root and none lies in (0, 1]; the error names the
+    coefficients as Python floats."""
+    params = MediumParams(gamma=1e-300, omega=0.5)
+    with pytest.raises(NoPhysicalRootError) as info:
+        solve_inversion(params, Mechanism.LORENTZ)
+    assert str(info.value) == "no inversion root in (0, 1] for coefficients (0.0, -0.0, 0.5, -0.0)"
+
+
 def test_mechanism_equivalence_of_excitation():
     """Equal couplings give identical root sets for either single mechanism."""
     grid = np.linspace(0.0, 25.0, 100)
@@ -954,6 +993,86 @@ def test_coefficients_follow_the_w_route_over_extreme_media(medium):
         (c.nu_p_sq, nu_route, 4.0, 4.0 * o2 + d * d + 0.75 * g2 + big_d * (2.0 - w) / w + g2),
     ]:
         assert np.all(np.abs(got - route) <= k * defect_bound + 4.0 * EPS * terms)
+
+
+def solve_rows(cases):
+    """(SolutionArrays, folds) of one kernel call over ``cases`` of
+    (params, mech, omega), one row each; folds is (2, K), NaN where a medium
+    is monostable."""
+    rows = steady_state._Rows.of([(params, mech) for params, mech, _ in cases])
+    drives = np.array([omega for *_, omega in cases])
+    return steady_state._solve(rows, rows.zeta_lorentz + rows.zeta_detuning, drives)
+
+
+def assert_row_equals_call(arr, folds, i, params, mech, omega):
+    """Row i of a rows call is bit for bit the one-medium calls at ``omega``."""
+    one = solution_arrays(params, mech, [omega])
+    for name in one._fields:
+        assert np.array_equal(getattr(one, name)[0], getattr(arr, name)[i],
+                              equal_nan=True), (name, params, omega)
+    alone = find_thresholds(params, mech)
+    assert np.array_equal(folds[:, i], [np.nan] * 2 if alone is None else alone,
+                          equal_nan=True), (params, alone)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(draws=st.lists(st.tuples(extreme_media(), st.floats(0.0, 1.5)), min_size=1, max_size=4))
+def test_rows_of_media_equal_their_one_medium_calls(draws):
+    """Media solved as rows of one kernel call, each at a drive inside or
+    beyond its window and, for a bistable medium, at both of its folds, give
+    every field of their own solution_arrays call and the folds of their own
+    find_thresholds call, bit for bit."""
+    cases = []
+    for (params, mech, gamma, delta, zeta), x in draws:
+        folds = find_thresholds(params, mech)
+        top = 2.0 * (zeta + abs(delta) + gamma) if folds is None else folds[0]
+        cases += [(params, mech, omega) for omega in [x * top, *(folds or ())]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MarginalStabilityWarning)
+        arr, folds = solve_rows(cases)
+        for i, case in enumerate(cases):
+            assert_row_equals_call(arr, folds, i, *case)
+
+
+def test_random_media_as_rows_round_as_their_one_medium_calls():
+    """3000 media drawn with full mantissas, lorentz or detuning, each at one
+    drive up to 1.5 times its upper fold, as the rows of one call give their
+    one-medium calls bit for bit.  Most squares of such values round alike
+    either way, so the strategy's draws do not show it: the medium's squares
+    taken as numpy's array ** 2 instead of libm pow move 2 of these rows."""
+    rng = np.random.default_rng(1)
+    cases = []
+    for _ in range(3000):
+        gamma, delta, zeta = rng.uniform(0.2, 3.0), rng.uniform(-20.0, 20.0), rng.uniform(0.1, 1000.0)
+        mech = (Mechanism.LORENTZ, Mechanism.DETUNING)[rng.integers(2)]
+        coupling = "zeta_lorentz" if mech is Mechanism.LORENTZ else "zeta_detuning"
+        params = MediumParams(gamma=gamma, delta=delta, **{coupling: zeta})
+        folds = find_thresholds(params, mech)
+        top = 2.0 * (zeta + abs(delta) + gamma) if folds is None else folds[0]
+        cases.append((params, mech, rng.uniform(0.0, 1.5) * top))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MarginalStabilityWarning)
+        arr, folds = solve_rows(cases)
+        for i, case in enumerate(cases):
+            assert_row_equals_call(arr, folds, i, *case)
+
+
+def test_readme_peaks_media_as_rows_equal_their_scans():
+    """The lorentz and detuning media of the README ``peaks`` command, over
+    its grid, solved as the rows of one call: each row's roots, folds and
+    branch names are those of its medium's own call."""
+    grid = np.linspace(0.05, 25.0, 500)
+    media = [(LORENTZ_50, Mechanism.LORENTZ), (DETUNING_50, Mechanism.DETUNING)]
+    cases = [(params, mech, omega) for params, mech in media for omega in grid.tolist()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MarginalStabilityWarning)
+        arr, folds = solve_rows(cases)
+        names = steady_state._labeled(arr, folds[0])
+        for i, case in enumerate(cases):
+            assert_row_equals_call(arr, folds, i, *case)
+        for j, (params, mech) in enumerate(media):
+            scan = scan_hysteresis(params, mech, grid)
+            assert np.array_equal(names[j * grid.size:(j + 1) * grid.size], scan.points.branches)
 
 
 def test_scan_rejects_bad_grids():
