@@ -16,8 +16,11 @@ data streams stay clean.  Exit codes: 0 ok, 1 verify failure,
 
 Each subparser carries its handler as ``run`` and the package module that
 the handler computes with as ``library``.  A handler checks the parsed
-arguments before it computes or writes anything (a failed check is a
-configuration error), and the data commands write through ``_emit``.
+arguments before it computes (a failed check is a configuration error).  A
+data command hands its numpy columns and metadata to ``_emit``, which
+refuses a float that is not finite, alike in CSV and JSON, as a numerical
+failure before anything is written; the writers then convert and write
+one block of rows at a time.
 
 ``core``, ``dataclasses``, numpy, the library modules, ``json`` and
 ``hashlib`` are imported in the functions that use them, and a subparser
@@ -168,16 +171,14 @@ def build_parser() -> argparse.ArgumentParser:
             help="self-test: corrupt the quartic b2 term and confirm detection",
         )
 
-    sub.add_parser("hysteresis", help="branch structure over a drive grid",
-                   add_arguments=hysteresis_arguments)
-    sub.add_parser("spectrum", help="emission spectrum on one branch",
-                   add_arguments=spectrum_arguments)
-    sub.add_parser("peaks", help="side-peak positions over a drive grid",
-                   add_arguments=peaks_arguments)
-    sub.add_parser("dynamics", help="time-domain sweeps and relaxation",
-                   add_arguments=dynamics_arguments)
-    sub.add_parser("verify", help="run the oracle cross-check suite",
-                   add_arguments=verify_arguments)
+    for name, text, add in (
+        ("hysteresis", "branch structure over a drive grid", hysteresis_arguments),
+        ("spectrum", "emission spectrum on one branch", spectrum_arguments),
+        ("peaks", "side-peak positions over a drive grid", peaks_arguments),
+        ("dynamics", "time-domain sweeps and relaxation", dynamics_arguments),
+        ("verify", "run the oracle cross-check suite", verify_arguments),
+    ):
+        sub.add_parser(name, help=text, add_arguments=add)
     return parser
 
 
@@ -230,6 +231,12 @@ def _meta_value(value) -> str:
 _BLOCK_ROWS = 4096
 
 
+def _rows(values, start: int) -> list:
+    """The block of rows from ``start`` of a column (a numpy array or a list), as Python scalars."""
+    block = values[start:start + _BLOCK_ROWS]
+    return block.tolist() if hasattr(block, "tolist") else block
+
+
 def _csv_cells(values: list) -> list[str]:
     try:  # a slice of floats; str(x) of a float is its repr
         return list(map(float.__repr__, values))
@@ -243,36 +250,61 @@ def write_csv(stream, meta: dict, columns: dict) -> None:
     stream.write("# columns: " + ",".join(columns) + "\n")
     cols = list(columns.values())
     rows = min(map(len, cols), default=0)
-    for start in range(0, rows, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, rows)
-        cells = [_csv_cells(c[start:stop]) for c in cols]
+    for start in range(0, rows, _BLOCK_ROWS):  # zip ends each block at the shortest column
+        cells = [_csv_cells(_rows(c, start)) for c in cols]
         stream.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def write_json(stream, meta: dict, columns: dict) -> None:
     """The bytes of ``json.dump({"meta": meta, "data": columns})`` with
     ``indent=1``, ``separators=(",", ": ")`` and ``allow_nan=False``, plus a
-    newline.  The columns, lists of scalars under string names, go through
-    the C encoder a block of cells at a time.  Nothing is written until every
-    block is encoded, so a refused cell leaves ``stream`` (stdout too) as it was."""
+    newline; each block of cells goes through the C encoder as it is written."""
     import json
 
-    parts = []
     head = json.dumps(meta, allow_nan=False, separators=(",", ": "), indent=1)
-    parts.append('{\n "meta": ' + head.replace("\n", "\n ") + ',\n "data": {')
+    stream.write('{\n "meta": ' + head.replace("\n", "\n ") + ',\n "data": {')
     for i, (name, values) in enumerate(columns.items()):
-        parts.append((",\n  " if i else "\n  ") + json.dumps(name) + ": [")
+        stream.write((",\n  " if i else "\n  ") + json.dumps(name) + ": [")
         for start in range(0, len(values), _BLOCK_ROWS):
-            block = json.dumps(values[start:start + _BLOCK_ROWS], allow_nan=False,
-                               separators=(",\n   ", ": "))
-            parts.append((",\n   " if start else "\n   ") + block[1:-1])
-        parts.append("\n  ]" if values else "]")
-    parts.append("\n }\n}\n" if columns else "}\n}\n")
-    stream.writelines(parts)
+            block = json.dumps(_rows(values, start), allow_nan=False, separators=(",\n   ", ": "))
+            stream.write((",\n   " if start else "\n   ") + block[1:-1])
+        stream.write("\n  ]" if len(values) else "]")
+    stream.write("\n }\n}\n" if columns else "}\n}\n")
+
+
+def _non_finite_keys(value, key: str = "") -> list[str]:
+    """The keys, dotted through dicts and lists, of the floats in ``value`` that are not finite."""
+    if isinstance(value, (dict, list, tuple)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        return [k for sub, v in items for k in _non_finite_keys(v, f"{key}.{sub}".lstrip("."))]
+    return [key] if isinstance(value, float) and not math.isfinite(value) else []
+
+
+def _check_finite(columns: dict, meta: dict) -> None:
+    """FloatingPointError, a numerical failure, naming the keys of ``meta``
+    whose floats are not finite, or else the first column with such cells,
+    how many, and the first of their rows by the first column."""
+    import numpy as np
+
+    keys = _non_finite_keys(meta)
+    if keys:
+        raise FloatingPointError("not finite: " + ", ".join(keys))
+    for name, values in columns.items():
+        kind = getattr(values, "dtype", np.dtype(object)).kind  # a list: cell by cell
+        bad = (np.flatnonzero(~np.isfinite(values)).tolist() if kind == "f" else
+               [i for i, v in enumerate(values) if isinstance(v, float) and not math.isfinite(v)]
+               if kind == "O" else [])
+        if bad:  # the row named by its first column's cell, whose str is a float's repr
+            first, at = next(iter(columns.items()))
+            raise FloatingPointError(f"{name} is not finite at {len(bad)} of {len(values)} rows, "
+                                     f"the first at {first}={_fmt_cell(at[bad[0]])}")
 
 
 def _emit(ns: argparse.Namespace, columns: dict, **meta) -> int:
-    """Write ``columns`` under :func:`_base_meta` with ``meta`` added; EXIT_OK."""
+    """Write ``columns`` (numpy arrays or lists) under :func:`_base_meta`
+    with ``meta`` added; EXIT_OK.  A float that is not finite, in a column or
+    in ``meta``, is refused first, alike in either format."""
+    _check_finite(columns, meta)
     meta = _base_meta(ns, **meta)
     writer = write_csv if ns.fmt == "csv" else write_json
     if ns.out is None:
@@ -311,25 +343,13 @@ def _base_meta(ns: argparse.Namespace, **extra) -> dict:
     import hashlib
     import json
 
-    meta = {
-        "format_version": FORMAT_VERSION,
-        "command": ns.command,
-        "gamma": ns.gamma,
-        "delta": ns.delta,
-        "zeta_l": ns.zeta_l,
-        "zeta_m": ns.zeta_m,
-        # the --omega text; spectrum parses it to a float, whose str is its repr
-        "omega": str(ns.omega),
-        "seed": ns.seed,
-        "mechanism": ns.mechanism,
-    }
-    # an extra "mechanism" (peaks' list of families) keeps its place in the order
-    meta.update(extra)
-    digest = hashlib.sha256(
-        json.dumps(meta, sort_keys=True, allow_nan=False).encode()
-    ).hexdigest()
-    meta["build"] = digest[:12]
-    return meta
+    # omega is the --omega text (spectrum parses it to a float, whose str is its
+    # repr); an extra "mechanism" (peaks' list of families) keeps its place
+    meta = {"format_version": FORMAT_VERSION, "command": ns.command, "gamma": ns.gamma,
+            "delta": ns.delta, "zeta_l": ns.zeta_l, "zeta_m": ns.zeta_m, "omega": str(ns.omega),
+            "seed": ns.seed, "mechanism": ns.mechanism, **extra}
+    digest = hashlib.sha256(json.dumps(meta, sort_keys=True, allow_nan=False).encode())
+    return {**meta, "build": digest.hexdigest()[:12]}
 
 
 def _diag(ns: argparse.Namespace, message: str) -> None:
@@ -342,8 +362,8 @@ def _diag(ns: argparse.Namespace, message: str) -> None:
 # --------------------------------------------------------------------------
 
 def _root_columns(scan: steady_state.HysteresisScan) -> dict:
-    """One row per root of an array-backed scan, drive by drive, as Python
-    scalars; NoPhysicalRootError if some drive has no root."""
+    """One row per root of an array-backed scan, drive by drive, as numpy
+    columns; NoPhysicalRootError if some drive has no root."""
     import numpy as np
 
     from .core import NoPhysicalRootError
@@ -356,14 +376,14 @@ def _root_columns(scan: steady_state.HysteresisScan) -> dict:
     found = branches != ""
     w, z = arr.w[found], arr.omega_eff[found]
     return {
-        "omega": np.repeat(arr.omega, arr.count).tolist(),
-        "branch": branches[found].tolist(),
-        "w": w.tolist(),
-        "rho22": (0.5 * (1.0 - w)).tolist(),
-        "stable": arr.stable[found].tolist(),
+        "omega": np.repeat(arr.omega, arr.count),
+        "branch": branches[found],
+        "w": w,
+        "rho22": 0.5 * (1.0 - w),
+        "stable": arr.stable[found],
         # hypot, as Python's abs in the solution records: np.abs rounds some |z| differently
-        "omega_eff_abs": np.hypot(z.real, z.imag).tolist(),
-        "delta_eff": arr.delta_eff[found].tolist(),
+        "omega_eff_abs": np.hypot(z.real, z.imag),
+        "delta_eff": arr.delta_eff[found],
     }
 
 
@@ -381,8 +401,6 @@ def _cmd_hysteresis(ns: argparse.Namespace) -> int:
 def _cmd_spectrum(ns: argparse.Namespace) -> int:
     from dataclasses import asdict, replace
 
-    import numpy as np
-
     from . import spectrum, steady_state
     from .core import Branch
 
@@ -393,37 +411,18 @@ def _cmd_spectrum(ns: argparse.Namespace) -> int:
     _diag(ns, f"{ns.branch} branch at omega={ns.omega}: "
               f"w={sol.w:.6g}, |omega_eff|={abs(sol.omega_eff):.6g}")
     result = spectrum.spectrum_for_solution(sol, params.gamma, nu_grid)
-    overflowed = [k for k, v in asdict(result.coefficients).items() if not math.isfinite(v)]
-    if overflowed:  # the density would read 0 at every offset
-        raise OverflowError(f"density coefficients {', '.join(overflowed)} overflow "
-                            f"at |omega_eff| = {abs(sol.omega_eff)}")
-    density = result.incoherent
-    reference = None
-    if ns.normalize == "free-atom-max":
-        reference = spectrum.free_atom_saturation_max(params.gamma)
-        density = density / reference
-    finite = np.isfinite(density)
-    if not finite.all():  # 0/0 where the sextic's terms underflow, at the smallest scales
-        raise FloatingPointError(f"density is not finite at {finite.size - finite.sum()} of "
-                                 f"{finite.size} offsets, the first at "
-                                 f"nu={result.nu_grid[~finite][0]}")
-    return _emit(
-        ns,
-        {"nu": result.nu_grid.tolist(), "density": density.tolist()},
-        branch=ns.branch,
-        w=sol.w,
-        rho22=sol.rho22,
-        omega_eff_abs=abs(sol.omega_eff),
-        delta_eff=sol.delta_eff,
-        unstable=not sol.stable,
-        elastic_weight=result.elastic_weight,
-        peaks=list(result.peaks),
-        # "gamma6" is the denominator floor b0; the key stays for
-        # readers of existing files and for unchanged build ids
-        coefficients={**asdict(result.coefficients), "gamma6": result.coefficients.b0},
-        normalize=ns.normalize,
-        normalize_reference=reference,
-    )
+    reference = None if ns.normalize is None else spectrum.free_atom_saturation_max(params.gamma)
+    density = result.incoherent if reference is None else result.incoherent / reference
+    # _emit refuses b2 and b0 where they overflow (|omega_eff| from about 1e77),
+    # and a density that is 0/0 where the sextic's terms underflow (the smallest scales)
+    return _emit(ns, {"nu": result.nu_grid, "density": density}, branch=ns.branch, w=sol.w,
+                 rho22=sol.rho22, omega_eff_abs=abs(sol.omega_eff), delta_eff=sol.delta_eff,
+                 unstable=not sol.stable, elastic_weight=result.elastic_weight,
+                 peaks=list(result.peaks),
+                 # "gamma6" is the denominator floor b0; the key stays for
+                 # readers of existing files and for unchanged build ids
+                 coefficients={**asdict(result.coefficients), "gamma6": result.coefficients.b0},
+                 normalize=ns.normalize, normalize_reference=reference)
 
 
 def _cmd_peaks(ns: argparse.Namespace) -> int:
@@ -443,8 +442,7 @@ def _cmd_peaks(ns: argparse.Namespace) -> int:
     if ns.free_atom_reference:
         free = replace(base, **dict.fromkeys(SWITCHED_OFF.values(), 0.0))
         families.append(("free", Mechanism.LORENTZ, free))
-    cols = {k: [] for k in ("omega", "mechanism", "branch", "nu_p")}
-    thresholds: dict[str, object] = {}
+    parts, thresholds = [], {}
     for tag, mech, medium in families:
         scan = steady_state.scan_hysteresis(medium, mech, grid)
         thresholds[tag] = None if scan.omega_up is None else [scan.omega_up, scan.omega_down]
@@ -452,13 +450,13 @@ def _cmd_peaks(ns: argparse.Namespace) -> int:
         with np.errstate(over="ignore"):  # b2 and b0 overflow past |omega_eff| ~ 1e77; unread
             # float_power rounds as Python's x ** 2 (libm pow); np.square differs on some values
             o2 = np.float_power(roots["omega_eff_abs"], 2.0)
-            nu_p_sq = spectrum.spectrum_coefficients(o2, np.array(roots["delta_eff"]),
-                                                     medium.gamma).nu_p_sq
-        cols["omega"] += roots["omega"]
-        cols["mechanism"] += [tag] * len(nu_p_sq)
-        cols["branch"] += roots["branch"]
-        cols["nu_p"] += [math.sqrt(x) if x > 0.0 else None for x in nu_p_sq.tolist()]
+            nu_p_sq = spectrum.spectrum_coefficients(o2, roots["delta_eff"], medium.gamma).nu_p_sq
+        nu_p, peaked = np.full(nu_p_sq.size, None), nu_p_sq > 0.0  # None: no side peaks
+        nu_p[peaked] = np.sqrt(nu_p_sq[peaked])
+        parts.append({"omega": roots["omega"], "mechanism": np.full(nu_p.size, tag),
+                      "branch": roots["branch"], "nu_p": nu_p})
 
+    cols = {k: np.concatenate([part[k] for part in parts]) for k in parts[0]}
     return _emit(ns, cols, mechanism=",".join(m.value for m in mechs),
                  free_atom_reference=ns.free_atom_reference, thresholds=thresholds)
 
@@ -497,13 +495,12 @@ def _cmd_dynamics(ns: argparse.Namespace) -> int:
         meta = dict(branch=ns.branch, perturb=ns.perturb, t_end=ns.t_end, jumps=[])
     else:
         start, end = (grid[0], grid[-1]) if ns.mode == "sweep-up" else (grid[-1], grid[0])
-        result = dynamics.sweep_adiabatic(
-            params, mech, float(start), float(end), ns.ramp_rate, samples=len(grid),
-        )
+        result = dynamics.sweep_adiabatic(params, mech, float(start), float(end), ns.ramp_rate,
+                                          samples=len(grid))
         traj = result.trajectory
         meta = dict(ramp_rate=ns.ramp_rate, jumps=list(result.jumps))
-    u, v, w = traj.uvw.T.tolist()
-    cols = {"t": traj.times.tolist(), "omega": traj.omegas.tolist(), "u": u, "v": v, "w": w}
+    u, v, w = traj.uvw.T
+    cols = {"t": traj.times, "omega": traj.omegas, "u": u, "v": v, "w": w}
     return _emit(ns, cols, mode=ns.mode, **meta)
 
 
@@ -512,13 +509,10 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
 
     _medium_and_mechanism(ns)  # the suite draws its own media, but the flags must agree
     results = verify.run_verification(ns.seed, ns.inject_b2_typo)
-    lines = []
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        lines.append(f"{r.name}: {status}  max_dev={r.max_dev:.3e}  tol={r.tol:.0e}")
     overall = all(r.passed for r in results)
-    lines.append(f"overall: {'PASS' if overall else 'FAIL'}")
-    text = "\n".join(lines) + "\n"
+    lines = [f"{r.name}: {'PASS' if r.passed else 'FAIL'}  max_dev={r.max_dev:.3e}  tol={r.tol:.0e}"
+             for r in results]
+    text = "\n".join([*lines, f"overall: {'PASS' if overall else 'FAIL'}"]) + "\n"
     sys.stdout.write(text)
     if ns.out is not None:
         _write_file(ns.out, lambda fh: fh.write(text))
@@ -572,13 +566,10 @@ def __getattr__(name):
     # callers reach the verification suite as cli.run_verification and the
     # mechanism check as cli.validate_mechanism; each module loads on that
     # first access
-    if name == "run_verification":
-        from .verify import run_verification
-        return run_verification
-    if name == "validate_mechanism":
-        from .core import validate_mechanism
-        return validate_mechanism
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = {"run_verification": "verify", "validate_mechanism": "core"}.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __package__), name)
 
 
 if __name__ == "__main__":

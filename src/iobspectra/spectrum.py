@@ -68,6 +68,11 @@ class SpectrumResult:
     coefficients: SpectrumCoefficients
 
 
+def _any(mask) -> bool:
+    """np.any of a comparison, without np.any's dispatch for a scalar's bool."""
+    return mask.any() if isinstance(mask, np.ndarray) else mask
+
+
 def spectrum_coefficients(
     omega_eff_sq: float, delta_eff: float, gamma: float
 ) -> SpectrumCoefficients:
@@ -88,9 +93,9 @@ def spectrum_coefficients(
     break it); the identity is enforced to 1e-12 relative by the test suite
     and the verify command.
     """
-    if np.any(omega_eff_sq < 0.0):
+    if _any(omega_eff_sq < 0.0):  # NaN passes
         raise ValueError(f"omega_eff_sq must be nonnegative, got {omega_eff_sq}")
-    if np.any(gamma <= 0.0):
+    if _any(gamma <= 0.0):
         raise ValueError(f"gamma must be positive, got {gamma}")
     o2 = omega_eff_sq
     d2 = delta_eff * delta_eff

@@ -728,7 +728,7 @@ def scan_hysteresis(
     None when the window lies outside it, and a fold beyond an end of the
     grid is clipped to that end with a ThresholdRangeWarning.  Solver
     failures at individual points are recorded as empty solution sets rather
-    than aborting the scan.
+    than aborting the scan, with one warning for the scan.
     """
     grid = np.asarray(omega_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -749,7 +749,9 @@ def scan_hysteresis(
                 warnings.warn(f"bistable window touches the {end} end of the drive grid; "
                               f"{name} may lie outside it", ThresholdRangeWarning, stacklevel=2)
     points = ScanPoints(arr, _labeled(arr, folds[0]))
-    for om in arr.omega[arr.count == 0].tolist():
-        error = _no_root_error(replace(params, omega=om), mech)
-        warnings.warn(f"solver failed at omega={om}: {error}", stacklevel=2)
+    rootless = arr.omega[arr.count == 0].tolist()
+    if rootless:  # one warning per scan, worded at the first such drive
+        error = _no_root_error(replace(params, omega=rootless[0]), mech)
+        warnings.warn(f"solver failed at {len(rootless)} of {grid.size} drives, the first at "
+                      f"omega={rootless[0]}: {error}", stacklevel=2)
     return HysteresisScan(points=points, omega_up=omega_up, omega_down=omega_down)

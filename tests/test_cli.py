@@ -376,9 +376,10 @@ SPECTRUM_AT_1E76 = """\
 @pytest.mark.parametrize("omega", ["1e77", "1e100"])
 def test_spectrum_with_overflowed_density_coefficients_exits_3(tmp_path, capsys, omega):
     """Past |omega_eff| of about 1e77 the density coefficients b2 and b0
-    overflow, and the density would be 0 at every offset.  That is a
-    numerical failure, exit 3 with one line naming the coefficients, and
-    no file is written; at 1e76 the spectrum is written as before."""
+    overflow, and the density would read 0 off resonance and NaN at nu = 0.
+    That is a numerical failure, exit 3 with one line naming the
+    coefficients, and no file is written; at 1e76 the spectrum is written
+    as before."""
     medium = ("--delta", "3", "--zeta-l", "50", "--branch", "upper", "--nu-grid=-1:1:3")
     out = tmp_path / "never.csv"
     code, stdout, err = run(capsys, "spectrum", *medium, "--omega", omega, "--out", str(out))
@@ -394,7 +395,7 @@ def test_spectrum_with_overflowed_density_coefficients_exits_3(tmp_path, capsys,
 def test_spectrum_with_a_non_finite_density_exits_3(tmp_path, capsys, fmt):
     """At gamma = 1e-300 the density's sextic terms underflow and every cell
     would be 0/0.  In either format that is a numerical failure, exit 3 with
-    one line naming the count and the first such offset, and nothing is
+    one line naming the count and the first such row, and nothing is
     written: CSV wrote the NaN cells with exit 0, and JSON called the
     encoder's refusal a configuration error (exit 2)."""
     args = ("spectrum", "--delta", "1e-170", "--zeta-l", "1e+20", "--gamma", "1e-300",
@@ -403,7 +404,7 @@ def test_spectrum_with_a_non_finite_density_exits_3(tmp_path, capsys, fmt):
     out = tmp_path / "never.out"
     code, stdout, err = run(capsys, *args, "--out", str(out))
     assert (code, stdout, err) == (3, "", "iobspectra: numerical failure: density is not "
-                                          "finite at 3 of 3 offsets, the first at nu=-1e-300\n")
+                                          "finite at 3 of 3 rows, the first at nu=-1e-300\n")
     assert not out.exists()
     assert run(capsys, *args) == (3, "", err)
 
@@ -422,6 +423,20 @@ def test_scan_with_a_rootless_drive_exits_3(tmp_path, capsys, command):
     assert err.splitlines()[-1] == ("iobspectra: numerical failure: no inversion root in "
                                     "(0, 1] at 3 of 3 drives, the first at omega=0.0")
     assert not out.exists()
+
+
+def test_a_rootless_scan_warns_once():
+    """A scan of 2000 rootless drives writes one warning, with its source
+    line, and the one error line: 3 stderr lines, not one warning per drive."""
+    proc = python("-m", "iobspectra", "hysteresis", "--gamma", "1e-300", "--omega", "0:1:2000")
+    assert (proc.returncode, proc.stdout) == (3, "")
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 3
+    assert lines[0].endswith("UserWarning: solver failed at 2000 of 2000 drives, the first at "
+                             "omega=0.0: no inversion root in (0, 1] for coefficients "
+                             "(0.0, -0.0, 0.0, -0.0)")
+    assert lines[2] == ("iobspectra: numerical failure: no inversion root in (0, 1] at 2000 of "
+                        "2000 drives, the first at omega=0.0")
 
 
 def test_spectrum_metadata_and_normalization(tmp_path, capsys):
@@ -1023,30 +1038,55 @@ def _out_namespace(out, fmt="json"):
 
 
 def test_a_refused_cell_leaves_no_out_file(tmp_path):
-    """A writer that refuses a cell, here after a whole block of good ones,
-    leaves no file, no temporary file, and an existing target with its bytes."""
+    """A non-finite cell, here after a whole block of good ones, is refused
+    in either format before the file is opened: no file, no temporary
+    file, and an existing target keeps its bytes."""
     from iobspectra.cli import _BLOCK_ROWS, _emit
 
     columns = {"x": [1.0] * _BLOCK_ROWS + [math.nan]}
-    target = tmp_path / "out.json"
-    with pytest.raises(ValueError):
-        _emit(_out_namespace(target), columns)
-    assert list(tmp_path.iterdir()) == []
+    for fmt in ("csv", "json"):
+        target = tmp_path / fmt / "out"
+        target.parent.mkdir()
+        with pytest.raises(FloatingPointError):
+            _emit(_out_namespace(target, fmt), columns)
+        assert list(target.parent.iterdir()) == []
+        target.write_bytes(b"kept\n")
+        with pytest.raises(FloatingPointError):
+            _emit(_out_namespace(target, fmt), columns)
+        assert list(target.parent.iterdir()) == [target]
+        assert target.read_bytes() == b"kept\n"
+
+
+def test_a_write_that_raises_leaves_no_out_file(tmp_path):
+    """A write that raises after some bytes, as a full disk would, leaves no
+    temporary file, and an existing target keeps its bytes."""
+    from iobspectra.cli import _write_file
+
+    def fail(fh):
+        fh.write("half a document")
+        raise OSError(28, "No space left on device")
+
+    target = tmp_path / "out.csv"
     target.write_bytes(b"kept\n")
-    with pytest.raises(ValueError):
-        _emit(_out_namespace(target), columns)
+    with pytest.raises(OSError):
+        _write_file(str(target), fail)
     assert list(tmp_path.iterdir()) == [target]
     assert target.read_bytes() == b"kept\n"
 
 
 def test_a_refused_cell_leaves_stdout_empty(capsys):
-    """Without ``--out``, a JSON cell refused after a whole block of good ones
-    leaves stdout empty, not half a document."""
+    """Without ``--out``, a cell refused after a whole block of good ones
+    leaves stdout empty, not half a document, in either format; so does a
+    refused metadata value."""
     from iobspectra.cli import _BLOCK_ROWS, _emit
 
-    ns = build_parser().parse_args(["hysteresis", "--omega", "0:1:3", "--format", "json"])
-    with pytest.raises(ValueError):
-        _emit(ns, {"x": [1.0] * _BLOCK_ROWS + [math.nan]})
+    for fmt in ("csv", "json"):
+        ns = build_parser().parse_args(["hysteresis", "--omega", "0:1:3", "--format", fmt])
+        with pytest.raises(FloatingPointError, match=f"^x is not finite at 1 of {_BLOCK_ROWS + 1}"
+                                                     " rows, the first at x=nan$"):
+            _emit(ns, {"x": [1.0] * _BLOCK_ROWS + [math.nan]})
+        with pytest.raises(FloatingPointError, match=r"^not finite: c\.b\.1$"):
+            _emit(ns, {"x": [1.0]}, c={"b": [1.0, -math.inf]})
     assert capsys.readouterr().out == ""
 
 

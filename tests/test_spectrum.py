@@ -105,6 +105,21 @@ def test_coefficient_validation():
             spectrum_coefficients(np.ones(3), np.zeros(3), np.array([1.0, bad, 2.0]))
 
 
+@pytest.mark.parametrize("kind", [float, np.float64, np.array, lambda x: np.array([1.0, x])])
+def test_negative_omega_eff_sq_is_refused_and_nan_passes(kind):
+    """A negative |omega_eff|^2 is refused with its value named, as a Python
+    float, a numpy scalar, a 0-d array or an array; NaN and -0.0 pass."""
+    for bad in (-1.0, -5e-324):
+        value = kind(bad)
+        with pytest.raises(ValueError) as info:
+            spectrum_coefficients(value, 0.0, 1.0)
+        assert str(info.value) == f"omega_eff_sq must be nonnegative, got {value}"
+    for fine in (math.nan, -0.0):
+        assert spectrum_coefficients(kind(fine), 0.0, kind(1.0)).a0 is not None
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        spectrum_coefficients(1.0, 0.0, kind(-0.0))
+
+
 def test_coefficients_elementwise_on_arrays():
     """Array arguments give, field by field, the scalar call's bits; the
     draws include negative nu_p_sq (weak drive, small detuning)."""

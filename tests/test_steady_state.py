@@ -775,9 +775,9 @@ def test_each_cubic_solves_alone_as_in_a_batch():
 
 
 def test_scan_keeps_going_where_no_root_is_found(monkeypatch):
-    """Drives without a physical root warn "solver failed" once each, in
-    drive order and attributed to the caller, and keep an empty solution
-    set; solutions_at raises there instead."""
+    """Drives without a physical root keep an empty solution set, and the
+    scan warns "solver failed" once, attributed to the caller, with their
+    count and the first of them; solutions_at raises there instead."""
     solve = steady_state._inversion_roots
 
     def lose_every_other_drive(params, zeta, omega):
@@ -790,14 +790,26 @@ def test_scan_keeps_going_where_no_root_is_found(monkeypatch):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         scan = scan_hysteresis(LORENTZ_50, Mechanism.LORENTZ, grid)
-    failed = [str(w.message) for w in caught]
-    assert [m.split(":")[0] for m in failed] == [f"solver failed at omega={om}" for om in grid[::2]]
-    assert all(w.category is UserWarning and w.filename == __file__ for w in caught)
+    [warned] = caught
+    assert warned.category is UserWarning and warned.filename == __file__
     coefficients = cubic_coefficients(replace(LORENTZ_50, omega=0.5), Mechanism.LORENTZ)
-    assert failed[0].endswith(f"no inversion root in (0, 1] for coefficients {coefficients}")
+    assert str(warned.message) == ("solver failed at 3 of 5 drives, the first at omega=0.5: "
+                                   f"no inversion root in (0, 1] for coefficients {coefficients}")
     assert [len(pt.solutions) for pt in scan.points] == [0, 3, 0, 1, 0]
     with pytest.raises(NoPhysicalRootError):
         solutions_at(replace(LORENTZ_50, omega=0.5), Mechanism.LORENTZ)
+
+
+def test_a_rootless_scan_warns_once():
+    """At gamma = 1e-300 the cubic's coefficients underflow and none of 2000
+    drives has a root: the scan warns once, not once per drive."""
+    grid = np.linspace(0.0, 1.0, 2000)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        scan = scan_hysteresis(MediumParams(gamma=1e-300), Mechanism.LORENTZ, grid)
+    assert [str(w.message).split(":")[0] for w in caught] == [
+        "solver failed at 2000 of 2000 drives, the first at omega=0.0"]
+    assert not scan.points.arrays.count.any()
 
 
 def test_solve_inversion_raises_where_no_root_is_found():
