@@ -14,12 +14,13 @@ detuning of the chosen mechanism.  The sextic denominator factorizes as
 with b0 = gamma^2 a^2 > 0, which pins the side peaks to nu = +-nu_p exactly
 and proves positivity.
 An independent route to the same density solves a complex 3x3 linear
-system for the atom-field correlation function, over the matrix's two
-structural zeros with one determinant; both are implemented and
-cross-checked against each other.  A second check integrates the density
-of given coefficients by a fixed Gauss-Legendre rule over the half line
-(the density is even in nu): the integral over the inelastic share
-rho22 - |rho12|^2 = 2 rho22^2 is exactly pi.
+system for the atom-field correlation function, by Cramer's rule for the
+one component it needs over the matrix's two structural zeros: two
+determinants and one complex division per offset.  Both routes are
+implemented and cross-checked against each other.  A second check
+integrates the density of given coefficients by a fixed Gauss-Legendre rule
+over the half line (the density is even in nu): the integral over the
+inelastic share rho22 - |rho12|^2 = 2 rho22^2 is exactly pi.
 
 Spectra are reported in a common arbitrary unit (coupling and photon-energy
 prefactors dropped), so shapes and ratios are meaningful but absolute
@@ -187,21 +188,28 @@ def oracle_spectrum(nu, omega_eff: complex, delta_eff: float, gamma: float, rho:
     M g = q and returns Re g12, which is normalized identically to
     :func:`incoherent_spectrum`.
 
-    M is solved over its structural zeros m12 = m21 = 0 by Cramer's rule
-    with the denominators m11, m22 cleared:
+    M is solved over its structural zeros m12 = m21 = 0 by Cramer's rule for
+    g12 alone, g12 = det M1 / det M with M1 the matrix M whose column 1 is q:
 
-        det M = m00 m11 m22 - m01 m10 m22 - m02 m20 m11,
-        g11   = (q0 m11 m22 - m01 q1 m22 - m02 q2 m11) / det M,
-        g12   = (q1 - m10 g11) / m11,
+        det M  = m00 m11 m22 - m01 m10 m22 - m02 m20 m11,
+        det M1 = m22 (q1 m00 - q0 m10) + m02 (m10 q2 - q1 m20),
 
-    two complex divisions per nu.  Both divisors are nonzero for gamma > 0:
-    |det M|^2 equals the sextic denominator of :func:`incoherent_spectrum`,
-    which is at least b0 = gamma^2 a^2 > 0, and |m11| is at least gamma / 2
-    (its real part).
+    one complex division per nu (m01, m02, m10, m20 and q do not depend on
+    nu, so the last term of det M1 is one scalar).  The divisor is nonzero
+    for gamma > 0: |det M|^2 equals the sextic denominator of
+    :func:`incoherent_spectrum`, which is at least b0 = gamma^2 a^2 > 0.
 
-    det M grows as nu^3 and overflows past |nu| ~ 5.6e102; the density is 0
-    there, as its nu^-4 tail gives, and no warning is raised.  At a NaN
-    offset the density is NaN, as in :func:`incoherent_spectrum`.
+    Over the default grid the relative error stays within 6 eps times the
+    conditioning of these formulas, which is a few (1 + |omega_eff| / gamma)
+    near the side peaks; a test derives that bound and checks it against an
+    exact solve.  In the tail Re g12 ~ nu^-4 is a vanishing share of
+    |g12| ~ nu^-1, and the relative error grows about as eps (nu / gamma)^2:
+    at |omega_eff| = 5 gamma it is 3e-4 at 1e7 gamma and 1 near 1e9 gamma,
+    past which the value is rounding noise of either sign (bound it there,
+    never test its sign).  det M grows as nu^3 and overflows past
+    |nu| ~ 5.6e102; the density is 0 there, as its nu^-4 tail gives, and no
+    warning is raised.  At a NaN offset the density is NaN, as in
+    :func:`incoherent_spectrum`.
     """
     nus = np.asarray(nu, dtype=float)
     flat = nus.reshape(-1)
@@ -214,14 +222,13 @@ def oracle_spectrum(nu, omega_eff: complex, delta_eff: float, gamma: float, rho:
         m00, m01, m02, m10, m11, m20, m22 = _correlation_entries(flat, omega_eff, delta_eff, gamma)
         prod = m11 * m22
         det = m00 * prod
-        num = np.multiply(q0, prod, out=m00)
         det -= np.multiply(m01 * m10, m22, out=prod)
-        num -= np.multiply(m01 * q1, m22, out=prod)
         det -= np.multiply(m02 * m20, m11, out=prod)
-        num -= np.multiply(m02 * q2, m11, out=prod)
-        g11 = np.divide(num, det, out=num)
-        g12 = np.subtract(q1, np.multiply(m10, g11, out=m22), out=g11)
-        out = np.divide(g12, m11, out=prod).real
+        inner = np.multiply(q1, m00, out=m11)
+        inner -= q0 * m10
+        num = np.multiply(m22, inner, out=prod)
+        num += m02 * (m10 * q2 - q1 * m20)
+        out = np.divide(num, det, out=m00).real
         # one sum flags an overflow (or a NaN offset) anywhere; the mask is
         # built only then, and leaves the NaN of a NaN offset
         if not np.isfinite(det.sum()):
