@@ -448,8 +448,7 @@ def _cmd_peaks(ns: argparse.Namespace) -> int:
         thresholds[tag] = None if scan.omega_up is None else [scan.omega_up, scan.omega_down]
         roots = _root_columns(scan)
         with np.errstate(over="ignore"):  # b2 and b0 overflow past |omega_eff| ~ 1e77; unread
-            # float_power rounds as Python's x ** 2 (libm pow); np.square differs on some values
-            o2 = np.float_power(roots["omega_eff_abs"], 2.0)
+            o2 = spectrum._omega_eff_sq(roots["omega_eff_abs"])  # as spectrum_for_solution
             nu_p_sq = spectrum.spectrum_coefficients(o2, roots["delta_eff"], medium.gamma).nu_p_sq
         nu_p, peaked = np.full(nu_p_sq.size, None), nu_p_sq > 0.0  # None: no side peaks
         nu_p[peaked] = np.sqrt(nu_p_sq[peaked])

@@ -413,7 +413,7 @@ def sweep_adiabatic(
     check_drive(omega_end, "omega_end")
     if omega_start == omega_end:
         raise ValueError("sweep endpoints must be distinct")
-    if not 0.0 < ramp_rate <= RAMP_RATE_MAX_FACTOR * params.gamma**2:
+    if not 0.0 < ramp_rate <= RAMP_RATE_MAX_FACTOR * (params.gamma * params.gamma):
         raise ValueError(
             f"ramp_rate must lie in (0, {RAMP_RATE_MAX_FACTOR} gamma^2] for adiabaticity"
         )

@@ -74,6 +74,12 @@ def _any(mask) -> bool:
     return mask.any() if isinstance(mask, np.ndarray) else mask
 
 
+def _omega_eff_sq(omega_eff_abs):
+    """|omega_eff|^2 of the density coefficients, elementwise: the package's one
+    square by libm pow (Python's x ** 2), pinned by perfbench's cli (ROADMAP items 1, 2)."""
+    return np.float_power(omega_eff_abs, 2.0)
+
+
 def spectrum_coefficients(
     omega_eff_sq: float, delta_eff: float, gamma: float
 ) -> SpectrumCoefficients:
@@ -143,17 +149,16 @@ def _correlation_entries(nu: np.ndarray, omega_eff: complex, delta_eff: float, g
     """The seven nonzero entries (m00, m01, m02, m10, m11, m20, m22) of the
     3x3 correlation matrix; m12 = m21 = 0 by structure.  The diagonal
     entries i nu + gamma, i (nu - delta_eff) + gamma/2 and
-    i (nu + delta_eff) + gamma/2 are new arrays of the shape of ``nu``,
-    written part by part with no complex temporaries; the off-diagonal ones
-    are scalars.
+    i (nu + delta_eff) + gamma/2 are new arrays of the shape of ``nu``: m00
+    written part by part, m11 and m22 as m00 less one complex scalar whose real
+    part gamma - gamma/2 is exact, subnormal gamma too.  The others are scalars.
     """
     ob = complex(omega_eff)
-    m00, m11, m22 = (np.empty(nu.shape, dtype=complex) for _ in range(3))
-    m00.real, m11.real, m22.real = gamma, 0.5 * gamma, 0.5 * gamma
+    m00 = np.empty(nu.shape, dtype=complex)
+    m00.real = gamma
     # adding 0.0 turns -0.0 into 0.0, as the complex product i * nu does
-    nu_im = np.add(nu, 0.0, out=m00.imag)
-    np.subtract(nu_im, delta_eff, out=m11.imag)
-    np.add(nu_im, delta_eff, out=m22.imag)
+    np.add(nu, 0.0, out=m00.imag)
+    m11, m22 = (m00 - complex(gamma - 0.5 * gamma, d) for d in (delta_eff, -delta_eff))
     return m00, 1j * ob.conjugate(), -1j * ob, 2j * ob, m11, -2j * ob.conjugate(), m22
 
 
@@ -257,14 +262,15 @@ def spectrum_for_solution(
     nu_grid=None,
 ) -> SpectrumResult:
     """Assemble the spectrum for an already-computed steady-state solution."""
-    coeffs = spectrum_coefficients(abs(sol.omega_eff) ** 2, sol.delta_eff, gamma)
+    o2 = float(_omega_eff_sq(abs(sol.omega_eff)))
+    coeffs = spectrum_coefficients(o2, sol.delta_eff, gamma)
     if nu_grid is None:
         nu_grid = default_nu_grid(coeffs.nu_p_sq, gamma)
     nu_grid = np.asarray(nu_grid, dtype=float)
     return SpectrumResult(
         nu_grid=nu_grid,
         incoherent=incoherent_spectrum(nu_grid, coeffs, sol.rho22, gamma),
-        elastic_weight=abs(sol.rho12) ** 2,
+        elastic_weight=abs(sol.rho12) * abs(sol.rho12),
         peaks=peak_positions(coeffs),
         coefficients=coeffs,
     )
@@ -371,7 +377,7 @@ def sum_rule_ratio(result: SpectrumResult, rho22: float, rho12: complex) -> floa
     The rounding of the sextic dominates: near the side peaks its terms
     cancel by about (nu_p / gamma)^2.
     """
-    inelastic = rho22 - abs(rho12) ** 2
+    inelastic = rho22 - abs(rho12) * abs(rho12)
     if not inelastic >= -4.0 * sys.float_info.epsilon:
         raise ValueError(
             f"rho22 - |rho12|^2 = {inelastic} is below -4 eps; inconsistent steady state"

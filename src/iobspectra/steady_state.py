@@ -177,15 +177,12 @@ def cubic_coefficients(
 
 
 def _inversion_cubic(medium, zeta, omega):
-    """Inversion-cubic coefficients at drive ``omega`` (a float or an array).
-    The medium's squares are libm pow, as Python's x ** 2, so that _Rows
-    round as one medium; numpy's array ** 2 differs on some values."""
-    g2_4 = 0.25 * np.float_power(medium.gamma, 2.0)
-    c3 = zeta * zeta
-    c2 = -zeta * (zeta + 2.0 * medium.delta)
-    c1 = 2.0 * omega**2 + medium.delta * (medium.delta + 2.0 * zeta) + g2_4
-    c0 = -(np.float_power(medium.delta, 2.0) + g2_4)
-    return c3, c2, c1, c0
+    """Inversion-cubic coefficients at drive ``omega`` (a float or an array);
+    every square is one product, so media, _Rows and drive arrays round alike."""
+    g2_4 = 0.25 * (medium.gamma * medium.gamma)
+    c1 = 2.0 * (omega * omega) + medium.delta * (medium.delta + 2.0 * zeta) + g2_4
+    c0 = -(medium.delta * medium.delta + g2_4)
+    return zeta * zeta, -zeta * (zeta + 2.0 * medium.delta), c1, c0
 
 
 def _normalized(coeffs: np.ndarray) -> np.ndarray:
@@ -364,7 +361,7 @@ def _fold_cubic(medium, zeta):
     2 zeta^2 W^3 - zeta (zeta + 2 delta) W^2 + delta^2 + gamma^2/4."""
     delta = medium.delta
     return (2.0 * zeta * zeta, -zeta * (zeta + 2.0 * delta), 0.0,
-            delta * delta + 0.25 * np.float_power(medium.gamma, 2.0))
+            delta * delta + 0.25 * (medium.gamma * medium.gamma))
 
 
 def _fold_pair(medium, zeta, roots: np.ndarray) -> np.ndarray:
@@ -373,7 +370,7 @@ def _fold_pair(medium, zeta, roots: np.ndarray) -> np.ndarray:
     monostable medium.  At most two roots lie in (0, 1): with c1 = 0 and
     c3, c0 > 0 the cubic has one negative root."""
     w = np.where((roots > 0.0) & (roots < 1.0), roots, np.nan)
-    q = np.float_power(medium.delta - zeta * w, 2.0) + 0.25 * np.float_power(medium.gamma, 2.0)
+    q = np.square(medium.delta - zeta * w) + 0.25 * (medium.gamma * medium.gamma)
     omegas = np.sqrt((1.0 - w) * q / (2.0 * w))
     omegas.sort(axis=1)  # the NaN padding last
     folds = omegas.T[1::-1]
@@ -579,7 +576,7 @@ def stationary_state(omega_eff: complex, delta_eff: float, gamma: float) -> Stat
     the saturation law and the coherence from :func:`coherence`.
     """
     dd = delta_eff * delta_eff + 0.25 * gamma * gamma
-    w = dd / (2.0 * abs(omega_eff) ** 2 + dd)
+    w = dd / (2.0 * (abs(omega_eff) * abs(omega_eff)) + dd)
     r12 = coherence(w, omega_eff, delta_eff, gamma)
     return StationaryState(
         rho11=0.5 * (1.0 + w),
@@ -600,10 +597,10 @@ def rabi_relation_sq(w: float, params: MediumParams, mech: Mechanism) -> float:
     one for the pure local-field mechanism).
     """
     validate_mechanism(params, mech)
-    g2_4 = 0.25 * params.gamma**2
+    g2_4 = 0.25 * (params.gamma * params.gamma)
     delta_eff = params.delta - params.zeta_detuning * w
     shifted = delta_eff - params.zeta_lorentz * w
-    return params.omega**2 * (delta_eff**2 + g2_4) / (shifted**2 + g2_4)
+    return params.omega * params.omega * (delta_eff * delta_eff + g2_4) / (shifted * shifted + g2_4)
 
 
 def find_thresholds(params: MediumParams, mech: Mechanism) -> tuple[float, float] | None:

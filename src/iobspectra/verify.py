@@ -38,9 +38,8 @@ def _coefficients_maybe_injected(
     coeffs = spectrum.spectrum_coefficients(omega_eff_sq, delta_eff, gamma)
     if not inject:
         return coeffs
-    # deliberately corrupt the quartic drive term down to quadratic; float_power
-    # rounds as Python's x ** 2 (libm pow), elementwise
-    o2, d2, g2 = omega_eff_sq, np.float_power(delta_eff, 2.0), np.float_power(gamma, 2.0)
+    # deliberately corrupt the quartic drive term down to quadratic
+    o2, d2, g2 = omega_eff_sq, delta_eff * delta_eff, gamma * gamma
     bad_b2 = 16.0 * o2 + 2.0 * o2 * (4.0 * d2 + g2) + d2 * d2 - 1.5 * g2 * d2 + 0.5625 * g2 * g2
     return replace(coeffs, b2=bad_b2)
 
@@ -61,9 +60,8 @@ def check_spectrum_oracle(seed: int, inject: bool = False) -> CheckResult:
     for _ in range(20):
         omega_eff, delta_eff, gamma = _draw_effective(rng)
         rho = steady_state.stationary_state(omega_eff, delta_eff, gamma)
-        coeffs = _coefficients_maybe_injected(
-            abs(omega_eff) ** 2, delta_eff, gamma, inject
-        )
+        o2 = spectrum._omega_eff_sq(abs(omega_eff))
+        coeffs = _coefficients_maybe_injected(o2, delta_eff, gamma, inject)
         nu = spectrum.default_nu_grid(coeffs.nu_p_sq, gamma, points=401)
         closed = spectrum.incoherent_spectrum(nu, coeffs, rho.rho22, gamma)
         oracle = spectrum.oracle_spectrum(nu, omega_eff, delta_eff, gamma, rho)
@@ -82,12 +80,11 @@ def check_factorization(seed: int, inject: bool = False) -> CheckResult:
     high = np.where(weak, [0.05, 0.2, 3.0], [50.0, 10.0, 3.0])
     o2, d, g = rng.uniform(low, high).T
     c = _coefficients_maybe_injected(o2, d, g, inject)
-    power = np.float_power  # libm pow, as Python's scalar x ** n
     scale = g * g + d * d + 2.0 * o2
     max_dev = float(np.max([
         abs(c.b4 + 2.0 * c.nu_p_sq) / scale,
-        abs(c.b2 - (power(c.nu_p_sq, 2.0) + 8.0 * g * g * o2)) / power(scale, 2.0),
-        abs(c.b0 - g * g * power(2.0 * o2 + d * d + 0.25 * g * g, 2.0)) / power(scale, 3.0),
+        abs(c.b2 - (c.nu_p_sq * c.nu_p_sq + 8.0 * g * g * o2)) / (scale * scale),
+        abs(c.b0 - g * g * np.square(2.0 * o2 + d * d + 0.25 * g * g)) / (scale * scale * scale),
     ]))
     return CheckResult("factorization_identity", max_dev <= 1e-12, max_dev, 1e-12)
 
@@ -175,7 +172,7 @@ def check_rabi_relation(seed: int) -> CheckResult:
             p = replace(params, omega=om)  # one medium per drive, for each of its roots
             for w, omega_eff in zip(ws[:count], omega_effs[:count]):
                 expected = steady_state.rabi_relation_sq(w, p, Mechanism.LORENTZ)
-                rel = abs(abs(omega_eff) ** 2 - expected) / max(expected, 1e-300)
+                rel = abs(abs(omega_eff) * abs(omega_eff) - expected) / max(expected, 1e-300)
                 max_dev = max(max_dev, rel)
     return CheckResult("rabi_relation", max_dev <= 1e-10, max_dev, 1e-10)
 
@@ -232,22 +229,22 @@ def check_sum_rule(seed: int) -> CheckResult:
     names = steady_state._labeled(arr, folds[0], stacklevel=2).tolist()
     at = (range(len(cases)), [row.index(case[2].value) for case, row in zip(cases, names)])
     w, rho12, z = arr.w[at], arr.rho12[at], arr.omega_eff[at]
-    # one density call too; hypot and pow round as a record's abs(z) ** 2
-    coeffs = spectrum.spectrum_coefficients(np.float_power(np.hypot(z.real, z.imag), 2.0),
+    # one density call too; hypot rounds as a record's abs(z)
+    coeffs = spectrum.spectrum_coefficients(spectrum._omega_eff_sq(np.hypot(z.real, z.imag)),
                                             arr.delta_eff[at], rows.gamma[:, 0])
     max_dev = 0.0
     for i, (w_i, rho12_i) in enumerate(zip(w.tolist(), rho12.tolist())):
         c = spectrum.SpectrumCoefficients(*(x.item(i) for x in vars(coeffs).values()))
         # the spectrum on an empty grid, whose coefficients sum_rule_ratio integrates
-        result = spectrum.SpectrumResult(np.empty(0), np.empty(0), abs(rho12_i) ** 2,
+        result = spectrum.SpectrumResult(np.empty(0), np.empty(0), abs(rho12_i) * abs(rho12_i),
                                          spectrum.peak_positions(c), c)
         ratio = spectrum.sum_rule_ratio(result, 0.5 * (1.0 - w_i), rho12_i)
         max_dev = max(max_dev, abs(ratio - np.pi) / np.pi)
     w, rho12 = w[:, None], rho12[:, None]
     cubic = steady_state._inversion_cubic(rows, zeta, omega[:, None])
-    q = np.float_power(rows.delta - zeta * w, 2.0) + 0.25 * np.float_power(rows.gamma, 2.0)
+    q = np.square(rows.delta - zeta * w) + 0.25 * (rows.gamma * rows.gamma)
     bound = 8.0 * np.finfo(float).eps * w * sum(map(abs, cubic)) / (2.0 * q)
-    defect = abs(np.float_power(np.hypot(rho12.real, rho12.imag), 2.0) - w * (0.5 * (1.0 - w)))
+    defect = abs(np.square(np.hypot(rho12.real, rho12.imag)) - w * (0.5 * (1.0 - w)))
     consistent = bool(np.all(defect <= bound))
     return CheckResult("sum_rule_constancy", consistent and max_dev <= 1e-10, max_dev, 1e-10)
 

@@ -1,8 +1,10 @@
 """The package namespace: every public name resolves; importing the package
 and the CLI's help load no numpy, and each command only its own modules; and
 of scipy only the compiled ODEPACK module loads, and only when something is
-integrated."""
+integrated.  The package's source squares by products alone, but for one
+helper."""
 
+import ast
 import importlib.util
 import json
 import os
@@ -277,3 +279,59 @@ def test_dynamics_odeint_is_scipys():
     package did and scipy.integrate reuses it."""
     run_fresh(SCIPY_FIRST)
     run_fresh(PACKAGE_FIRST)
+
+
+# the one function allowed a libm square: (module file, function name)
+POW_SQUARE = ("spectrum.py", "_omega_eff_sq")
+
+
+def pow_squares(source: str, allowed: str | None = None) -> list[int]:
+    """Lines of ``source`` with a square by ``** 2`` (or ``**= 2``) or a
+    mention of float_power, outside the function named ``allowed``.
+    Docstrings are strings, not code, so they never count."""
+    tree = ast.parse(source)
+    skip = {id(node) for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == allowed for node in ast.walk(fn)}
+    lines = []
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        power = isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow)
+        exponent = getattr(node, "right", getattr(node, "value", None))
+        square = power and isinstance(exponent, ast.Constant) and exponent.value == 2
+        named = "float_power" in (getattr(node, "attr", None), getattr(node, "id", None))
+        if square or named:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_pow_squares_are_found():
+    """The guard below finds each way the package once squared by libm pow,
+    and passes over docstrings and the allowed helper."""
+    source = '''
+def f(x, y):
+    """x ** 2 in a docstring"""
+    a = x ** 2
+    b = x**2.0
+    y **= 2
+    c = np.float_power(x, 2.0)
+    power = np.float_power
+    return x ** 3, x * x
+
+def _omega_eff_sq(r):
+    return np.float_power(r, 2.0)
+'''
+    assert pow_squares(source, "_omega_eff_sq") == [4, 5, 6, 7, 8]
+    assert pow_squares(source) == [4, 5, 6, 7, 8, 12]
+
+
+def test_every_square_is_a_product_but_one():
+    """No module of the package squares by ``** 2`` or names float_power,
+    which are libm pow where the operand is a Python float, except the one
+    helper that keeps |omega_eff|^2 of the density coefficients on pow; that
+    helper calls float_power once."""
+    src = Path(iobspectra.__file__).parent
+    found = {path.name: pow_squares(path.read_text(), POW_SQUARE[1] if path.name == POW_SQUARE[0]
+                                    else None) for path in sorted(src.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert len(pow_squares((src / POW_SQUARE[0]).read_text())) == 1

@@ -139,6 +139,31 @@ def test_cubic_coefficients_free_atom():
     assert cubic_coefficients(p, Mechanism.LORENTZ) == (0.0, 0.0, 2.25, -0.25)
 
 
+def test_cubic_coefficients_are_the_kernels_cubic():
+    """cubic_coefficients returns, bit for bit, the cubic that the kernel
+    solves on a drive array and on rows of media, at drives and for a medium
+    whose squares by libm pow (Python's x ** 2) differ from the products: a
+    seeded search finds them.  At omega = 14.774296276344876 of LORENTZ_50
+    the pow square gave c1 = 745.809660922436 where the kernel's drive array
+    gives 745.8096609224361."""
+    x = np.random.default_rng(35).uniform(0.1, 30.0, 40_000)
+    off = x[np.float_power(x, 2.0) != x * x].tolist()
+    drives = np.array([14.774296276344876] + off[:8])
+    media = [(LORENTZ_50, Mechanism.LORENTZ),
+             (MediumParams(gamma=off[8], delta=-off[9], zeta_detuning=off[10]), Mechanism.DETUNING)]
+    for params, mech in media:
+        want = np.array([cubic_coefficients(replace(params, omega=omega), mech)
+                         for omega in drives.tolist()]).T
+        rows = steady_state._Rows.of([(params, mech)] * drives.size)
+        cubic = steady_state._inversion_cubic
+        for got in (cubic(params, zeta_total(params, mech), drives[:, None]),
+                    cubic(rows, rows.zeta_lorentz + rows.zeta_detuning, drives[:, None])):
+            for name, g, w in zip(("c3", "c2", "c1", "c0"), got, want):
+                assert np.array_equal(np.broadcast_to(g, (drives.size, 1))[:, 0], w), (params, name)
+    assert cubic_coefficients(replace(LORENTZ_50, omega=drives[0]), Mechanism.LORENTZ)[2] == (
+        745.8096609224361)
+
+
 def test_cubic_three_roots_by_sign_sampling():
     """Sign changes of the cubic on a dense grid bracket exactly three roots."""
     p = replace(LORENTZ_50, omega=8.0)
@@ -392,33 +417,72 @@ def test_flags_do_not_depend_on_the_scale_of_gamma(k):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
+def scaling_media(rng, n):
+    """``n`` seeded media, lorentz, detuning and joint in turn: gamma
+    log-uniform in 1/4 ... 4, zeta / gamma in 1 ... 1000 and delta / gamma in
+    -3 ... 12, which makes about two in three bistable."""
+    media = []
+    for i in range(n):
+        mech = list(Mechanism)[i % 3]
+        gamma = 2.0 ** rng.uniform(-2.0, 2.0)
+        zeta = gamma * 10.0 ** rng.uniform(0.0, 3.0)
+        share = {Mechanism.LORENTZ: 1.0, Mechanism.DETUNING: 0.0}.get(mech, rng.uniform(0.1, 0.9))
+        media.append((MediumParams(gamma=gamma, delta=gamma * rng.uniform(-3.0, 12.0),
+                                   zeta_lorentz=share * zeta, zeta_detuning=(1.0 - share) * zeta),
+                      mech))
+    return media
+
+
+def first_unequal_row(a, b):
+    """Index of the first row where arrays ``a`` and ``b`` differ, NaN equal to NaN."""
+    same = (a == b) | ((a != a) & (b != b))
+    return int(np.flatnonzero(~same.reshape(len(a), -1).all(axis=1))[0])
+
+
 def test_power_of_two_scaling_as_rows_of_one_call():
-    """Lorentz media scaled by 2**k, k = -300 ... 300, as the rows of one
-    kernel call: roots, root counts, stability flags (the marginal double
-    roots at the folds of LORENTZ_50 included), coherences and residuals stay
-    bit for bit, and the drives, effective drives and detunings and both
-    folds scale by exactly 2**k."""
-    media = [LORENTZ_50] + [MediumParams(gamma=g, delta=d, zeta_lorentz=z) for g, d, z in
-                            [(0.7, -2.0, 40.0), (0.3, 0.5, 5.0), (1.3, -0.4, 900.0),
-                             (0.25, 12.0, 60.0)]]
-    scales = np.ldexp(1.0, np.arange(-300, 301))
-    for params in media:
-        up, down = find_thresholds(params, Mechanism.LORENTZ)
-        drives = np.array([0.0, down, 0.5 * (up + down), up, 2.0 * up])
-        want = solution_arrays(params, Mechanism.LORENTZ, drives)
-        cases = [(MediumParams(gamma=s * params.gamma, delta=s * params.delta,
-                               zeta_lorentz=s * params.zeta_lorentz), Mechanism.LORENTZ, s * omega)
-                 for s in scales.tolist() for omega in drives.tolist()]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", MarginalStabilityWarning)
-            got, folds = solve_rows(cases)
-        s = np.repeat(scales, drives.size)
-        for name in want._fields:
-            tiled = np.concatenate([getattr(want, name)] * scales.size)
-            if name in ("omega", "omega_eff", "delta_eff"):  # frequencies
-                tiled = (s if tiled.ndim == 1 else s[:, None]) * tiled
-            assert np.array_equal(getattr(got, name), tiled, equal_nan=True), (params, name)
-        assert np.array_equal(folds, s * np.array([[up], [down]]))
+    """Media scaled by 2**k as the rows of one kernel call: roots, root
+    counts, stability flags (the marginal double roots at the folds of
+    LORENTZ_50 included), coherences and residuals stay bit for bit, and the
+    drives, effective drives and detunings and both folds scale by exactly
+    2**k.  Five lorentz media take every k = -300 ... 300; 240 seeded
+    lorentz, detuning and joint media take every 7th k, from an offset that
+    moves with the medium.  A bistable medium is driven at 0, at both folds,
+    midway and at twice the upper fold, a monostable one at 0, 1/2, 2, 8
+    and 30 gamma."""
+    media = [(params, Mechanism.LORENTZ, np.arange(-300, 301)) for params in
+             [LORENTZ_50] + [MediumParams(gamma=g, delta=d, zeta_lorentz=z) for g, d, z in
+                             [(0.7, -2.0, 40.0), (0.3, 0.5, 5.0), (1.3, -0.4, 900.0),
+                              (0.25, 12.0, 60.0)]]]
+    media += [(params, mech, np.arange(-300 + i % 7, 301, 7))
+              for i, (params, mech) in enumerate(scaling_media(np.random.default_rng(35), 240))]
+    cases, want, scale, want_folds = [], [], [], []
+    for params, mech, ks in media:
+        folds = find_thresholds(params, mech)
+        if folds is None:
+            drives, folds = params.gamma * np.array([0.0, 0.5, 2.0, 8.0, 30.0]), (np.nan, np.nan)
+        else:
+            up, down = folds
+            drives = np.array([0.0, down, 0.5 * (up + down), up, 2.0 * up])
+        s = np.repeat(np.ldexp(1.0, ks), drives.size)
+        fields = steady_state._Rows._fields  # gamma, delta and both couplings
+        cases += [(replace(params, **{f: x * getattr(params, f) for f in fields}), mech, x * omega)
+                  for x, omega in zip(s.tolist(), np.tile(drives, ks.size).tolist())]
+        want += [solution_arrays(params, mech, drives)] * ks.size
+        scale.append(s)
+        want_folds.append(s * np.array(folds)[:, None])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MarginalStabilityWarning)
+        got, folds = solve_rows(cases)
+    s = np.concatenate(scale)
+    for name in got._fields:
+        tiled = np.concatenate([getattr(one, name) for one in want])
+        if name in ("omega", "omega_eff", "delta_eff"):  # frequencies
+            tiled = (s if tiled.ndim == 1 else s[:, None]) * tiled
+        assert np.array_equal(getattr(got, name), tiled, equal_nan=True), (
+            name, cases[first_unequal_row(getattr(got, name), tiled)])
+    want_folds = np.concatenate(want_folds, axis=1)
+    assert np.array_equal(folds, want_folds, equal_nan=True), (
+        cases[first_unequal_row(folds.T, want_folds.T)])
 
 
 @pytest.mark.parametrize("params, mech", [(LORENTZ_50, Mechanism.LORENTZ),
