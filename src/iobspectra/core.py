@@ -39,8 +39,8 @@ if "CS_GNU_LIBC_VERSION" in getattr(os, "confstr_names", {}):
     ctypes.CDLL(None).mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
     ctypes.CDLL(None).mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
 
-# The largest drive.  The steady-state solver scales omega^2 by up to 8 (the
-# Routh-Hurwitz test of the Bloch Jacobian), so larger drives would overflow;
+# The largest drive.  dynamics' Routh-Hurwitz coefficients of the Bloch
+# Jacobian scale omega^2 by up to 8, so larger drives would overflow there;
 # omega^2 <= float max / 16 leaves a factor 2 to spare.  It also bounds
 # gamma, |delta| and each zeta, so the cubics' largest square,
 # (delta - zeta W)^2 with zeta = zeta_l + zeta_m, stays below 9/16 float max.

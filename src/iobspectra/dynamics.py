@@ -13,8 +13,8 @@ with the instantaneous renormalizations
 omega_bar(t) = omega(t) + zeta_lorentz (u + i v)/2 and
 delta_bar(t) = delta - zeta_detuning w(t).  Zeros of the right-hand side
 coincide with the algebraic steady states, which is the dynamic validation
-route for the cubic solver; the Routh-Hurwitz test on this Jacobian's
-characteristic cubic classifies the stability of each branch.
+route for the cubic solver; this Jacobian's characteristic cubic has the
+constant term gamma C(W) / W, so the fold cubic C classifies each branch.
 
 The integrators follow the flow from a state or along an adiabatic drive
 ramp with scipy's LSODA, in scipy's compiled ODEPACK module alone: importing

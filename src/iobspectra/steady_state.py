@@ -17,6 +17,8 @@ in closed form from the real roots in (0, 1) of one more cubic,
 
     2 zeta W (1 - W)(zeta W - delta) = (delta - zeta W)^2 + gamma^2/4.
 
+Its roots split (0, 1] into one piece per branch, which count and bracket
+the inversion roots, and its sign at a root is the root's stability.
 Both cubics are solved by one closed-form kernel that works row-wise on
 numpy arrays, so a whole drive grid is solved, assembled and classified at
 once; the single-drive functions call the same kernel on one drive.  It is
@@ -44,25 +46,6 @@ from .core import (
     validate_mechanism,
     zeta_total,
 )
-
-# Roots closer than this collapse to a single (tangency) root; so do roots that
-# rounding cannot tell from a double root (see _coincide).
-ROOT_MERGE_TOL = 1e-8
-# Eigenvalue |Re| below this, in units of gamma, as estimated in _stability,
-# flags marginal stability.
-MARGINAL_STABILITY_TOL = 1e-9
-
-_EPS = float(np.finfo(float).eps)
-# Widest gap that rounding can open in a double or triple root of the
-# normalized inversion cubic, with a margin of 18.  With
-# p = c3 (w - x1)(w - x2)(w - x3), adjacent roots x1 < x2 = x1 + d bulge by
-# |c3| (d/2)^2 |mid - x3| at their midpoint, and they merge only when that is
-# at most 32 eps (see _coincide).  Roots of modulus at most 1 give
-# |c2|, |c1|, |c0| <= 3 |c3|, so |c3| >= 1/3 after normalization, and the
-# third root lies outside the pair, |mid - x3| >= d/2.  Hence
-# d^3 <= 24 * 32 eps, d <= 5.5e-5; a distant third root gives far less.
-_SPLIT_MAX = 1e-3
-
 
 class ThresholdRangeWarning(UserWarning):
     """A fold coincides with an endpoint of the scanned drive range."""
@@ -133,7 +116,7 @@ class SolutionArrays(NamedTuple):
     count     : (M,) number of physical roots; 0 where none was found
     w, rho12, omega_eff, delta_eff, residual, stable : (M, 3), as in
                 :class:`SteadyStateSolution`
-    marginal  : (M, 3) at a fold or Hopf point, as :func:`_stability` says
+    marginal  : (M, 3) at a fold, as :func:`_stability` says
     """
 
     omega: np.ndarray
@@ -311,82 +294,57 @@ def _per_root(c: np.ndarray) -> np.ndarray:
     return c[..., None].repeat(3, axis=-1)
 
 
-def _coincide(c, lo, hi):
-    """Whether adjacent roots lo < hi in (0, 1] of the normalized cubic ``c``
-    are one double root: closer than ROOT_MERGE_TOL, or with the cubic at
-    their midpoint indistinguishable from zero (NaN gives False).
-
-    Horner's rule at w in (0, 1] errs by at most about 6 eps sum |c_i| w^i
-    (three multiply-adds), and the normalized coefficients carry about two
-    roundings more: e(w) = 8 eps sum |c_i| w^i <= 32 eps.  Between two real
-    roots the cubic bulges by |p''| (hi - lo)^2 / 8 at the midpoint, so a
-    pair whose bulge is below e(mid) is, to working precision, a double root
-    that rounding split.  That split, 2 sqrt(2 e / |p''|), is of order
-    sqrt(eps) (3e-8 at the upper fold of delta = 3, zeta = 50), above
-    ROOT_MERGE_TOL.
-    """
-    mid = 0.5 * (lo + hi)
-    rounding = 8.0 * _EPS * _horner(tuple(np.abs(ci) for ci in c), mid)
-    return (hi - lo < ROOT_MERGE_TOL) | (np.abs(_horner(c, mid)) <= rounding)
-
-
-def _merge_coincident(c, w: np.ndarray):
-    """Rows of descending roots ``w`` with coincident neighbours (see
-    :func:`_coincide`) collapsed left to right, each merged pair into the
-    double root between them; returns the merged rows, NaN-padded, and their
-    root counts."""
-    rows = np.arange(w.shape[0])
-    merged = np.full_like(w, np.nan)
-    count = np.zeros(w.shape[0], dtype=int)
-    for x in w.T:
-        last = merged[rows, np.maximum(count - 1, 0)]
-        join = (count > 0) & _coincide(c, x, last)
-        if join.any():
-            # A double root is a simple root of the derivative, so Newton runs
-            # on p' = 3 c3 w^2 + 2 c2 w + c1; on p itself it converges only
-            # linearly there and stops about sqrt(eps) short.
-            c3, c2, c1, _ = (ci[join] for ci in c)
-            with np.errstate(all="ignore"):
-                mid = _polish((0.0, 3.0 * c3, 2.0 * c2, c1), 0.5 * (last[join] + x[join]))
-            merged[rows[join], count[join] - 1] = np.where(
-                mid > 0.0, np.minimum(mid, 1.0), x[join])
-        add = (x == x) & ~join
-        merged[rows[add], count[add]] = x[add]
-        count += add
-    return merged, count
-
-
 def _fold_cubic(medium, zeta):
     """Coefficients of the fold cubic
     2 zeta^2 W^3 - zeta (zeta + 2 delta) W^2 + delta^2 + gamma^2/4."""
     delta = medium.delta
-    return (2.0 * zeta * zeta, -zeta * (zeta + 2.0 * delta), 0.0,
+    return (2.0 * zeta * zeta, -zeta * (zeta + 2.0 * delta), 0.0 * zeta,  # rows: np.array stacks
             delta * delta + 0.25 * (medium.gamma * medium.gamma))
 
 
-def _fold_pair(medium, zeta, roots: np.ndarray) -> np.ndarray:
-    """Fold drives (omega_up, omega_down) as a (2, K) array from the fold
-    cubics' ``roots`` (K, 3), rows of :func:`_real_cubic_roots`; NaN for a
-    monostable medium.  At most two roots lie in (0, 1): with c1 = 0 and
-    c3, c0 > 0 the cubic has one negative root."""
-    w = np.where((roots > 0.0) & (roots < 1.0), roots, np.nan)
+def _folds(medium, zeta, roots: np.ndarray):
+    """Fold inversions W_f1 <= W_f2, (K, 2) and both 0 for a monostable
+    medium, and fold drives (omega_up, omega_down), (2, K) and NaN for a
+    monostable medium, from the fold cubics' ``roots`` (K, 3), rows of
+    :func:`_real_cubic_roots`.  At most two roots lie in (0, 1): with c1 = 0
+    and c3, c0 > 0 the cubic has one negative root."""
+    w = np.sort(np.where((roots > 0.0) & (roots < 1.0), roots, np.nan), axis=1)[:, :2]
+    w[np.isnan(w[:, 1])] = np.nan  # one root in (0, 1) is no pair
     q = np.square(medium.delta - zeta * w) + 0.25 * (medium.gamma * medium.gamma)
     omegas = np.sqrt((1.0 - w) * q / (2.0 * w))
-    omegas.sort(axis=1)  # the NaN padding last
-    folds = omegas.T[1::-1]
-    folds[1, np.isnan(folds[0])] = np.nan  # one root in (0, 1) is no pair
-    return folds
+    omegas.sort(axis=1)
+    return np.fmax(w, 0.0), omegas.T[::-1]  # fmax takes 0 for NaN
+
+
+def _cubic_at(c, w):
+    """The cubic with normalized coefficients ``c`` at ``w`` in [0, 1], and
+    whether it cannot be told from zero (NaN: False): within 8 eps
+    sum |c_i| w^i, Horner's error (three multiply-adds, about 6 eps) and
+    two roundings of the coefficients.  |p| is scaled by 1 / (8 eps) = 2^49,
+    which is exact, so a medium scaled by a power of two tests alike."""
+    p = _horner(c, w)
+    return p, np.abs(p) * 2.0 ** 49 <= _horner(np.abs(c), w)
 
 
 def _inversion_roots(medium, zeta, omega: np.ndarray):
     """Physical inversion roots W in (0, 1] at each drive, and the exact folds.
 
     One kernel call solves the inversion cubic at every drive and, as one
-    more column per medium, the fold cubic.  Returns (roots, count, c,
-    folds): roots as an (M, 3) array descending in W (ascending in rho22,
-    the order of :class:`SolutionArrays`), NaN-padded and de-duplicated;
-    count the roots per drive; c the normalized cubic coefficients repeated
-    per root, (4, M, 3); folds as from :func:`_fold_pair`.
+    more column per medium, the fold cubic, whose roots W_f1 <= W_f2 split
+    (0, 1] into the lower (W_f2, 1], middle and upper (0, W_f1] pieces, on
+    each of which omega^2(W) is monotone.  The inversion cubic p is
+    2 W (omega^2 - omega^2(W)): p(W_f1) > 0, above the lower fold, puts a
+    root in the upper piece, p(W_f2) < 0, below the upper fold, one in the
+    lower piece, and both one in the middle piece; where p(W_f) cannot be
+    told from zero (:func:`_cubic_at`) the drive is at a fold and W_f is a
+    double root.  The closed-form roots stand where they are one per such
+    piece and p at each is zero to rounding; other rows, and rows at a
+    fold, are bisected in their pieces (:func:`_bisected`).
+
+    Returns (roots, count, residual, folds): roots as an (M, 3) array
+    descending in W (ascending in rho22, the order of
+    :class:`SolutionArrays`), NaN-padded; count the roots per drive; |p| at
+    each root, normalized; folds the drives of :func:`_folds`.
     """
     n = omega.size
     coeffs = np.empty((4, n + np.size(zeta), 1))  # (K, 1) columns, as the media's
@@ -394,20 +352,54 @@ def _inversion_roots(medium, zeta, omega: np.ndarray):
         medium, zeta, omega[:, None])
     coeffs[0, n:], coeffs[1, n:], coeffs[2, n:], coeffs[3, n:] = _fold_cubic(medium, zeta)
     raw, c = _real_cubic_roots(coeffs[..., 0])
-    folds = _fold_pair(medium, zeta, raw[n:])
+    fw, folds = _folds(medium, zeta, raw[n:])
     raw, c = raw[:n], c[:, :n]
     w = np.minimum(raw, 1.0)
     w[(raw <= 0.0) | (raw > 1.0 + 1e-9)] = np.nan
     w = -np.sort(-w, axis=1)  # the padding stays last
     count = (w == w).sum(axis=1)
 
-    # Only rows with two roots closer than _SPLIT_MAX can hold a split double
-    # root; the rest skip the merge.
-    close = w[:, :-1] - w[:, 1:] < _SPLIT_MAX
-    if close.any():
-        near = np.flatnonzero(close.any(axis=1))
-        w[near], count[near] = _merge_coincident(c[:, near, 0], w[near])
-    return w, count, c, folds
+    p, root = _cubic_at(c, w)
+    at_w_f, at_fold = _cubic_at(c[..., 0], fw.T)  # (2, M)
+    clear = ~at_fold
+    upper, lower = (at_w_f[0] > 0.0) & clear[0], (at_w_f[1] < 0.0) & clear[1]
+    (f1, f2), (w0, w1, w2), root = fw.T, w.T, root.T
+    ok = (np.where(lower, w0 > f2, w0 <= f1) & root[0] & clear[0] & clear[1]
+          & np.where(upper & lower, (w1 <= f2) & (w1 > f1) & (w2 <= f1) & root[1] & root[2],
+                     w1 != w1))
+    residual = np.abs(p)
+    # c0 = 0: delta^2 + gamma^2/4 underflowed, W = 0 is no fold; the closed form stands
+    bad = () if ok.all() else np.flatnonzero(~ok & (c[3, :, 0] != 0.0))
+    if len(bad):
+        w[bad] = _bisected(c[:, bad, 0], np.broadcast_to(fw, (n, 2))[bad],
+                           upper[bad], lower[bad], at_fold.T[bad])
+        count[bad] = (w[bad] == w[bad]).sum(axis=1)
+        residual[bad] = np.abs(_horner(c[:, bad], w[bad]))
+    return w, count, residual, folds
+
+
+def _bisected(c, fw, upper, lower, at_fold) -> np.ndarray:
+    """Roots (S, 3), descending in W and NaN-padded, of the normalized cubics
+    ``c`` (4, S) with fold inversions ``fw`` (S, 2), as in
+    :func:`_inversion_roots`.  The candidates, descending, are the lower
+    piece's root, the double root W_f2, the middle piece's root, W_f1 and
+    the upper piece's root; ``lower``, ``at_fold`` (S, 2) and ``upper`` say
+    which exist.  Bisection halves the bit pattern, which orders
+    nonnegative doubles, so 64 steps close any bracket in [0, 1] on two
+    adjacent doubles; the one where |p| is smaller is the root."""
+    f1, f2 = fw[:, :1], fw[:, 1:]
+    lo = np.hstack([f2, f2, f1, f1, np.zeros_like(f1)]).view(np.int64)
+    hi = np.hstack([np.ones_like(f1), f2, f2, f1, f1]).view(np.int64)
+    rises = np.array([True, True, False, True, True])  # does p rise through each
+    c = c[..., None]
+    for _ in range(64):
+        mid = (lo + hi) >> 1
+        above = (_horner(c, mid.view(float)) < 0.0) == rises  # the root lies above mid
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    lo, hi = lo.view(float), hi.view(float)
+    w = np.where(np.abs(_horner(c, lo)) < np.abs(_horner(c, hi)), lo, hi)
+    found = np.stack([lower, at_fold[:, 1], upper & lower, at_fold[:, 0], upper], axis=1)
+    return -np.sort(-np.where(found, w, np.nan), axis=1)[:, :3]
 
 
 def _complex(re, im):
@@ -472,18 +464,27 @@ def _hurwitz(medium, omega, w, rho12):
     return e + g * g + drive2 * k, g * e + drive2 * (0.5 * g * k + a * zs * v)
 
 
-def _stability(medium, omega, w, rho12):
-    """(stable, marginal) by Routh-Hurwitz: stable iff c0 > 0 and 2g c1 > c0
-    (NaN gives False).  Marginal: the real eigenvalue at a fold, about -c0/c1,
-    or the Hopf pair's real part, about (c0 - 2g c1)/(2 (c1 + 4g^2)), is
-    within MARGINAL_STABILITY_TOL * g of zero, g being the unit of frequency."""
-    g = medium.gamma
-    c1, c0 = _hurwitz(medium, omega, w, rho12)
-    hopf = 2.0 * g * c1 - c0
-    abs_c1 = abs(c1)
-    tol = MARGINAL_STABILITY_TOL * g
-    marginal = (abs(c0) < tol * abs_c1) | (abs(hopf) < 2.0 * tol * (abs_c1 + 4.0 * g * g))
-    return (c0 > 0.0) & (hopf > 0.0), marginal
+def _stability(medium, zeta, w):
+    """(stable, marginal) of the fixed points at inversions ``w`` of a medium
+    of total coupling ``zeta``: stable where the fold cubic C(w), normalized,
+    is positive, marginal where it cannot be told from zero
+    (:func:`_cubic_at`), that is at a fold; NaN gives False.
+
+    Why C decides.  With y = delta - zeta w and Q = y^2 + gamma^2/4, the
+    Bloch flow's fixed point has u = 2 y omega w / Q, v = -gamma omega w / Q
+    and 2 omega^2 w / Q = 1 - w, and :func:`_hurwitz`'s a = -y and e = Q, so
+
+        c1 = Q + gamma^2 + 2 (1 - w) Q / w + 2 zeta y (1 - w),
+        c0 = gamma (Q / w + 2 zeta y (1 - w)) = gamma C(w) / w,
+        2 gamma c1 - c0 = c0 + gamma (2 (1 - w) y^2 + (3 w + 1) gamma^2 / 2) / w.
+
+    Routh-Hurwitz asks c0 > 0 and 2 gamma c1 > c0, and the bracket is
+    positive on (0, 1], so a root is stable iff C(w) > 0: on the falling
+    pieces of omega^2(W).  No branch has a Hopf point.  C needs neither the
+    drive nor the coherence, and it has degree 2 in the medium's scale
+    where c0 has degree 3."""
+    value, zero = _cubic_at(_normalized(np.array(_fold_cubic(medium, zeta)).reshape(4, -1, 1)), w)
+    return value > 0.0, zero
 
 
 def solution_arrays(params: MediumParams, mech: Mechanism, omegas) -> SolutionArrays:
@@ -506,14 +507,13 @@ def _check_drives(omega: np.ndarray) -> None:
 
 def _solve(medium, zeta, omega: np.ndarray):
     """(SolutionArrays, folds) of ``medium`` (or _Rows), of total coupling
-    ``zeta``, at the checked 1-d drives ``omega``, with the exact folds of
-    :func:`_fold_pair` from the same kernel call."""
-    w, count, c, folds = _inversion_roots(medium, zeta, omega)
-    residual = np.abs(_horner(c, w))
+    ``zeta``, at the checked 1-d drives ``omega``, with the fold drives of
+    :func:`_folds` from the same kernel call."""
+    w, count, residual, folds = _inversion_roots(medium, zeta, omega)
     drive = _per_root(omega)
     omega_eff, delta_eff = _effective(medium, drive, w)
     rho12 = coherence(w, omega_eff, delta_eff, medium.gamma)
-    stable, marginal = _stability(medium, drive, w, rho12)
+    stable, marginal = _stability(medium, zeta, w)
     return SolutionArrays(omega, count, w, rho12, omega_eff, delta_eff, residual,
                           stable, marginal), folds
 
@@ -613,7 +613,7 @@ def find_thresholds(params: MediumParams, mech: Mechanism) -> tuple[float, float
     """
     zeta = zeta_total(params, mech)
     roots, _ = _real_cubic_roots(np.array(_fold_cubic(params, zeta))[:, None])
-    up, down = _fold_pair(params, zeta, roots)[:, 0].tolist()
+    up, down = _folds(params, zeta, roots)[1][:, 0].tolist()
     return None if up != up else (up, down)
 
 
@@ -650,8 +650,8 @@ def _solution(a: SolutionArrays, branches: np.ndarray, i: int, k: int) -> Steady
 def _labeled(arr: SolutionArrays, omega_up: np.ndarray, stacklevel: int = 3) -> np.ndarray:
     """Branch names (M, 3) of the roots of ``arr``, "" past the last, warning
     once per marginal root (attributed ``stacklevel`` frames up: by default
-    the caller's caller).  Three roots are lower/middle/upper and a merged
-    pair lower/upper; a single root continues the upper branch at drives at
+    the caller's caller).  Three roots are lower/middle/upper and a fold's two
+    lower/upper; a single root continues the upper branch at drives at
     or above ``omega_up`` (per drive or one; NaN: none) and the lower one otherwise."""
     names = _BRANCH_NAMES[arr.count]
     names[(arr.count == 1) & (arr.omega >= omega_up), 0] = "upper"

@@ -439,6 +439,21 @@ def test_a_rootless_scan_warns_once():
                         "2000 drives, the first at omega=0.0")
 
 
+def test_stable_flags_at_a_huge_gamma_are_those_of_gamma_1():
+    """At gamma = 1e103 the free atom's three roots are as stable as at
+    gamma = 1, and no RuntimeWarning is raised (it would be an error here):
+    the Routh-Hurwitz test's gamma^3 overflowed, the fold cubic's gamma^2
+    does not."""
+    stable = []
+    for gamma in ("1e103", "1"):
+        proc = python("-W", "error::RuntimeWarning", "-m", "iobspectra", "hysteresis",
+                      "--gamma", gamma, "--omega", "0:1:3")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        stable.append([row.split(",")[4] for row in proc.stdout.splitlines()
+                       if not row.startswith("#")])
+    assert stable[0] == stable[1] == ["true"] * 3
+
+
 def test_spectrum_metadata_and_normalization(tmp_path, capsys):
     out = tmp_path / "mollow.json"
     code, _, _ = run(

@@ -2,7 +2,8 @@
 and the CLI's help load no numpy, and each command only its own modules; and
 of scipy only the compiled ODEPACK module loads, and only when something is
 integrated.  The package's source squares by products alone, but for one
-helper."""
+helper, and the steady-state kernel binds no tolerance and calls no
+Routh-Hurwitz test."""
 
 import ast
 import importlib.util
@@ -335,3 +336,43 @@ def test_every_square_is_a_product_but_one():
                                     else None) for path in sorted(src.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
     assert len(pow_squares((src / POW_SQUARE[0]).read_text())) == 1
+
+
+def rule_breaches(source: str) -> list[int]:
+    """Lines of ``source`` that call _hurwitz or bind a module-level
+    tolerance: a name with TOL in it, or a float literal (or its negation)."""
+    tree = ast.parse(source)
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and "_hurwitz" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            value = node.value.operand if isinstance(node.value, ast.UnaryOp) else node.value
+            named = any("TOL" in getattr(t, "id", "") for t in targets)
+            if named or isinstance(value, ast.Constant) and isinstance(value.value, float):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_rule_breaches_are_found():
+    """The guard below finds each call of _hurwitz and each module-level
+    tolerance, and passes over a function's own constants."""
+    source = '''
+ROOT_MERGE_TOL = 1e-8
+_SPLIT_MAX = -1e-3
+MARGINAL_TOL: float = 3
+_EPS = float(np.finfo(float).eps)
+
+def f(medium):
+    x = 1e-9
+    return _hurwitz(medium), steady_state._hurwitz(medium)
+'''
+    assert rule_breaches(source) == [2, 3, 4, 9, 9]
+
+
+def test_the_kernel_has_no_tolerance_and_no_routh_hurwitz_test():
+    """steady_state decides root counts and stability by the rounding bound
+    of its cubics alone: it binds no module-level tolerance and calls
+    _hurwitz, which dynamics keeps for its slow-manifold start, nowhere."""
+    src = Path(iobspectra.__file__).parent / "steady_state.py"
+    assert rule_breaches(src.read_text()) == []

@@ -2,7 +2,10 @@ import gc
 import warnings
 import weakref
 from dataclasses import replace
+from fractions import Fraction
+from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -400,11 +403,13 @@ def test_three_root_stability_pattern():
     assert not arr.marginal[0].any()
 
 
-@pytest.mark.parametrize("k", [-300, -40, -10, 10, 40, 300])
+@pytest.mark.parametrize("k", [-500, -450, -360, -300, -40, -10, 10, 40, 300, 360, 450, 500])
 def test_flags_do_not_depend_on_the_scale_of_gamma(k):
     """gamma is the unit of frequency: scaling gamma, delta, zeta and the
     drives by 2**k, which is exact, gives k = 0's roots, root counts and
-    stability flags, the marginal ones included, bit for bit."""
+    stability flags, the marginal ones included, bit for bit.  From
+    |k| = 360 on, a stability test of degree 3 in the scale, as the
+    Routh-Hurwitz one, overflows or underflows; the fold cubic has degree 2."""
     up, down = find_thresholds(LORENTZ_50, Mechanism.LORENTZ)
     drives = np.array([0.0, down, 8.0, up, 20.0])
     want = solution_arrays(LORENTZ_50, Mechanism.LORENTZ, drives)
@@ -489,17 +494,16 @@ def test_power_of_two_scaling_as_rows_of_one_call():
                                           (DETUNING_50, Mechanism.DETUNING)])
 def test_marginal_stability_warning_at_exact_folds(params, mech):
     """At each exact fold root the Jacobian is singular, so the solutions at
-    the fold drive warn and the Routh-Hurwitz test calls the oracle's fold
-    root marginal; 1e-3 off the fold root the smallest eigenvalue is far
-    from zero."""
+    the fold drive warn and the fold cubic calls the oracle's fold root
+    marginal; 1e-3 off the fold root the smallest eigenvalue is far from
+    zero."""
     for omega, w in fold_points():
         at = replace(params, omega=float(omega))
         with pytest.warns(MarginalStabilityWarning):
             solutions_at(at, mech)
         for shift, marginal in ((0.0, True), (1e-3, False)):
             root = float(w) + shift
-            rho12 = coherence(root, *effective_params(root, at, mech), at.gamma)
-            assert _stability(at, at.omega, root, rho12)[1] == marginal
+            assert _stability(at, zeta_total(at, mech), root)[1] == marginal
 
 
 def test_hurwitz_coefficients_without_eigenvalues():
@@ -536,6 +540,53 @@ def test_hurwitz_coefficients_without_eigenvalues():
                 minors = sum(np.linalg.det(j[np.ix_(k, k)]) for k in ([0, 1], [0, 2], [1, 2]))
                 assert abs(c1 - minors) <= 1e-13 * scale**2
                 assert abs(c0 + np.linalg.det(j)) <= 1e-13 * scale**3
+
+
+class Exact(Fraction):
+    """A Fraction that takes a float operand exactly, where Fraction and
+    float give a float, so the package's float literals (2.0, 0.25, 0.5)
+    keep its formulas rational."""
+
+
+for _name in ("add", "radd", "sub", "rsub", "mul", "rmul", "truediv", "rtruediv"):
+    setattr(Exact, f"__{_name}__", lambda self, other, _op=getattr(Fraction, f"__{_name}__"):
+            Exact(_op(self, Fraction(other))))
+
+
+def test_stability_is_the_sign_of_the_fold_cubic_in_exact_rationals():
+    """_stability's proof, in exact rationals.  With y = delta - zeta W and
+    Q = y^2 + gamma^2/4, a drive omega and W = Q / (Q + 2 omega^2) satisfy
+    (1 - W) Q = 2 omega^2 W, so u = 2 y omega W / Q, v = -gamma omega W / Q
+    and W are a fixed point of the Bloch flow (checked on its three
+    equations).  There _hurwitz's coefficients obey c0 = gamma C(W) / W and
+    2 gamma c1 - c0 = c0 + gamma (2 (1 - W) y^2 + (3 W + 1) gamma^2 / 2) / W,
+    with C the fold cubic of _fold_cubic, which also equals
+    y^2 + gamma^2/4 + 2 zeta W (1 - W) y."""
+    rng = np.random.default_rng(15)
+
+    def draw(lo, hi):
+        return Exact(int(rng.integers(lo * 64, hi * 64)), 64)
+
+    for _ in range(300):
+        gamma, y, omega = draw(1, 300), draw(-3000, 3000), draw(0, 3000)
+        zl, zm = draw(0, 3000), draw(0, 3000)
+        zeta, big_q = zl + zm, y * y + gamma * gamma / 4
+        w = big_q / (big_q + 2 * omega * omega)
+        delta = y + zeta * w
+        u, v = 2 * y * omega * w / big_q, -gamma * omega * w / big_q
+        drive_re, drive_im, detuning = omega + zl * u / 2, zl * v / 2, delta - zm * w
+        assert -detuning * v - gamma * u / 2 + 2 * drive_im * w == 0
+        assert detuning * u - gamma * v / 2 - 2 * drive_re * w == 0
+        assert gamma * (1 - w) + 2 * (drive_re * v - drive_im * u) == 0
+        medium = SimpleNamespace(gamma=gamma, delta=delta, zeta_lorentz=zl, zeta_detuning=zm)
+        c1, c0 = _hurwitz(medium, omega, w, SimpleNamespace(real=u / 2, imag=v / 2))
+        assert isinstance(c1, Fraction) and isinstance(c0, Fraction)
+        c3f, c2f, c1f, c0f = steady_state._fold_cubic(medium, zeta)
+        fold = ((c3f * w + c2f) * w + c1f) * w + c0f
+        assert fold == y * y + gamma * gamma / 4 + 2 * zeta * w * (1 - w) * y
+        assert c0 == gamma * fold / w
+        assert 2 * gamma * c1 - c0 == c0 + gamma * (2 * (1 - w) * y * y
+                                                    + (3 * w + 1) * gamma * gamma / 2) / w
 
 
 # ------------------------------------------------------------------- thresholds
@@ -1273,3 +1324,200 @@ def test_solution_record_invariants():
             # coherence consistent with the effective parameters
             expected = coherence(sol.w, sol.omega_eff, sol.delta_eff, 1.0)
             assert sol.rho12 == pytest.approx(expected, rel=1e-12)
+
+
+# ------------------------------------ the fold cubic: counts, brackets, stability
+
+def exact_fold_ws(gamma: float, delta: float, zeta: float) -> list:
+    """The fold cubic's roots in (0, 1), ascending, in 50-digit mpmath: two
+    for a bistable medium, none for a monostable one."""
+    with mpmath.workdps(50):
+        d, z, g = mpmath.mpf(delta), mpmath.mpf(zeta), mpmath.mpf(gamma)
+        roots = mpmath.polyroots([2 * z * z, -z * (z + 2 * d), 0, d * d + g * g / 4],
+                                 maxsteps=200, extraprec=200)
+        return sorted(r.real for r in roots if abs(r.imag) < 1e-40 and 0 < r.real < 1)
+
+
+def exact_omega(gamma: float, delta: float, zeta: float, w) -> mpmath.mpf:
+    """omega(W), omega^2(W) = (1 - W)((delta - zeta W)^2 + gamma^2/4) / (2W),
+    in 50-digit mpmath."""
+    with mpmath.workdps(50):
+        w = mpmath.mpf(w)
+        y = mpmath.mpf(delta) - mpmath.mpf(zeta) * w
+        return mpmath.sqrt((1 - w) * (y * y + mpmath.mpf(gamma) ** 2 / 4) / (2 * w))
+
+
+def exact_inversion_roots(gamma: float, delta: float, zeta: float, omega: float) -> list:
+    """Real roots of the inversion cubic of the doubles given, descending,
+    in 50-digit mpmath."""
+    with mpmath.workdps(50):
+        d, z, g, o = (mpmath.mpf(x) for x in (delta, zeta, gamma, omega))
+        c = [z * z, -z * (z + 2 * d), 2 * o * o + d * (d + 2 * z) + g * g / 4, -(d * d + g * g / 4)]
+        roots = mpmath.polyroots(c, maxsteps=200, extraprec=200)
+        return sorted((r.real for r in roots if abs(r.imag) < 1e-30), reverse=True)
+
+
+def root_error_bound(gamma: float, delta: float, zeta: float, omega: float, w) -> float:
+    """How far the kernel's root may lie from the exact root W of the
+    inversion cubic p at drive omega: a shift bound from E = 16 eps N(W),
+    plus one ulp of W.
+
+    N(W) = sum T_i W^i sums the magnitudes of the terms that build each
+    coefficient: T3 = zeta^2, T2 = zeta (zeta + 2|delta|),
+    T1 = 2 omega^2 + |delta| (|delta| + 2 zeta) + gamma^2/4 and
+    T0 = delta^2 + gamma^2/4.  Each coefficient is at most three roundings
+    and one normalization from its exact value, 4 eps T_i; a drive rounded
+    from omega(W) moves p(W) by at most eps T1 W; and the kernel returns a
+    w where the computed cubic is within 8 eps sum |c_i| w^i of zero (or
+    brackets its sign change between adjacent doubles).  So p(w) - p(W) is
+    at most 13 eps N, and 16 leaves room for higher-order terms.  To first
+    order the shift is E / |p'(W)|, that is 16 eps W kappa with the root's
+    condition number kappa = N / (W |p'(W)|).  Near a fold p' vanishes, and
+    to second order the shift is the smaller root of
+    |p''| D^2 / 2 - |p'| D + E, 2 E / (|p'| + sqrt(p'^2 - 2 |p''| E)).
+    Where that has no root, the drive is within rounding of the fold and
+    the kernel reports the fold's double root, at most sqrt(E / |p''|) from
+    W; the bound is then 2 E / |p'|, which is at least sqrt(2 E / |p''|)."""
+    w = float(w)
+    d, z = abs(delta), zeta
+    terms = (z * z * w + z * (z + 2.0 * d)) * w * w
+    terms += (2.0 * omega * omega + d * (d + 2.0 * z) + 0.25 * gamma * gamma) * w
+    terms += delta * delta + 0.25 * gamma * gamma
+    slope = (3.0 * z * z * w - 2.0 * z * (z + 2.0 * delta)) * w
+    slope = abs(slope + 2.0 * omega * omega + delta * (delta + 2.0 * z) + 0.25 * gamma * gamma)
+    bend = abs(6.0 * z * z * w - 2.0 * z * (z + 2.0 * delta))
+    e = 16.0 * EPS * terms
+    root = np.sqrt(max(slope * slope - 2.0 * bend * e, 0.0))
+    return 2.0 * e / (slope + root) + float(np.spacing(w))
+
+
+# Drives inside the window where the merged double roots once lost a root
+# (delta, zeta_l, zeta_m, omega, mechanism): gamma = 1 and zeta / max(delta,
+# gamma) from 1e3 to 1e7, lorentz, detuning and joint.  The first is the
+# lone root of a drive that has three: 0.99999998473991915,
+# 8.1357003017745858e-7 and 8.1193610949196985e-7.
+LOST_ROOTS = [
+    (3.623331949513468, 4500345.682595955, 0.0, 393.10533676854124, "lorentz"),
+    (17.23810630699099, 0.0, 39792.824662687424, 16.981374121113706, "detuning"),
+    (0.5887525517995864, 3457.4720954745535, 0.0, 25.196751635346732, "lorentz"),
+    (6.035853428345894, 0.0, 515687.8016448166, 103.25385849417623, "detuning"),
+    (0.4036766106902177, 6246.399885964533, 38611.22716350613, 103.52817690535461, "joint"),
+    (1.234175776212978, 17879.375342489653, 0.0, 41.73684899559199, "lorentz"),
+    (0.18016665103274915, 0.0, 208876.98644176364, 270.8855286603027, "detuning"),
+    (0.1399558164682298, 142457.20049803428, 537907.2797223936, 507.97297099063553, "joint"),
+    (0.21475521772923556, 511661.06624871225, 0.0, 410.54742524871017, "lorentz"),
+    (0.18740099473067168, 0.0, 2604383.3560128924, 950.0455775094897, "detuning"),
+    (0.7008106963483244, 666066.2461708847, 745738.6233677724, 475.3988023239604, "joint"),
+    (0.13229707266736418, 7369399.549771059, 0.0, 1684.2064908345346, "lorentz"),
+]
+
+
+def strongly_coupled(rng, n):
+    """``n`` seeded media with gamma = 1, delta log-uniform in 1e-2 ... 1e3
+    and zeta / max(delta, gamma) log-uniform in 1e2 ... 1e7, lorentz,
+    detuning and joint in turn."""
+    media = []
+    for i in range(n):
+        mech = list(Mechanism)[i % 3]
+        delta = 10.0 ** rng.uniform(-2.0, 3.0)
+        zeta = max(delta, 1.0) * 10.0 ** rng.uniform(2.0, 7.0)
+        share = {Mechanism.LORENTZ: 1.0, Mechanism.DETUNING: 0.0}.get(mech, rng.uniform(0.1, 0.9))
+        media.append((MediumParams(delta=delta, zeta_lorentz=share * zeta,
+                                   zeta_detuning=zeta - share * zeta), mech))
+    return media
+
+
+def test_strongly_coupled_window_drives_have_three_roots():
+    """Drives strictly inside the window of strongly coupled media have three
+    roots, one in each piece (W_f2, 1], (W_f1, W_f2] and (0, W_f1] of the
+    exact fold inversions, each within root_error_bound (16 kappa ulps and
+    one) of the exact root.  The drives are those of LOST_ROOTS, and
+    omega(W), correctly rounded, at W in the middle piece 1e-8 ... 0.5 of
+    its width above W_f1 for 24 seeded media; the middle and upper roots
+    form a pair there that the closed form and its polish can land on one
+    double."""
+    cases = [(MediumParams(delta=d, zeta_lorentz=zl, zeta_detuning=zm), Mechanism(mech), [omega])
+             for d, zl, zm, omega, mech in LOST_ROOTS]
+    for params, mech in strongly_coupled(np.random.default_rng(14), 24):
+        zeta = zeta_total(params, mech)
+        f1, f2 = exact_fold_ws(1.0, params.delta, zeta)
+        cases.append((params, mech, [
+            float(exact_omega(1.0, params.delta, zeta, f1 + t * (f2 - f1)))
+            for t in (1e-8, 1e-6, 1e-4, 1e-2, 0.5)]))
+    for params, mech, drives in cases:
+        zeta = zeta_total(params, mech)
+        f1, f2 = exact_fold_ws(1.0, params.delta, zeta)
+        arr = solution_arrays(params, mech, drives)
+        for omega, count, w in zip(drives, arr.count.tolist(), arr.w.tolist()):
+            assert count == 3, (params, mech, omega)
+            assert w[0] > f2 >= w[1] > f1 >= w[2], (params, mech, omega)
+            for got, exact in zip(w, exact_inversion_roots(1.0, params.delta, zeta, omega)):
+                bound = root_error_bound(1.0, params.delta, zeta, omega, exact)
+                assert abs(got - exact) <= bound, (params, mech, omega, got, exact)
+
+
+@st.composite
+def round_trip_media(draw):
+    """(params, mech, gamma, delta, zeta) from extreme_media, or a strongly
+    coupled medium as in strongly_coupled."""
+    if draw(st.booleans()):
+        return draw(extreme_media())
+    [(params, mech)] = strongly_coupled(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), 1)
+    return params, mech, params.gamma, params.delta, zeta_total(params, mech)
+
+
+def round_trip_ws(rng, folds) -> np.ndarray:
+    """Inversions to map to drives: uniform and log-uniform in (0, 1], and
+    for a bistable medium on both sides of each fold inversion, 1e-6 ... 0.1
+    of the way to the next end of its piece."""
+    ws = [rng.uniform(0.0, 1.0, 8), 10.0 ** rng.uniform(-9.0, 0.0, 8)]
+    if folds:
+        f1, f2 = (float(f) for f in folds)
+        t = 10.0 ** rng.uniform(-6.0, -1.0, (4, 3))
+        ws += [f1 * (1.0 - t[0]), f1 + (f2 - f1) * t[1], f2 - (f2 - f1) * t[2],
+               f2 + (1.0 - f2) * t[3]]
+    ws = np.concatenate(ws)
+    return ws[(ws > 0.0) & (ws <= 1.0)]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(medium=round_trip_media(), seed=st.integers(0, 2**32 - 1))
+def test_round_trip_through_the_explicit_inverse(medium, seed):
+    """W -> omega(W) -> kernel.  The drive is omega(W) correctly rounded,
+    and the kernel at that drive has a root within root_error_bound of W,
+    16 eps W kappa and one ulp with kappa = N / (W |p'(W)|) derived there;
+    3 roots strictly inside the exact window and 1 outside it; and that
+    root's stable flag is the sign of the fold cubic C(W), in exact
+    arithmetic.  Then a scan over the same drives and both folds labels and
+    flags alike: lower and upper stable, middle unstable, none marginal,
+    and at a fold one marginal double root beside a stable root."""
+    params, mech, gamma, delta, zeta = medium
+    folds = exact_fold_ws(gamma, delta, zeta)
+    ws = round_trip_ws(np.random.default_rng(seed), folds)
+    drives = np.array([float(exact_omega(gamma, delta, zeta, w)) for w in ws])
+    window = [exact_omega(gamma, delta, zeta, f) for f in folds]
+    arr = solution_arrays(params, mech, drives)
+    for w, omega, roots, count, stable, marginal in zip(ws, drives, arr.w, arr.count,
+                                                        arr.stable, arr.marginal):
+        k = np.nanargmin(np.abs(roots - w))
+        assert abs(roots[k] - w) <= root_error_bound(gamma, delta, zeta, omega, w), (w, omega)
+        if marginal.any():  # within rounding of a fold: its double root and one more
+            assert count == 2 and marginal[k], (w, omega)
+            continue
+        inside = bool(folds) and window[0] < omega < window[1]
+        assert count == (3 if inside else 1), (w, omega)
+        with mpmath.workdps(50):
+            w_exact, d, z = mpmath.mpf(w), mpmath.mpf(delta), mpmath.mpf(zeta)
+            c = (2 * z * z * w_exact - z * (z + 2 * d)) * w_exact**2 + d * d + mpmath.mpf(gamma)**2 / 4
+        assert stable[k] == (c > 0), (w, omega)
+
+    grid = np.unique(np.concatenate([drives, find_thresholds(params, mech) or []]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MarginalStabilityWarning)
+        scan = scan_hysteresis(params, mech, grid)
+    a, names = scan.points.arrays, scan.points.branches
+    for count, stable, marginal, name in zip(a.count, a.stable, a.marginal, names):
+        if count == 2:
+            assert marginal.sum() == 1 and stable[~marginal & (name != "")].all(), name
+        else:
+            assert not marginal.any() and (stable == ((name != "middle") & (name != ""))).all()
