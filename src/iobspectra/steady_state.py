@@ -17,8 +17,9 @@ in closed form from the real roots in (0, 1) of one more cubic,
 
     2 zeta W (1 - W)(zeta W - delta) = (delta - zeta W)^2 + gamma^2/4.
 
-Its roots split (0, 1] into one piece per branch, which count and bracket
-the inversion roots, and its sign at a root is the root's stability.
+Its roots split (0, 1] into one piece per branch, which count, bracket,
+name and classify the inversion roots: roots on the two falling pieces are
+stable, on the rising middle one unstable, and a fold's double root marginal.
 Both cubics are solved by one closed-form kernel that works row-wise on
 numpy arrays, so a whole drive grid is solved, assembled and classified at
 once; the single-drive functions call the same kernel on one drive.  It is
@@ -65,7 +66,9 @@ class SteadyStateSolution:
     omega_eff : effective (local-field corrected) Rabi frequency
     delta_eff : effective detuning entering the master equation
     branch    : position within the solution set by ascending rho22
-    stable    : all linearization eigenvalues have negative real part
+    stable    : all linearization eigenvalues have negative real part: not
+                the middle branch's root, nor a fold's double root, where
+                one eigenvalue is zero
     residual  : |cubic(w)| with coefficients normalized by max |c_i|
     """
 
@@ -116,7 +119,7 @@ class SolutionArrays(NamedTuple):
     count     : (M,) number of physical roots; 0 where none was found
     w, rho12, omega_eff, delta_eff, residual, stable : (M, 3), as in
                 :class:`SteadyStateSolution`
-    marginal  : (M, 3) at a fold, as :func:`_stability` says
+    marginal  : (M, 3) a fold's double root, with one zero eigenvalue
     """
 
     omega: np.ndarray
@@ -341,10 +344,19 @@ def _inversion_roots(medium, zeta, omega: np.ndarray):
     piece and p at each is zero to rounding; other rows, and rows at a
     fold, are bisected in their pieces (:func:`_bisected`).
 
-    Returns (roots, count, residual, folds): roots as an (M, 3) array
-    descending in W (ascending in rho22, the order of
+    The piece is the stability.  At a root, with y = delta - zeta W, the
+    Routh-Hurwitz coefficients of :func:`_hurwitz` are c0 = gamma C(W) / W,
+    C the fold cubic, and 2 gamma c1 - c0 = c0 + gamma (2 (1 - W) y^2
+    + (3 W + 1) gamma^2/2) / W: the falling pieces, where C > 0, are stable,
+    the middle one is not, a fold's double root has a zero eigenvalue, and
+    no branch has a Hopf point.
+
+    Returns (roots, count, residual, upper, marginal, folds): roots as an
+    (M, 3) array descending in W (ascending in rho22, the order of
     :class:`SolutionArrays`), NaN-padded; count the roots per drive; |p| at
-    each root, normalized; folds the drives of :func:`_folds`.
+    each root, normalized; upper (M,) whether the upper piece holds a root;
+    marginal (M, 3) which root is a fold's double root; folds the drives
+    of :func:`_folds`.
     """
     n = omega.size
     coeffs = np.empty((4, n + np.size(zeta), 1))  # (K, 1) columns, as the media's
@@ -368,17 +380,21 @@ def _inversion_roots(medium, zeta, omega: np.ndarray):
           & np.where(upper & lower, (w1 <= f2) & (w1 > f1) & (w2 <= f1) & root[1] & root[2],
                      w1 != w1))
     residual = np.abs(p)
-    # c0 = 0: delta^2 + gamma^2/4 underflowed, W = 0 is no fold; the closed form stands
-    bad = () if ok.all() else np.flatnonzero(~ok & (c[3, :, 0] != 0.0))
-    if len(bad):
-        w[bad] = _bisected(c[:, bad, 0], np.broadcast_to(fw, (n, 2))[bad],
-                           upper[bad], lower[bad], at_fold.T[bad])
+    marginal = np.zeros(w.shape, bool)
+    if not ok.all():
+        # c0 = 0: delta^2 + gamma^2/4 underflowed, the closed form stands and
+        # W = 0, no fold, is the upper piece's root, lost
+        lost = ~ok & (c[3, :, 0] == 0.0)
+        upper &= ~lost
+        bad = np.flatnonzero(~ok & ~lost)
+        w[bad], marginal[bad] = _bisected(c[:, bad, 0], np.broadcast_to(fw, (n, 2))[bad],
+                                          upper[bad], lower[bad], at_fold.T[bad])
         count[bad] = (w[bad] == w[bad]).sum(axis=1)
         residual[bad] = np.abs(_horner(c[:, bad], w[bad]))
-    return w, count, residual, folds
+    return w, count, residual, upper, marginal, folds
 
 
-def _bisected(c, fw, upper, lower, at_fold) -> np.ndarray:
+def _bisected(c, fw, upper, lower, at_fold) -> tuple[np.ndarray, np.ndarray]:
     """Roots (S, 3), descending in W and NaN-padded, of the normalized cubics
     ``c`` (4, S) with fold inversions ``fw`` (S, 2), as in
     :func:`_inversion_roots`.  The candidates, descending, are the lower
@@ -386,7 +402,8 @@ def _bisected(c, fw, upper, lower, at_fold) -> np.ndarray:
     the upper piece's root; ``lower``, ``at_fold`` (S, 2) and ``upper`` say
     which exist.  Bisection halves the bit pattern, which orders
     nonnegative doubles, so 64 steps close any bracket in [0, 1] on two
-    adjacent doubles; the one where |p| is smaller is the root."""
+    adjacent doubles; the one where |p| is smaller is the root.  Also
+    returns which of the roots is a fold's double root, (S, 3)."""
     f1, f2 = fw[:, :1], fw[:, 1:]
     lo = np.hstack([f2, f2, f1, f1, np.zeros_like(f1)]).view(np.int64)
     hi = np.hstack([np.ones_like(f1), f2, f2, f1, f1]).view(np.int64)
@@ -399,7 +416,8 @@ def _bisected(c, fw, upper, lower, at_fold) -> np.ndarray:
     lo, hi = lo.view(float), hi.view(float)
     w = np.where(np.abs(_horner(c, lo)) < np.abs(_horner(c, hi)), lo, hi)
     found = np.stack([lower, at_fold[:, 1], upper & lower, at_fold[:, 0], upper], axis=1)
-    return -np.sort(-np.where(found, w, np.nan), axis=1)[:, :3]
+    w = -np.sort(-np.where(found, w, np.nan), axis=1)[:, :3]
+    return w, (w == f2) & at_fold[:, 1:] | (w == f1) & at_fold[:, :1]
 
 
 def _complex(re, im):
@@ -464,29 +482,6 @@ def _hurwitz(medium, omega, w, rho12):
     return e + g * g + drive2 * k, g * e + drive2 * (0.5 * g * k + a * zs * v)
 
 
-def _stability(medium, zeta, w):
-    """(stable, marginal) of the fixed points at inversions ``w`` of a medium
-    of total coupling ``zeta``: stable where the fold cubic C(w), normalized,
-    is positive, marginal where it cannot be told from zero
-    (:func:`_cubic_at`), that is at a fold; NaN gives False.
-
-    Why C decides.  With y = delta - zeta w and Q = y^2 + gamma^2/4, the
-    Bloch flow's fixed point has u = 2 y omega w / Q, v = -gamma omega w / Q
-    and 2 omega^2 w / Q = 1 - w, and :func:`_hurwitz`'s a = -y and e = Q, so
-
-        c1 = Q + gamma^2 + 2 (1 - w) Q / w + 2 zeta y (1 - w),
-        c0 = gamma (Q / w + 2 zeta y (1 - w)) = gamma C(w) / w,
-        2 gamma c1 - c0 = c0 + gamma (2 (1 - w) y^2 + (3 w + 1) gamma^2 / 2) / w.
-
-    Routh-Hurwitz asks c0 > 0 and 2 gamma c1 > c0, and the bracket is
-    positive on (0, 1], so a root is stable iff C(w) > 0: on the falling
-    pieces of omega^2(W).  No branch has a Hopf point.  C needs neither the
-    drive nor the coherence, and it has degree 2 in the medium's scale
-    where c0 has degree 3."""
-    value, zero = _cubic_at(_normalized(np.array(_fold_cubic(medium, zeta)).reshape(4, -1, 1)), w)
-    return value > 0.0, zero
-
-
 def solution_arrays(params: MediumParams, mech: Mechanism, omegas) -> SolutionArrays:
     """Every steady state at each drive of ``omegas`` (1-d), as arrays.
 
@@ -506,16 +501,17 @@ def _check_drives(omega: np.ndarray) -> None:
 
 
 def _solve(medium, zeta, omega: np.ndarray):
-    """(SolutionArrays, folds) of ``medium`` (or _Rows), of total coupling
-    ``zeta``, at the checked 1-d drives ``omega``, with the fold drives of
-    :func:`_folds` from the same kernel call."""
-    w, count, residual, folds = _inversion_roots(medium, zeta, omega)
+    """(SolutionArrays, names, folds) of ``medium`` (or _Rows), of total
+    coupling ``zeta``, at the checked 1-d drives ``omega``, from one kernel
+    call: names the (M, 3) branch names of :data:`_BRANCH_NAMES`, stable as
+    there but at a fold's double root, and folds the drives of :func:`_folds`."""
+    w, count, residual, upper, marginal, folds = _inversion_roots(medium, zeta, omega)
     drive = _per_root(omega)
     omega_eff, delta_eff = _effective(medium, drive, w)
     rho12 = coherence(w, omega_eff, delta_eff, medium.gamma)
-    stable, marginal = _stability(medium, zeta, w)
+    kind = count, upper.view(np.int8)  # an index: numpy reads a bool array as a mask
     return SolutionArrays(omega, count, w, rho12, omega_eff, delta_eff, residual,
-                          stable, marginal), folds
+                          _STABLE[kind] & ~marginal, marginal), _BRANCH_NAMES[kind], folds
 
 
 def solve_inversion(params: MediumParams, mech: Mechanism) -> list[float]:
@@ -525,7 +521,7 @@ def solve_inversion(params: MediumParams, mech: Mechanism) -> list[float]:
     is strictly negative and at 1 equals 2 omega^2), so at least one
     physical root exists for any valid parameter set.
     """
-    roots, count, _, _ = _inversion_roots(
+    roots, count, *_ = _inversion_roots(
         params, zeta_total(params, mech), np.array([params.omega])
     )
     if count[0] == 0:
@@ -617,9 +613,14 @@ def find_thresholds(params: MediumParams, mech: Mechanism) -> tuple[float, float
     return None if up != up else (up, down)
 
 
-# branch names by root count, "" past the last root
-_BRANCH_NAMES = np.array([["", "", ""], ["lower", "", ""], ["lower", "upper", ""],
-                          ["lower", "middle", "upper"]])
+# Branch names, "" past the last root, and stability by root count and whether
+# the upper piece holds a root.  A lone root is upper on the upper piece and
+# lower otherwise.  The second of two is the upper piece's root, or else the
+# lower fold's double root or, where c0 = 0, the unstable middle piece's root.
+_BRANCH_NAMES = np.array([[["", "", ""]] * 2, [["lower", "", ""], ["upper", "", ""]],
+                          [["lower", "upper", ""]] * 2, [["lower", "middle", "upper"]] * 2])
+_STABLE = (_BRANCH_NAMES != "") & (_BRANCH_NAMES != "middle")
+_STABLE[2, 0, 1] = False
 
 
 class ScanPoints(Sequence):
@@ -647,19 +648,13 @@ def _solution(a: SolutionArrays, branches: np.ndarray, i: int, k: int) -> Steady
                                a.stable.item(i, k), a.residual.item(i, k))
 
 
-def _labeled(arr: SolutionArrays, omega_up: np.ndarray, stacklevel: int = 3) -> np.ndarray:
-    """Branch names (M, 3) of the roots of ``arr``, "" past the last, warning
-    once per marginal root (attributed ``stacklevel`` frames up: by default
-    the caller's caller).  Three roots are lower/middle/upper and a fold's two
-    lower/upper; a single root continues the upper branch at drives at
-    or above ``omega_up`` (per drive or one; NaN: none) and the lower one otherwise."""
-    names = _BRANCH_NAMES[arr.count]
-    names[(arr.count == 1) & (arr.omega >= omega_up), 0] = "upper"
+def _warn_marginal(arr: SolutionArrays, stacklevel: int = 3) -> None:
+    """Warn once per marginal root of ``arr``, attributed ``stacklevel``
+    frames up: by default the caller's caller."""
     for i, k in zip(*np.nonzero(arr.marginal)):
         om, w = arr.omega[i].item(), arr.w[i, k].item()
         warnings.warn(f"solution at omega={om}, w={w} is marginally stable",
                       MarginalStabilityWarning, stacklevel=stacklevel)
-    return names
 
 
 def _no_root_error(params: MediumParams, mech: Mechanism) -> NoPhysicalRootError:
@@ -672,8 +667,8 @@ def solutions_at(params: MediumParams, mech: Mechanism) -> list[SteadyStateSolut
     """All steady-state solutions at ``params.omega``, ordered by ascending rho22.
 
     Three coexisting roots are labeled lower/middle/upper by excited
-    population.  A single root is labeled by the exact folds, as in
-    :func:`scan_hysteresis`: ``upper`` at or above the upper fold, where the
+    population.  A single root is labeled by its fold piece, as in
+    :func:`scan_hysteresis`: ``upper`` above the upper fold, where the
     surviving root continues the upper branch, ``lower`` otherwise.
     """
     arr, names = _at_drive(params, mech, params.omega)
@@ -685,10 +680,11 @@ def _at_drive(params: MediumParams, mech: Mechanism,
     """The roots at the checked drive ``omega`` and their branch names, for
     :func:`solutions_at` and :func:`branch_solution`; marginal roots warn at
     the caller of those."""
-    arr, folds = _solve(params, zeta_total(params, mech), np.array([omega]))
+    arr, names, _ = _solve(params, zeta_total(params, mech), np.array([omega]))
     if arr.count[0] == 0:
         raise _no_root_error(replace(params, omega=omega), mech)
-    return arr, _labeled(arr, folds[0], stacklevel=4)
+    _warn_marginal(arr, stacklevel=4)
+    return arr, names
 
 
 def branch_solution(
@@ -719,8 +715,8 @@ def scan_hysteresis(
 ) -> HysteresisScan:
     """Full solution sets over a drive grid, with branch labels and thresholds.
 
-    Single-root points are labeled by the exact folds, whatever the grid
-    covers: ``upper`` at or above the upper fold, ``lower`` otherwise.  The
+    Single-root points are labeled by their fold piece, whatever the grid
+    covers: ``upper`` above the upper fold, ``lower`` otherwise.  The
     reported thresholds are the part of the bistable window inside the grid:
     None when the window lies outside it, and a fold beyond an end of the
     grid is clipped to that end with a ThresholdRangeWarning.  Solver
@@ -734,7 +730,7 @@ def scan_hysteresis(
         raise ValueError("omega_grid must be strictly increasing")
     _check_drives(grid)
 
-    arr, folds = _solve(params, zeta_total(params, mech), grid)
+    arr, names, folds = _solve(params, zeta_total(params, mech), grid)
     lo, hi = float(grid[0]), float(grid[-1])
     up, down = folds[:, 0].tolist()
     omega_up = omega_down = None
@@ -745,7 +741,8 @@ def scan_hysteresis(
             if clipped:
                 warnings.warn(f"bistable window touches the {end} end of the drive grid; "
                               f"{name} may lie outside it", ThresholdRangeWarning, stacklevel=2)
-    points = ScanPoints(arr, _labeled(arr, folds[0]))
+    _warn_marginal(arr)
+    points = ScanPoints(arr, names)
     rootless = arr.omega[arr.count == 0].tolist()
     if rootless:  # one warning per scan, worded at the first such drive
         error = _no_root_error(replace(params, omega=rootless[0]), mech)

@@ -2,8 +2,8 @@
 and the CLI's help load no numpy, and each command only its own modules; and
 of scipy only the compiled ODEPACK module loads, and only when something is
 integrated.  The package's source squares by products alone, but for one
-helper, and the steady-state kernel binds no tolerance and calls no
-Routh-Hurwitz test."""
+helper, and the steady-state kernel binds no tolerance, calls no
+Routh-Hurwitz test and evaluates the fold cubic only where it solves it."""
 
 import ast
 import importlib.util
@@ -338,12 +338,26 @@ def test_every_square_is_a_product_but_one():
     assert len(pow_squares((src / POW_SQUARE[0]).read_text())) == 1
 
 
+def calls(tree: ast.AST, names: set) -> list[ast.Call]:
+    """The calls under ``tree`` of a function in ``names``, bare or as an attribute."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and names & {getattr(node.func, "id", None), getattr(node.func, "attr", None)}]
+
+
+# the fold cubic is evaluated only where the kernel solves it
+FOLD_CUBIC, FOLD_SOLVERS = {"_fold_cubic", "_cubic_at"}, ("_inversion_roots", "find_thresholds")
+
+
 def rule_breaches(source: str) -> list[int]:
-    """Lines of ``source`` that call _hurwitz or bind a module-level
-    tolerance: a name with TOL in it, or a float literal (or its negation)."""
+    """Lines of ``source`` that call _hurwitz, call _fold_cubic or _cubic_at
+    outside FOLD_SOLVERS, or bind a module-level tolerance: a name with TOL
+    in it, or a float literal (or its negation)."""
     tree = ast.parse(source)
-    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
-             and "_hurwitz" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    solving = {id(node) for f in ast.walk(tree)
+               if isinstance(f, ast.FunctionDef) and f.name in FOLD_SOLVERS
+               for node in calls(f, FOLD_CUBIC)}
+    lines = [node.lineno for node in calls(tree, {"_hurwitz"})]
+    lines += [node.lineno for node in calls(tree, FOLD_CUBIC) if id(node) not in solving]
     for node in tree.body:
         if isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -355,7 +369,8 @@ def rule_breaches(source: str) -> list[int]:
 
 
 def test_rule_breaches_are_found():
-    """The guard below finds each call of _hurwitz and each module-level
+    """The guard below finds each call of _hurwitz, each evaluation of the
+    fold cubic outside the functions that solve it and each module-level
     tolerance, and passes over a function's own constants."""
     source = '''
 ROOT_MERGE_TOL = 1e-8
@@ -366,13 +381,20 @@ _EPS = float(np.finfo(float).eps)
 def f(medium):
     x = 1e-9
     return _hurwitz(medium), steady_state._hurwitz(medium)
+
+def _stability(medium, zeta, w):
+    return _cubic_at(_normalized(_fold_cubic(medium, zeta)), w)
+
+def find_thresholds(medium, zeta):
+    return _cubic_at(_fold_cubic(medium, zeta), 0.5)
 '''
-    assert rule_breaches(source) == [2, 3, 4, 9, 9]
+    assert rule_breaches(source) == [2, 3, 4, 9, 9, 12, 12]
 
 
 def test_the_kernel_has_no_tolerance_and_no_routh_hurwitz_test():
     """steady_state decides root counts and stability by the rounding bound
-    of its cubics alone: it binds no module-level tolerance and calls
-    _hurwitz, which dynamics keeps for its slow-manifold start, nowhere."""
+    of its cubics alone: it binds no module-level tolerance, calls _hurwitz,
+    which dynamics keeps for its slow-manifold start, nowhere, and evaluates
+    the fold cubic only where it solves it."""
     src = Path(iobspectra.__file__).parent / "steady_state.py"
     assert rule_breaches(src.read_text()) == []

@@ -42,7 +42,6 @@ from iobspectra.steady_state import (
     MarginalStabilityWarning,
     ThresholdRangeWarning,
     _hurwitz,
-    _stability,
 )
 
 LORENTZ_50 = MediumParams(delta=3.0, zeta_lorentz=50.0)
@@ -494,16 +493,17 @@ def test_power_of_two_scaling_as_rows_of_one_call():
                                           (DETUNING_50, Mechanism.DETUNING)])
 def test_marginal_stability_warning_at_exact_folds(params, mech):
     """At each exact fold root the Jacobian is singular, so the solutions at
-    the fold drive warn and the fold cubic calls the oracle's fold root
-    marginal; 1e-3 off the fold root the smallest eigenvalue is far from
-    zero."""
+    the fold drive warn and the kernel's one marginal root is the oracle's
+    fold root; at the drives omega(W_f +- 1e-3) of the explicit inverse, off
+    the fold, no root is marginal."""
     for omega, w in fold_points():
         at = replace(params, omega=float(omega))
         with pytest.warns(MarginalStabilityWarning):
             solutions_at(at, mech)
-        for shift, marginal in ((0.0, True), (1e-3, False)):
-            root = float(w) + shift
-            assert _stability(at, zeta_total(at, mech), root)[1] == marginal
+        arr = solution_arrays(params, mech, [float(omega)])
+        assert arr.marginal.sum() == 1 and abs(arr.w[arr.marginal].item() - w) <= 1e-12
+        off = [float(exact_omega(1.0, 3.0, 50.0, float(w) + shift)) for shift in (-1e-3, 1e-3)]
+        assert not solution_arrays(params, mech, off).marginal.any()
 
 
 def test_hurwitz_coefficients_without_eigenvalues():
@@ -554,7 +554,8 @@ for _name in ("add", "radd", "sub", "rsub", "mul", "rmul", "truediv", "rtruediv"
 
 
 def test_stability_is_the_sign_of_the_fold_cubic_in_exact_rationals():
-    """_stability's proof, in exact rationals.  With y = delta - zeta W and
+    """The proof in _inversion_roots that the fold piece is the stability,
+    in exact rationals.  With y = delta - zeta W and
     Q = y^2 + gamma^2/4, a drive omega and W = Q / (Q + 2 omega^2) satisfy
     (1 - W) Q = 2 omega^2 W, so u = 2 y omega W / Q, v = -gamma omega W / Q
     and W are a fixed point of the Bloch flow (checked on its three
@@ -784,11 +785,34 @@ def test_exact_folds_give_one_marginal_double_root(params, mech):
     assert arr.count.tolist() == [2, 2]
     assert arr.marginal.sum(axis=1).tolist() == [1, 1]
     assert np.all(np.abs(arr.w[arr.marginal] - [w for _, w in folds]) <= 1e-12)
+    assert not arr.stable[arr.marginal].any()
     for omega, _ in folds:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             solutions_at(replace(params, omega=float(omega)), mech)
         assert [w.category for w in caught] == [MarginalStabilityWarning]
+
+
+@pytest.mark.parametrize("mech", list(Mechanism))
+def test_an_underflowed_c0_leaves_the_middle_root_unstable(mech):
+    """Where delta^2 + gamma^2/4 underflows (c0 = 0), W = 0 is a root: the
+    upper branch's, outside (0, 1].  Two roots remain, the lower one and the
+    middle one, and their stable flags are the sign of the fold cubic C(W) in
+    exact arithmetic, True and False; neither is marginal."""
+    share = {Mechanism.LORENTZ: 1.0, Mechanism.DETUNING: 0.0}.get(mech, 0.25)
+    for zeta in (1e20, 1e5, 1.0):
+        for delta in (-1e-165, 0.0):
+            params = MediumParams(gamma=1e-300, delta=delta, zeta_lorentz=share * zeta,
+                                  zeta_detuning=(1.0 - share) * zeta)
+            with np.errstate(divide="ignore", invalid="ignore"):  # Q = 0 too (ROADMAP item 2)
+                arr = solution_arrays(params, mech, [1e-150, 1e-40, 1e-10, 0.1 * zeta])
+            assert arr.count.tolist() == [2] * 4 and not arr.marginal.any()
+            g, d, z = Fraction(1e-300), Fraction(delta), Fraction(zeta_total(params, mech))
+            for w, stable in zip(arr.w[:, :2].ravel().tolist(), arr.stable[:, :2].ravel()):
+                w = Fraction(w)
+                fold = 2 * z * z * w**3 - z * (z + 2 * d) * w**2 + d * d + g * g / 4
+                assert stable == (fold > 0), (zeta, delta, float(w))
+            assert arr.stable[:, :2].tolist() == [[True, False]] * 4
 
 
 def record_bits(sol) -> tuple:
@@ -896,9 +920,9 @@ def test_scan_keeps_going_where_no_root_is_found(monkeypatch):
     solve = steady_state._inversion_roots
 
     def lose_every_other_drive(params, zeta, omega):
-        w, count, c, folds = solve(params, zeta, omega)
+        w, count, *rest = solve(params, zeta, omega)
         w[::2], count[::2] = np.nan, 0
-        return w, count, c, folds
+        return w, count, *rest
 
     monkeypatch.setattr(steady_state, "_inversion_roots", lose_every_other_drive)
     grid = [0.5, 8.0, 12.0, 20.0, 22.0]
@@ -1122,13 +1146,14 @@ def test_coefficients_follow_the_w_route_over_extreme_media(medium):
         assert np.all(np.abs(got - route) <= k * defect_bound + 4.0 * EPS * terms)
 
 
-def solve_rows(cases):
+def solve_rows(cases, named=False):
     """(SolutionArrays, folds) of one kernel call over ``cases`` of
     (params, mech, omega), one row each; folds is (2, K), NaN where a medium
-    is monostable."""
+    is monostable.  With ``named``, the (K, 3) branch names come between."""
     rows = steady_state._Rows.of([(params, mech) for params, mech, _ in cases])
     drives = np.array([omega for *_, omega in cases])
-    return steady_state._solve(rows, rows.zeta_lorentz + rows.zeta_detuning, drives)
+    arr, names, folds = steady_state._solve(rows, rows.zeta_lorentz + rows.zeta_detuning, drives)
+    return (arr, names, folds) if named else (arr, folds)
 
 
 def assert_row_equals_call(arr, folds, i, params, mech, omega):
@@ -1193,8 +1218,7 @@ def test_readme_peaks_media_as_rows_equal_their_scans():
     cases = [(params, mech, omega) for params, mech in media for omega in grid.tolist()]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MarginalStabilityWarning)
-        arr, folds = solve_rows(cases)
-        names = steady_state._labeled(arr, folds[0])
+        arr, names, folds = solve_rows(cases, named=True)
         for i, case in enumerate(cases):
             assert_row_equals_call(arr, folds, i, *case)
         for j, (params, mech) in enumerate(media):
@@ -1264,8 +1288,8 @@ def test_nonfinite_drives_are_rejected_before_any_solve(entry, omegas):
 
 def test_largest_drive_solves_without_overflow():
     """At the largest accepted drive the scan finds the lone saturated upper
-    root, with no overflow on the way: the Routh-Hurwitz test scales omega^2
-    by 8, and the cap leaves a factor 2 to spare."""
+    root, with no overflow on the way: the kernel's largest product is the
+    inversion cubic's 2 omega^2, and the cap leaves a factor 8 to spare."""
     params = replace(LORENTZ_50, omega=OMEGA_MAX)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -1490,7 +1514,8 @@ def test_round_trip_through_the_explicit_inverse(medium, seed):
     root's stable flag is the sign of the fold cubic C(W), in exact
     arithmetic.  Then a scan over the same drives and both folds labels and
     flags alike: lower and upper stable, middle unstable, none marginal,
-    and at a fold one marginal double root beside a stable root."""
+    and at a fold one marginal, not stable, double root beside a stable
+    root; a lone root is upper above the exact window and lower below it."""
     params, mech, gamma, delta, zeta = medium
     folds = exact_fold_ws(gamma, delta, zeta)
     ws = round_trip_ws(np.random.default_rng(seed), folds)
@@ -1516,8 +1541,12 @@ def test_round_trip_through_the_explicit_inverse(medium, seed):
         warnings.simplefilter("ignore", MarginalStabilityWarning)
         scan = scan_hysteresis(params, mech, grid)
     a, names = scan.points.arrays, scan.points.branches
-    for count, stable, marginal, name in zip(a.count, a.stable, a.marginal, names):
+    for omega, count, stable, marginal, name in zip(a.omega, a.count, a.stable, a.marginal,
+                                                     names):
         if count == 2:
             assert marginal.sum() == 1 and stable[~marginal & (name != "")].all(), name
+            assert not stable[marginal].any(), omega
         else:
             assert not marginal.any() and (stable == ((name != "middle") & (name != ""))).all()
+        if count == 1:  # above the exact window the upper branch survives
+            assert name[0] == ("upper" if folds and omega > window[1] else "lower"), omega
