@@ -77,6 +77,20 @@ def _jac(u, v, w, om, g, d, zl, zm) -> np.ndarray:
                      [0.0, 2.0 * om, -g]])
 
 
+def _hurwitz(medium, omega, w, rho12):
+    """(c1, c0) of the characteristic cubic l^3 + 2g l^2 + c1 l + c0 of
+    :func:`_jac`, [[-g/2, a, zs v], [-a, -g/2, -k], [0, 2 omega, -g]], at
+    fixed points given as scalars or arrays that broadcast together."""
+    g, zl, zm = medium.gamma, medium.zeta_lorentz, medium.zeta_detuning
+    zs = zl + zm
+    u, v = 2.0 * rho12.real, 2.0 * rho12.imag
+    a = zl * w - (medium.delta - zm * w)
+    drive2 = 2.0 * omega
+    k = zs * u + drive2
+    e = 0.25 * g * g + a * a
+    return e + g * g + drive2 * k, g * e + drive2 * (0.5 * g * k + a * zs * v)
+
+
 def _components(state):
     if isinstance(state, BlochState):
         return state.u, state.v, state.w
@@ -234,7 +248,7 @@ def _slow_start(fp: BlochState, params: MediumParams, omega_dot: float) -> Bloch
     """
     u, v, w = fp.u, fp.v, fp.w
     g = params.gamma
-    c1, c0 = steady_state._hurwitz(params, params.omega, w, complex(u, v) / 2.0)
+    c1, c0 = _hurwitz(params, params.omega, w, complex(u, v) / 2.0)
     roots, _ = steady_state._real_cubic_roots(np.array([[1.0], [2.0 * g], [c1], [c0]]))
     real = roots[0][np.isfinite(roots[0])]
     y = np.array([u, v, w])

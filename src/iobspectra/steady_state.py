@@ -48,10 +48,6 @@ from .core import (
     zeta_total,
 )
 
-class ThresholdRangeWarning(UserWarning):
-    """A fold coincides with an endpoint of the scanned drive range."""
-
-
 class MarginalStabilityWarning(UserWarning):
     """A fixed point sits on the stability boundary (fold tangency)."""
 
@@ -89,8 +85,8 @@ class ScanPoint(NamedTuple):
 
 @dataclass(frozen=True)
 class HysteresisScan:
-    """Full solution sets over a drive grid, with switching thresholds
-    (``points`` is a :class:`ScanPoints` view from :func:`scan_hysteresis`)."""
+    """Full solution sets over a drive grid, with the medium's fold drives or
+    None (``points`` is a :class:`ScanPoints` view from :func:`scan_hysteresis`)."""
 
     points: Sequence[ScanPoint]
     omega_up: float | None
@@ -345,7 +341,7 @@ def _inversion_roots(medium, zeta, omega: np.ndarray):
     fold, are bisected in their pieces (:func:`_bisected`).
 
     The piece is the stability.  At a root, with y = delta - zeta W, the
-    Routh-Hurwitz coefficients of :func:`_hurwitz` are c0 = gamma C(W) / W,
+    Routh-Hurwitz coefficients of ``dynamics._hurwitz`` are c0 = gamma C(W) / W,
     C the fold cubic, and 2 gamma c1 - c0 = c0 + gamma (2 (1 - W) y^2
     + (3 W + 1) gamma^2/2) / W: the falling pieces, where C > 0, are stable,
     the middle one is not, a fold's double root has a zero eigenvalue, and
@@ -466,20 +462,6 @@ def _effective(medium, omega: np.ndarray, w: np.ndarray):
             np.copyto(re, (omega * ratio + 0.0) / denom, where=by_im)
             np.copyto(im, (0.0 * ratio - omega) / denom, where=by_im)
     return _complex(re, im), delta_eff
-
-
-def _hurwitz(medium, omega, w, rho12):
-    """(c1, c0) of the characteristic cubic l^3 + 2g l^2 + c1 l + c0 of the
-    Bloch Jacobian [[-g/2, a, zs v], [-a, -g/2, -k], [0, 2 omega, -g]] at
-    fixed points given as scalars or arrays that broadcast together."""
-    g, zl, zm = medium.gamma, medium.zeta_lorentz, medium.zeta_detuning
-    zs = zl + zm
-    u, v = 2.0 * rho12.real, 2.0 * rho12.imag
-    a = zl * w - (medium.delta - zm * w)
-    drive2 = 2.0 * omega
-    k = zs * u + drive2
-    e = 0.25 * g * g + a * a
-    return e + g * g + drive2 * k, g * e + drive2 * (0.5 * g * k + a * zs * v)
 
 
 def solution_arrays(params: MediumParams, mech: Mechanism, omegas) -> SolutionArrays:
@@ -717,11 +699,10 @@ def scan_hysteresis(
 
     Single-root points are labeled by their fold piece, whatever the grid
     covers: ``upper`` above the upper fold, ``lower`` otherwise.  The
-    reported thresholds are the part of the bistable window inside the grid:
-    None when the window lies outside it, and a fold beyond an end of the
-    grid is clipped to that end with a ThresholdRangeWarning.  Solver
-    failures at individual points are recorded as empty solution sets rather
-    than aborting the scan, with one warning for the scan.
+    thresholds are the medium's, those of :func:`find_thresholds` bit for
+    bit, whatever the grid covers.  Solver failures at individual points are
+    recorded as empty solution sets rather than aborting the scan, with one
+    warning for the scan.
     """
     grid = np.asarray(omega_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -731,16 +712,8 @@ def scan_hysteresis(
     _check_drives(grid)
 
     arr, names, folds = _solve(params, zeta_total(params, mech), grid)
-    lo, hi = float(grid[0]), float(grid[-1])
-    up, down = folds[:, 0].tolist()
-    omega_up = omega_down = None
-    if up >= lo and down <= hi:
-        omega_up, omega_down = min(up, hi), max(down, lo)
-        for clipped, end, name in ((down < lo, "lower", "omega_down"),
-                                   (up > hi, "upper", "omega_up")):
-            if clipped:
-                warnings.warn(f"bistable window touches the {end} end of the drive grid; "
-                              f"{name} may lie outside it", ThresholdRangeWarning, stacklevel=2)
+    up, down = folds[:, 0].tolist()  # as find_thresholds: NaN for a monostable medium
+    omega_up, omega_down = (None, None) if up != up else (up, down)
     _warn_marginal(arr)
     points = ScanPoints(arr, names)
     rootless = arr.omega[arr.count == 0].tolist()

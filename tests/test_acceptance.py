@@ -7,7 +7,7 @@ references derived here from the fold algebra, not from the code under
 test.  Eliminating 2 omega^2 between the inversion cubic and its
 W-derivative leaves the resultant cubic 5000 W^3 - 2800 W^2 + 9.25 = 0; its
 physical roots W = 0.0608813 and 0.5539717 are the folds
-(``fold_points()`` in ``test_steady_state.py``):
+(``fold_points()`` in ``media.py``):
 
 * criterion 1: the switching thresholds are the fold drives
   omega_up = 15.6741308 and omega_down = 1.3939697 (``fold_oracle()``),
@@ -52,7 +52,7 @@ from iobspectra import (
     sweep_adiabatic,
 )
 from iobspectra.cli import main as cli_main
-from test_steady_state import (
+from media import (
     DETUNING_50,
     LORENTZ_50,
     OMEGA_DOWN_EXACT,

@@ -11,6 +11,7 @@ import pytest
 from conftest import console_script, python, readme_commands
 
 import iobspectra
+from iobspectra import MediumParams, Mechanism, find_thresholds
 from iobspectra.cli import build_parser, main, parse_grid, run_verification
 
 
@@ -95,6 +96,26 @@ def test_range_above_window_labels_upper(tmp_path, capsys):
     capsys.readouterr()
     _, cols = read_csv(out)
     assert cols["branch"] == ["upper"] * 6
+
+
+def test_thresholds_are_the_medium_folds_whatever_the_grid(capsys):
+    """hysteresis over 17:25, above the window, and peaks over 2:10, across
+    the lower folds, write find_thresholds' folds, with nothing on stderr."""
+    folds = {tag: find_thresholds(medium, Mechanism(tag)) for tag, medium in [
+        ("lorentz", MediumParams(zeta_lorentz=50.0)),
+        ("detuning", MediumParams(zeta_detuning=50.0))]}
+    up, down = find_thresholds(MediumParams(delta=3.0, zeta_lorentz=50.0), Mechanism.LORENTZ)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "hysteresis", "--delta", "3", "--zeta-l", "50",
+                             "--omega", "17:25:5")
+        assert (code, err) == (0, "")
+        assert f"# omega_up: {up!r}\n# omega_down: {down!r}\n" in out
+        code, out, err = run(capsys, "peaks", "--zeta-l", "50", "--zeta-m", "50", "--mechanism",
+                             "both", "--omega", "2:10:5", "--format", "json")
+        assert (code, err) == (0, "")
+    thresholds = json.loads(out)["meta"]["thresholds"]
+    assert {tag: tuple(pair) for tag, pair in thresholds.items()} == folds
 
 
 def test_malformed_grid_exits_2_without_file(tmp_path, capsys):

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_steady_state import extreme_media
+from media import extreme_media
 
 from iobspectra.cli import main
 from iobspectra.core import OMEGA_MAX

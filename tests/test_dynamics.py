@@ -28,7 +28,7 @@ from iobspectra import (
     Trajectory,
 )
 from iobspectra.dynamics import JUMP_THRESHOLD, _jump_samples
-from test_steady_state import LORENTZ_50, DETUNING_50, OMEGA_UP_EXACT, OMEGA_DOWN_EXACT, fold_points
+from media import LORENTZ_50, DETUNING_50, OMEGA_UP_EXACT, OMEGA_DOWN_EXACT, fold_points
 
 FREE = MediumParams(delta=3.0)
 JOINT_50 = MediumParams(delta=3.0, zeta_lorentz=30.0, zeta_detuning=20.0)

@@ -28,7 +28,7 @@ from iobspectra import (
     sum_rule_ratio,
 )
 from iobspectra.spectrum import correlation_matrix
-from test_steady_state import LORENTZ_50, DETUNING_50, OMEGA_UP_EXACT, OMEGA_DOWN_EXACT, liouvillian
+from media import LORENTZ_50, DETUNING_50, OMEGA_UP_EXACT, OMEGA_DOWN_EXACT, liouvillian
 
 
 def rel_dev(a, b):

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import mpmath
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space
@@ -38,95 +39,26 @@ from iobspectra import (
 )
 from iobspectra import steady_state
 from iobspectra.core import OMEGA_MAX, NoPhysicalRootError
-from iobspectra.steady_state import (
-    MarginalStabilityWarning,
-    ThresholdRangeWarning,
-    _hurwitz,
+from iobspectra.dynamics import _hurwitz
+from iobspectra.steady_state import MarginalStabilityWarning
+from media import (
+    DETUNING_50,
+    LORENTZ_50,
+    OMEGA_DOWN_EXACT,
+    OMEGA_UP_EXACT,
+    extreme_media,
+    fold_oracle,
+    fold_points,
+    liouvillian,
 )
 
-LORENTZ_50 = MediumParams(delta=3.0, zeta_lorentz=50.0)
-DETUNING_50 = MediumParams(delta=3.0, zeta_detuning=50.0)
 EPS = float(np.finfo(float).eps)
-
-# Fold locations for delta = 3, zeta = 50, gamma = 1.  Eliminating 2 omega^2
-# between the cubic and its W-derivative leaves 5000 W^3 - 2800 W^2 + 9.25 = 0,
-# whose physical roots give the two fold drives below (see fold_oracle()).
-OMEGA_UP_EXACT = 15.674130803086713
-OMEGA_DOWN_EXACT = 1.393969707984965
-
-
-def fold_points(
-    gamma: float = 1.0, delta: float = 3.0, zeta: float = 50.0
-) -> list[tuple[float, float]]:
-    """(omega, W) at each fold, ascending in omega.
-
-    Eliminating 2 omega^2 between the inversion cubic and its W-derivative
-    leaves the resultant cubic
-    2 zeta^2 W^3 - zeta (zeta + 2 delta) W^2 + delta^2 + gamma^2/4 = 0
-    (5000 W^3 - 2800 W^2 + 9.25 for the benchmark medium), solved here by
-    companion matrix; the derivative then gives each fold drive.
-    """
-    folds = []
-    if zeta == 0.0:
-        return folds
-    c2 = zeta * (zeta + 2.0 * delta)
-    c1 = delta * (delta + 2.0 * zeta) + 0.25 * gamma * gamma
-    for w in np.roots([2.0 * zeta * zeta, -c2, 0.0, delta * delta + 0.25 * gamma * gamma]):
-        if abs(w.imag) < 1e-12 and 0.0 < w.real <= 1.0:
-            w = w.real
-            omega_sq = (2.0 * c2 * w - 3.0 * zeta * zeta * w * w - c1) / 2.0
-            if omega_sq > 0.0:
-                folds.append((np.sqrt(omega_sq), w))
-    return sorted(folds)
-
-
-def fold_oracle(
-    gamma: float = 1.0, delta: float = 3.0, zeta: float = 50.0
-) -> tuple[float, float] | None:
-    """Fold drives (omega_up, omega_down) from the resultant cubic, or None
-    for a monostable medium."""
-    omegas = [omega for omega, _ in fold_points(gamma, delta, zeta)]
-    if len(omegas) < 2:
-        return None
-    return max(omegas), min(omegas)
-
-
-def upper_fold_splittings() -> tuple[float, float]:
-    """Side-peak offsets nu_p (detuning, lorentz) on the lower branch at the
-    upper fold, where that branch ends at the fold root W of the resultant
-    cubic.  Both enter nu_p^2 = 4 |omega_eff|^2 + delta_eff^2 - 3/4 with
-
-    * detuning: omega_eff = omega_up, delta_eff = 3 - 50 W;
-    * lorentz:  delta_eff = 3 and, from the saturation law
-      W = dd / (2 |omega_eff|^2 + dd) with dd = 9 + 1/4,
-      |omega_eff|^2 = (1 - W) dd / (2 W).
-    """
-    omega_up, w = fold_points()[-1]
-    nu_det = np.sqrt(4.0 * omega_up**2 + (3.0 - 50.0 * w) ** 2 - 0.75)
-    nu_lor = np.sqrt(2.0 * (1.0 - w) * 9.25 / w + 9.0 - 0.75)
-    return nu_det, nu_lor
-
 
 def normalized_residual(params: MediumParams, mech: Mechanism, w: float) -> float:
     """|c3 w^3 + c2 w^2 + c1 w + c0| with the coefficients divided by max |c_i|."""
     c = np.array(cubic_coefficients(params, mech))
     c3, c2, c1, c0 = c / np.abs(c).max()
     return abs(((c3 * w + c2) * w + c1) * w + c0)
-
-
-def liouvillian(omega_eff: complex, delta_eff: float, gamma: float) -> np.ndarray:
-    """Master-equation generator on (rho11, rho12, rho21, rho22)."""
-    ob = complex(omega_eff)
-    obc = ob.conjugate()
-    return np.array(
-        [
-            [0.0, -1j * obc, 1j * ob, gamma],
-            [-1j * ob, 1j * delta_eff - 0.5 * gamma, 0.0, 1j * ob],
-            [1j * obc, 0.0, -1j * delta_eff - 0.5 * gamma, -1j * obc],
-            [0.0, 1j * obc, -1j * ob, -gamma],
-        ],
-        dtype=complex,
-    )
 
 
 # ---------------------------------------------------------------- coefficients
@@ -626,9 +558,18 @@ def test_thresholds_resolve_a_window_narrower_than_any_grid():
 
 
 def test_thresholds_range_warning():
-    with pytest.warns(ThresholdRangeWarning):
-        scan = scan_hysteresis(LORENTZ_50, Mechanism.LORENTZ, np.linspace(2.0, 10.0, 5))
-    assert (scan.omega_up, scan.omega_down) == (10.0, 2.0)
+    """A scan's thresholds belong to the medium: over a grid below the
+    window, across either fold, inside it, above it or around it they are
+    find_thresholds' values bit for bit, not clipped to the grid, and no
+    grid warns."""
+    for params, mech in [(LORENTZ_50, Mechanism.LORENTZ), (DETUNING_50, Mechanism.DETUNING)]:
+        folds = find_thresholds(params, mech)
+        for lo, hi, n in [(0.1, 1.0, 9), (1.0, 2.0, 9), (2.0, 10.0, 5), (10.0, 17.0, 9),
+                          (17.0, 25.0, 5), (0.0, 25.0, 9)]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                scan = scan_hysteresis(params, mech, np.linspace(lo, hi, n))
+            assert (scan.omega_up, scan.omega_down) == folds, (params, lo, hi)
 
 
 # ------------------------------------------------------------------------ scans
@@ -666,7 +607,6 @@ def test_scan_bistable_structure():
         assert rho22s == sorted(rho22s)
 
 
-@pytest.mark.filterwarnings("ignore::iobspectra.steady_state.ThresholdRangeWarning")
 def test_scan_single_root_continuity_above_window():
     grid = np.linspace(14.0, 20.0, 61)
     scan = scan_hysteresis(LORENTZ_50, Mechanism.LORENTZ, grid)
@@ -984,44 +924,6 @@ def companion_roots(gamma: float, delta: float, zeta: float, omega: float) -> np
     return np.sort(np.minimum(real[(real > 0.0) & (real <= 1.0 + 1e-9)], 1.0))[::-1]
 
 
-def window_width(gamma: float, delta: float, zeta: float) -> float:
-    folds = fold_oracle(gamma, delta, zeta)
-    return 0.0 if folds is None else folds[0] - folds[1]
-
-
-def zeta_for_width(gamma: float, delta: float, width: float) -> float:
-    """Coupling just above the cusp whose bistable window is ``width`` wide."""
-    lo, hi = 0.0, 4.0 * gamma + 8.0 * abs(delta) + 8.0
-    while window_width(gamma, delta, hi) < width:
-        hi *= 2.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if window_width(gamma, delta, mid) < width:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
-@st.composite
-def extreme_media(draw):
-    """(params, mech, gamma, delta, zeta): any medium in gamma 0.2-3,
-    delta -20-20, zeta 0.1-1000, or one just above its cusp with a window
-    narrower than 0.005 gamma."""
-    gamma = draw(st.floats(0.2, 3.0))
-    delta = draw(st.floats(-20.0, 20.0))
-    if draw(st.booleans()):
-        zeta = draw(st.floats(0.1, 1000.0))
-    else:
-        zeta = zeta_for_width(gamma, delta, draw(st.floats(1e-5, 5e-3)) * gamma)
-    mech = draw(st.sampled_from(list(Mechanism)))
-    share = {Mechanism.LORENTZ: 1.0, Mechanism.DETUNING: 0.0,
-             Mechanism.JOINT: draw(st.floats(0.1, 0.9))}[mech]
-    params = MediumParams(gamma=gamma, delta=delta, zeta_lorentz=share * zeta,
-                          zeta_detuning=zeta - share * zeta)
-    return params, mech, gamma, delta, params.zeta_lorentz + params.zeta_detuning
-
-
 @settings(max_examples=150, deadline=None)
 @given(medium=extreme_media(), start=st.floats(1.05, 1.5))
 def test_scan_matches_exact_algebra_over_extreme_media(medium, start):
@@ -1065,7 +967,7 @@ def test_scan_matches_exact_algebra_over_extreme_media(medium, start):
         above = None
         if exact is not None:
             above = scan_hysteresis(params, mech, np.linspace(start * up, 2.0 * start * up, 20))
-            assert above.omega_up is None and above.omega_down is None
+            assert (above.omega_up, above.omega_down) == found
 
     for point in [*scan.points, *([] if above is None else above.points)]:
         at = replace(params, omega=point.omega)
@@ -1278,7 +1180,7 @@ def test_drives_whose_square_overflows_are_rejected(omega):
 def test_nonfinite_drives_are_rejected_before_any_solve(entry, omegas):
     """A NaN, infinite or negative drive in an array entry point is a
     ValueError that names omega, raised before any solve or warning: no root
-    count of 0 for it, and no ThresholdRangeWarning from a scan."""
+    count of 0 for it, and no warning from a scan."""
     rule = "must be finite" if not np.isfinite(omegas).all() else "must be nonnegative"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1550,3 +1452,48 @@ def test_round_trip_through_the_explicit_inverse(medium, seed):
             assert not marginal.any() and (stable == ((name != "middle") & (name != ""))).all()
         if count == 1:  # above the exact window the upper branch survives
             assert name[0] == ("upper" if folds and omega > window[1] else "lower"), omega
+
+
+def exact_root_counts(params, mech, omega: np.ndarray) -> list:
+    """Roots in [0, 1 + 1e-9] of the kernel's normalized inversion cubic at
+    each drive of ``omega``, counted exactly: its double coefficients taken
+    as rationals, counted by sympy's Sturm sequence (a double root once).
+    The kernel takes a root up to the double 1 + 1e-9 as W = 1: at zero
+    drive W = 1 is the root, and the rounded coefficients move it above 1."""
+    cubic = steady_state._inversion_cubic(params, zeta_total(params, mech), omega)
+    c = steady_state._normalized(np.array([np.broadcast_to(x, omega.shape) for x in cubic]))
+    x, top = sympy.Symbol("x"), rational(1.0 + 1e-9)
+    return [sympy.Poly(list(map(rational, col)), x).count_roots(0, top) for col in c.T.tolist()]
+
+
+def rational(value: float) -> sympy.Rational:
+    """The double ``value`` as an exact sympy rational."""
+    return sympy.Rational(*Fraction(value).as_integer_ratio())
+
+
+@settings(max_examples=90, deadline=None, derandomize=True)
+@given(delta=st.floats(-30.0, 30.0), u=st.floats(0.0, 7.0), mech=st.sampled_from(
+    [Mechanism.LORENTZ, Mechanism.DETUNING]), exponents=st.lists(st.floats(-9.0, 0.0),
+                                                                 min_size=4, max_size=8))
+def test_root_counts_are_exact(delta, u, mech, exponents):
+    """At every drive without a marginal root the kernel's root count is the
+    exact count of its own cubic's roots in [0, 1].  The media have gamma = 1
+    and zeta = 10**u; the drives are omega(W) of the explicit inverse at
+    W = 10**e and, for a bistable medium, each fold drive and its two
+    neighbouring doubles, omega_up (1 + 1e-9) and omega_down (1 - 1e-9).
+    A drive with a marginal root lies within rounding of a fold, where the
+    kernel names the double root and an exact count may see two or none."""
+    zeta = 10.0**u
+    params = MediumParams(delta=delta, **{f"zeta_{mech.value}": zeta})
+    ws = 10.0 ** np.array(exponents)
+    drives = np.sqrt((1.0 - ws) * ((delta - zeta * ws) ** 2 + 0.25) / (2.0 * ws))
+    folds = find_thresholds(params, mech)
+    if folds is not None:
+        up, down = folds
+        drives = np.concatenate([drives, [up * (1.0 + 1e-9), down * (1.0 - 1e-9)],
+                                 *([np.nextafter(f, 0.0), f, np.nextafter(f, np.inf)]
+                                   for f in folds)])
+    arr = solution_arrays(params, mech, drives)
+    clear = ~arr.marginal.any(axis=1)
+    exact = exact_root_counts(params, mech, drives[clear])
+    assert arr.count[clear].tolist() == exact, (params, mech, drives[clear])
