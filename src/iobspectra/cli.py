@@ -361,23 +361,22 @@ def _diag(ns: argparse.Namespace, message: str) -> None:
 # subcommands
 # --------------------------------------------------------------------------
 
-def _root_columns(scan: steady_state.HysteresisScan) -> dict:
-    """One row per root of an array-backed scan, drive by drive, as numpy
+def _root_columns(arr: steady_state.SolutionArrays) -> dict:
+    """One row per root of a scan's arrays, drive by drive, as numpy
     columns; NoPhysicalRootError if some drive has no root."""
     import numpy as np
 
     from .core import NoPhysicalRootError
 
-    arr, branches = scan.points.arrays, scan.points.branches
     rootless = arr.omega[arr.count == 0]
     if rootless.size:
         raise NoPhysicalRootError(f"no inversion root in (0, 1] at {rootless.size} of "
                                   f"{arr.omega.size} drives, the first at omega={rootless[0]}")
-    found = branches != ""
+    found = arr.branch != ""
     w, z = arr.w[found], arr.omega_eff[found]
     return {
         "omega": np.repeat(arr.omega, arr.count),
-        "branch": branches[found],
+        "branch": arr.branch[found],
         "w": w,
         "rho22": 0.5 * (1.0 - w),
         "stable": arr.stable[found],
@@ -393,9 +392,9 @@ def _cmd_hysteresis(ns: argparse.Namespace) -> int:
     params, mech = _medium_and_mechanism(ns)
     grid = _drive_grid(ns.omega)
     scan = steady_state.scan_hysteresis(params, mech, grid)
-    _diag(ns, f"scanned {len(scan.points)} drives, "
-              f"thresholds={scan.omega_up}, {scan.omega_down}")
-    return _emit(ns, _root_columns(scan), omega_up=scan.omega_up, omega_down=scan.omega_down)
+    _diag(ns, f"scanned {len(scan.points)} drives, thresholds={scan.omega_up}, {scan.omega_down}")
+    return _emit(ns, _root_columns(scan.points.arrays), omega_up=scan.omega_up,
+                 omega_down=scan.omega_down)
 
 
 def _cmd_spectrum(ns: argparse.Namespace) -> int:
@@ -446,7 +445,7 @@ def _cmd_peaks(ns: argparse.Namespace) -> int:
     for tag, mech, medium in families:
         scan = steady_state.scan_hysteresis(medium, mech, grid)
         thresholds[tag] = None if scan.omega_up is None else [scan.omega_up, scan.omega_down]
-        roots = _root_columns(scan)
+        roots = _root_columns(scan.points.arrays)
         with np.errstate(over="ignore"):  # b2 and b0 overflow past |omega_eff| ~ 1e77; unread
             o2 = spectrum._omega_eff_sq(roots["omega_eff_abs"])  # as spectrum_for_solution
             nu_p_sq = spectrum.spectrum_coefficients(o2, roots["delta_eff"], medium.gamma).nu_p_sq

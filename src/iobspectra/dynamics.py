@@ -217,6 +217,16 @@ def fixed_point_state(params: MediumParams, mech: Mechanism, w: float) -> BlochS
     return BlochState(2.0 * r12.real, 2.0 * r12.imag, w)
 
 
+def _real_eigenvalues(g: float, c1: float, c0: float) -> np.ndarray:
+    """Real roots of :func:`_jac`'s characteristic cubic s^3 + 2g s^2 + c1 s + c0
+    by the kernel's closed form, polished.  A monic cubic needs no quadratic fallback,
+    which once c1 passes 1e14 adds a root near -c1 / (2g) that is no root of it."""
+    c = steady_state._normalized(np.array([[1.0], [2.0 * g], [c1], [c0]]))
+    with np.errstate(all="ignore"):
+        roots = steady_state._polish(steady_state._per_root(c), steady_state._cubic_formula(c))[0]
+    return roots[np.isfinite(roots)]
+
+
 def _slow_start(fp: BlochState, params: MediumParams, omega_dot: float) -> BlochState:
     """The state on the slow manifold of a drive ramp at rate ``omega_dot``
     next to the fixed point ``fp`` of ``params`` (mechanism already checked).
@@ -249,8 +259,7 @@ def _slow_start(fp: BlochState, params: MediumParams, omega_dot: float) -> Bloch
     u, v, w = fp.u, fp.v, fp.w
     g = params.gamma
     c1, c0 = _hurwitz(params, params.omega, w, complex(u, v) / 2.0)
-    roots, _ = steady_state._real_cubic_roots(np.array([[1.0], [2.0 * g], [c1], [c0]]))
-    real = roots[0][np.isfinite(roots[0])]
+    real = _real_eigenvalues(g, c1, c0)
     y = np.array([u, v, w])
     if real.size == 1:
         lr = float(real[0])

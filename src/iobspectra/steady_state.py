@@ -116,6 +116,7 @@ class SolutionArrays(NamedTuple):
     w, rho12, omega_eff, delta_eff, residual, stable : (M, 3), as in
                 :class:`SteadyStateSolution`
     marginal  : (M, 3) a fold's double root, with one zero eigenvalue
+    branch    : (M, 3) branch names, "" past the last root
     """
 
     omega: np.ndarray
@@ -127,6 +128,7 @@ class SolutionArrays(NamedTuple):
     residual: np.ndarray
     stable: np.ndarray
     marginal: np.ndarray
+    branch: np.ndarray
 
 
 class _Rows(NamedTuple):
@@ -446,9 +448,9 @@ def _effective(medium, omega: np.ndarray, w: np.ndarray):
         return _complex(omega + zero, zero), delta_eff
     dd = delta_eff * delta_eff + 0.25 * g * g
     a = zl * w
-    f_re = 1.0 - a * delta_eff / dd
-    f_im = a * (0.5 * g) / dd
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):  # dd is 0 where it underflows
+        f_re = 1.0 - a * delta_eff / dd
+        f_im = a * (0.5 * g) / dd
         # Smith's step by the larger part of f: the real part almost
         # everywhere, since |Re f| < |Im f| only in a narrow band around Re f = 0
         ratio = f_im / f_re
@@ -483,17 +485,17 @@ def _check_drives(omega: np.ndarray) -> None:
 
 
 def _solve(medium, zeta, omega: np.ndarray):
-    """(SolutionArrays, names, folds) of ``medium`` (or _Rows), of total
-    coupling ``zeta``, at the checked 1-d drives ``omega``, from one kernel
-    call: names the (M, 3) branch names of :data:`_BRANCH_NAMES`, stable as
-    there but at a fold's double root, and folds the drives of :func:`_folds`."""
+    """(SolutionArrays, folds) of ``medium`` (or _Rows), of total coupling
+    ``zeta``, at the checked 1-d drives ``omega``, from one kernel call:
+    branch and stable by :data:`_BRANCH_NAMES`, but a fold's double root is
+    not stable, and folds the drives of :func:`_folds`."""
     w, count, residual, upper, marginal, folds = _inversion_roots(medium, zeta, omega)
     drive = _per_root(omega)
     omega_eff, delta_eff = _effective(medium, drive, w)
     rho12 = coherence(w, omega_eff, delta_eff, medium.gamma)
     kind = count, upper.view(np.int8)  # an index: numpy reads a bool array as a mask
     return SolutionArrays(omega, count, w, rho12, omega_eff, delta_eff, residual,
-                          _STABLE[kind] & ~marginal, marginal), _BRANCH_NAMES[kind], folds
+                          _STABLE[kind] & ~marginal, marginal, _BRANCH_NAMES[kind]), folds
 
 
 def solve_inversion(params: MediumParams, mech: Mechanism) -> list[float]:
@@ -503,12 +505,10 @@ def solve_inversion(params: MediumParams, mech: Mechanism) -> list[float]:
     is strictly negative and at 1 equals 2 omega^2), so at least one
     physical root exists for any valid parameter set.
     """
-    roots, count, *_ = _inversion_roots(
-        params, zeta_total(params, mech), np.array([params.omega])
-    )
-    if count[0] == 0:
+    arr = solution_arrays(params, mech, [params.omega])
+    if arr.count[0] == 0:
         raise _no_root_error(params, mech)
-    return roots[0, : count[0]][::-1].tolist()
+    return arr.w[0, : arr.count[0]][::-1].tolist()
 
 
 def effective_params(
@@ -606,27 +606,24 @@ _STABLE[2, 0, 1] = False
 
 
 class ScanPoints(Sequence):
-    """Read-only view of ``arrays``, one ScanPoint per drive, built when read;
-    ``branches`` holds the (M, 3) branch names of the roots, "" past the last."""
+    """Read-only view of ``arrays``, one ScanPoint per drive, built when read."""
 
-    def __init__(self, arrays: SolutionArrays, branches: np.ndarray):
-        self.arrays, self.branches = arrays, branches
+    def __init__(self, arrays: SolutionArrays):
+        self.arrays = arrays
 
     def __len__(self) -> int:
         return len(self.arrays.omega)
 
     def __getitem__(self, i) -> ScanPoint:
-        i = range(len(self))[operator.index(i)]
-        a = self.arrays
-        return ScanPoint(a.omega[i].item(),
-                         [_solution(a, self.branches, i, k) for k in range(a.count[i])])
+        i, a = range(len(self))[operator.index(i)], self.arrays
+        return ScanPoint(a.omega[i].item(), [_solution(a, i, k) for k in range(a.count[i])])
 
 
-def _solution(a: SolutionArrays, branches: np.ndarray, i: int, k: int) -> SteadyStateSolution:
+def _solution(a: SolutionArrays, i: int, k: int) -> SteadyStateSolution:
     """Root k at drive i of ``a`` as a record, in Python scalars."""
     w = a.w.item(i, k)
     return SteadyStateSolution(w, 0.5 * (1.0 - w), a.rho12.item(i, k), a.omega_eff.item(i, k),
-                               a.delta_eff.item(i, k), Branch(branches.item(i, k)),
+                               a.delta_eff.item(i, k), Branch(a.branch.item(i, k)),
                                a.stable.item(i, k), a.residual.item(i, k))
 
 
@@ -653,20 +650,17 @@ def solutions_at(params: MediumParams, mech: Mechanism) -> list[SteadyStateSolut
     :func:`scan_hysteresis`: ``upper`` above the upper fold, where the
     surviving root continues the upper branch, ``lower`` otherwise.
     """
-    arr, names = _at_drive(params, mech, params.omega)
-    return ScanPoints(arr, names)[0].solutions
+    return ScanPoints(_at_drive(params, mech, params.omega))[0].solutions
 
 
-def _at_drive(params: MediumParams, mech: Mechanism,
-              omega: float) -> tuple[SolutionArrays, np.ndarray]:
-    """The roots at the checked drive ``omega`` and their branch names, for
-    :func:`solutions_at` and :func:`branch_solution`; marginal roots warn at
-    the caller of those."""
-    arr, names, _ = _solve(params, zeta_total(params, mech), np.array([omega]))
+def _at_drive(params: MediumParams, mech: Mechanism, omega: float) -> SolutionArrays:
+    """The roots at the checked drive ``omega``, for :func:`solutions_at` and
+    :func:`branch_solution`; marginal roots warn at the caller of those."""
+    arr, _ = _solve(params, zeta_total(params, mech), np.array([omega]))
     if arr.count[0] == 0:
         raise _no_root_error(replace(params, omega=omega), mech)
     _warn_marginal(arr, stacklevel=4)
-    return arr, names
+    return arr
 
 
 def branch_solution(
@@ -683,13 +677,13 @@ def branch_solution(
     else:  # the medium is checked; the drive is the one new value
         omega = float(omega)
         check_drive(omega)
-    arr, names = _at_drive(params, mech, omega)
-    row = names[0].tolist()
+    arr = _at_drive(params, mech, omega)
+    row = arr.branch[0].tolist()
     if branch.value not in row:
         raise BranchNotPresentError(
             f"branch '{branch.value}' does not exist at omega={omega}"
         )
-    return _solution(arr, names, 0, row.index(branch.value))
+    return _solution(arr, 0, row.index(branch.value))
 
 
 def scan_hysteresis(
@@ -711,14 +705,12 @@ def scan_hysteresis(
         raise ValueError("omega_grid must be strictly increasing")
     _check_drives(grid)
 
-    arr, names, folds = _solve(params, zeta_total(params, mech), grid)
-    up, down = folds[:, 0].tolist()  # as find_thresholds: NaN for a monostable medium
-    omega_up, omega_down = (None, None) if up != up else (up, down)
+    arr, folds = _solve(params, zeta_total(params, mech), grid)
+    omega_up, omega_down = (None, None) if np.isnan(folds[0, 0]) else folds[:, 0].tolist()
     _warn_marginal(arr)
-    points = ScanPoints(arr, names)
     rootless = arr.omega[arr.count == 0].tolist()
     if rootless:  # one warning per scan, worded at the first such drive
         error = _no_root_error(replace(params, omega=rootless[0]), mech)
         warnings.warn(f"solver failed at {len(rootless)} of {grid.size} drives, the first at "
                       f"omega={rootless[0]}: {error}", stacklevel=2)
-    return HysteresisScan(points=points, omega_up=omega_up, omega_down=omega_down)
+    return HysteresisScan(points=ScanPoints(arr), omega_up=omega_up, omega_down=omega_down)

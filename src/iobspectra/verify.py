@@ -225,9 +225,9 @@ def check_sum_rule(seed: int) -> CheckResult:
     rows = steady_state._Rows.of([(params, mech) for params, mech, _, _ in cases])
     zeta = rows.zeta_lorentz + rows.zeta_detuning
     omega = np.array([omega for *_, omega in cases])
-    arr, names, _ = steady_state._solve(rows, zeta, omega)
+    arr, _ = steady_state._solve(rows, zeta, omega)
     at = (range(len(cases)),
-          [row.index(case[2].value) for case, row in zip(cases, names.tolist())])
+          [row.index(case[2].value) for case, row in zip(cases, arr.branch.tolist())])
     w, rho12, z = arr.w[at], arr.rho12[at], arr.omega_eff[at]
     # one density call too; hypot rounds as a record's abs(z)
     coeffs = spectrum.spectrum_coefficients(spectrum._omega_eff_sq(np.hypot(z.real, z.imag)),

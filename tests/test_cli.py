@@ -460,6 +460,19 @@ def test_a_rootless_scan_warns_once():
                         "2000 drives, the first at omega=0.0")
 
 
+@pytest.mark.parametrize("command", [("hysteresis", "--omega", "0:1:3"),
+                                     ("spectrum", "--omega", "0.5", "--branch", "upper")])
+def test_an_underflowed_feedback_denominator_raises_no_runtime_warning(command):
+    """At gamma = 1e-300 and delta = 0 the local-field factor's denominator
+    delta_eff^2 + gamma^2/4 underflows to 0 where w = 0.  Each command exits
+    3 with its one error line, and no RuntimeWarning of that division
+    reaches stderr (it would be an error here)."""
+    proc = python("-W", "error::RuntimeWarning", "-m", "iobspectra", command[0],
+                  "--gamma", "1e-300", "--zeta-l", "1e5", *command[1:])
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
 def test_stable_flags_at_a_huge_gamma_are_those_of_gamma_1():
     """At gamma = 1e103 the free atom's three roots are as stable as at
     gamma = 1, and no RuntimeWarning is raised (it would be an error here):

@@ -547,6 +547,25 @@ def test_sweep_from_the_pole_starts_on_the_sphere():
     assert np.max(np.abs(y0 - slow)) <= 0.1 * eta_sq
 
 
+@pytest.mark.parametrize("omega", [8.0, 1e4, 5e6, 1e8])
+def test_the_slow_start_finds_the_one_real_eigenvalue_at_any_drive(omega):
+    """At the least excited fixed point of delta = 3, zeta_l = 50, inside
+    the window and at ever stronger drive, the slow-manifold start finds one
+    real root of the characteristic cubic: the real eigenvalue of the
+    Jacobian, to 1e-12.  Around omega = 5e6 (c1 about 1e14) the kernel's
+    degree test read the cubic as a quadratic and added the root -5e13, so
+    with two real roots the shift was skipped."""
+    params = replace(LORENTZ_50, omega=omega)
+    fp = fixed_point_state(params, Mechanism.LORENTZ,
+                           solve_inversion(params, Mechanism.LORENTZ)[-1])
+    g, d, zl = params.gamma, params.delta, params.zeta_lorentz
+    real = dynamics._real_eigenvalues(g, *dynamics._hurwitz(params, omega, fp.w,
+                                                            complex(fp.u, fp.v) / 2.0))
+    eigs = np.linalg.eigvals(dynamics._jac(fp.u, fp.v, fp.w, omega, g, d, zl, 0.0))
+    (want,) = eigs.real[eigs.imag == 0.0]
+    assert real.size == 1 and abs(real[0] - want) <= 1e-12 * abs(want), (real, eigs)
+
+
 def odeint_oracle(y0, t_eval, drive, params, t_end, rel_tol, abs_tol):
     """The integration of ``integrate``, made through scipy's public
     ``odeint`` wrapper with keyword arguments and a plain callable drive."""

@@ -391,6 +391,16 @@ def find_thresholds(medium, zeta):
     assert rule_breaches(source) == [2, 3, 4, 9, 9, 12, 12]
 
 
+def test_solve_is_the_kernels_only_caller():
+    """Every solve of the inversion cubic goes through _solve, whose one
+    SolutionArrays record carries the roots' names: no other function of
+    the package calls _inversion_roots."""
+    callers = {f.name for path in sorted(Path(iobspectra.__file__).parent.glob("*.py"))
+               for f in ast.walk(ast.parse(path.read_text()))
+               if isinstance(f, ast.FunctionDef) and calls(f, {"_inversion_roots"})}
+    assert callers == {"_solve"}
+
+
 def test_the_kernel_has_no_tolerance_and_no_routh_hurwitz_test():
     """steady_state decides root counts and stability by the rounding bound
     of its cubics alone: it binds no module-level tolerance, calls _hurwitz,

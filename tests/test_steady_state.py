@@ -40,7 +40,7 @@ from iobspectra import (
 from iobspectra import steady_state
 from iobspectra.core import OMEGA_MAX, NoPhysicalRootError
 from iobspectra.dynamics import _hurwitz
-from iobspectra.steady_state import MarginalStabilityWarning
+from iobspectra.steady_state import MarginalStabilityWarning, SolutionArrays
 from media import (
     DETUNING_50,
     LORENTZ_50,
@@ -414,7 +414,7 @@ def test_power_of_two_scaling_as_rows_of_one_call():
         tiled = np.concatenate([getattr(one, name) for one in want])
         if name in ("omega", "omega_eff", "delta_eff"):  # frequencies
             tiled = (s if tiled.ndim == 1 else s[:, None]) * tiled
-        assert np.array_equal(getattr(got, name), tiled, equal_nan=True), (
+        assert np.array_equal(getattr(got, name), tiled, equal_nan=name != "branch"), (
             name, cases[first_unequal_row(getattr(got, name), tiled)])
     want_folds = np.concatenate(want_folds, axis=1)
     assert np.array_equal(folds, want_folds, equal_nan=True), (
@@ -555,6 +555,57 @@ def test_thresholds_resolve_a_window_narrower_than_any_grid():
     assert result[1] == pytest.approx(down_ref, abs=1e-9)
     sol = branch_solution(medium, Mechanism.LORENTZ, Branch.UPPER, omega=0.2036)
     assert sol.branch is Branch.UPPER
+
+
+def exact_folds(gamma: float, delta: float, zeta: float) -> list:
+    """(omega, bound) at each fold, descending in omega, of the doubles
+    given taken as exact rationals: the fold cubic's roots W in (0, 1),
+    found at 60 digits, mapped through omega^2(W); empty for a monostable
+    medium.  ``bound`` is how many eps * omega find_thresholds may miss by.
+
+    The kernel's drive is omega(w) = sqrt((1 - w) q / (2 w)) at its fold
+    root w, q = y^2 + gamma^2/4, y = delta - zeta w.  Rounding: y is within
+    eps (zeta W + |y|), and the fold cubic C(W) = Q - 2 zeta W (1 - W) (-y)
+    = 0 makes 2 |y| zeta W = Q / (1 - W), so q is within
+    eps (1 / (1 - W) + 5) of Q, relatively; 1 - w, the product, the
+    quotient and the square root add 3 eps to omega^2 and eps / 2 to omega,
+    so omega is within (1 / (1 - W) + 9) / 2 eps.  The root: d omega^2 / dW
+    = -C(W) / (2 W^2) vanishes at a fold, so a root error dW moves omega
+    only by |C'(W)| dW^2 / (8 W^2 omega^2), relatively.  The kernel's root
+    makes C within E = 8 eps sum |c_i| W^i of zero (Horner's rounding and
+    the coefficients'), so dW is at most E / |C'| at a simple root and
+    sqrt(2 E / |C''|) at a near-double one, whichever is less; either way
+    |C'| dW <= E, and omega moves by at most E dW / (8 W^2 omega^2)."""
+    with mpmath.workdps(60):
+        g, d, z = (mpmath.mpf(Fraction(x).numerator) / Fraction(x).denominator
+                   for x in (gamma, delta, zeta))
+        c = [2 * z * z, -z * (z + 2 * d), 0, d * d + g * g / 4]
+        roots = [r.real for r in mpmath.polyroots(c, maxsteps=200, extraprec=400)
+                 if abs(r.imag) < mpmath.mpf(10) ** -40 and 0 < r.real < 1]
+        folds = []
+        for w in roots if len(roots) == 2 else []:
+            omega = mpmath.sqrt((1 - w) * ((d - z * w) ** 2 + g * g / 4) / (2 * w))
+            e = 8 * EPS * sum(abs(ci) * w ** (3 - i) for i, ci in enumerate(c))
+            slope, curvature = (3 * c[0] * w + 2 * c[1]) * w, 6 * c[0] * w + 2 * c[1]
+            dw = min(e / abs(slope), mpmath.sqrt(2 * e / abs(curvature)))
+            bound = (1 / (1 - w) + 9) / 2 + e * dw / (8 * w * w * omega * omega * EPS)
+            folds.append((omega, float(bound)))
+        return sorted(folds, reverse=True)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(medium=extreme_media().filter(lambda m: m[1] is not Mechanism.JOINT))
+def test_thresholds_against_the_exact_folds(medium):
+    """find_thresholds, over lorentz and detuning media and near-cusp
+    windows down to 1e-5 gamma, is None exactly where the medium has no
+    fold pair, and finds each fold drive within the bound that
+    :func:`exact_folds` derives."""
+    params, mech, gamma, delta, zeta = medium
+    found, exact = find_thresholds(params, mech), exact_folds(gamma, delta, zeta)
+    assert len(found or ()) == len(exact), medium
+    with mpmath.workdps(60):
+        for got, (omega, bound) in zip(found or (), exact):
+            assert abs(got - omega) <= bound * EPS * omega, (medium, got, omega, bound)
 
 
 def test_thresholds_range_warning():
@@ -789,7 +840,7 @@ def test_single_drive_results_equal_their_batch_row(params, mech):
             one = solution_arrays(params, mech, [omega])
             for name in one._fields:
                 assert np.array_equal(getattr(one, name)[0], getattr(whole, name)[i],
-                                      equal_nan=True), (name, omega)
+                                      equal_nan=name != "branch"), (name, omega)
             expected = {sol.branch: record_bits(sol) for sol in points[i].solutions}
             for branch in Branch:
                 if branch in expected:
@@ -1048,14 +1099,13 @@ def test_coefficients_follow_the_w_route_over_extreme_media(medium):
         assert np.all(np.abs(got - route) <= k * defect_bound + 4.0 * EPS * terms)
 
 
-def solve_rows(cases, named=False):
+def solve_rows(cases):
     """(SolutionArrays, folds) of one kernel call over ``cases`` of
     (params, mech, omega), one row each; folds is (2, K), NaN where a medium
-    is monostable.  With ``named``, the (K, 3) branch names come between."""
+    is monostable."""
     rows = steady_state._Rows.of([(params, mech) for params, mech, _ in cases])
     drives = np.array([omega for *_, omega in cases])
-    arr, names, folds = steady_state._solve(rows, rows.zeta_lorentz + rows.zeta_detuning, drives)
-    return (arr, names, folds) if named else (arr, folds)
+    return steady_state._solve(rows, rows.zeta_lorentz + rows.zeta_detuning, drives)
 
 
 def assert_row_equals_call(arr, folds, i, params, mech, omega):
@@ -1063,7 +1113,7 @@ def assert_row_equals_call(arr, folds, i, params, mech, omega):
     one = solution_arrays(params, mech, [omega])
     for name in one._fields:
         assert np.array_equal(getattr(one, name)[0], getattr(arr, name)[i],
-                              equal_nan=True), (name, params, omega)
+                              equal_nan=name != "branch"), (name, params, omega)
     alone = find_thresholds(params, mech)
     assert np.array_equal(folds[:, i], [np.nan] * 2 if alone is None else alone,
                           equal_nan=True), (params, alone)
@@ -1120,12 +1170,34 @@ def test_readme_peaks_media_as_rows_equal_their_scans():
     cases = [(params, mech, omega) for params, mech in media for omega in grid.tolist()]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MarginalStabilityWarning)
-        arr, names, folds = solve_rows(cases, named=True)
+        arr, folds = solve_rows(cases)
         for i, case in enumerate(cases):
             assert_row_equals_call(arr, folds, i, *case)
         for j, (params, mech) in enumerate(media):
             scan = scan_hysteresis(params, mech, grid)
-            assert np.array_equal(names[j * grid.size:(j + 1) * grid.size], scan.points.branches)
+            assert np.array_equal(arr.branch[j * grid.size:(j + 1) * grid.size],
+                                  scan.points.arrays.branch)
+
+
+@pytest.mark.parametrize("params, mech", [(LORENTZ_50, Mechanism.LORENTZ),
+                                          (DETUNING_50, Mechanism.DETUNING)])
+def test_solution_arrays_name_their_roots(params, mech):
+    """The arrays' last field names each root: below, inside and above the
+    window and at both folds, each row's names are those of the scan's
+    records at that drive, and "" past the last root."""
+    assert SolutionArrays._fields[-1] == "branch"
+    up, down = find_thresholds(params, mech)
+    grid = np.array([0.5 * down, down, 0.5 * (down + up), up, 2.0 * up])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MarginalStabilityWarning)
+        arr = solution_arrays(params, mech, grid)
+        points = scan_hysteresis(params, mech, grid).points
+    assert arr.count.tolist() == [1, 2, 3, 2, 1]
+    for i, point in enumerate(points):
+        names = [sol.branch.value for sol in point.solutions]
+        assert arr.branch[i].tolist() == names + [""] * (3 - len(names)), point.omega
+    assert arr.branch[[0, 2, 4]].tolist() == [["lower", "", ""], ["lower", "middle", "upper"],
+                                              ["upper", "", ""]]
 
 
 def test_scan_rejects_bad_grids():
@@ -1442,9 +1514,9 @@ def test_round_trip_through_the_explicit_inverse(medium, seed):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MarginalStabilityWarning)
         scan = scan_hysteresis(params, mech, grid)
-    a, names = scan.points.arrays, scan.points.branches
+    a = scan.points.arrays
     for omega, count, stable, marginal, name in zip(a.omega, a.count, a.stable, a.marginal,
-                                                     names):
+                                                     a.branch):
         if count == 2:
             assert marginal.sum() == 1 and stable[~marginal & (name != "")].all(), name
             assert not stable[marginal].any(), omega
