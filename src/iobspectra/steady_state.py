@@ -22,13 +22,20 @@ name and classify the inversion roots: roots on the two falling pieces are
 stable, on the rising middle one unstable, and a fold's double root marginal.
 Both cubics are solved by one closed-form kernel that works row-wise on
 numpy arrays, so a whole drive grid is solved, assembled and classified at
-once; the single-drive functions call the same kernel on one drive.  It is
-elementwise in the medium too: rows of media, one per drive, solve in one
-call, each row with the bits of its own one-medium call.
+once.  It is elementwise in the medium too: rows of media, one per drive,
+solve in one call, each row with the bits of its own one-medium call.
+
+One medium at one drive (:func:`solutions_at`, :func:`branch_solution`) and
+the fold drives of one medium (:func:`find_thresholds`) take the same steps
+in Python floats, with the kernel's bits, since a (1, 3) array pays numpy's
+call overhead about 150 times.  Where a drive is at a fold or within its
+rounding band, or the kernel would leave the closed form, they hand the
+call to the kernel, which bisects and warns there.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import warnings
 from collections.abc import Sequence
@@ -177,7 +184,8 @@ def _normalized(coeffs: np.ndarray) -> np.ndarray:
 
 
 def _horner(c, w):
-    """((c3 w + c2) w + c1) w + c0 for an array ``w``, built in one new array."""
+    """((c3 w + c2) w + c1) w + c0 for a float ``w``, or for an array built
+    in one new array."""
     c3, c2, c1, c0 = c
     p = c3 * w
     p += c2
@@ -295,6 +303,52 @@ def _per_root(c: np.ndarray) -> np.ndarray:
     return c[..., None].repeat(3, axis=-1)
 
 
+def _scalar_roots(coeffs):
+    """:func:`_real_cubic_roots` of one cubic in Python floats, bit for bit:
+    (roots, c), the polished roots of the cubic formula, unordered, and the
+    normalized coefficients; None where the kernel leaves that formula (a
+    cubic term below 1e-14) or meets a division by zero or the square root
+    of a negative number.  It takes the kernel's operations in its order:
+    + - * / and sqrt round alike in Python and numpy, while arccos, cos and
+    the cube root stay numpy calls, whose loops differ from libm's."""
+    scale = max(map(abs, coeffs))  # finite: core bounds every input
+    try:
+        c3, c2, c1, c0 = c = tuple(x / scale for x in coeffs)
+        if abs(c3) < 1e-14:
+            return None
+        b, cc, d = c2 / c3, c1 / c3, c0 / c3
+        shift = b / 3.0
+        p = cc - b * b / 3.0
+        q = (2.0 * b * b * b - 9.0 * b * cc) / 27.0 + d
+        disc = 0.25 * q * q + p * p * p / 27.0
+        if disc > 0.0:
+            s = math.sqrt(disc)
+            hi, lo = -0.5 * q + s, -0.5 * q - s
+            a, z = (np.array([abs(hi), abs(lo)]) ** (1.0 / 3.0)).tolist()
+            roots = [math.copysign(a, hi) + math.copysign(z, lo) - shift]
+        elif p == 0.0:
+            [a] = (np.array([abs(q)]) ** (1.0 / 3.0)).tolist()
+            roots = [math.copysign(a, -q) - shift]
+        else:
+            m = 2.0 * math.sqrt(-p / 3.0)
+            [phi] = np.arccos([min(1.0, max(-1.0, 3.0 * q / (p * m)))]).tolist()
+            cosines = np.cos([(phi - k) / 3.0 for k in _TURNS.tolist()]).tolist()
+            roots = [m * t - shift for t in cosines]
+        polished = []
+        for w in roots:  # _polish
+            r = _horner(c, w)
+            best_w, best_r = w, abs(r)
+            for _ in range(3):
+                w = w - r / ((3.0 * c3 * w + 2.0 * c2) * w + c1)
+                r = _horner(c, w)
+                if abs(r) < best_r:
+                    best_w, best_r = w, abs(r)
+            polished.append(best_w)
+    except (ZeroDivisionError, ValueError):  # where the kernel's arrays turn inf or NaN
+        return None
+    return polished, c
+
+
 def _fold_cubic(medium, zeta):
     """Coefficients of the fold cubic
     2 zeta^2 W^3 - zeta (zeta + 2 delta) W^2 + delta^2 + gamma^2/4."""
@@ -315,6 +369,20 @@ def _folds(medium, zeta, roots: np.ndarray):
     omegas = np.sqrt((1.0 - w) * q / (2.0 * w))
     omegas.sort(axis=1)
     return np.fmax(w, 0.0), omegas.T[::-1]  # fmax takes 0 for NaN
+
+
+def _scalar_folds(medium, zeta, roots):
+    """:func:`_folds` of one medium in Python floats, bit for bit, from the
+    roots of :func:`_scalar_roots`: [W_f1, W_f2] and [omega_up, omega_down]."""
+    w = sorted(x for x in roots if 0.0 < x < 1.0)[:2]
+    if len(w) < 2:
+        return [0.0, 0.0], [math.nan, math.nan]
+    omegas = []
+    for x in w:
+        y = medium.delta - zeta * x
+        q = y * y + 0.25 * (medium.gamma * medium.gamma)
+        omegas.append(math.sqrt((1.0 - x) * q / (2.0 * x)))
+    return w, sorted(omegas, reverse=True)
 
 
 def _cubic_at(c, w):
@@ -420,7 +488,7 @@ def _bisected(c, fw, upper, lower, at_fold) -> tuple[np.ndarray, np.ndarray]:
 
 def _complex(re, im):
     """re + i im without the rounding or signed-zero changes of complex arithmetic."""
-    if np.ndim(re) == 0 and np.ndim(im) == 0:
+    if isinstance(re, float) and isinstance(im, float) or np.ndim(re) == 0 and np.ndim(im) == 0:
         return complex(re, im)
     out = np.empty(np.broadcast(re, im).shape, dtype=complex)
     out.real, out.imag = re, im
@@ -496,6 +564,56 @@ def _solve(medium, zeta, omega: np.ndarray):
     kind = count, upper.view(np.int8)  # an index: numpy reads a bool array as a mask
     return SolutionArrays(omega, count, w, rho12, omega_eff, delta_eff, residual,
                           _STABLE[kind] & ~marginal, marginal, _BRANCH_NAMES[kind]), folds
+
+
+def _one_drive(medium, zeta, omega: float) -> list[SteadyStateSolution] | None:
+    """The records of :func:`_solve` at one drive, computed in Python floats
+    with the kernel's operations in its order, so bit for bit; or None where
+    the kernel decides more than the closed form: the ``ok`` test of
+    :func:`_inversion_roots` fails (no root, a fold drive or its rounding
+    band), :func:`_scalar_roots` hands a cubic over, or a division is by
+    zero.  The kernel pays about 150 numpy calls on (1, 3) arrays here."""
+    solved = _scalar_roots(_inversion_cubic(medium, zeta, omega))
+    fold = _scalar_roots(_fold_cubic(medium, zeta))
+    if solved is None or fold is None:
+        return None
+    (raw, c), ((f1, f2), _) = solved, _scalar_folds(medium, zeta, fold[0])
+    w = sorted((min(x, 1.0) for x in raw if 0.0 < x <= 1.0 + 1e-9), reverse=True)
+    n, xs, c_abs = len(w), w + [f1, f2], [abs(x) for x in c]
+    p = [_horner(c, x) for x in xs]  # _cubic_at at the roots and the fold inversions
+    tight = [abs(v) * 2.0 ** 49 <= _horner(c_abs, x) for v, x in zip(p, xs)]
+    upper, lower = p[n] > 0.0 and not tight[n], p[n + 1] < 0.0 and not tight[n + 1]
+    ok = (n > 0 and (w[0] > f2 if lower else w[0] <= f1) and tight[0]
+          and not (tight[n] or tight[n + 1])
+          and (n == 3 and f2 >= w[1] > f1 >= w[2] and tight[1] and tight[2]
+               if upper and lower else n == 1))
+    if not ok:
+        return None
+    kind, g, zl = (n, int(upper)), medium.gamma, medium.zeta_lorentz
+    solutions = []
+    try:
+        for x, r, name, stable in zip(w, p, _BRANCH_NAMES[kind].tolist(), _STABLE[kind].tolist()):
+            delta_eff = medium.delta - medium.zeta_detuning * x
+            if zl == 0.0:
+                omega_eff = complex(omega + 0.0 * x, 0.0 * x)
+            else:  # _effective's Smith division by the larger part of f
+                dd = delta_eff * delta_eff + 0.25 * g * g
+                f_re, f_im = 1.0 - zl * x * delta_eff / dd, zl * x * (0.5 * g) / dd
+                if abs(f_re) < abs(f_im):
+                    ratio = f_re / f_im
+                    denom = f_re * ratio + f_im
+                    re, im = (omega * ratio + 0.0) / denom, (0.0 * ratio - omega) / denom
+                else:
+                    ratio = f_im / f_re
+                    denom = f_re + f_im * ratio
+                    re, im = (omega + 0.0 * ratio) / denom, (0.0 - omega * ratio) / denom
+                omega_eff = complex(re, im)
+            solutions.append(SteadyStateSolution(
+                x, 0.5 * (1.0 - x), coherence(x, omega_eff, delta_eff, g), omega_eff, delta_eff,
+                Branch(name), stable, abs(r)))
+    except ZeroDivisionError:
+        return None
+    return solutions
 
 
 def solve_inversion(params: MediumParams, mech: Mechanism) -> list[float]:
@@ -590,8 +708,13 @@ def find_thresholds(params: MediumParams, mech: Mechanism) -> tuple[float, float
     window.  Returns None when the medium is monostable.
     """
     zeta = zeta_total(params, mech)
-    roots, _ = _real_cubic_roots(np.array(_fold_cubic(params, zeta))[:, None])
-    up, down = _folds(params, zeta, roots)[1][:, 0].tolist()
+    coeffs = _fold_cubic(params, zeta)
+    solved = _scalar_roots(coeffs)
+    if solved is None:
+        roots, _ = _real_cubic_roots(np.array(coeffs)[:, None])
+        up, down = _folds(params, zeta, roots)[1][:, 0].tolist()
+    else:
+        up, down = _scalar_folds(params, zeta, solved[0])[1]
     return None if up != up else (up, down)
 
 
@@ -650,17 +773,22 @@ def solutions_at(params: MediumParams, mech: Mechanism) -> list[SteadyStateSolut
     :func:`scan_hysteresis`: ``upper`` above the upper fold, where the
     surviving root continues the upper branch, ``lower`` otherwise.
     """
-    return ScanPoints(_at_drive(params, mech, params.omega))[0].solutions
+    return _at_drive(params, mech, params.omega)
 
 
-def _at_drive(params: MediumParams, mech: Mechanism, omega: float) -> SolutionArrays:
-    """The roots at the checked drive ``omega``, for :func:`solutions_at` and
-    :func:`branch_solution`; marginal roots warn at the caller of those."""
-    arr, _ = _solve(params, zeta_total(params, mech), np.array([omega]))
+def _at_drive(params: MediumParams, mech: Mechanism, omega: float) -> list[SteadyStateSolution]:
+    """The solutions at the checked drive ``omega``, for :func:`solutions_at`
+    and :func:`branch_solution`: those of :func:`_one_drive`, or else of the
+    kernel, whose marginal roots warn at the caller of those."""
+    zeta = zeta_total(params, mech)
+    solutions = _one_drive(params, zeta, omega)
+    if solutions is not None:
+        return solutions
+    arr, _ = _solve(params, zeta, np.array([omega]))
     if arr.count[0] == 0:
         raise _no_root_error(replace(params, omega=omega), mech)
     _warn_marginal(arr, stacklevel=4)
-    return arr
+    return ScanPoints(arr)[0].solutions
 
 
 def branch_solution(
@@ -677,13 +805,10 @@ def branch_solution(
     else:  # the medium is checked; the drive is the one new value
         omega = float(omega)
         check_drive(omega)
-    arr = _at_drive(params, mech, omega)
-    row = arr.branch[0].tolist()
-    if branch.value not in row:
-        raise BranchNotPresentError(
-            f"branch '{branch.value}' does not exist at omega={omega}"
-        )
-    return _solution(arr, 0, row.index(branch.value))
+    for sol in _at_drive(params, mech, omega):
+        if sol.branch is branch:
+            return sol
+    raise BranchNotPresentError(f"branch '{branch.value}' does not exist at omega={omega}")
 
 
 def scan_hysteresis(

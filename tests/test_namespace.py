@@ -345,7 +345,8 @@ def calls(tree: ast.AST, names: set) -> list[ast.Call]:
 
 
 # the fold cubic is evaluated only where the kernel solves it
-FOLD_CUBIC, FOLD_SOLVERS = {"_fold_cubic", "_cubic_at"}, ("_inversion_roots", "find_thresholds")
+FOLD_CUBIC, FOLD_SOLVERS = {"_fold_cubic", "_cubic_at"}, ("_inversion_roots", "find_thresholds",
+                                                          "_one_drive")
 
 
 def rule_breaches(source: str) -> list[int]:

@@ -907,7 +907,8 @@ def test_each_cubic_solves_alone_as_in_a_batch():
 def test_scan_keeps_going_where_no_root_is_found(monkeypatch):
     """Drives without a physical root keep an empty solution set, and the
     scan warns "solver failed" once, attributed to the caller, with their
-    count and the first of them; solutions_at raises there instead."""
+    count and the first of them; solutions_at raises there instead, once
+    the one-drive float solve hands its drive to the patched kernel."""
     solve = steady_state._inversion_roots
 
     def lose_every_other_drive(params, zeta, omega):
@@ -926,6 +927,7 @@ def test_scan_keeps_going_where_no_root_is_found(monkeypatch):
     assert str(warned.message) == ("solver failed at 3 of 5 drives, the first at omega=0.5: "
                                    f"no inversion root in (0, 1] for coefficients {coefficients}")
     assert [len(pt.solutions) for pt in scan.points] == [0, 3, 0, 1, 0]
+    monkeypatch.setattr(steady_state, "_one_drive", lambda *args: None)
     with pytest.raises(NoPhysicalRootError):
         solutions_at(replace(LORENTZ_50, omega=0.5), Mechanism.LORENTZ)
 
@@ -1524,6 +1526,83 @@ def test_round_trip_through_the_explicit_inverse(medium, seed):
             assert not marginal.any() and (stable == ((name != "middle") & (name != ""))).all()
         if count == 1:  # above the exact window the upper branch survives
             assert name[0] == ("upper" if folds and omega > window[1] else "lower"), omega
+
+
+def one_drive_records(params, mech, omega):
+    """{branch: record_bits} of solutions_at and of branch_solution at
+    ``omega``, or NoPhysicalRootError's type for solutions_at; the marginal
+    warnings at folds are silenced."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MarginalStabilityWarning)
+        try:
+            at = {sol.branch: record_bits(sol) for sol in solutions_at(
+                replace(params, omega=omega), mech)}
+        except NoPhysicalRootError:
+            at = NoPhysicalRootError
+        one = {}
+        for branch in Branch:
+            try:
+                one[branch] = record_bits(branch_solution(params, mech, branch, omega=omega))
+            except BranchNotPresentError:
+                pass
+    return at, one
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(medium=round_trip_media(), ts=st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=3,
+                                               max_size=3))
+def test_one_drive_gives_the_scans_bits(medium, ts):
+    """solutions_at and branch_solution, which solve one drive in Python
+    floats away from the folds, give the bits of the one-drive scan's
+    records, or its missing branch, at zero drive, at omega(W) of W on each
+    fold piece (anywhere in (0, 1) for a monostable medium), and at each
+    fold drive and the two doubles beside it, where the kernel decides."""
+    params, mech, gamma, delta, zeta = medium
+    folds = exact_fold_ws(gamma, delta, zeta)
+    ends = [0.0] + [float(f) for f in folds] + [1.0]
+    ws = [lo + t * (hi - lo) for t, lo, hi in zip(ts, ends, ends[1:])]
+    drives = [0.0] + [float(exact_omega(gamma, delta, zeta, w)) for w in ws]
+    for omega in find_thresholds(params, mech) or []:
+        drives += [np.nextafter(omega, 0.0), omega, np.nextafter(omega, np.inf)]
+    for omega in map(float, drives):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            scan = scan_hysteresis(params, mech, [omega]).points[0].solutions
+        expected = {sol.branch: record_bits(sol) for sol in scan}
+        assert one_drive_records(params, mech, omega) == (
+            expected or NoPhysicalRootError, expected), (params, mech, omega)
+
+
+class KernelCalled(Exception):
+    """Raised by a patched kernel entry."""
+
+
+@pytest.mark.parametrize("params, mech", [
+    (LORENTZ_50, Mechanism.LORENTZ),
+    (DETUNING_50, Mechanism.DETUNING),
+    (MediumParams(delta=3.0, zeta_lorentz=20.0, zeta_detuning=30.0), Mechanism.JOINT),
+])
+def test_one_drive_leaves_the_kernel_only_at_the_folds(monkeypatch, params, mech):
+    """With the array kernel patched to raise, find_thresholds and
+    branch_solution still answer at the drives of the benchmark's spectra:
+    15-85 % across the window on every branch, 1.05-1.4 times the upper fold
+    on the upper branch and 0.3-0.9 times the lower fold on the lower one.
+    At each exact fold the call reaches the kernel."""
+    def kernel_called(*args):
+        raise KernelCalled
+
+    monkeypatch.setattr(steady_state, "_solve", kernel_called)
+    monkeypatch.setattr(steady_state, "_real_cubic_roots", kernel_called)
+    up, down = find_thresholds(params, mech)
+    cases = [(down + t * (up - down), branch)
+             for t in np.linspace(0.15, 0.85, 8) for branch in Branch]
+    cases += [(up * k, Branch.UPPER) for k in np.linspace(1.05, 1.4, 8)]
+    cases += [(down * k, Branch.LOWER) for k in np.linspace(0.3, 0.9, 8)]
+    for omega, branch in cases:
+        assert branch_solution(params, mech, branch, omega=omega).branch is branch, omega
+    for omega in (up, down):
+        with pytest.raises(KernelCalled):
+            branch_solution(params, mech, Branch.LOWER, omega=omega)
 
 
 def exact_root_counts(params, mech, omega: np.ndarray) -> list:
