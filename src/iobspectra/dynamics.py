@@ -259,10 +259,13 @@ def _slow_start(fp: BlochState, params: MediumParams, omega_dot: float) -> Bloch
     u, v, w = fp.u, fp.v, fp.w
     g = params.gamma
     c1, c0 = _hurwitz(params, params.omega, w, complex(u, v) / 2.0)
-    real = _real_eigenvalues(g, c1, c0)
+    # _real_eigenvalues in Python floats, bit for bit, or itself where that hands over
+    solved = steady_state._scalar_roots((1.0, 2.0 * g, c1, c0))
+    real = ([x for x in solved[0] if math.isfinite(x)] if solved is not None
+            else _real_eigenvalues(g, c1, c0).tolist())
     y = np.array([u, v, w])
-    if real.size == 1:
-        lr = float(real[0])
+    if len(real) == 1:
+        lr = real[0]
         p = 2.0 * g + lr
         c = c1 + lr * p
         jac = _jac(u, v, w, params.omega, g, params.delta,
@@ -312,15 +315,19 @@ def integrate(
     Jacobian and runs as one call of scipy's compiled ODEPACK module (the
     only scipy module it loads), which returns to Python only for the
     right-hand side and the Jacobian, with ``t_end`` as its critical time,
-    so that it never steps past the end of a ramp.  It returns states only
-    at the times ``t_eval``, which must be given, strictly increasing within
-    [0, t_end] (ValueError otherwise).  The default tolerances keep
-    relaxations of the benchmark medium at omega = 8 within 1e-9 of one at
-    1e-13 / 1e-15; sweeps pass looser ones.  ``t_end`` must be positive and
-    finite: an integration to nan or inf would never return, and a first
-    time after 0 too short for LSODA's first step is a ValueError.  A failed
-    integration, one that leaves the Bloch ball, and one in which LSODA
-    takes no step raise IntegrationError with the time it reached.
+    so that it never steps past the end of a ramp.  A sweep calls them
+    thousands of times, most of its Python time, so neither allocates: each
+    writes Python floats into one array made per integration, which ODEPACK
+    copies, and the Jacobian's constant entries are written once.  It
+    returns states only at the times ``t_eval``, which must be given,
+    strictly increasing within [0, t_end] (ValueError otherwise).  The
+    default tolerances keep relaxations of the benchmark medium at
+    omega = 8 within 1e-9 of one at 1e-13 / 1e-15; sweeps pass looser ones.
+    ``t_end`` must be positive and finite: an integration to nan or inf
+    would never return, and a first time after 0 too short for LSODA's
+    first step is a ValueError.  A failed integration, one that leaves the
+    Bloch ball, and one in which LSODA takes no step raise IntegrationError
+    with the time it reached.
     """
     if not 0.0 < t_end < math.inf:
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
@@ -346,27 +353,37 @@ def integrate(
     # Python floats, not numpy scalars: the same results at less than half
     # the cost.  The call count locates a failed odeint call's last output.
     calls = 0
-    # bloch_rhs inline (same expressions, same order) into one float64 array
-    # that ODEPACK takes as it is: no second frame, no new array per call.
+    # bloch_rhs and _jac inline, same expressions in the same order: Python
+    # reads 0.5 * zl * u as (0.5 * zl) * u, so the hoisted halves keep its bits
+    hzl, hg, zs = 0.5 * zl, 0.5 * g, zl + zm
     out = np.empty(3)
     buf = memoryview(out)
+    jac_out = np.array([[-0.5 * g, 0.0, 0.0], [0.0, -0.5 * g, 0.0], [0.0, 0.0, -g]])
+    jac_buf = memoryview(jac_out.reshape(9))  # a view: jac_out's entries, row by row
 
     def rhs(t, y):
         nonlocal calls
         calls += 1
         u, v, w = y.tolist()
         om = drive(t) if slope is None else o0 + slope * (t if t < t_stop else t_stop)
-        obr = om + 0.5 * zl * u
-        obi = 0.5 * zl * v
+        obr = om + hzl * u
+        obi = hzl * v
         db = d - zm * w
-        buf[0] = -db * v - 0.5 * g * u + 2.0 * obi * w
-        buf[1] = db * u - 0.5 * g * v - 2.0 * obr * w
+        buf[0] = -db * v - hg * u + 2.0 * obi * w
+        buf[1] = db * u - hg * v - 2.0 * obr * w
         buf[2] = g * (1.0 - w) + 2.0 * (obr * v - obi * u)
         return out
 
     def jac(t, y):
         u, v, w = y.tolist()
-        return _jac(u, v, w, drive(t), g, d, zl, zm)
+        om = drive(t) if slope is None else o0 + slope * (t if t < t_stop else t_stop)
+        db = d - zm * w
+        jac_buf[1] = -db + zl * w
+        jac_buf[2] = zs * v
+        jac_buf[3] = db - zl * w
+        jac_buf[5] = -zs * u - 2.0 * om
+        jac_buf[7] = 2.0 * om
+        return jac_out
 
     # odeint starts at its first time, so 0 leads a t_eval that starts later
     times = t_eval if t_eval[0] == 0.0 else np.concatenate(([0.0], t_eval))
@@ -390,7 +407,10 @@ def integrate(
         t_fail = float(info["tcur"][np.argmax(info["nfe"] == calls)])
         raise IntegrationError(f"integration failed at t={t_fail}: {_LSODA_MESSAGES[status]}",
                                time=t_fail)
-    omegas = np.array([drive(t) for t in t_eval])
+    if slope is None:
+        omegas = np.array([drive(t) for t in t_eval])
+    else:  # Ramp.__call__ at every sample at once, its comparison kept for signed zeros
+        omegas = o0 + slope * np.where(t_eval < t_stop, t_eval, t_stop)
     try:
         traj = Trajectory(times=t_eval, uvw=uvw[times.size - t_eval.size:], omegas=omegas)
     except ValueError as exc:  # the times always increase: a state left the ball

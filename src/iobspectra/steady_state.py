@@ -25,10 +25,11 @@ numpy arrays, so a whole drive grid is solved, assembled and classified at
 once.  It is elementwise in the medium too: rows of media, one per drive,
 solve in one call, each row with the bits of its own one-medium call.
 
-One medium at one drive (:func:`solutions_at`, :func:`branch_solution`) and
-the fold drives of one medium (:func:`find_thresholds`) take the same steps
-in Python floats, with the kernel's bits, since a (1, 3) array pays numpy's
-call overhead about 150 times.  Where a drive is at a fold or within its
+One medium at one drive (:func:`solutions_at`, :func:`branch_solution`,
+:func:`solve_inversion`, :func:`effective_params`) and the fold drives of
+one medium (:func:`find_thresholds`) take the same steps in Python floats,
+with the kernel's bits, since a (1, 3) array pays numpy's call overhead
+about 150 times.  Where a drive is at a fold or within its
 rounding band, or the kernel would leave the closed form, they hand the
 call to the kernel, which bisects and warns there.
 """
@@ -589,31 +590,34 @@ def _one_drive(medium, zeta, omega: float) -> list[SteadyStateSolution] | None:
                if upper and lower else n == 1))
     if not ok:
         return None
-    kind, g, zl = (n, int(upper)), medium.gamma, medium.zeta_lorentz
-    solutions = []
+    kind, solutions = (n, int(upper)), []
     try:
         for x, r, name, stable in zip(w, p, _BRANCH_NAMES[kind].tolist(), _STABLE[kind].tolist()):
-            delta_eff = medium.delta - medium.zeta_detuning * x
-            if zl == 0.0:
-                omega_eff = complex(omega + 0.0 * x, 0.0 * x)
-            else:  # _effective's Smith division by the larger part of f
-                dd = delta_eff * delta_eff + 0.25 * g * g
-                f_re, f_im = 1.0 - zl * x * delta_eff / dd, zl * x * (0.5 * g) / dd
-                if abs(f_re) < abs(f_im):
-                    ratio = f_re / f_im
-                    denom = f_re * ratio + f_im
-                    re, im = (omega * ratio + 0.0) / denom, (0.0 * ratio - omega) / denom
-                else:
-                    ratio = f_im / f_re
-                    denom = f_re + f_im * ratio
-                    re, im = (omega + 0.0 * ratio) / denom, (0.0 - omega * ratio) / denom
-                omega_eff = complex(re, im)
+            omega_eff, delta_eff = _scalar_effective(medium, omega, x)
             solutions.append(SteadyStateSolution(
-                x, 0.5 * (1.0 - x), coherence(x, omega_eff, delta_eff, g), omega_eff, delta_eff,
-                Branch(name), stable, abs(r)))
+                x, 0.5 * (1.0 - x), coherence(x, omega_eff, delta_eff, medium.gamma), omega_eff,
+                delta_eff, Branch(name), stable, abs(r)))
     except ZeroDivisionError:
         return None
     return solutions
+
+
+def _scalar_effective(medium, omega: float, w: float) -> tuple[complex, float]:
+    """:func:`_effective` at one drive and inversion in Python floats, bit for
+    bit; ZeroDivisionError where the kernel divides by zero."""
+    delta_eff = medium.delta - medium.zeta_detuning * w
+    g, zl = medium.gamma, medium.zeta_lorentz
+    if zl == 0.0:
+        return complex(omega + 0.0 * w, 0.0 * w), delta_eff
+    dd = delta_eff * delta_eff + 0.25 * g * g
+    f_re, f_im = 1.0 - zl * w * delta_eff / dd, zl * w * (0.5 * g) / dd
+    if abs(f_re) < abs(f_im):  # Smith's step by the larger part of f, as there
+        ratio = f_re / f_im
+        denom = f_re * ratio + f_im
+        return complex((omega * ratio + 0.0) / denom, (0.0 * ratio - omega) / denom), delta_eff
+    ratio = f_im / f_re
+    denom = f_re + f_im * ratio
+    return complex((omega + 0.0 * ratio) / denom, (0.0 - omega * ratio) / denom), delta_eff
 
 
 def solve_inversion(params: MediumParams, mech: Mechanism) -> list[float]:
@@ -623,6 +627,9 @@ def solve_inversion(params: MediumParams, mech: Mechanism) -> list[float]:
     is strictly negative and at 1 equals 2 omega^2), so at least one
     physical root exists for any valid parameter set.
     """
+    solutions = _one_drive(params, zeta_total(params, mech), params.omega)
+    if solutions is not None:
+        return [sol.w for sol in reversed(solutions)]
     arr = solution_arrays(params, mech, [params.omega])
     if arr.count[0] == 0:
         raise _no_root_error(params, mech)
@@ -643,8 +650,11 @@ def effective_params(
                shifted detuning.
     """
     validate_mechanism(params, mech)
-    omega_eff, delta_eff = _effective(params, params.omega, np.array([float(w)]))
-    return complex(omega_eff[0]), float(delta_eff[0])
+    try:
+        return _scalar_effective(params, params.omega, float(w))
+    except ZeroDivisionError:  # the kernel's inf or NaN
+        omega_eff, delta_eff = _effective(params, params.omega, np.array([float(w)]))
+        return complex(omega_eff[0]), float(delta_eff[0])
 
 
 def coherence(w: float, omega_eff: complex, delta_eff: float, gamma: float) -> complex:

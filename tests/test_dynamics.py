@@ -27,7 +27,7 @@ from iobspectra import (
     sweep_adiabatic,
     Trajectory,
 )
-from iobspectra.dynamics import JUMP_THRESHOLD, _jump_samples
+from iobspectra.dynamics import JUMP_THRESHOLD, Ramp, _jump_samples
 from media import LORENTZ_50, DETUNING_50, OMEGA_UP_EXACT, OMEGA_DOWN_EXACT, fold_points
 
 FREE = MediumParams(delta=3.0)
@@ -637,6 +637,22 @@ def test_relax_at_a_callable_drive_equals_scipys_odeint_bit_for_bit():
     ref = odeint_oracle(y0, t_eval, drive, JOINT_50, 20.0, 1e-11, 1e-13)
     np.testing.assert_array_equal(traj.uvw, ref)
     np.testing.assert_array_equal(traj.omegas, [drive(t) for t in t_eval])
+
+
+def test_a_ramp_that_ends_before_the_integration_equals_scipys_odeint_bit_for_bit():
+    """A ramp of the joint medium from the ground state that stops at t = 10
+    of a run to t = 20, sampled on both sides of its end, against scipy's
+    public odeint with the ramp as a plain function: every sweep ends where
+    its ramp does, so only here do the right-hand side, the Jacobian and the
+    sampled drives hold the drive at the ramp's end."""
+    ramp = Ramp(8.0, 0.05, 10.0)
+    y0 = (0.0, 0.0, 1.0)
+    t_eval = np.linspace(0.0, 20.0, 401)
+    assert (t_eval < ramp.t_end).any() and (t_eval > ramp.t_end).any()
+    traj = integrate(BlochState(*y0), JOINT_50, Mechanism.JOINT, ramp, 20.0, t_eval=t_eval)
+    ref = odeint_oracle(y0, t_eval, ramp, JOINT_50, 20.0, 1e-11, 1e-13)
+    np.testing.assert_array_equal(traj.uvw, ref)
+    np.testing.assert_array_equal(traj.omegas, [ramp(t) for t in t_eval])
 
 
 def test_lsoda_messages_are_scipys():

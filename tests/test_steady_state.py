@@ -275,6 +275,40 @@ def test_joint_effective_params_use_shifted_detuning():
     )
 
 
+def float_bits(*xs) -> tuple:
+    return tuple(float(x).hex() for x in xs)
+
+
+@pytest.mark.parametrize("params, mech", [
+    (LORENTZ_50, Mechanism.LORENTZ),
+    (MediumParams(delta=3.0, zeta_lorentz=20.0, zeta_detuning=30.0), Mechanism.JOINT),
+    (DETUNING_50, Mechanism.DETUNING),
+    (MediumParams(delta=3.0), Mechanism.LORENTZ),
+    # delta_eff^2 + gamma^2/4 underflows to 0: the scalar division would divide by zero
+    (MediumParams(gamma=1e-170, zeta_lorentz=1.0), Mechanism.LORENTZ),
+])
+def test_effective_params_give_the_kernels_bits(params, mech):
+    """effective_params divides in Python floats by the helper that the
+    one-drive solve uses, and gives the bits of the array _effective: on the
+    zl = 0 branch, on both sides of the narrow band |Re f| < |Im f| around
+    Re f = 0, which W = 0.06 - 0.07 crosses for the lorentz and joint media,
+    and, where the scalar division would divide by zero, its NaN answer."""
+    ws = np.concatenate([np.linspace(0.0, 1.0, 41), np.linspace(0.055, 0.075, 81)])
+    for omega in (0.0, 8.0, OMEGA_UP_EXACT):
+        p = replace(params, omega=omega)
+        want_eff, want_delta = steady_state._effective(p, omega, ws)
+        for k, w in enumerate(ws.tolist()):
+            omega_eff, delta_eff = effective_params(w, p, mech)
+            assert float_bits(omega_eff.real, omega_eff.imag, delta_eff) == float_bits(
+                want_eff[k].real, want_eff[k].imag, want_delta[k]), (omega, w)
+    if params.zeta_lorentz and params.gamma == 1.0:  # the band is crossed
+        delta_eff = params.delta - params.zeta_detuning * ws
+        dd = delta_eff * delta_eff + 0.25
+        a = params.zeta_lorentz * ws
+        f_re, f_im = 1.0 - a * delta_eff / dd, 0.5 * a / dd
+        assert (np.abs(f_re) < f_im).any() and (np.abs(f_re) > f_im).any()
+
+
 # -------------------------------------------------------------------- coherence
 
 def test_coherence_zero_drive():
@@ -952,6 +986,45 @@ def test_solve_inversion_raises_where_no_root_is_found():
     with pytest.raises(NoPhysicalRootError) as info:
         solve_inversion(params, Mechanism.LORENTZ)
     assert str(info.value) == "no inversion root in (0, 1] for coefficients (0.0, -0.0, 0.5, -0.0)"
+
+
+@pytest.mark.parametrize("params, mech", [
+    (LORENTZ_50, Mechanism.LORENTZ),
+    (DETUNING_50, Mechanism.DETUNING),
+    (MediumParams(delta=3.0, zeta_lorentz=20.0, zeta_detuning=30.0), Mechanism.JOINT),
+    (MediumParams(delta=3.0), Mechanism.LORENTZ),
+])
+def test_solve_inversion_gives_the_kernels_row_without_a_warning(monkeypatch, params, mech):
+    """solve_inversion takes one drive's roots in Python floats and leaves
+    the kernel to the folds: at ordinary drives of every root count, at the
+    fold drives (the program's and the resultant's) and at the doubles
+    beside them, it gives the bits of its drive's row of solution_arrays,
+    ascending, and warns nothing.  In a bistable medium the kernel is reached
+    only near the folds; the free atom's cubic has no cubic term, which the
+    closed form hands to the kernel."""
+    drives = [0.0, 0.5, 8.0, 25.0]
+    folds = find_thresholds(params, mech) or ()
+    near_folds = [float(x) for omega in folds
+                  for x in (np.nextafter(omega, 0.0), omega, np.nextafter(omega, np.inf))]
+    near_folds += [OMEGA_UP_EXACT, OMEGA_DOWN_EXACT]
+    kernel_at = []
+    solve = steady_state._solve
+
+    def counted_solve(medium, zeta, omega):
+        kernel_at.extend(omega.tolist())
+        return solve(medium, zeta, omega)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for omega in drives + near_folds:
+            row = solution_arrays(params, mech, [omega])
+            want = row.w[0, :row.count[0]][::-1].tolist()
+            monkeypatch.setattr(steady_state, "_solve", counted_solve)
+            got = solve_inversion(replace(params, omega=omega), mech)
+            monkeypatch.setattr(steady_state, "_solve", solve)
+            assert float_bits(*got) == float_bits(*want), omega
+    if folds:
+        assert set(kernel_at) <= set(near_folds) and set(folds) <= set(kernel_at)
 
 
 def test_mechanism_equivalence_of_excitation():
