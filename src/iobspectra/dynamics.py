@@ -286,14 +286,11 @@ def _slow_start(fp: BlochState, params: MediumParams, omega_dot: float) -> Bloch
 
 class Ramp(NamedTuple):
     """The drive omega0 + slope min(t, t_end) of a sweep, which ``integrate``
-    evaluates inside its right-hand side."""
+    evaluates inside its right-hand side and Jacobian."""
 
     omega0: float
     slope: float
     t_end: float
-
-    def __call__(self, t):
-        return self.omega0 + self.slope * (t if t < self.t_end else self.t_end)
 
 
 def integrate(
@@ -309,25 +306,26 @@ def integrate(
 ) -> Trajectory:
     """Integrate the Bloch equations from t = 0 with LSODA.
 
-    ``drive`` is a constant drive (see check_drive), a :class:`Ramp`, or a
-    callable omega(t).  LSODA is the multistep scheme that switches between
-    stiff and non-stiff formulas on its own; it is given the analytic
-    Jacobian and runs as one call of scipy's compiled ODEPACK module (the
-    only scipy module it loads), which returns to Python only for the
-    right-hand side and the Jacobian, with ``t_end`` as its critical time,
-    so that it never steps past the end of a ramp.  A sweep calls them
-    thousands of times, most of its Python time, so neither allocates: each
-    writes Python floats into one array made per integration, which ODEPACK
-    copies, and the Jacobian's constant entries are written once.  It
-    returns states only at the times ``t_eval``, which must be given,
-    strictly increasing within [0, t_end] (ValueError otherwise).  The
-    default tolerances keep relaxations of the benchmark medium at
-    omega = 8 within 1e-9 of one at 1e-13 / 1e-15; sweeps pass looser ones.
-    ``t_end`` must be positive and finite: an integration to nan or inf
-    would never return, and a first time after 0 too short for LSODA's
-    first step is a ValueError.  A failed integration, one that leaves the
-    Bloch ball, and one in which LSODA takes no step raise IntegrationError
-    with the time it reached.
+    ``drive`` is a constant drive (see check_drive) or a :class:`Ramp`; a
+    callable is a TypeError.  LSODA is the multistep scheme that switches
+    between stiff and non-stiff formulas on its own; it is given the
+    analytic Jacobian and runs as one call of scipy's compiled ODEPACK
+    module (the only scipy module it loads), which returns to Python only
+    for the right-hand side and the Jacobian, with ``t_end`` as its critical
+    time: it never steps past a ramp that ends at ``t_end``, as every
+    sweep's does, but steps across the end of one that stops earlier.  A
+    sweep calls them thousands of times, most of its Python time, so neither
+    allocates: each writes Python floats into one array made per
+    integration, which ODEPACK copies, and the Jacobian's constant entries
+    are written once.  It returns states only at the times ``t_eval``, which
+    must be given, strictly increasing within [0, t_end] (ValueError
+    otherwise).  The default tolerances keep relaxations of the benchmark
+    medium at omega = 8 within 1e-9 of one at 1e-13 / 1e-15; sweeps pass
+    looser ones.  ``t_end`` must be positive and finite: an integration to
+    nan or inf would never return, and a first time after 0 too short for
+    LSODA's first step is a ValueError.  A failed integration, one that
+    leaves the Bloch ball, and one in which LSODA takes no step raise
+    IntegrationError with the time it reached.
     """
     if not 0.0 < t_end < math.inf:
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
@@ -343,11 +341,10 @@ def integrate(
     zl, zm = _coupling(params, mech)
     g = params.gamma
     d = params.delta
-    if not callable(drive):  # a constant; a slope of -0.0 adds nothing, even to -0.0
+    if not isinstance(drive, Ramp):  # a constant; a slope of -0.0 adds nothing, even to -0.0
         check_drive(float(drive))
         drive = Ramp(float(drive), -0.0, 0.0)
-    # a Ramp inline: a call per step would take a quarter of the RHS's time
-    o0, slope, t_stop = drive if isinstance(drive, Ramp) else (None,) * 3
+    o0, slope, t_stop = drive
     y0 = (state0.u, state0.v, state0.w)
 
     # Python floats, not numpy scalars: the same results at less than half
@@ -365,7 +362,7 @@ def integrate(
         nonlocal calls
         calls += 1
         u, v, w = y.tolist()
-        om = drive(t) if slope is None else o0 + slope * (t if t < t_stop else t_stop)
+        om = o0 + slope * (t if t < t_stop else t_stop)
         obr = om + hzl * u
         obi = hzl * v
         db = d - zm * w
@@ -376,7 +373,7 @@ def integrate(
 
     def jac(t, y):
         u, v, w = y.tolist()
-        om = drive(t) if slope is None else o0 + slope * (t if t < t_stop else t_stop)
+        om = o0 + slope * (t if t < t_stop else t_stop)
         db = d - zm * w
         jac_buf[1] = -db + zl * w
         jac_buf[2] = zs * v
@@ -407,10 +404,8 @@ def integrate(
         t_fail = float(info["tcur"][np.argmax(info["nfe"] == calls)])
         raise IntegrationError(f"integration failed at t={t_fail}: {_LSODA_MESSAGES[status]}",
                                time=t_fail)
-    if slope is None:
-        omegas = np.array([drive(t) for t in t_eval])
-    else:  # Ramp.__call__ at every sample at once, its comparison kept for signed zeros
-        omegas = o0 + slope * np.where(t_eval < t_stop, t_eval, t_stop)
+    # the callbacks' drive at every sample at once, their comparison kept for signed zeros
+    omegas = o0 + slope * np.where(t_eval < t_stop, t_eval, t_stop)
     try:
         traj = Trajectory(times=t_eval, uvw=uvw[times.size - t_eval.size:], omegas=omegas)
     except ValueError as exc:  # the times always increase: a state left the ball

@@ -9,7 +9,7 @@ import pytest
 from conftest import python
 from scipy.integrate import solve_ivp
 
-from iobspectra import dynamics
+from iobspectra import dynamics, steady_state
 from iobspectra import (
     BlochState,
     Branch,
@@ -275,7 +275,7 @@ def test_integrate_validation():
 def test_time_dependent_drive_is_sampled():
     p = MediumParams()
     traj = integrate(BlochState(0.0, 0.0, 1.0), p, Mechanism.LORENTZ,
-                     lambda t: 0.1 * t, 10.0, t_eval=np.linspace(0.0, 10.0, 5))
+                     Ramp(0.0, 0.1, 10.0), 10.0, t_eval=np.linspace(0.0, 10.0, 5))
     assert traj.omegas == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
 
 
@@ -372,7 +372,8 @@ with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always")
     try:
         dynamics.integrate(BlochState(0.0, 0.0, 1.0), MediumParams(delta=3.0), Mechanism.LORENTZ,
-                           lambda t: t, 10.0, t_eval=np.linspace(0.0, 10.0, 11))
+                           dynamics.Ramp(0.0, 1.0, 10.0), 10.0,
+                           t_eval=np.linspace(0.0, 10.0, 11))
         result = {"error": None}
     except IntegrationError as exc:
         result = {"error": str(exc), "time": exc.time}
@@ -540,7 +541,7 @@ def test_sweep_from_the_pole_starts_on_the_sphere():
     p_past = replace(params, omega=past)
     fp = fixed_point_state(p_past, Mechanism.LORENTZ, solve_inversion(p_past, Mechanism.LORENTZ)[0])
     slow = integrate(BlochState(-fp.u, -fp.v, fp.w), params, Mechanism.LORENTZ,
-                     lambda t: rate * t - past, past / rate, rel_tol=1e-12, abs_tol=1e-14,
+                     Ramp(-past, rate, past / rate), past / rate, rel_tol=1e-12, abs_tol=1e-14,
                      t_eval=[0.0, past / rate]).uvw[-1]
     eta_sq = y0[0] ** 2 + y0[1] ** 2
     assert eta_sq > 1e-9
@@ -564,6 +565,37 @@ def test_the_slow_start_finds_the_one_real_eigenvalue_at_any_drive(omega):
     eigs = np.linalg.eigvals(dynamics._jac(fp.u, fp.v, fp.w, omega, g, d, zl, 0.0))
     (want,) = eigs.real[eigs.imag == 0.0]
     assert real.size == 1 and abs(real[0] - want) <= 1e-12 * abs(want), (real, eigs)
+
+
+def test_the_slow_starts_eigenvalues_are_the_kernels_bits():
+    """The slow-manifold start takes the Jacobian's real eigenvalues from
+    the kernel's float path, _scalar_roots, where it answers: over 600
+    seeded lorentz, detuning and joint media (gamma 1e-3 ... 1e3, |delta| up
+    to 50 gamma, zeta 1e-2 ... 3e2 gamma, omega 1e-2 ... 1e7 gamma), at every
+    fixed point, its finite roots are _real_eigenvalues' bit for bit, and
+    on some fixed points it hands over."""
+    rng = np.random.default_rng(41)
+    answered = handed = 0
+    for i in range(600):
+        mech = list(Mechanism)[i % 3]
+        g = 10.0 ** rng.uniform(-3.0, 3.0)
+        zeta = g * 10.0 ** rng.uniform(-2.0, math.log10(300.0))
+        share = {Mechanism.LORENTZ: 1.0, Mechanism.DETUNING: 0.0}.get(mech, rng.uniform(0.1, 0.9))
+        params = MediumParams(gamma=g, delta=g * rng.uniform(-50.0, 50.0),
+                              zeta_lorentz=share * zeta, zeta_detuning=(1.0 - share) * zeta,
+                              omega=g * 10.0 ** rng.uniform(-2.0, 7.0))
+        for sol in steady_state.solutions_at(params, mech):
+            u, v = 2.0 * sol.rho12.real, 2.0 * sol.rho12.imag  # as sweep_adiabatic's start
+            c1, c0 = dynamics._hurwitz(params, params.omega, sol.w, complex(u, v) / 2.0)
+            solved = steady_state._scalar_roots((1.0, 2.0 * g, c1, c0))
+            if solved is None:
+                handed += 1
+                continue
+            answered += 1
+            got = [x.hex() for x in solved[0] if math.isfinite(x)]
+            want = [x.hex() for x in dynamics._real_eigenvalues(g, c1, c0).tolist()]
+            assert got == want, (params, mech, sol.w)
+    assert answered > 0 and handed > 0, (answered, handed)
 
 
 def odeint_oracle(y0, t_eval, drive, params, t_end, rel_tol, abs_tol):
@@ -623,22 +655,6 @@ def test_readme_relax_equals_scipys_odeint_bit_for_bit():
     assert (traj.omegas == 8.0).all()
 
 
-def test_relax_at_a_callable_drive_equals_scipys_odeint_bit_for_bit():
-    """A relax of the joint medium from the ground state at a plain callable
-    drive, which integrate calls at every right-hand side, against scipy's
-    public odeint with the same function."""
-
-    def drive(t):
-        return 8.0 + 0.5 * math.sin(t)
-
-    y0 = (0.0, 0.0, 1.0)
-    t_eval = np.linspace(0.0, 20.0, 401)
-    traj = integrate(BlochState(*y0), JOINT_50, Mechanism.JOINT, drive, 20.0, t_eval=t_eval)
-    ref = odeint_oracle(y0, t_eval, drive, JOINT_50, 20.0, 1e-11, 1e-13)
-    np.testing.assert_array_equal(traj.uvw, ref)
-    np.testing.assert_array_equal(traj.omegas, [drive(t) for t in t_eval])
-
-
 def test_a_ramp_that_ends_before_the_integration_equals_scipys_odeint_bit_for_bit():
     """A ramp of the joint medium from the ground state that stops at t = 10
     of a run to t = 20, sampled on both sides of its end, against scipy's
@@ -646,13 +662,30 @@ def test_a_ramp_that_ends_before_the_integration_equals_scipys_odeint_bit_for_bi
     its ramp does, so only here do the right-hand side, the Jacobian and the
     sampled drives hold the drive at the ramp's end."""
     ramp = Ramp(8.0, 0.05, 10.0)
+
+    def drive(t):  # the ramp's expression in integrate's callbacks
+        return ramp.omega0 + ramp.slope * (t if t < ramp.t_end else ramp.t_end)
+
     y0 = (0.0, 0.0, 1.0)
     t_eval = np.linspace(0.0, 20.0, 401)
     assert (t_eval < ramp.t_end).any() and (t_eval > ramp.t_end).any()
     traj = integrate(BlochState(*y0), JOINT_50, Mechanism.JOINT, ramp, 20.0, t_eval=t_eval)
-    ref = odeint_oracle(y0, t_eval, ramp, JOINT_50, 20.0, 1e-11, 1e-13)
+    ref = odeint_oracle(y0, t_eval, drive, JOINT_50, 20.0, 1e-11, 1e-13)
     np.testing.assert_array_equal(traj.uvw, ref)
-    np.testing.assert_array_equal(traj.omegas, [ramp(t) for t in t_eval])
+    np.testing.assert_array_equal(traj.omegas, [drive(t) for t in t_eval])
+
+
+def test_a_callable_drive_is_refused_before_odepack(monkeypatch):
+    """A drive is a number or a Ramp: a callable omega(t) is the TypeError of
+    float(drive), raised before any ODEPACK call."""
+
+    def no_odeint(*args):
+        raise AssertionError("a callable drive reached odeint")
+
+    monkeypatch.setattr(dynamics, "odeint", no_odeint)
+    with pytest.raises(TypeError, match="float"):
+        integrate(BlochState(0.0, 0.0, 1.0), FREE, Mechanism.LORENTZ, lambda t: 0.1 * t, 10.0,
+                  t_eval=[0.0, 10.0])
 
 
 def test_lsoda_messages_are_scipys():

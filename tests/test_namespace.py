@@ -3,7 +3,8 @@ and the CLI's help load no numpy, and each command only its own modules; and
 of scipy only the compiled ODEPACK module loads, and only when something is
 integrated.  The package's source squares by products alone, but for one
 helper, and the steady-state kernel binds no tolerance, calls no
-Routh-Hurwitz test and evaluates the fold cubic only where it solves it."""
+Routh-Hurwitz test and evaluates the fold cubic only where it solves it.
+The integrator's callbacks call nothing per step but y.tolist()."""
 
 import ast
 import importlib.util
@@ -409,3 +410,49 @@ def test_the_kernel_has_no_tolerance_and_no_routh_hurwitz_test():
     the fold cubic only where it solves it."""
     src = Path(iobspectra.__file__).parent / "steady_state.py"
     assert rule_breaches(src.read_text()) == []
+
+
+def callback_calls(source: str) -> dict[str, list[int]]:
+    """For each LSODA callback (``rhs``, ``jac``) nested in ``integrate``,
+    the lines where it calls anything but ``y.tolist()``: a drive is a number
+    or a Ramp, whose expression the callbacks evaluate inline."""
+    found = {}
+    for fn in ast.walk(ast.parse(source)):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name == "integrate"):
+            continue
+        for cb in ast.walk(fn):
+            if isinstance(cb, ast.FunctionDef) and cb.name in ("rhs", "jac"):
+                found[cb.name] = sorted(
+                    node.lineno for node in ast.walk(cb) if isinstance(node, ast.Call)
+                    and not (isinstance(node.func, ast.Attribute) and node.func.attr == "tolist"
+                             and getattr(node.func.value, "id", None) == "y" and not node.args))
+    return found
+
+
+def test_callback_breaches_are_found():
+    """The guard below finds a per-step drive call, a Ramp.__call__ and any
+    other call in integrate's callbacks, and passes over y.tolist() and
+    functions outside integrate."""
+    source = '''
+def rhs(t, y):
+    return drive(t)
+
+def integrate(state0, drive):
+    def rhs(t, y):
+        u, v, w = y.tolist()
+        om = drive(t) if slope is None else o0 + slope * (t if t < t_stop else t_stop)
+        return out
+
+    def jac(t, y):
+        u, v, w = y.tolist()
+        om = Ramp.__call__(drive, t)
+        return np.array(x.tolist())
+'''
+    assert callback_calls(source) == {"rhs": [8], "jac": [13, 14, 14]}
+
+
+def test_integrate_callbacks_call_nothing_but_tolist():
+    """integrate's right-hand side and Jacobian evaluate the drive inline and
+    call nothing per step but y.tolist()."""
+    src = Path(iobspectra.__file__).parent / "dynamics.py"
+    assert callback_calls(src.read_text()) == {"rhs": [], "jac": []}

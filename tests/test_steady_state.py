@@ -1,4 +1,5 @@
 import gc
+import math
 import warnings
 import weakref
 from dataclasses import replace
@@ -936,6 +937,32 @@ def test_each_cubic_solves_alone_as_in_a_batch():
         alone, c_alone = steady_state._real_cubic_roots(coeffs[:, j:j + 1])
         assert np.array_equal(alone[0], roots[j], equal_nan=True), columns[j]
         assert np.array_equal(c_alone[:, 0], c[:, j])
+
+
+def test_scalar_roots_of_near_triple_cubics_are_the_kernels():
+    """_scalar_roots, the kernel's cubic solve in Python floats, takes its
+    triple-root branch (p and the discriminant round to 0) on some of the
+    cubics (x + b/3)^3, written as (1, b, b b/3, -(2 b^3 - 9 b (b b/3))/27)
+    for 2000 seeded b: wherever it answers, its roots are _real_cubic_roots'
+    bit for bit.  At the exact triple root (x - 1)^3 the polish meets 0/0,
+    so it hands over, and the kernel gives the one root 1."""
+    taken = 0
+    for b in np.random.default_rng(3).uniform(-10.0, 10.0, 2000).tolist():
+        coeffs = (1.0, b, b * b / 3.0, -(2.0 * b * b * b - 9.0 * b * (b * b / 3.0)) / 27.0)
+        solved = steady_state._scalar_roots(coeffs)
+        if solved is None:
+            continue
+        c3, c2, c1, c0 = solved[1]
+        bb, cc, dd = c2 / c3, c1 / c3, c0 / c3  # p and disc as _scalar_roots forms them
+        p = cc - bb * bb / 3.0
+        q = (2.0 * bb * bb * bb - 9.0 * bb * cc) / 27.0 + dd
+        taken += p == 0.0 and not 0.25 * q * q + p * p * p / 27.0 > 0.0
+        want = steady_state._real_cubic_roots(np.array(coeffs).reshape(4, 1))[0][0].tolist()
+        assert [x.hex() for x in solved[0]] == [x.hex() for x in want if not math.isnan(x)], b
+    assert taken > 0
+    assert steady_state._scalar_roots((1.0, -3.0, 3.0, -1.0)) is None
+    roots = steady_state._real_cubic_roots(np.array([[1.0], [-3.0], [3.0], [-1.0]]))[0][0]
+    assert roots[0] == 1.0 and np.isnan(roots[1:]).all()
 
 
 def test_scan_keeps_going_where_no_root_is_found(monkeypatch):
